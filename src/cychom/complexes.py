@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     CompositionNonzero,
@@ -317,20 +317,6 @@ def total_complex(
     )
 
 
-def bicomplex_e1(B: Bicomplex) -> Dict[Tuple[int, int], AbelianGroup]:
-    """E^1 page: homology of each column under the vertical differential.
-
-    Only cells whose incoming vertical differential is inside the built
-    window are reported.
-    """
-    from .intlin import homology_pair
-
-    out: Dict[Tuple[int, int], AbelianGroup] = {}
-    for (s, t) in B.cells():
-        out[(s, t)] = homology_pair(B.vert((s, t)), B.vert((s, t + 1)))
-    return out
-
-
 class ChainMap:
     """A degreewise map of complexes commuting with the differentials."""
 
@@ -451,6 +437,10 @@ class HomologyPresentation:
         """Express cycle columns of X in the presentation generators."""
         return self._decomposition.kernel_coords(X)
 
+    def generated_by(self, A: SparseIntMatrix) -> bool:
+        """Do the classes with generator coordinates A span the group?"""
+        return cokernel(A.hstack(self.relations)).is_trivial()
+
 
 def homology_presentation(C: ChainComplex, i: int) -> HomologyPresentation:
     _check_degree(C, i)
@@ -484,11 +474,7 @@ def induced_on_homology(
 def induced_map_is_onto(f: ChainMap, i: int) -> bool:
     """Is H_i(f) surjective?"""
     _, hp_tgt, A = induced_on_homology(f, i)
-    return cokernel(A.hstack(hp_tgt.relations)).is_trivial()
-
-
-def _sublattice_with_relations(gens: SparseIntMatrix, relations: SparseIntMatrix) -> SparseIntMatrix:
-    return gens.hstack(relations)
+    return hp_tgt.generated_by(A)
 
 
 def _kernel_of_induced(
@@ -518,13 +504,11 @@ def exact_at(
     mid's generators into a group presented with relation matrix
     `out_relations`.
     """
-    image = _sublattice_with_relations(incoming, mid.relations)
+    image = incoming.hstack(mid.relations)
     # composite must vanish
     if not lattice_contains(out_relations, outgoing @ incoming):
         return False
-    kernel = _sublattice_with_relations(
-        _kernel_of_induced(outgoing, out_relations), mid.relations
-    )
+    kernel = _kernel_of_induced(outgoing, out_relations).hstack(mid.relations)
     return lattice_contains(image, kernel) and lattice_contains(kernel, image)
 
 
@@ -536,6 +520,56 @@ class ExactnessReport:
 
     def __bool__(self):
         return self.exact
+
+
+def presentation_cache(*complexes: ChainComplex):
+    """hp(k, n): homology_presentation(complexes[k], n), computed once."""
+    pres: Dict[Tuple[int, int], HomologyPresentation] = {}
+
+    def hp(k: int, n: int) -> HomologyPresentation:
+        if (k, n) not in pres:
+            pres[(k, n)] = homology_presentation(complexes[k], n)
+        return pres[(k, n)]
+
+    return hp
+
+
+def exact_sequence_check(
+    hp: Callable[[int, int], HomologyPresentation],
+    maps: Sequence[Callable[[int], SparseIntMatrix]],
+    names: Sequence[str],
+    degrees: Sequence[int],
+) -> ExactnessReport:
+    """Exactness of ... -> H_n(X0) -> H_n(X1) -> H_n(X2) -> H_{n-1}(X0) -> ...
+
+    hp is a presentation_cache over (X0, X1, X2).  maps[k](n) is the
+    chain-level matrix that induces the arrow out of H_n(X_k): X0_n -> X1_n,
+    X1_n -> X2_n and X2_n -> X0_{n-1}.  Each degree n checks the nodes
+    H_n(X1), H_n(X2) and H_{n-1}(X0), named by names[k]; a degree whose
+    presentations fall outside the complexes is skipped.
+    """
+    checked: List[Tuple[str, int]] = []
+    failures: List[Tuple[str, int]] = []
+    for n in degrees:
+        try:
+            x0, x1, x2, y0, y1 = hp(0, n), hp(1, n), hp(2, n), hp(0, n - 1), hp(1, n - 1)
+        except TruncationTooTight:
+            continue
+        a_n = x1.coords_of_cycles(maps[0](n) @ x0.cycles)
+        b_n = x2.coords_of_cycles(maps[1](n) @ x1.cycles)
+        c_n = y0.coords_of_cycles(maps[2](n) @ x2.cycles)
+        a_n1 = y1.coords_of_cycles(maps[0](n - 1) @ y0.cycles)
+        for node, mid, incoming, outgoing, out_relations in (
+            ((names[1], n), x1, a_n, b_n, x2.relations),
+            ((names[2], n), x2, b_n, c_n, y0.relations),
+            ((names[0], n - 1), y0, c_n, a_n1, y1.relations),
+        ):
+            checked.append(node)
+            if not exact_at(mid, incoming, outgoing, out_relations):
+                failures.append(node)
+    return ExactnessReport(
+        exact=not failures, checked_nodes=tuple(checked), failures=tuple(failures)
+    )
 
 
 def cone_les_check(f: ChainMap, degrees: Sequence[int]) -> ExactnessReport:
@@ -561,47 +595,11 @@ def cone_les_check(f: ChainMap, degrees: Sequence[int]) -> ExactnessReport:
             src.dim(n - 1), cone.dim(n), {(i, i): -1 for i in range(src.dim(n - 1))}
         )
 
-    checked: List[Tuple[str, int]] = []
-    failures: List[Tuple[str, int]] = []
-    pres: Dict[Tuple[str, int], HomologyPresentation] = {}
-
-    def hp(which, n):
-        key = (which, n)
-        if key not in pres:
-            C = {"src": src, "tgt": tgt, "cone": cone}[which]
-            pres[key] = homology_presentation(C, n)
-        return pres[key]
-
-    def induced(mat_fn, n, src_hp, tgt_hp):
-        return tgt_hp.coords_of_cycles(mat_fn(n) @ src_hp.cycles)
-
-    for n in degrees:
-        # node H_n(tgt): incoming H_n(f), outgoing inclusion into cone
-        try:
-            s, t, c = hp("src", n), hp("tgt", n), hp("cone", n)
-            s1 = hp("src", n - 1)
-            t1 = hp("tgt", n - 1)
-        except TruncationTooTight:
-            continue
-        f_n = t.coords_of_cycles(f.component(n) @ s.cycles)
-        i_n = c.coords_of_cycles(incl_matrix(n) @ t.cycles)
-        p_n = s1.coords_of_cycles(proj_matrix(n) @ c.cycles)
-        f_n1 = None
-        node = ("tgt", n)
-        checked.append(node)
-        if not exact_at(t, f_n, i_n, c.relations):
-            failures.append(node)
-        node = ("cone", n)
-        checked.append(node)
-        if not exact_at(c, i_n, p_n, s1.relations):
-            failures.append(node)
-        node = ("src", n - 1)
-        checked.append(node)
-        f_n1 = t1.coords_of_cycles(f.component(n - 1) @ s1.cycles)
-        if not exact_at(s1, p_n, f_n1, t1.relations):
-            failures.append(node)
-    return ExactnessReport(
-        exact=not failures, checked_nodes=tuple(checked), failures=tuple(failures)
+    return exact_sequence_check(
+        presentation_cache(src, tgt, cone),
+        (f.component, incl_matrix, proj_matrix),
+        ("src", "tgt", "cone"),
+        degrees,
     )
 
 

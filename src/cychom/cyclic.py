@@ -24,16 +24,18 @@ from .complexes import (
     ChainMap,
     ExactnessReport,
     cone_les_check,
-    exact_at,
+    exact_sequence_check,
     homology,
     homology_mod,
-    homology_presentation,
-    induced_map_is_onto,
+    induced_on_homology,
     mapping_cone,
+    presentation_cache,
+    tensor,
     total_complex,
+    two_term_complex,
 )
-from .dga import DGAlgebra, DGAMorphism, koszul_resolution, reduction_map
-from .errors import BoundTooSmall, InvalidParams
+from .dga import DGAlgebra, DGAMorphism, reduction_map
+from .errors import BoundTooSmall, InvalidModulus, InvalidParams
 from .hochschild import HochschildComplex, hochschild_complex, induced_map
 from .intlin import AbelianGroup, SparseIntMatrix, is_prime
 
@@ -51,10 +53,12 @@ class CyclicComplexBundle:
 
 def cyclic_bundle(A: DGAlgebra, bound: int) -> CyclicComplexBundle:
     """Build the cyclic bicomplex of A through total degree bound + 1."""
-    if bound < 0:
-        raise BoundTooSmall(f"bound {bound} < 0")
-    H = hochschild_complex(A, bound)
-    window = bound + 1
+    return _bundle_over(hochschild_complex(A, bound))
+
+
+def _bundle_over(H: HochschildComplex) -> CyclicComplexBundle:
+    """The cyclic bicomplex whose columns are the chains of H."""
+    window = H.bound + 1
     basis: Dict[Tuple[int, int], Tuple] = {}
     vertical: Dict[Tuple[int, int], SparseIntMatrix] = {}
     horizontal: Dict[Tuple[int, int], SparseIntMatrix] = {}
@@ -70,8 +74,8 @@ def cyclic_bundle(A: DGAlgebra, bound: int) -> CyclicComplexBundle:
                 horizontal[(s, t)] = H.cyclic_operator(c)
     bic = Bicomplex(basis, vertical, horizontal)
     return CyclicComplexBundle(
-        algebra=A,
-        bound=bound,
+        algebra=H.algebra,
+        bound=H.bound,
         hochschild=H,
         bicomplex=bic,
         total=total_complex(bic, 0, window),
@@ -102,11 +106,12 @@ def induced_cyclic_map(
     """The map of cyclic total complexes induced by an algebra map.
 
     The Hochschild-level map is verified to intertwine both differentials
-    before being copied into each bicomplex column.
+    before being copied into each bicomplex column; the bundles are built
+    over the same two Hochschild complexes.
     """
     hsrc, htgt, F = induced_map(f, bound)
-    src = cyclic_bundle(f.source, bound)
-    tgt = cyclic_bundle(f.target, bound)
+    src = _bundle_over(hsrc)
+    tgt = _bundle_over(htgt)
     components: Dict[int, SparseIntMatrix] = {}
     for n in src.total.degrees():
         tpos = {lbl: i for i, lbl in enumerate(tgt.total.labels(n))}
@@ -181,17 +186,50 @@ def hc_tower_surjectivity(p: int, n: int, i: int) -> TowerSurjectivityReport:
         raise InvalidParams(f"tower level n = {n} < 2")
     if i < 0:
         raise InvalidParams(f"negative degree {i}")
-    f = reduction_map(p ** n, p ** (n - 1))
-    src, tgt, F = induced_cyclic_map(f, i + 1)
+    _, _, F = induced_cyclic_map(reduction_map(p ** n, p ** (n - 1)), i + 1)
+    return tower_report(p, n, F, i)
+
+
+def tower_report(p: int, n: int, F: ChainMap, i: int) -> TowerSurjectivityReport:
+    """The degree-i report of hc_tower_surjectivity, read off the induced
+    cyclic map F of Z/p^n -> Z/p^{n-1} built through degree i + 1 or more."""
+    src, tgt, image = induced_on_homology(F, i)
     return TowerSurjectivityReport(
         p=p,
         n=n,
         degree=i,
-        surjective=induced_map_is_onto(F, i),
+        surjective=tgt.generated_by(image),
         in_verified_range=0 <= i <= 2 * p - 1,
-        source_group=homology(src.total, i),
-        target_group=homology(tgt.total, i),
+        source_group=src.group,
+        target_group=tgt.group,
     )
+
+
+# ---------------------------------------------------------------------------
+# tables: the groups in degrees 0..top, read from one build
+# ---------------------------------------------------------------------------
+
+
+def hh_table(H: HochschildComplex, top: int) -> List[AbelianGroup]:
+    return [H.homology(i) for i in range(top + 1)]
+
+
+def hc_table(bundle: CyclicComplexBundle, top: int) -> List[AbelianGroup]:
+    return [homology(bundle.total, i) for i in range(top + 1)]
+
+
+def hc_mod_table(bundle: CyclicComplexBundle, top: int, q: int) -> List[AbelianGroup]:
+    """HC with mod-q coefficients; the total complex is tensored once."""
+    if q < 2:
+        raise InvalidModulus(f"modulus {q} < 2")
+    T = tensor(bundle.total, two_term_complex(q))
+    return [homology(T, i) for i in range(top + 1)]
+
+
+def rel_hc_table(F: ChainMap, top: int) -> List[AbelianGroup]:
+    """Relative HC of the map F induces, in fiber indexing (see hc_relative)."""
+    cone = mapping_cone(F)
+    return [homology(cone, i + 1) for i in range(top + 1)]
 
 
 @dataclass(frozen=True)
@@ -258,53 +296,24 @@ def sbi_check(A: DGAlgebra, bound: int) -> SBIReport:
     H_n equal to HC_{n-2} for every checkable n.
     """
     bundle = cyclic_bundle(A, bound)
-    H = bundle.hochschild
     Q, proj = _quotient_complex(bundle)
 
-    pres: Dict[Tuple[str, int], object] = {}
+    def connecting(n):
+        # lift a quotient cycle, apply d, land in column 0
+        d = bundle.total.diff(n) @ proj[n].transpose()
+        return _column_zero_inclusion(bundle, n - 1).transpose() @ d
 
-    def hp(which, n):
-        key = (which, n)
-        if key not in pres:
-            C = {"hh": H.total, "hc": bundle.total, "q": Q}[which]
-            pres[key] = homology_presentation(C, n)
-        return pres[key]
-
-    checked: List[Tuple[str, int]] = []
-    failures: List[Tuple[str, int]] = []
-    periodicity_ok = True
-    for n in range(2, bound + 1):
-        hh_n = hp("hh", n)
-        hh_n1 = hp("hh", n - 1)
-        hc_n = hp("hc", n)
-        hc_n1 = hp("hc", n - 1)
-        q_n = hp("q", n)
-        incl_n = _column_zero_inclusion(bundle, n)
-        incl_n1 = _column_zero_inclusion(bundle, n - 1)
-        i_n = hc_n.coords_of_cycles(incl_n @ hh_n.cycles)
-        i_n1 = hc_n1.coords_of_cycles(incl_n1 @ hh_n1.cycles)
-        s_n = q_n.coords_of_cycles(proj[n] @ hc_n.cycles)
-        # connecting map: lift a quotient cycle, apply d, land in column 0
-        lift = proj[n].transpose() @ q_n.cycles
-        boundary = bundle.total.diff(n) @ lift
-        conn = hh_n1.coords_of_cycles(_column_zero_inclusion(bundle, n - 1).transpose() @ boundary)
-        node = ("hc", n)
-        checked.append(node)
-        if not exact_at(hc_n, i_n, s_n, q_n.relations):
-            failures.append(node)
-        node = ("hc_shifted", n)
-        checked.append(node)
-        if not exact_at(q_n, s_n, conn, hh_n1.relations):
-            failures.append(node)
-        node = ("hh", n - 1)
-        checked.append(node)
-        if not exact_at(hh_n1, conn, i_n1, hc_n1.relations):
-            failures.append(node)
-        if q_n.group != homology(bundle.total, n - 2):
-            periodicity_ok = False
+    hp = presentation_cache(bundle.hochschild.total, bundle.total, Q)
+    degrees = range(2, bound + 1)
+    report = exact_sequence_check(
+        hp,
+        (lambda n: _column_zero_inclusion(bundle, n), proj.__getitem__, connecting),
+        ("hh", "hc", "hc_shifted"),
+        degrees,
+    )
     return SBIReport(
-        exact=not failures,
-        periodicity_ok=periodicity_ok,
-        checked_nodes=tuple(checked),
-        failures=tuple(failures),
+        exact=report.exact,
+        periodicity_ok=all(hp(2, n).group == hp(1, n - 2).group for n in degrees),
+        checked_nodes=report.checked_nodes,
+        failures=report.failures,
     )

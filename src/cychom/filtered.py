@@ -110,13 +110,6 @@ def _tensor_presentation(parts: Sequence[PresentedGroup]) -> PresentedGroup:
     return PresentedGroup(gens, relations)
 
 
-def _direct_sum(groups: Sequence[AbelianGroup]) -> AbelianGroup:
-    free = sum(g.free_rank for g in groups)
-    factors = [d for g in groups for d in g.invariant_factors]
-    torsion = cokernel(SparseIntMatrix.diagonal(factors))
-    return AbelianGroup(free + torsion.free_rank, torsion.invariant_factors)
-
-
 # ---------------------------------------------------------------------------
 # filtered groups and rings
 # ---------------------------------------------------------------------------

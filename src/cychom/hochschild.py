@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
-from .complexes import Bicomplex, ChainComplex, ChainMap, total_complex
+from .complexes import Bicomplex, ChainMap, homology, total_complex
 from .dga import DGAlgebra, DGAMorphism
 from .errors import BoundTooSmall, NotAChainMap, TruncationTooTight
-from .intlin import AbelianGroup, SparseIntMatrix, homology_pair
+from .intlin import AbelianGroup, SparseIntMatrix
 
 Word = Tuple[str, ...]
 
@@ -153,7 +153,7 @@ class HochschildComplex:
     def homology(self, i: int) -> AbelianGroup:
         if i > self.bound:
             raise TruncationTooTight(f"homology at {i} beyond bound {self.bound}")
-        return homology_pair(self.differential(i), self.differential(i + 1))
+        return homology(self.total, i)
 
 
 def _cell_words(A: DGAlgebra, s: int, t: int):

@@ -1,7 +1,7 @@
 """Exact sparse integer linear algebra.
 
-Smith normal form with unimodular transforms, cokernels, and the homology
-of a pair of composable integer matrices.  Everything runs over Python's
+Smith normal form with unimodular transforms, cokernels, kernel bases and
+lattice membership.  Everything runs over Python's
 arbitrary-precision integers; there is no floating point anywhere and no
 modular shortcut in the default path.
 
@@ -74,15 +74,6 @@ class SparseIntMatrix:
     @classmethod
     def diagonal(cls, rows: int, cols: int, diag: Sequence[int]) -> "SparseIntMatrix":
         return cls(rows, cols, {(k, k): d for k, d in enumerate(diag) if d})
-
-    @classmethod
-    def from_columns(cls, rows: int, columns: Sequence[Mapping[int, int]]) -> "SparseIntMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, len(columns), entries)
 
     # -- basic queries -----------------------------------------------------
 
@@ -264,9 +255,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> int:
         """Order of the group; raises for infinite groups."""
         if self.free_rank:
@@ -430,18 +418,6 @@ class _Reducer:
                 elif j in rb:
                     del rb[j]
 
-    def negate_col(self, a: int):
-        for i in self.colnz[a]:
-            self.row[i][a] = -self.row[i][a]
-        if self.V is not None:
-            for vr in self.V:
-                if a in vr:
-                    vr[a] = -vr[a]
-        if self.Vinv is not None:
-            ra = self.Vinv[a]
-            for j in ra:
-                ra[j] = -ra[j]
-
     # -- the reduction ------------------------------------------------------
 
     def _find_pivot(self, k: int) -> Optional[Tuple[int, int]]:
@@ -532,35 +508,14 @@ class _Reducer:
             if self.row[k].get(k, 0) < 0:
                 self.negate_row(k)
 
-    # -- extraction ----------------------------------------------------------
 
-    def matrix(self) -> SparseIntMatrix:
-        entries = {}
-        for i, r in enumerate(self.row):
-            for j, v in r.items():
-                entries[(i, j)] = v
-        return SparseIntMatrix(self.m, self.n, entries)
-
-    def u_matrix(self) -> SparseIntMatrix:
-        entries = {}
-        for i, r in enumerate(self.U):
-            for j, v in r.items():
-                entries[(i, j)] = v
-        return SparseIntMatrix(self.m, self.m, entries)
-
-    def v_matrix(self) -> SparseIntMatrix:
-        entries = {}
-        for i, r in enumerate(self.V):
-            for j, v in r.items():
-                entries[(i, j)] = v
-        return SparseIntMatrix(self.n, self.n, entries)
-
-    def vinv_matrix(self) -> SparseIntMatrix:
-        entries = {}
-        for i, r in enumerate(self.Vinv):
-            for j, v in r.items():
-                entries[(i, j)] = v
-        return SparseIntMatrix(self.n, self.n, entries)
+def _rows_matrix(rows: List[Dict[int, int]], cols: int) -> SparseIntMatrix:
+    """The matrix whose row i is the sparse dict rows[i]."""
+    entries = {}
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            entries[(i, j)] = v
+    return SparseIntMatrix(len(rows), cols, entries)
 
 
 @dataclass(frozen=True)
@@ -577,9 +532,6 @@ class SmithDecomposition:
     @property
     def diagonal(self) -> List[int]:
         return self.d.diagonal_entries()
-
-    def kernel_indices(self) -> List[int]:
-        return list(range(self.rank, self.matrix.cols))
 
     def kernel_basis(self) -> SparseIntMatrix:
         """Columns form a basis of the (saturated) integer kernel lattice."""
@@ -609,10 +561,10 @@ def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
     w.reduce()
     return SmithDecomposition(
         matrix=M,
-        d=w.matrix(),
-        u=w.u_matrix(),
-        v=w.v_matrix(),
-        vinv=w.vinv_matrix(),
+        d=_rows_matrix(w.row, w.n),
+        u=_rows_matrix(w.U, w.m),
+        v=_rows_matrix(w.V, w.n),
+        vinv=_rows_matrix(w.Vinv, w.n),
         rank=w.rank,
     )
 
@@ -635,7 +587,7 @@ def invariant_factors(M: SparseIntMatrix) -> List[int]:
     """Nonzero Smith diagonal of M (units included)."""
     w = _Reducer(M, track_u=False, track_v=False, track_vinv=False)
     w.reduce()
-    return [d for d in w.matrix().diagonal_entries() if d]
+    return [d for d in _rows_matrix(w.row, w.n).diagonal_entries() if d]
 
 
 def cokernel(M: SparseIntMatrix) -> AbelianGroup:
@@ -655,31 +607,13 @@ def lattice_contains(M: SparseIntMatrix, X: SparseIntMatrix) -> bool:
     w = _Reducer(M, track_u=True, track_v=False, track_vinv=False)
     w.reduce()
     diag = [w.row[k].get(k, 0) for k in range(w.rank)]
-    Z = w.u_matrix() @ X
+    Z = _rows_matrix(w.U, w.m) @ X
     for (i, j), v in Z.entries.items():
         if i >= w.rank:
             return False
         if v % diag[i] != 0:
             return False
     return True
-
-
-def homology_pair(d_out: SparseIntMatrix, d_in: SparseIntMatrix) -> AbelianGroup:
-    """ker(d_out) / im(d_in) as an abelian group.
-
-    d_out consumes the chamber (maps it one degree down) and d_in feeds it;
-    the composite d_out @ d_in must vanish.
-    """
-    if d_in.rows != d_out.cols:
-        raise DimensionMismatch(
-            f"homology chamber mismatch: d_in has {d_in.rows} rows, "
-            f"d_out has {d_out.cols} cols"
-        )
-    if not (d_out @ d_in).is_zero():
-        raise CompositionNonzero("d_out @ d_in != 0")
-    dec = smith_decomposition(d_out)
-    coords = dec.kernel_coords(d_in)
-    return cokernel(coords)
 
 
 def is_prime(n: int) -> bool:

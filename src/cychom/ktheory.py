@@ -89,19 +89,52 @@ def _check_range(p: int, n: int, i: int):
         raise OutOfRange(f"degree {i} outside 1 <= i <= {p - 3} for p = {p}")
 
 
-def k_group(p: int, n: int, i: int, cross_check: bool = False) -> AbelianGroup:
-    """K_i(Z/p^n) for 1 <= i <= p-3.
+# The paper's published tables for Z/p^n, the values reproduce-paper checks
+# the computed groups against.
 
-    Zero in even degrees; cyclic of order p^{j(n-1)} (p^j - 1) for i = 2j-1.
+
+def published_hh(p: int, n: int, i: int) -> AbelianGroup:
+    return AbelianGroup.trivial() if i % 2 else AbelianGroup.cyclic(p ** n)
+
+
+def published_hc(p: int, n: int, i: int) -> AbelianGroup:
+    if i % 2:
+        return AbelianGroup.trivial()
+    j = i // 2 + 1
+    return AbelianGroup.cyclic(p ** (n * j))
+
+
+def published_hc_mod_p(p: int, n: int, i: int) -> AbelianGroup:
+    return AbelianGroup.cyclic(p)
+
+
+def published_rel_hc(p: int, n: int, i: int) -> AbelianGroup:
+    """Relative HC of Z/p^n -> Z/p^{n-1}, as published."""
+    if i % 2:
+        # at i = 2p-1 the computed group is Z/p (test_criterion_2_boundary_degree)
+        return AbelianGroup.trivial()
+    j = i // 2 + 1
+    return AbelianGroup.cyclic(p ** j)
+
+
+def published_k(p: int, n: int, i: int) -> AbelianGroup:
+    """Zero in even degrees; cyclic of order p^{j(n-1)} (p^j - 1) for i = 2j-1."""
+    if i % 2 == 0:
+        return AbelianGroup.trivial()
+    j = (i + 1) // 2
+    return AbelianGroup.cyclic(p ** (j * (n - 1)) * (p ** j - 1))
+
+
+def k_group(p: int, n: int, i: int, cross_check: bool = False) -> AbelianGroup:
+    """K_i(Z/p^n) for 1 <= i <= p-3, the closed form of published_k.
+
     With cross_check the p-part's order is re-derived by induction on the
     level, multiplying the relative contributions computed from scratch.
     """
     _check_range(p, n, i)
-    if i % 2 == 0:
-        return AbelianGroup.trivial()
-    j = (i + 1) // 2
-    p_order = p ** (j * (n - 1))
-    if cross_check:
+    group = published_k(p, n, i)
+    if cross_check and i % 2:
+        p_order = group.p_part(p).order()
         derived = 1
         for level in range(2, n + 1):
             rel, flag = relative_k(p, level, i)
@@ -114,7 +147,7 @@ def k_group(p: int, n: int, i: int, cross_check: bool = False) -> AbelianGroup:
             raise CychomError(
                 f"inductive p-part order {derived} != closed form {p_order}"
             )
-    return AbelianGroup.cyclic(p_order * (p ** j - 1))
+    return group
 
 
 @dataclass(frozen=True)

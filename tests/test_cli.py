@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cychom import cli
+from cychom import cli, cyclic, hochschild
 from cychom.dga import dump_algebra, koszul_resolution
 
 
@@ -152,6 +152,40 @@ def test_reproduce_paper_passes_off_boundary(capsys):
 def test_reproduce_paper_rejects_non_prime(capsys):
     code, _ = run_cli(["reproduce-paper", "--p-list", "4"], capsys)
     assert code == cli.EXIT_BAD_ARGS
+
+
+def test_reproduce_paper_rejects_empty_lists(capsys):
+    # a verification over zero cells must not report OK
+    code, out = run_cli(["reproduce-paper", "--p-list", "", "--n-list", "2"], capsys)
+    assert code == cli.EXIT_BAD_ARGS
+    assert out == ""
+    code, out = run_cli(["reproduce-paper", "--p-list", "3", "--n-list", ""], capsys)
+    assert code == cli.EXIT_BAD_ARGS
+    assert out == ""
+
+
+def test_reproduce_paper_builds_one_map_per_tower(monkeypatch):
+    # every row of (p, n) = (5, 2) comes from one induced cyclic map, and
+    # k_table builds one more for K_1; each map builds two Hochschild
+    # complexes, the ones its cyclic bundles are made from
+    counts = {"hochschild": 0, "map": 0}
+    init = hochschild.HochschildComplex.__init__
+    induced = cyclic.induced_cyclic_map
+
+    def counting_init(self, *args):
+        counts["hochschild"] += 1
+        init(self, *args)
+
+    def counting_induced(*args):
+        counts["map"] += 1
+        return induced(*args)
+
+    monkeypatch.setattr(hochschild.HochschildComplex, "__init__", counting_init)
+    monkeypatch.setattr(cyclic, "induced_cyclic_map", counting_induced)
+    spec = cli.JobSpec("reproduce-paper", {"p_list": [5], "n_list": [2]}, False)
+    assert cli.run(spec, out=io.StringIO()) == cli.EXIT_CHECK_FAILED
+    assert counts["hochschild"] <= 4
+    assert counts["map"] <= 2
 
 
 def test_run_with_jobspec_directly():

@@ -35,6 +35,14 @@ def test_two_term_complex_homology():
         homology(C, 1)
 
 
+def test_homology_where_the_differential_is_injective():
+    # 0 -> Z --4--> Z -> 0 declared through degree 2: H_1 = ker(4) = 0
+    C = ChainComplex(
+        {0: ("a",), 1: ("b",)}, {1: SparseIntMatrix.from_dense([[4]])}, max_degree=2
+    )
+    assert homology(C, 1) == AbelianGroup.trivial()
+
+
 def test_d_squared_checked():
     basis = {0: ("a",), 1: ("b",), 2: ("c",)}
     one = SparseIntMatrix.from_dense([[1]])

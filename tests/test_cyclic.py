@@ -4,14 +4,20 @@ from cychom.cyclic import (
     cyclic_bundle,
     hc,
     hc_mod,
+    hc_mod_table,
     hc_relative,
+    hc_table,
     hc_tower_surjectivity,
+    hh_table,
     induced_cyclic_map,
+    rel_hc_table,
     relative_les_check,
     sbi_check,
+    tower_report,
 )
 from cychom.dga import DGAMorphism, base_ring, koszul_resolution, reduction_map
 from cychom.errors import BoundTooSmall, InvalidParams
+from cychom.hochschild import hh
 from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel
 
 from oracles import (
@@ -114,6 +120,23 @@ def test_tower_surjectivity():
         hc_tower_surjectivity(4, 2, 0)
     with pytest.raises(InvalidParams):
         hc_tower_surjectivity(3, 1, 0)
+
+
+def test_one_build_answers_every_degree():
+    # the chains of degree <= bound + 1 do not depend on the bound, so one
+    # build at bound 2p gives the per-degree builds' groups and reports
+    for p, n in ((3, 3), (5, 2)):
+        f = reduction_map(p ** n, p ** (n - 1))
+        src, _, F = induced_cyclic_map(f, 2 * p)
+        top = 2 * p - 1
+        degrees = range(top + 1)
+        A = koszul_resolution(p ** n)
+        assert hh_table(src.hochschild, top) == [hh(A, i) for i in degrees]
+        assert hc_table(src, top) == [hc(A, i) for i in degrees]
+        assert hc_mod_table(src, top, p) == [hc_mod(A, i, p) for i in degrees]
+        assert rel_hc_table(F, top) == [hc_relative(f, i) for i in degrees]
+        for i in degrees:
+            assert tower_report(p, n, F, i) == hc_tower_surjectivity(p, n, i), (p, n, i)
 
 
 def test_induced_cyclic_map_components_are_block_copies():

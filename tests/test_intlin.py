@@ -7,7 +7,6 @@ from cychom.intlin import (
     AbelianGroup,
     SparseIntMatrix,
     cokernel,
-    homology_pair,
     is_prime,
     kernel_basis,
     lattice_contains,
@@ -110,19 +109,6 @@ def test_lattice_contains():
     assert not lattice_contains(L, SparseIntMatrix.from_dense([[1], [0]]))
     with pytest.raises(DimensionMismatch):
         lattice_contains(L, SparseIntMatrix.from_dense([[1]]))
-
-
-def test_homology_pair():
-    # 0 -> Z --4--> Z -> 0 at the middle spot: ker(4) = 0
-    d_out = SparseIntMatrix.from_dense([[4]])
-    d_in = SparseIntMatrix.zero(1, 0)
-    assert homology_pair(d_out, d_in) == AbelianGroup.trivial()
-    # bottom spot: Z / 4Z
-    assert homology_pair(SparseIntMatrix.zero(0, 1), d_out) == AbelianGroup.cyclic(4)
-    with pytest.raises(CompositionNonzero):
-        homology_pair(
-            SparseIntMatrix.from_dense([[1]]), SparseIntMatrix.from_dense([[1]])
-        )
 
 
 def test_abelian_group_canonical_form():
