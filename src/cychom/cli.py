@@ -62,15 +62,19 @@ def _row_json(row: ResultRow) -> Dict[str, object]:
     }
 
 
+def _write_document(spec: JobSpec, results: List[Dict[str, object]], out) -> None:
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": spec.command,
+        "params": {k: spec.params[k] for k in sorted(spec.params)},
+        "results": results,
+    }
+    out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def _emit(spec: JobSpec, rows: List[ResultRow], out) -> None:
     if spec.structured:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": spec.command,
-            "params": {k: spec.params[k] for k in sorted(spec.params)},
-            "results": [_row_json(r) for r in rows],
-        }
-        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        _write_document(spec, [_row_json(r) for r in rows], out)
     else:
         for r in rows:
             flags = (" [" + ",".join(sorted(r.flags)) + "]") if r.flags else ""
@@ -184,6 +188,10 @@ def _cmd_k_groups(spec: JobSpec, out) -> int:
 
 
 def _cmd_gr_check(spec: JobSpec, out) -> int:
+    max_q = spec.params.get("max_q", 3)
+    if max_q < 0:
+        # a verification over zero cells would pass vacuously
+        raise InvalidParams(f"--max-q must be >= 0, got {max_q}")
     text = spec.params["ring"]
     if text.startswith("zmod:"):
         desc = _parse_ring(text)
@@ -194,7 +202,6 @@ def _cmd_gr_check(spec: JobSpec, out) -> int:
                 M = filtered.load_filtered_ring(fh.read())
         except OSError as e:
             raise ParseError(f"cannot read filtered ring file {text!r}: {e}")
-    max_q = spec.params.get("max_q", 3)
     m = M.depth()
     rows = []
     failures = 0
@@ -226,13 +233,15 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
         # a verification over zero cells would pass vacuously
         raise InvalidParams("reproduce-paper needs nonempty --p-list and --n-list")
     lines: List[str] = []
-    failures = 0
+    records: List[Dict[str, str]] = []
 
-    def cell(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
-        failures += 0 if ok else 1
-        suffix = f" ({detail})" if detail and not ok else ""
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
+    def cell(name: str, ok: bool, got, want, detail: bool = True):
+        status = "PASS" if ok else "FAIL"
+        records.append(
+            {"name": name, "status": status, "got": str(got), "want": str(want)}
+        )
+        suffix = f" (got {got}, want {want})" if detail and not ok else ""
+        lines.append(f"{status} {name}{suffix}")
 
     for p in sorted(set(p_list)):
         top = 2 * p - 1
@@ -254,22 +263,24 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
             for name, groups, published in tables:
                 for i, got in enumerate(groups):
                     want = published(p, n, i)
-                    cell(f"{name} p={p} n={n} i={i}", got == want, f"got {got}, want {want}")
+                    cell(f"{name} p={p} n={n} i={i}", got == want, got, want)
             if n >= 2:
                 for i in range(top + 1):
-                    cell(f"tower p={p} n={n} i={i}", bool(cyclic.tower_report(p, n, F, i)))
+                    onto = bool(cyclic.tower_report(p, n, F, i))
+                    got = "surjective" if onto else "not surjective"
+                    cell(f"tower p={p} n={n} i={i}", onto, got, "surjective", detail=False)
         if p >= 5:
             for n in sorted(set(n_list)):
                 for i, entry in sorted(ktheory.k_table(p, n).items()):
                     want = ktheory.published_k(p, n, i)
-                    cell(
-                        f"k p={p} n={n} i={i}",
-                        entry.group == want,
-                        f"got {entry.group}, want {want}",
-                    )
-    for line in lines:
-        out.write(line + "\n")
-    out.write(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing cells\n")
+                    cell(f"k p={p} n={n} i={i}", entry.group == want, entry.group, want)
+    failures = sum(r["status"] == "FAIL" for r in records)
+    if spec.structured:
+        _write_document(spec, records, out)
+    else:
+        for line in lines:
+            out.write(line + "\n")
+        out.write(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing cells\n")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 

@@ -15,6 +15,7 @@ sum = k with gluing relations contributed by the antidiagonal sum = k-1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -91,23 +92,43 @@ def _kron(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
 
 def _tensor_presentation(parts: Sequence[PresentedGroup]) -> PresentedGroup:
     """Tensor product of presented groups: product generators, relations
-    from each factor tensored with identities on the others."""
-    gens = 1
-    for P in parts:
-        gens *= P.num_generators
-    rel_blocks: List[SparseIntMatrix] = []
+    from each factor tensored with identities on the others, in Kronecker
+    order: factor r's column (a, c, b) has R_r[i, c] in row (a, i, b)."""
+    dims = [P.num_generators for P in parts]
+    gens = math.prod(dims)
+    entries = {}
+    col = 0
     for r, P in enumerate(parts):
-        if P.relations.cols == 0:
-            continue
-        M = None
-        for s, Q in enumerate(parts):
-            piece = P.relations if s == r else SparseIntMatrix.identity(Q.num_generators)
-            M = piece if M is None else _kron(M, piece)
-        rel_blocks.append(M)
-    relations = SparseIntMatrix.zero(gens, 0)
-    for M in rel_blocks:
-        relations = relations.hstack(M)
-    return PresentedGroup(gens, relations)
+        outer, inner = math.prod(dims[:r]), math.prod(dims[r + 1 :])
+        rel_cols = P.relations.columns()
+        for a in range(outer):
+            for c in rel_cols:
+                for b in range(inner):
+                    for i, v in c.items():
+                        entries[((a * dims[r] + i) * inner + b, col)] = v
+                    col += 1
+    return PresentedGroup(gens, SparseIntMatrix(gens, col, entries))
+
+
+def _spot_sum(spots, parts_of):
+    """The direct sum of the tensor spots, spot s being the tensor of the
+    groups parts_of(s): the generator index (spot, gens) -> column, in spot
+    order and row-major within a spot, and the block-diagonal presentation.
+    """
+    columns: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    entries = {}
+    rel_col = 0
+    for spot in spots:
+        parts = parts_of(spot)
+        base = len(columns)
+        for gens in itertools.product(*[range(P.num_generators) for P in parts]):
+            columns[(spot, gens)] = len(columns)
+        R = _tensor_presentation(parts).relations
+        for (r, c), v in R.entries.items():
+            entries[(base + r, rel_col + c)] = v
+        rel_col += R.cols
+    n = len(columns)
+    return columns, PresentedGroup(n, SparseIntMatrix(n, rel_col, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +398,6 @@ def _antidiagonal(factors, total: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _gen_tuples(factors, spot) -> List[Tuple[int, ...]]:
-    ranges = [range(X.piece(i).num_generators) for X, i in zip(factors, spot)]
-    return list(itertools.product(*ranges))
-
-
 def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel:
     """The filtered tensor of the factors at level k.
 
@@ -391,40 +407,25 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
     """
     factors = tuple(factors)
     spots = _antidiagonal(factors, k)
-    columns: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    for spot in spots:
-        for gens in _gen_tuples(factors, spot):
-            columns[(spot, gens)] = len(columns)
-    num_gens = len(columns)
-    rel_cols: List[Dict[int, int]] = []
-    for spot in spots:
-        pres = _tensor_presentation([X.piece(i) for X, i in zip(factors, spot)])
-        gens_list = _gen_tuples(factors, spot)
-        for c in range(pres.relations.cols):
-            col: Dict[int, int] = {}
-            for (r, cc), v in pres.relations.entries.items():
-                if cc == c:
-                    col[columns[(spot, gens_list[r])]] = v
-            rel_cols.append(col)
+    columns, internal = _spot_sum(
+        spots, lambda spot: [X.piece(i) for X, i in zip(factors, spot)]
+    )
+    entries = dict(internal.relations.entries)
+    num_rels = internal.relations.cols
     # gluing: bump coordinate 0 vs bump coordinate r
     for spot in _antidiagonal(factors, k - 1):
-        gens_list = _gen_tuples(factors, spot)
         images = {}
         for r in range(len(factors)):
             bumped = spot[:r] + (spot[r] + 1,) + spot[r + 1 :]
-            images[r] = (bumped, factors[r].transition(spot[r]))
-        for gens in gens_list:
+            images[r] = (bumped, factors[r].transition(spot[r]).columns())
+        ranges = [range(X.piece(i).num_generators) for X, i in zip(factors, spot)]
+        for gens in itertools.product(*ranges):
             vecs = []
-            for r in range(len(factors)):
-                vec: Dict[int, int] = {}
-                bumped, T = images[r]
-                for (row, col), v in T.entries.items():
-                    if col == gens[r]:
-                        out = gens[:r] + (row,) + gens[r + 1 :]
-                        vec[columns[(bumped, out)]] = vec.get(
-                            columns[(bumped, out)], 0
-                        ) + v
-                vecs.append(vec)
+            for r, (bumped, T_cols) in images.items():
+                vecs.append({
+                    columns[(bumped, gens[:r] + (row,) + gens[r + 1 :])]: v
+                    for row, v in T_cols[gens[r]].items()
+                })
             base = vecs[0]
             for r in range(1, len(factors)):
                 col = dict(base)
@@ -432,18 +433,18 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
                     col[key] = col.get(key, 0) - v
                 col = {key: v for key, v in col.items() if v}
                 if col:
-                    rel_cols.append(col)
-    entries = {}
-    for c, col in enumerate(rel_cols):
-        for r, v in col.items():
-            entries[(r, c)] = v
-    relations = SparseIntMatrix(num_gens, len(rel_cols), entries)
+                    for key, v in col.items():
+                        entries[(key, num_rels)] = v
+                    num_rels += 1
+    num_gens = len(columns)
     return TensorLevel(
         factors=factors,
         level=k,
         tuples=tuple(spots),
         columns=columns,
-        presentation=PresentedGroup(num_gens, relations),
+        presentation=PresentedGroup(
+            num_gens, SparseIntMatrix(num_gens, num_rels, entries)
+        ),
     )
 
 
@@ -463,10 +464,8 @@ def tensor_transition(src: TensorLevel, tgt: TensorLevel) -> SparseIntMatrix:
     for (spot, gens), col in src.columns.items():
         bumped = (spot[0] + 1,) + spot[1:]
         T = factors[0].transition(spot[0])
-        for (row, c), v in T.entries.items():
-            if c == gens[0]:
-                out = (row,) + gens[1:]
-                entries[(tgt.column_of(bumped, out), col)] = v
+        for row, v in T.column(gens[0]).items():
+            entries[(tgt.column_of(bumped, (row,) + gens[1:]), col)] = v
     return SparseIntMatrix(
         tgt.presentation.num_generators, src.presentation.num_generators, entries
     )
@@ -576,13 +575,15 @@ class CyclicBarLevel:
         return self.tensor.group()
 
 
-def _rotation_matrix(T: TensorLevel) -> SparseIntMatrix:
-    n = T.presentation.num_generators
-    entries = {}
-    for (spot, gens), col in T.columns.items():
-        new_spot = (spot[-1],) + spot[:-1]
-        new_gens = (gens[-1],) + gens[:-1]
-        entries[(T.column_of(new_spot, new_gens), col)] = 1
+def _rotated(spot: Tuple[int, ...], gens: Tuple[int, ...]):
+    """The key (spot, gens) with its last slot moved to the front."""
+    return (spot[-1],) + spot[:-1], (gens[-1],) + gens[:-1]
+
+
+def _rotation_matrix(columns) -> SparseIntMatrix:
+    """The cyclic rotation on a spot-sum generator index (see _spot_sum)."""
+    n = len(columns)
+    entries = {(columns[_rotated(*key)], col): 1 for key, col in columns.items()}
     return SparseIntMatrix(n, n, entries)
 
 
@@ -596,7 +597,7 @@ def cyclic_bar(M: FilteredRing, q: int, k: int) -> CyclicBarLevel:
         simplicial_degree=q,
         level=k,
         tensor=T,
-        rotation=_rotation_matrix(T),
+        rotation=_rotation_matrix(T.columns),
     )
 
 
@@ -624,10 +625,9 @@ def face_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIntMatri
             nb = M.piece(b).num_generators
             pair = gens[q] * nb + gens[0]
             rest = lambda r: (r,) + gens[1:q]
-        for (r, c), v in mu.entries.items():
-            if c == pair:
-                key = (tgt.tensor.column_of(new_spot, rest(r)), col)
-                entries[key] = entries.get(key, 0) + v
+        for r, v in mu.column(pair).items():
+            key = (tgt.tensor.column_of(new_spot, rest(r)), col)
+            entries[key] = entries.get(key, 0) + v
     return SparseIntMatrix(
         tgt.tensor.presentation.num_generators,
         src.tensor.presentation.num_generators,
@@ -696,40 +696,22 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
         lhs_level.tensor.presentation.num_generators,
         lhs_level.tensor.presentation.relations.hstack(incoming),
     )
-    # right side: graded spots over tuples with entries in [-m, 0]
+    # right side: graded spots over tuples with entries in [-m, 0]; a graded
+    # slice has the generators of its piece, so phi matches equal keys
     slices = {i: graded_piece(M, i) for i in range(-m, 1)}
     spots = [
         spot
         for spot in lhs_level.tensor.tuples
         if all(-m <= i <= 0 for i in spot)
     ]
-    spot_offset: Dict[Tuple[int, ...], int] = {}
-    total = 0
-    spot_pres: Dict[Tuple[int, ...], PresentedGroup] = {}
-    for spot in spots:
-        pres = _tensor_presentation([slices[i] for i in spot])
-        spot_pres[spot] = pres
-        spot_offset[spot] = total
-        total += pres.num_generators
-    rel_entries = {}
-    rel_col = 0
-    for spot in spots:
-        R = spot_pres[spot].relations
-        for (r, c), v in R.entries.items():
-            rel_entries[(spot_offset[spot] + r, rel_col + c)] = v
-        rel_col += R.cols
-    rhs_pres = PresentedGroup(total, SparseIntMatrix(total, rel_col, rel_entries))
-    # comparison map on generators
-    phi_entries = {}
-    for (spot, gens), col in lhs_level.tensor.columns.items():
-        if spot not in spot_offset:
-            continue
-        flat = 0
-        for i, g in zip(spot, gens):
-            flat = flat * slices[i].num_generators + g
-        phi_entries[(spot_offset[spot] + flat, col)] = 1
+    rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
+    phi_entries = {
+        (rhs_columns[key], col): 1
+        for key, col in lhs_level.tensor.columns.items()
+        if key in rhs_columns
+    }
     phi = SparseIntMatrix(
-        total, lhs_pres.num_generators, phi_entries
+        rhs_pres.num_generators, lhs_pres.num_generators, phi_entries
     )
     well_defined = lhs_pres.admits_hom(phi, rhs_pres)
     onto = cokernel(phi.hstack(rhs_pres.relations)).is_trivial()
@@ -739,23 +721,7 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
     # a surjection between groups with equal invariants is an isomorphism
     iso = well_defined and onto and invariants_match
     # rotation on the right side permutes spots and generator tuples
-    rot_entries = {}
-    for spot in spots:
-        new_spot = (spot[-1],) + spot[:-1]
-        dims = [slices[i].num_generators for i in spot]
-        for gens in itertools.product(*[range(d) for d in dims]):
-            flat = 0
-            for d, g in zip(dims, gens):
-                flat = flat * d + g
-            new_gens = (gens[-1],) + gens[:-1]
-            new_dims = [slices[i].num_generators for i in new_spot]
-            new_flat = 0
-            for d, g in zip(new_dims, new_gens):
-                new_flat = new_flat * d + g
-            rot_entries[
-                (spot_offset[new_spot] + new_flat, spot_offset[spot] + flat)
-            ] = 1
-    rhs_rot = SparseIntMatrix(total, total, rot_entries)
+    rhs_rot = _rotation_matrix(rhs_columns)
     diff = (phi @ lhs_level.rotation) + (rhs_rot @ phi).scale(-1)
     rotation_compatible = lattice_contains(rhs_pres.relations, diff)
     return GradedComparisonReport(
@@ -814,7 +780,6 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
     _require_split_free(Y)
     expected = Y.piece(s // q).num_generators
     T = multi_tensor([Y] * q, s)
-    rot = _rotation_matrix(T)
     pres = T.presentation
     # a diagonal class for basis element b of piece(j): the tensor
     # b (x) ... (x) b pushed onto the antidiagonal along the transitions
@@ -829,28 +794,17 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
         cur_spot, cur_gens = list(spot), list(gens)
         for r in range(rem):
             idx = r % q
-            Tr = Y.transition(cur_spot[idx])
-            img = [
-                row for (row, cc), v in Tr.entries.items() if cc == cur_gens[idx]
-            ]
+            img = list(Y.transition(cur_spot[idx]).column(cur_gens[idx]))
             cur_spot[idx] += 1
             cur_gens[idx] = img[0] if img else 0
-        col = T.column_of(tuple(cur_spot), tuple(cur_gens))
-        vec = {col: 1}
+        key = (tuple(cur_spot), tuple(cur_gens))
+        col = T.column_of(*key)
         # fixed under rotation?
-        image = {}
-        for (r, cc), v in rot.entries.items():
-            if cc == col:
-                image[r] = v
-        diff = dict(vec)
-        for r, v in image.items():
-            diff[r] = diff.get(r, 0) - v
-        diff = {r: v for r, v in diff.items() if v}
-        diff_mat = SparseIntMatrix(
-            pres.num_generators, 1, {(r, 0): v for r, v in diff.items()}
-        )
+        image = T.column_of(*_rotated(*key))
+        diff = {} if image == col else {(col, 0): 1, (image, 0): -1}
+        diff_mat = SparseIntMatrix(pres.num_generators, 1, diff)
         if lattice_contains(pres.relations, diff_mat):
-            found_cols.append(vec)
+            found_cols.append({col: 1})
     # independence: the classes span a rank-`found` direct summand
     n = pres.num_generators
     span = SparseIntMatrix(
@@ -893,17 +847,14 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
 
 def _parse_matrix(lines: List[str], rows: int, cols: int, where: str) -> SparseIntMatrix:
     entries = {}
-    if rows and cols and len(lines) != rows:
+    if cols and len(lines) != rows:
         raise ParseError(f"{where}: expected {rows} matrix rows, got {len(lines)}")
     for r, line in enumerate(lines):
         vals = line.split()
         if len(vals) != cols:
             raise ParseError(f"{where}: row {r} has {len(vals)} entries, want {cols}")
         for c, v in enumerate(vals):
-            try:
-                x = int(v)
-            except ValueError as e:
-                raise ParseError(f"{where}: bad integer {v!r}") from e
+            x = _int(v, where)
             if x:
                 entries[(r, c)] = x
     return SparseIntMatrix(rows, cols, entries)
@@ -933,10 +884,10 @@ def load_filtered_ring(text: str) -> FilteredRing:
     for kind, lines in blocks:
         if kind == "[piece]":
             hdr = dict(_header(lines[:3], ("index", "generators", "relations")))
-            idx = int(hdr["index"])
-            gens = int(hdr["generators"])
-            rel_count = int(hdr["relations"])
-            facs = [int(x) for x in lines[3 : 3 + rel_count]]
+            idx, gens, rel_count = hdr["index"], hdr["generators"], hdr["relations"]
+            if not 0 <= rel_count <= gens:
+                raise ParseError(f"piece {idx}: needs 0 <= relations <= generators")
+            facs = [_int(x, f"piece {idx}") for x in lines[3 : 3 + rel_count]]
             if len(facs) != rel_count:
                 raise ParseError(f"piece {idx}: expected {rel_count} relation lines")
             entries = {(i, i): f for i, f in enumerate(facs)}
@@ -945,14 +896,14 @@ def load_filtered_ring(text: str) -> FilteredRing:
             )
         elif kind == "[transition]":
             hdr = dict(_header(lines[:1], ("index",)))
-            transition_blocks[int(hdr["index"])] = lines[1:]
+            transition_blocks[hdr["index"]] = lines[1:]
         elif kind == "[product]":
             if not lines or not lines[0].startswith("indices"):
                 raise ParseError("product block must start with 'indices i j'")
             parts = lines[0].split()
             if len(parts) != 3:
                 raise ParseError("product block must start with 'indices i j'")
-            product_blocks[(int(parts[1]), int(parts[2]))] = lines[1:]
+            product_blocks[tuple(_int(x, "indices") for x in parts[1:])] = lines[1:]
         else:
             unit_lines = lines
     if not pieces or unit_lines is None:
@@ -970,6 +921,8 @@ def load_filtered_ring(text: str) -> FilteredRing:
         group = FilteredAbelianGroup(pieces, transitions)
         products = {}
         for (i, j), lines in product_blocks.items():
+            if i not in pieces or j not in pieces:
+                raise ParseError(f"product at {(i, j)} references missing pieces")
             src_cols = pieces[i].num_generators * pieces[j].num_generators
             tgt = group.piece(i + j)
             products[(i, j)] = _parse_matrix(
@@ -988,4 +941,11 @@ def _header(lines: List[str], keys: Tuple[str, ...]):
         parts = line.split()
         if len(parts) != 2 or parts[0] != key:
             raise ParseError(f"expected '{key} <value>', got {line!r}")
-        yield key, parts[1]
+        yield key, _int(parts[1], key)
+
+
+def _int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError as e:
+        raise ParseError(f"{where}: bad integer {text!r}") from e

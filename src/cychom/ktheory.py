@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .cyclic import hc_relative
+from .cyclic import hc_relative, induced_cyclic_map, rel_hc_table
 from .dga import reduction_map
 from .errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
 from .intlin import AbelianGroup, is_prime
@@ -163,6 +163,8 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
     Each odd entry carries its provenance chain: the relative cyclic
     homology group consumed at each level of the induction, the base-level
     input for the prime-to-p part, and the AXIOM-TC cyclicity assumption.
+    Each level builds one induced cyclic map, at the bound relative_k uses
+    for the top odd degree p-4, and reads every degree from it.
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
@@ -170,6 +172,12 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
         raise InvalidParams(f"level n = {n} < 1")
     if p <= 3:
         raise RangeEmpty(f"range 1 <= i <= p-3 is empty for p = {p}")
+    flag = goodwillie_range(p, 2).flag
+    relative = {}
+    for level in range(2, n + 1):
+        f = reduction_map(p ** level, p ** (level - 1))
+        _, _, F = induced_cyclic_map(f, p - 4)
+        relative[level] = rel_hc_table(F, p - 5)
     table: Dict[int, KTableEntry] = {}
     for i in range(1, p - 2):
         if i % 2 == 0:
@@ -180,9 +188,9 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
             f"prime-to-p part: Z/{p ** j - 1} from the level-1 groups",
         ]
         for level in range(2, n + 1):
-            rel, flag = relative_k(p, level, i)
+            rel = relative[level][i - 1].p_part(p)
             chain.append(
-                f"level {level}: relative contribution {rel} [{flag}]"
+                f"level {level}: relative contribution {rel} [{flag(i)}]"
             )
         chain.append("AXIOM-TC: p-part taken cyclic (imported, not computed)")
         table[i] = KTableEntry(i, k_group(p, n, i), tuple(chain))

@@ -170,3 +170,42 @@ def tower_cokernel_relations(p, n, i):
         col[s] = p ** (i - s)
         cols.append(col)
     return cols
+
+
+def kron_tensor_presentation(parts):
+    """Relations of a tensor product of presented groups, built as Kronecker
+    products: for each factor r with relations, I (x) ... (x) R_r (x) ... (x) I,
+    the blocks side by side in factor order.
+
+    Each part has `num_generators` and `relations` (with rows, cols and an
+    entries dict); returns (generators, relation columns, entries dict).
+    """
+
+    def kron(A, B):
+        (a_rows, a_cols, a_entries), (b_rows, b_cols, b_entries) = A, B
+        entries = {}
+        for (i, k), a in a_entries.items():
+            for (j, l), b in b_entries.items():
+                entries[(i * b_rows + j, k * b_cols + l)] = a * b
+        return a_rows * b_rows, a_cols * b_cols, entries
+
+    gens = 1
+    for P in parts:
+        gens *= P.num_generators
+    entries = {}
+    cols = 0
+    for r, P in enumerate(parts):
+        if P.relations.cols == 0:
+            continue
+        M = None
+        for s, Q in enumerate(parts):
+            n = Q.num_generators
+            if s == r:
+                piece = (P.relations.rows, P.relations.cols, P.relations.entries)
+            else:
+                piece = (n, n, {(i, i): 1 for i in range(n)})
+            M = piece if M is None else kron(M, piece)
+        for (i, j), v in M[2].items():
+            entries[(i, cols + j)] = v
+        cols += M[1]
+    return gens, cols, entries

@@ -128,6 +128,19 @@ def test_gr_check_command(capsys):
     assert "q=1,k=-1:PASS" in out
 
 
+def test_gr_check_rejects_negative_max_q(capsys):
+    # a verification over zero cells must not report success
+    code, out = run_cli(["gr-check", "--ring", "zmod:3^2", "--max-q", "-1"], capsys)
+    assert code == cli.EXIT_BAD_ARGS
+    assert out == ""
+
+
+def test_gr_check_malformed_ring_file(tmp_path, capsys):
+    path = tmp_path / "bad.ring"
+    path.write_text("[piece]\nindex x\ngenerators 1\nrelations 0\n[unit]\n1\n")
+    assert run_cli(["gr-check", "--ring", str(path)], capsys)[0] == cli.EXIT_PARSE
+
+
 def test_reproduce_paper_known_failures(capsys):
     # the published relative table claims 0 at the boundary degree 2p-1;
     # the computed group there is Z/p, so those cells report FAIL honestly
@@ -138,6 +151,29 @@ def test_reproduce_paper_known_failures(capsys):
     fails = [l for l in out.splitlines() if l.startswith("FAIL ")]
     assert fails == ["FAIL rel-hc p=3 n=2 i=5 (got Z/3, want 0)"]
     assert out.strip().endswith("FAILED: 1 failing cells")
+
+
+def test_reproduce_paper_structured(capsys):
+    argv = ["reproduce-paper", "--p-list", "3", "--n-list", "2"]
+    code, out = run_cli(argv + ["--format", "structured"], capsys)
+    assert code == cli.EXIT_CHECK_FAILED
+    doc = json.loads(out)
+    assert doc["schema_version"] == 1
+    assert doc["command"] == "reproduce-paper"
+    assert doc["params"] == {"n_list": [2], "p_list": [3]}
+    records = doc["results"]
+    assert all(sorted(r) == ["got", "name", "status", "want"] for r in records)
+    fails = [r for r in records if r["status"] == "FAIL"]
+    assert fails == [
+        {"name": "rel-hc p=3 n=2 i=5", "status": "FAIL", "got": "Z/3", "want": "0"}
+    ]
+    towers = [r for r in records if r["name"].startswith("tower ")]
+    assert towers and all(r["got"] == r["want"] == "surjective" for r in towers)
+    # one record per cell line of the text output, in the same order
+    code, text = run_cli(argv, capsys)
+    assert code == cli.EXIT_CHECK_FAILED
+    cells = [line.split(" (")[0] for line in text.splitlines()[:-1]]
+    assert cells == [f"{r['status']} {r['name']}" for r in records]
 
 
 def test_reproduce_paper_passes_off_boundary(capsys):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from cychom.errors import InvalidParams, ParseError, UnsupportedFiltration
+from cychom import filtered
 from cychom.filtered import (
     FilteredAbelianGroup,
     FilteredRing,
@@ -20,7 +23,7 @@ from cychom.filtered import (
 )
 from cychom.intlin import AbelianGroup, SparseIntMatrix, lattice_contains
 
-from oracles import quotient_invariants
+from oracles import kron_tensor_presentation, quotient_invariants
 
 
 def group_of(level):
@@ -45,6 +48,27 @@ def test_presented_group_basics():
     assert P.admits_hom(three, P)
     assert not P.admits_hom(SparseIntMatrix.from_dense([[1]]), PresentedGroup.cyclic(4))
     assert P.homs_equal(three, SparseIntMatrix.from_dense([[9]]), P)
+
+
+def test_tensor_presentation_matches_kronecker_reference():
+    # 1-4 factors of 0-3 generators and 0-3 relation columns, zero columns
+    # included: index arithmetic must give the Kronecker matrix exactly
+    rng = random.Random(0)
+    for _ in range(200):
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            gens, cols = rng.randint(0, 3), rng.randint(0, 3)
+            entries = {
+                (i, j): rng.choice((-3, -2, -1, 1, 2, 3))
+                for i in range(gens)
+                for j in range(cols)
+                if rng.random() < 0.5
+            }
+            parts.append(PresentedGroup(gens, SparseIntMatrix(gens, cols, entries)))
+        gens, cols, entries = kron_tensor_presentation(parts)
+        pres = filtered._tensor_presentation(parts)
+        assert pres.num_generators == gens
+        assert pres.relations == SparseIntMatrix(gens, cols, entries)
 
 
 def test_adic_filtration_shape():
@@ -149,8 +173,14 @@ def test_graded_pieces():
 
 
 def test_cyclic_bar_identities():
+    # the graded ring has pieces with 0, 1 and 2 generators, so generator
+    # multi-indices with more than one digit per slot are exercised
+    for M in (adic_filtration(3, 2), graded(adic_filtration(3, 2))):
+        check_cyclic_bar_identities(M)
+
+
+def check_cyclic_bar_identities(M):
     # simplicial and cyclic identities as matrix identities mod relations
-    M = adic_filtration(3, 2)
     q, k = 2, -1
     Z2 = cyclic_bar(M, q, k)
     Z1 = cyclic_bar(M, q - 1, k)
@@ -209,13 +239,14 @@ def test_face_degeneracy_argument_checks():
 
 
 def test_graded_comparison_grid():
-    for p, n in ((2, 2), (3, 2), (2, 3)):
-        M = adic_filtration(p, n)
+    rings = [adic_filtration(p, n) for p, n in ((2, 2), (3, 2), (2, 3))]
+    rings.append(graded(adic_filtration(3, 2)))  # pieces of 0, 1, 2 generators
+    for M in rings:
         m = M.depth()
         for q in range(3):
             for k in range(-(q + 1) * m - 1, 2):
                 rep = graded_comparison(M, q, k)
-                assert rep, (p, n, q, k, rep)
+                assert rep, (M.piece(0).num_generators, q, k, rep)
 
 
 def test_graded_comparison_report_fields():
@@ -322,3 +353,20 @@ def test_load_filtered_ring_errors():
     with pytest.raises(ParseError):
         # transition 1 (not a hom) fails ring validation
         load_filtered_ring(RING_TEXT.replace("index -1\n3", "index -1\n1"))
+    for bad in BAD_RING_TEXTS:
+        with pytest.raises(ParseError):
+            load_filtered_ring(bad)
+
+
+BAD_RING_TEXTS = [
+    # an index that is not an integer
+    "[piece]\nindex x\ngenerators 1\nrelations 0\n[unit]\n1\n",
+    # a relation line that is not an integer
+    "[piece]\nindex 0\ngenerators 1\nrelations 1\nthree\n[unit]\n1\n",
+    # a product naming the missing piece -1
+    "[piece]\nindex 0\ngenerators 1\nrelations 0\n[product]\nindices -1 0\n[unit]\n1\n",
+    # more relations than generators
+    "[piece]\nindex 0\ngenerators 1\nrelations 2\n3\n3\n[unit]\n1\n",
+    # a unit row in a piece without generators
+    "[piece]\nindex 0\ngenerators 0\nrelations 0\n[unit]\n1\n",
+]

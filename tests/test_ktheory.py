@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cychom import ktheory
 from cychom.errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
 from cychom.intlin import AbelianGroup
 from cychom.ktheory import (
@@ -95,6 +96,21 @@ def test_k_table_provenance():
     assert not any(
         "relative contribution" in line for line in k_table(7, 1)[1].provenance
     )
+
+
+def test_k_table_builds_one_map_per_level(monkeypatch):
+    # levels 2 and 3 each read all their degrees from one induced cyclic map
+    calls = []
+    induced = ktheory.induced_cyclic_map
+
+    def counting_induced(*args):
+        calls.append(args)
+        return induced(*args)
+
+    monkeypatch.setattr(ktheory, "induced_cyclic_map", counting_induced)
+    table = k_table(11, 3)
+    assert len(calls) == 2
+    assert table[5].group == AbelianGroup.cyclic(11 ** 6 * (11 ** 3 - 1))
 
 
 def test_k_table_empty_range():
