@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification command found failing cells,
 2 invalid arguments, 3 degree out of computable or verified range,
-4 unparseable input file.
+4 unparseable input file, 5 an internal invariant failed (a structural
+identity, a shape or a cross-check inside the library).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_RANGE = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass(frozen=True)
@@ -312,6 +314,9 @@ def run(spec: JobSpec, out=None) -> int:
     except (InvalidParams, InvalidModulus, NotDivisible) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except CychomError as e:
+        print(f"error: internal {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _int_list(text: str) -> List[int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     CompositionNonzero,
@@ -30,6 +30,7 @@ from .intlin import (
     SparseIntMatrix,
     SmithDecomposition,
     cokernel,
+    invariant_factors,
     lattice_contains,
     smith_decomposition,
 )
@@ -137,9 +138,31 @@ def _check_degree(C: ChainComplex, i: int):
         raise TruncationTooTight(f"degree {i} below min_degree {C.min_degree}")
 
 
+def homology_groups(C: ChainComplex, degrees: Iterable[int]) -> List[AbelianGroup]:
+    """H_i(C) for each i in degrees, without cycle lifts.
+
+    H_i = Z^(dim C_i - rank d_i - rank d_{i+1}) (+) torsion(d_{i+1}), read
+    off the invariant factors of the differentials (d^2 = 0 is checked by
+    the ChainComplex constructor).  Every degree is checked before any
+    reduction, and each differential is reduced once, serving both
+    degrees it touches.
+    """
+    degrees = list(degrees)
+    for i in degrees:
+        _check_degree(C, i)
+    reduced = sorted({d for i in degrees for d in (i, i + 1)})
+    factors = {d: invariant_factors(C.diff(d)) for d in reduced}
+    return [
+        AbelianGroup.from_diagonal(
+            factors[i + 1], C.dim(i) - len(factors[i]) - len(factors[i + 1])
+        )
+        for i in degrees
+    ]
+
+
 def homology(C: ChainComplex, i: int) -> AbelianGroup:
     """H_i(C) = ker d_i / im d_{i+1}."""
-    return homology_presentation(C, i).group
+    return homology_groups(C, [i])[0]
 
 
 def homology_mod(C: ChainComplex, i: int, q: int) -> AbelianGroup:

@@ -26,6 +26,7 @@ from .complexes import (
     cone_les_check,
     exact_sequence_check,
     homology,
+    homology_groups,
     homology_mod,
     induced_on_homology,
     mapping_cone,
@@ -211,25 +212,23 @@ def tower_report(p: int, n: int, F: ChainMap, i: int) -> TowerSurjectivityReport
 
 
 def hh_table(H: HochschildComplex, top: int) -> List[AbelianGroup]:
-    return [H.homology(i) for i in range(top + 1)]
+    return homology_groups(H.total, range(top + 1))
 
 
 def hc_table(bundle: CyclicComplexBundle, top: int) -> List[AbelianGroup]:
-    return [homology(bundle.total, i) for i in range(top + 1)]
+    return homology_groups(bundle.total, range(top + 1))
 
 
 def hc_mod_table(bundle: CyclicComplexBundle, top: int, q: int) -> List[AbelianGroup]:
     """HC with mod-q coefficients; the total complex is tensored once."""
     if q < 2:
         raise InvalidModulus(f"modulus {q} < 2")
-    T = tensor(bundle.total, two_term_complex(q))
-    return [homology(T, i) for i in range(top + 1)]
+    return homology_groups(tensor(bundle.total, two_term_complex(q)), range(top + 1))
 
 
 def rel_hc_table(F: ChainMap, top: int) -> List[AbelianGroup]:
     """Relative HC of the map F induces, in fiber indexing (see hc_relative)."""
-    cone = mapping_cone(F)
-    return [homology(cone, i + 1) for i in range(top + 1)]
+    return homology_groups(mapping_cone(F), range(1, top + 2))
 
 
 @dataclass(frozen=True)

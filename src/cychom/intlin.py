@@ -1,15 +1,15 @@
 """Exact sparse integer linear algebra.
 
-Smith normal form with unimodular transforms, cokernels, kernel bases and
-lattice membership.  Everything runs over Python's
-arbitrary-precision integers; there is no floating point anywhere and no
-modular shortcut in the default path.
+Smith normal form, cokernels, kernel bases and lattice membership.
+Everything runs over Python's arbitrary-precision integers; there is no
+floating point anywhere and no modular shortcut.
 
-All matrix sizes in this package are small (a few hundred rows at the very
-most), so the reduction keeps full transform matrices and favours
-correctness-by-invariant over asymptotics: pivots are chosen with minimal
-absolute value to limit entry growth, and the identity U*M*V = D is cheap
-to verify after the fact.
+One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
+without transforms: the rank and the Smith diagonal are all a homology
+group or a cokernel needs.  `smith_decomposition` runs the same row and
+column operations while keeping U, V and V^-1 with U*M*V = D, for cycle
+lifts, kernel coordinates and induced maps.  Pivots are chosen with
+minimal absolute value to limit entry growth.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class SparseIntMatrix:
                 if v:
                     entries[(i, j)] = v
         return cls(rows, cols, entries)
-
-    @classmethod
-    def diagonal(cls, rows: int, cols: int, diag: Sequence[int]) -> "SparseIntMatrix":
-        return cls(rows, cols, {(k, k): d for k, d in enumerate(diag) if d})
 
     # -- basic queries -----------------------------------------------------
 
@@ -202,11 +198,6 @@ class SparseIntMatrix:
         for (i, j), v in other.entries.items():
             entries[(i + self.rows, j)] = v
         return SparseIntMatrix(self.rows + other.rows, self.cols, entries)
-
-    def mod(self, q: int) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.rows, self.cols, {k: v % q for k, v in self.entries.items()}
-        )
 
 
 @dataclass(frozen=True)
@@ -577,17 +568,11 @@ def smith_normal_form(
     return dec.d, dec.u, dec.v
 
 
-def rank(M: SparseIntMatrix) -> int:
-    w = _Reducer(M, track_u=False, track_v=False, track_vinv=False)
-    w.reduce()
-    return w.rank
-
-
 def invariant_factors(M: SparseIntMatrix) -> List[int]:
-    """Nonzero Smith diagonal of M (units included)."""
+    """Nonzero Smith diagonal of M (units included); its length is rank M."""
     w = _Reducer(M, track_u=False, track_v=False, track_vinv=False)
     w.reduce()
-    return [d for d in _rows_matrix(w.row, w.n).diagonal_entries() if d]
+    return [w.row[k][k] for k in range(w.rank)]
 
 
 def cokernel(M: SparseIntMatrix) -> AbelianGroup:

@@ -5,6 +5,7 @@ import pytest
 
 from cychom import cli, cyclic, hochschild
 from cychom.dga import dump_algebra, koszul_resolution
+from cychom.errors import CompositionNonzero
 
 
 def run_cli(argv, capsys):
@@ -241,3 +242,14 @@ def test_bad_argv(capsys):
     capsys.readouterr()
     assert cli.main(["k-groups", "--p", "7", "--n", "0"]) == cli.EXIT_BAD_ARGS
     capsys.readouterr()
+
+
+def test_internal_invariant_failure_exits_5(capsys, monkeypatch):
+    def broken(bundle, top):
+        raise CompositionNonzero("d_3 @ d_4 != 0")
+
+    monkeypatch.setattr(cyclic, "hc_table", broken)
+    assert cli.main(["hc", "--ring", "zmod:3", "--max-degree", "4"]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal CompositionNonzero: d_3 @ d_4 != 0\n"

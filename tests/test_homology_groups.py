@@ -1,0 +1,194 @@
+"""The group tier of homology: `homology_groups` and the tables built on it.
+
+A planted-answer property test builds complexes whose homology is known by
+construction, and two counting tests pin down that a table reduces each
+differential once, without transforms, and checks its degrees first.
+"""
+
+from itertools import accumulate
+from operator import mul
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cychom import complexes
+from cychom.complexes import (
+    ChainComplex,
+    homology,
+    homology_groups,
+    homology_presentation,
+)
+from cychom.cyclic import cyclic_bundle, hc_table, hh_table
+from cychom.dga import DGAlgebra
+from cychom.errors import TruncationTooTight
+from cychom.hochschild import hochschild_complex
+from cychom.intlin import AbelianGroup, SparseIntMatrix
+
+from oracles import dense_smith_diagonal
+
+
+# ---------------------------------------------------------------------------
+# planted answers
+# ---------------------------------------------------------------------------
+
+# a Smith diagonal: cumulative products of small factors, so each entry
+# divides the next; factors of 1 plant unit invariant factors
+smith_chains = st.lists(st.integers(1, 4), max_size=3).map(lambda fs: list(accumulate(fs, mul)))
+
+
+def _unimodular(n, ops):
+    """P and P^-1 as dense lists, P a product of elementary row operations.
+
+    An op (k, j, c) adds c * row j to row k, or negates row k when k == j.
+    """
+    P = [[int(r == c) for c in range(n)] for r in range(n)]
+    Pinv = [row[:] for row in P]
+    for k, j, c in ops:
+        k, j = k % n, j % n
+        if k == j:
+            P[k] = [-v for v in P[k]]
+            for row in Pinv:
+                row[k] = -row[k]
+        else:
+            P[k] = [a + c * b for a, b in zip(P[k], P[j])]
+            for row in Pinv:
+                row[j] -= c * row[k]
+    return P, Pinv
+
+
+def _matmul(A, B, rows, cols):
+    inner = len(B)
+    return [[sum(A[r][t] * B[t][c] for t in range(inner)) for c in range(cols)] for r in range(rows)]
+
+
+@st.composite
+def planted_complexes(draw):
+    """(C, planted H_0..H_top, planted Smith diagonals of d_1..d_top).
+
+    C_i = B_i (+) S_i (+) F_i in coordinates: D_i sends the k-th basis
+    vector of S_i to chain[k] times the k-th one of B_{i-1}, so D_i vanishes
+    on B_i and D_i D_{i+1} = 0.  H_i is Z^|F_i| plus the torsion of D_{i+1}.
+    The differentials are then conjugated by random unimodular matrices,
+    d_i = P_{i-1} D_i P_i^-1.
+    """
+    top = draw(st.integers(1, 4))
+    chains = {i: draw(smith_chains) for i in range(1, top + 1)}
+    chains[0] = chains[top + 1] = []
+    free = [draw(st.integers(0, 2)) for _ in range(top + 1)]
+    dims = [len(chains[i + 1]) + len(chains[i]) + free[i] for i in range(top + 1)]
+    ops = st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(-2, 2))
+    P = [_unimodular(n, draw(st.lists(ops, max_size=8)) if n else []) for n in dims]
+    diffs = {}
+    for i in range(1, top + 1):
+        D = [[0] * dims[i] for _ in range(dims[i - 1])]
+        for k, d in enumerate(chains[i]):
+            D[k][len(chains[i + 1]) + k] = d
+        d_i = _matmul(_matmul(P[i - 1][0], D, dims[i - 1], dims[i]), P[i][1], dims[i - 1], dims[i])
+        diffs[i] = SparseIntMatrix.from_dense(d_i, cols=dims[i])
+    basis = {i: tuple(f"c{i}_{k}" for k in range(dims[i])) for i in range(top + 1)}
+    C = ChainComplex(basis, diffs, 0, top + 1)
+    planted = [AbelianGroup.from_diagonal(chains[i + 1], free[i]) for i in range(top + 1)]
+    return C, planted, chains
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_complexes())
+def test_homology_tiers_find_the_planted_groups(case):
+    C, planted, chains = case
+    top = len(planted) - 1
+    assert homology_groups(C, range(top + 1)) == planted
+    for i in range(top + 1):
+        assert homology(C, i) == planted[i]
+        assert homology_presentation(C, i).group == planted[i]
+    # the dense oracle sees the planted Smith diagonals through the
+    # conjugation, and the rank formula on its diagonals gives the groups
+    oracle = [dense_smith_diagonal(C.diff(i).to_dense()) for i in range(top + 2)]
+    assert oracle[1 : top + 1] == [chains[i] for i in range(1, top + 1)]
+    for i in range(top + 1):
+        free = C.dim(i) - len(oracle[i]) - len(oracle[i + 1])
+        assert AbelianGroup.from_diagonal(oracle[i + 1], free) == planted[i]
+
+
+def test_homology_groups_keeps_the_requested_order():
+    C = ChainComplex(
+        {0: ("a",), 1: ("b", "c"), 2: ("e",)},
+        {1: SparseIntMatrix.from_dense([[6, 0]]), 2: SparseIntMatrix.from_dense([[0], [0]])},
+        0,
+        3,
+    )
+    assert homology_groups(C, [2, 0, 1, 0]) == [
+        AbelianGroup.free(1),
+        AbelianGroup.cyclic(6),
+        AbelianGroup.free(1),
+        AbelianGroup.cyclic(6),
+    ]
+    assert homology_groups(C, []) == []
+
+
+# ---------------------------------------------------------------------------
+# one reduction per differential, no transforms
+# ---------------------------------------------------------------------------
+
+
+def ext2(a=9, b=3):
+    """Exterior DG algebra on x, y in degree 1: dx = a, dy = b."""
+    return DGAlgebra(
+        basis={0: ("1",), 1: ("x", "y"), 2: ("xy",)},
+        mult={
+            ("1", "1"): {"1": 1},
+            ("1", "x"): {"x": 1}, ("x", "1"): {"x": 1},
+            ("1", "y"): {"y": 1}, ("y", "1"): {"y": 1},
+            ("1", "xy"): {"xy": 1}, ("xy", "1"): {"xy": 1},
+            ("x", "x"): {}, ("y", "y"): {},
+            ("x", "y"): {"xy": 1}, ("y", "x"): {"xy": -1},
+            ("x", "xy"): {}, ("xy", "x"): {},
+            ("y", "xy"): {}, ("xy", "y"): {},
+            ("xy", "xy"): {},
+        },
+        diff={"x": {"1": a}, "y": {"1": b}, "xy": {"y": a, "x": -b}},
+        unit="1",
+    )
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Count the reductions `complexes` makes, by the names it looks up."""
+    calls = {"invariant_factors": 0, "smith_decomposition": 0}
+    for name in calls:
+        original = getattr(complexes, name)
+
+        def counted(M, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(M)
+
+        monkeypatch.setattr(complexes, name, counted)
+    return calls
+
+
+def test_tables_reduce_each_differential_once(reductions):
+    A = ext2()
+    groups = hc_table(cyclic_bundle(A, 13), 13)
+    assert len(groups) == 14
+    assert reductions["invariant_factors"] <= 13 + 2
+    assert reductions["smith_decomposition"] == 0
+
+    reductions["invariant_factors"] = 0
+    groups = hh_table(hochschild_complex(A, 14), 14)
+    assert len(groups) == 15
+    assert reductions["invariant_factors"] <= 14 + 2
+    assert reductions["smith_decomposition"] == 0
+
+
+def test_homology_groups_checks_degrees_before_reducing(reductions):
+    C = ChainComplex(
+        {0: ("a",), 1: ("b",), 2: ("c",)},
+        {1: SparseIntMatrix.from_dense([[4]])},
+        0,
+        2,
+    )
+    # degree 2 needs chains in degree 3; degree -1 lies below the window
+    for bad in ([0, 1, 2], [-1, 0]):
+        with pytest.raises(TruncationTooTight):
+            homology_groups(C, bad)
+    assert reductions == {"invariant_factors": 0, "smith_decomposition": 0}
