@@ -1,19 +1,33 @@
 """Exact sparse integer linear algebra.
 
-Smith normal form, cokernels, kernel bases and lattice membership.
-Everything runs over Python's arbitrary-precision integers; there is no
-floating point anywhere and no modular shortcut.
+Smith normal form, cokernels, kernel bases and lattice membership over
+Python's arbitrary-precision integers: no floating point, no modular
+shortcut.
 
 One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
 without transforms: the rank and the Smith diagonal are all a homology
-group or a cokernel needs.  `smith_decomposition` runs the same row and
-column operations while keeping U, V and V^-1 with U*M*V = D, for cycle
-lifts, kernel coordinates and induced maps.  Pivots are chosen with
-minimal absolute value to limit entry growth.
+group or a cokernel needs.  `smith_decomposition` keeps U, V and V^-1 with
+U*M*V = D, for cycle lifts, kernel coordinates and induced maps, and
+`lattice_contains` keeps U only.  U is row-major, V column-major (a column
+operation touches one dict) and V^-1 row-major.
+
+Nothing is swapped: a pivot (r, c) is recorded and, once its row and column
+are clear, both leave the active part; the results are permuted once so
+that the pivots come first.  As in Dumas-Heckenbach-Saunders-Welker (2003)
+there are two phases.  The unit phase takes +-1 pivots from a heap keyed by
+the Markowitz cost (row nnz - 1) * (column nnz - 1), ties by (row, column),
+re-keying stale entries when popped; without V, a unit's row is dropped
+once its column is clear.  The core phase pivots on an active entry of
+least absolute value, with nearest-integer quotients, so that remainders
+are centered and transforms stay small.  The pivots are then sorted by
+absolute value, and pairs that break the divisibility chain become gcd and
+lcm.  Rows are built from the entries sorted by (row, column), so the
+transforms depend on the matrix only.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -277,236 +291,218 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-class _Reducer:
-    """Mutable worker performing the Smith reduction with transforms.
+def _nearest(a: int, p: int) -> int:
+    """The integer nearest a / p, so that a - q*p is a centered remainder."""
+    q, r = divmod(a, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
 
-    Rows are dicts col -> value; a column index keeps reduction local.  The
-    transforms U (rows, left) and V (columns, right) are optional, as is
-    Vinv which tracks the inverse of V for kernel-coordinate queries.
+
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a, b not both 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _add_into(dst: Dict[int, int], src: Dict[int, int], c: int):
+    """dst += c * src for sparse vectors."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + c * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
+
+
+def _mix(vecs: List[Dict[int, int]], x: int, y: int, a: int, b: int, c: int, d: int):
+    """vecs[x], vecs[y] <- a*vecs[x] + b*vecs[y], c*vecs[x] + d*vecs[y]."""
+    vx, vy = vecs[x], vecs[y]
+    nx: Dict[int, int] = {}
+    ny: Dict[int, int] = {}
+    for k in sorted(vx.keys() | vy.keys()):
+        u, v = vx.get(k, 0), vy.get(k, 0)
+        if a * u + b * v:
+            nx[k] = a * u + b * v
+        if c * u + d * v:
+            ny[k] = c * u + d * v
+    vecs[x], vecs[y] = nx, ny
+
+
+class _Reducer:
+    """Mutable worker for the elimination described in the module docstring.
+
+    The current matrix is row-major (`rows`) with a column index (`colnz`).
+    A retired pivot (r, c) leaves row r as {c: d} and column c as {r: d}.
+    U is optional, and so are V and V^-1, which are kept together.
     """
 
-    def __init__(self, M: SparseIntMatrix, track_u: bool, track_v: bool, track_vinv: bool):
+    def __init__(self, M: SparseIntMatrix, track_u: bool, track_v: bool):
         self.m = M.rows
         self.n = M.cols
-        self.row: List[Dict[int, int]] = [dict() for _ in range(self.m)]
+        self.rows: List[Dict[int, int]] = [dict() for _ in range(self.m)]
         self.colnz: List[set] = [set() for _ in range(self.n)]
-        for (i, j), v in M.entries.items():
-            self.row[i][j] = v
+        for (i, j), v in sorted(M.entries.items()):
+            self.rows[i][j] = v
             self.colnz[j].add(i)
         self.U = [{i: 1} for i in range(self.m)] if track_u else None
         self.V = [{j: 1} for j in range(self.n)] if track_v else None
-        self.Vinv = [{j: 1} for j in range(self.n)] if track_vinv else None
+        self.Vinv = [{j: 1} for j in range(self.n)] if track_v else None
+        self.retired = [False] * self.m
+        self.live = list(range(self.m))
+        self.pivots: List[Tuple[int, int]] = []
+        self.heap = [
+            ((len(row) - 1) * (len(self.colnz[j]) - 1), i, j)
+            for i, row in enumerate(self.rows)
+            for j, v in row.items()
+            if v == 1 or v == -1
+        ]
+        heapq.heapify(self.heap)
 
     # -- elementary operations (each keeps U*M_orig*V = M_current) ---------
 
-    def swap_rows(self, a: int, b: int):
-        if a == b:
-            return
-        for j in set(self.row[a]) | set(self.row[b]):
-            nz = self.colnz[j]
-            ina, inb = a in nz, b in nz
-            if ina != inb:
-                if ina:
-                    nz.discard(a)
-                    nz.add(b)
-                else:
-                    nz.discard(b)
-                    nz.add(a)
-        self.row[a], self.row[b] = self.row[b], self.row[a]
-        if self.U is not None:
-            self.U[a], self.U[b] = self.U[b], self.U[a]
-
     def add_row(self, a: int, b: int, c: int):
-        """row a += c * row b."""
-        if c == 0:
-            return
-        ra = self.row[a]
-        for j, v in self.row[b].items():
+        """row a += c * row b; new unit entries join the pivot heap."""
+        ra = self.rows[a]
+        for j, v in self.rows[b].items():
             w = ra.get(j, 0) + c * v
             if w:
+                if j not in ra:
+                    self.colnz[j].add(a)
                 ra[j] = w
-                self.colnz[j].add(a)
-            elif j in ra:
+                if w == 1 or w == -1:
+                    heapq.heappush(self.heap, (0, a, j))
+            else:
                 del ra[j]
                 self.colnz[j].discard(a)
         if self.U is not None:
-            ua = self.U[a]
-            for j, v in self.U[b].items():
-                w = ua.get(j, 0) + c * v
-                if w:
-                    ua[j] = w
-                elif j in ua:
-                    del ua[j]
-
-    def negate_row(self, a: int):
-        ra = self.row[a]
-        for j in ra:
-            ra[j] = -ra[j]
-        if self.U is not None:
-            ua = self.U[a]
-            for j in ua:
-                ua[j] = -ua[j]
-
-    def swap_cols(self, a: int, b: int):
-        if a == b:
-            return
-        for i in self.colnz[a] | self.colnz[b]:
-            r = self.row[i]
-            va, vb = r.get(a), r.get(b)
-            if vb is None:
-                del r[a]
-            else:
-                r[a] = vb
-            if va is None:
-                r.pop(b, None)
-            else:
-                r[b] = va
-        self.colnz[a], self.colnz[b] = self.colnz[b], self.colnz[a]
-        if self.V is not None:
-            for vr in self.V:
-                va, vb = vr.get(a), vr.get(b)
-                if vb is None:
-                    vr.pop(a, None)
-                else:
-                    vr[a] = vb
-                if va is None:
-                    vr.pop(b, None)
-                else:
-                    vr[b] = va
-        if self.Vinv is not None:
-            self.Vinv[a], self.Vinv[b] = self.Vinv[b], self.Vinv[a]
+            _add_into(self.U[a], self.U[b], c)
 
     def add_col(self, a: int, b: int, c: int):
         """col a += c * col b (M <- M*E with E = I + c*e_{b,a})."""
-        if c == 0:
-            return
-        for i in list(self.colnz[b]):
-            r = self.row[i]
+        for i in self.colnz[b]:
+            r = self.rows[i]
             w = r.get(a, 0) + c * r[b]
             if w:
+                if a not in r:
+                    self.colnz[a].add(i)
                 r[a] = w
-                self.colnz[a].add(i)
-            elif a in r:
+            else:
                 del r[a]
                 self.colnz[a].discard(i)
         if self.V is not None:
-            for vr in self.V:
-                vb = vr.get(b)
-                if vb is None:
-                    continue
-                w = vr.get(a, 0) + c * vb
-                if w:
-                    vr[a] = w
-                else:
-                    vr.pop(a, None)
-        if self.Vinv is not None:
+            _add_into(self.V[a], self.V[b], c)
             # E^{-1} * Vinv: row b -= c * row a
-            rb, ra = self.Vinv[b], self.Vinv[a]
-            for j, v in ra.items():
-                w = rb.get(j, 0) - c * v
-                if w:
-                    rb[j] = w
-                elif j in rb:
-                    del rb[j]
+            _add_into(self.Vinv[b], self.Vinv[a], -c)
 
     # -- the reduction ------------------------------------------------------
 
-    def _find_pivot(self, k: int) -> Optional[Tuple[int, int]]:
-        """Minimal |value| entry in the submatrix with both indices >= k."""
+    def _unit_pivot(self) -> Optional[Tuple[int, int]]:
+        """The active ±1 entry of least Markowitz cost, re-keying stale ones."""
+        heap = self.heap
+        while heap:
+            cost, i, j = heapq.heappop(heap)
+            row = self.rows[i]
+            if self.retired[i] or row.get(j) not in (1, -1):
+                continue
+            now = (len(row) - 1) * (len(self.colnz[j]) - 1)
+            if now > cost:
+                heapq.heappush(heap, (now, i, j))
+                continue
+            return i, j
+        return None
+
+    def _least_pivot(self) -> Optional[Tuple[int, int]]:
+        """An active entry of least absolute value."""
+        # an empty active row stays empty, so it is dropped for good
+        self.live = [i for i in self.live if self.rows[i] and not self.retired[i]]
         best = None
-        best_val = None
-        for i in range(k, self.m):
-            for j, v in self.row[i].items():
-                if j < k:
-                    continue
-                a = abs(v)
-                if best_val is None or a < best_val:
-                    best, best_val = (i, j), a
-                    if a == 1:
-                        return best
-        return best
+        for i in self.live:
+            for j, v in self.rows[i].items():
+                if best is None or abs(v) < best[0]:
+                    best = (abs(v), i, j)
+        return best and best[1:]
+
+    def _eliminate(self, r: int, c: int):
+        """Clear column c, then row r, with centered remainders.
+
+        The pivot (r, c) retires once both are clear; a nonzero remainder
+        is smaller than the pivot and leads the next pivot search.
+        """
+        row = self.rows[r]
+        p = row[c]
+        for i in list(self.colnz[c]):
+            if i != r:
+                self.add_row(i, r, -_nearest(self.rows[i][c], p))
+        if len(self.colnz[c]) > 1:
+            return
+        if self.V is None and (p == 1 or p == -1):
+            # column c is zero off row r, so the column operations that would
+            # clear row r change nothing else: drop its other entries
+            for j in row:
+                if j != c:
+                    self.colnz[j].discard(r)
+            self.rows[r] = {c: p}
+        else:
+            for j, v in list(row.items()):
+                if j != c:
+                    self.add_col(j, c, -_nearest(v, p))
+            if len(row) > 1:
+                return
+        self.retired[r] = True
+        self.pivots.append((r, c))
 
     def reduce(self):
-        k = 0
-        limit = min(self.m, self.n)
-        while k < limit:
-            pos = self._find_pivot(k)
+        while True:
+            pos = self._unit_pivot() or self._least_pivot()
             if pos is None:
                 break
-            self.swap_rows(k, pos[0])
-            self.swap_cols(k, pos[1])
-            p = self.row[k][k]
-            # clear column k below/above, then row k; remainders restart the
-            # pivot hunt with a strictly smaller pivot candidate
-            dirty = False
-            for i in list(self.colnz[k]):
-                if i == k:
-                    continue
-                q = self.row[i][k] // p
-                self.add_row(i, k, -q)
-                if k in self.row[i]:
-                    dirty = True
-            for j in list(self.row[k]):
-                if j == k:
-                    continue
-                q = self.row[k][j] // p
-                self.add_col(j, k, -q)
-                if j in self.row[k]:
-                    dirty = True
-            if dirty:
-                continue
-            k += 1
-        self.rank = k
-        self._fix_divisibility()
-        self._fix_signs()
+            self._eliminate(*pos)
+        self.rank = len(self.pivots)
+        # units first; a chain of powers of one prime is then in order
+        self.pivots.sort(key=lambda rc: abs(self.rows[rc[0]][rc[1]]))
+        d = self.diag = [self.rows[r][c] for r, c in self.pivots]
+        if any(b % a for a, b in zip(d, d[1:])):
+            for x in range(self.rank):
+                for y in range(x + 1, self.rank):
+                    if d[y] % d[x]:
+                        self._gcd_lcm(x, y)
+        for k, (r, _) in enumerate(self.pivots):
+            if d[k] < 0:
+                d[k] = -d[k]
+                if self.U is not None:
+                    self.U[r] = {j: -v for j, v in self.U[r].items()}
+        # pivot rows (columns) first, in pivot order, then the rest
+        self.row_order = [r for r, _ in self.pivots]
+        self.row_order += sorted(set(range(self.m)) - set(self.row_order))
+        self.col_order = [c for _, c in self.pivots]
+        self.col_order += sorted(set(range(self.n)) - set(self.col_order))
 
-    def _fix_divisibility(self):
-        r = self.rank
-        changed = True
-        while changed:
-            changed = False
-            for k in range(r - 1):
-                a = self.row[k].get(k, 0)
-                b = self.row[k + 1].get(k + 1, 0)
-                if a and b and b % a != 0:
-                    # splice b into row k and re-reduce the 2x2 block
-                    self.add_row(k, k + 1, 1)
-                    self._rediagonalize_pair(k)
-                    changed = True
-
-    def _rediagonalize_pair(self, k: int):
-        """Re-diagonalize the 2x2 block at (k, k) after a divisibility splice."""
-        while True:
-            a = self.row[k].get(k, 0)
-            b = self.row[k].get(k + 1, 0)
-            c = self.row[k + 1].get(k, 0)
-            d = self.row[k + 1].get(k + 1, 0)
-            if b == 0 and c == 0:
-                return
-            # pivot = entry of minimal absolute value in the block
-            cand = [(abs(v), i, j) for (v, i, j) in ((a, 0, 0), (b, 0, 1), (c, 1, 0), (d, 1, 1)) if v]
-            _, pi, pj = min(cand)
-            self.swap_rows(k, k + pi)
-            self.swap_cols(k, k + pj)
-            p = self.row[k][k]
-            if self.row[k + 1].get(k, 0):
-                self.add_row(k + 1, k, -(self.row[k + 1][k] // p))
-            if self.row[k].get(k + 1, 0):
-                self.add_col(k + 1, k, -(self.row[k][k + 1] // p))
-
-    def _fix_signs(self):
-        for k in range(self.rank):
-            if self.row[k].get(k, 0) < 0:
-                self.negate_row(k)
+    def _gcd_lcm(self, x: int, y: int):
+        """Turn diagonal entries a, b into gcd(a, b), lcm(a, b) by a 2x2 step."""
+        (r1, c1), (r2, c2) = self.pivots[x], self.pivots[y]
+        a, b = self.diag[x], self.diag[y]
+        g, s, t = _xgcd(a, b)
+        self.diag[x], self.diag[y] = g, a // g * b
+        if self.U is not None:
+            _mix(self.U, r1, r2, s, t, -(b // g), a // g)
+        if self.V is not None:
+            _mix(self.V, c1, c2, 1, 1, -t * (b // g), s * (a // g))
+            _mix(self.Vinv, c1, c2, s * (a // g), t * (b // g), -1, 1)
 
 
-def _rows_matrix(rows: List[Dict[int, int]], cols: int) -> SparseIntMatrix:
-    """The matrix whose row i is the sparse dict rows[i]."""
+def _stack(vectors: List[Dict[int, int]], length: int, as_columns: bool) -> SparseIntMatrix:
+    """The matrix whose rows (or columns) are the sparse dicts `vectors`."""
     entries = {}
-    for i, r in enumerate(rows):
-        for j, v in r.items():
-            entries[(i, j)] = v
-    return SparseIntMatrix(len(rows), cols, entries)
+    for k, vec in enumerate(vectors):
+        for i, v in vec.items():
+            entries[(i, k) if as_columns else (k, i)] = v
+    if as_columns:
+        return SparseIntMatrix(length, len(vectors), entries)
+    return SparseIntMatrix(len(vectors), length, entries)
 
 
 @dataclass(frozen=True)
@@ -548,31 +544,23 @@ class SmithDecomposition:
 
 
 def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
-    w = _Reducer(M, track_u=True, track_v=True, track_vinv=True)
+    w = _Reducer(M, track_u=True, track_v=True)
     w.reduce()
     return SmithDecomposition(
         matrix=M,
-        d=_rows_matrix(w.row, w.n),
-        u=_rows_matrix(w.U, w.m),
-        v=_rows_matrix(w.V, w.n),
-        vinv=_rows_matrix(w.Vinv, w.n),
+        d=SparseIntMatrix(w.m, w.n, {(k, k): v for k, v in enumerate(w.diag)}),
+        u=_stack([w.U[i] for i in w.row_order], w.m, as_columns=False),
+        v=_stack([w.V[j] for j in w.col_order], w.n, as_columns=True),
+        vinv=_stack([w.Vinv[j] for j in w.col_order], w.n, as_columns=False),
         rank=w.rank,
     )
 
 
-def smith_normal_form(
-    M: SparseIntMatrix,
-) -> Tuple[SparseIntMatrix, SparseIntMatrix, SparseIntMatrix]:
-    """Return (D, U, V) with U @ M @ V = D in Smith normal form."""
-    dec = smith_decomposition(M)
-    return dec.d, dec.u, dec.v
-
-
 def invariant_factors(M: SparseIntMatrix) -> List[int]:
     """Nonzero Smith diagonal of M (units included); its length is rank M."""
-    w = _Reducer(M, track_u=False, track_v=False, track_vinv=False)
+    w = _Reducer(M, track_u=False, track_v=False)
     w.reduce()
-    return [w.row[k][k] for k in range(w.rank)]
+    return w.diag
 
 
 def cokernel(M: SparseIntMatrix) -> AbelianGroup:
@@ -589,14 +577,12 @@ def lattice_contains(M: SparseIntMatrix, X: SparseIntMatrix) -> bool:
     """Is every column of X in the lattice spanned by the columns of M?"""
     if M.rows != X.rows:
         raise DimensionMismatch("lattice_contains row mismatch")
-    w = _Reducer(M, track_u=True, track_v=False, track_vinv=False)
+    w = _Reducer(M, track_u=True, track_v=False)
     w.reduce()
-    diag = [w.row[k].get(k, 0) for k in range(w.rank)]
-    Z = _rows_matrix(w.U, w.m) @ X
+    # U*M*V = D for some V, and the column lattice of U*M is that of D
+    Z = _stack([w.U[i] for i in w.row_order], w.m, as_columns=False) @ X
     for (i, j), v in Z.entries.items():
-        if i >= w.rank:
-            return False
-        if v % diag[i] != 0:
+        if i >= w.rank or v % w.diag[i]:
             return False
     return True
 

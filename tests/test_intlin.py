@@ -7,11 +7,11 @@ from cychom.intlin import (
     AbelianGroup,
     SparseIntMatrix,
     cokernel,
+    invariant_factors,
     is_prime,
     kernel_basis,
     lattice_contains,
     smith_decomposition,
-    smith_normal_form,
 )
 
 from oracles import dense_smith_diagonal, determinant, invariant_factors_via_divisors
@@ -71,6 +71,65 @@ def test_smith_against_independent_oracles():
             continue
         got = [d for d in smith_decomposition(M).diagonal if d]
         assert got == invariant_factors_via_divisors(dense(M))
+
+
+UNIT_HEAVY_VALUES = (1, -1, 3, -3, 9, 27, 2, 5)
+
+
+def unit_heavy_matrix(rng):
+    """Shaped like a p-power presentation: sparse, mostly units and powers
+    of 3, with 2 and 5 so that fill-in keeps creating new unit entries."""
+    m = rng.randint(1, 18)
+    n = rng.randint(1, 24)
+    density = rng.uniform(0.1, 0.5)
+    entries = {
+        (i, j): rng.choice(UNIT_HEAVY_VALUES)
+        for i in range(m)
+        for j in range(n)
+        if rng.random() < density
+    }
+    return SparseIntMatrix(m, n, entries)
+
+
+def oracle_contains(M, y):
+    """Column y lies in the column lattice of M iff appending it leaves the
+    Smith diagonal unchanged (a surjection of isomorphic f.g. groups)."""
+    return dense_smith_diagonal(dense(M.hstack(y))) == dense_smith_diagonal(dense(M))
+
+
+def test_unit_heavy_matrices():
+    rng = random.Random(20261018)
+    outside = 0
+    for trial in range(200):
+        M = unit_heavy_matrix(rng)
+        nonzero = check_decomposition(M)
+        assert invariant_factors(M) == nonzero, f"trial {trial}"
+        assert nonzero == dense_smith_diagonal(dense(M)), f"trial {trial}"
+        X = SparseIntMatrix.from_dense(
+            [[rng.randint(-3, 3) for _ in range(3)] for _ in range(M.cols)]
+        )
+        assert lattice_contains(M, M @ X), f"trial {trial}"
+        # a lattice vector plus a unit vector: inside iff the unit vector is
+        x = SparseIntMatrix.from_dense([[rng.randint(-3, 3)] for _ in range(M.cols)])
+        y = M @ x + SparseIntMatrix(M.rows, 1, {(rng.randrange(M.rows), 0): 1})
+        expected = oracle_contains(M, y)
+        assert lattice_contains(M, y) == expected, f"trial {trial}"
+        if not expected:
+            outside += 1
+            assert not lattice_contains(M, (M @ X).hstack(y)), f"trial {trial}"
+    assert outside >= 50
+
+
+def test_transforms_do_not_depend_on_entry_order():
+    rng = random.Random(5)
+    for trial in range(200):
+        M = unit_heavy_matrix(rng)
+        items = list(M.entries.items())
+        rng.shuffle(items)
+        shuffled = SparseIntMatrix(M.rows, M.cols, dict(items))
+        a, b = smith_decomposition(M), smith_decomposition(shuffled)
+        assert (a.d, a.u, a.v, a.vinv) == (b.d, b.u, b.v, b.vinv), f"trial {trial}"
+        assert invariant_factors(M) == invariant_factors(shuffled), f"trial {trial}"
 
 
 def test_kernel_basis_spans_kernel():
