@@ -8,7 +8,7 @@ live here, together with the chain-level reduction maps between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .complexes import ChainComplex

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -29,9 +29,7 @@ from .intlin import (
     SparseIntMatrix,
     cokernel,
     is_prime,
-    kernel_basis,
     lattice_contains,
-    smith_decomposition,
 )
 
 

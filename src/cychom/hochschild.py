@@ -19,15 +19,15 @@ the first up by one degree; writing m_0 = |a_0| and m_j = |a_j| + 1:
     word, the rotation by i slots carrying the sign of the corresponding
     block transposition in the shifted degrees.
 
-None of these is trusted: the bicomplex constructor enforces the square-zero
-and anticommutation identities, and check_identities verifies B^2 = 0 and
-D B + B D = 0 as matrix equations.
+None of these is trusted: the square-zero and anticommutation identities
+of the bicomplex are checked as D^2 = 0 by the ChainComplex constructor of
+its total complex, and check_identities verifies B^2 = 0 and D B + B D = 0
+as matrix equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import Bicomplex, ChainMap, homology, total_complex
 from .dga import DGAlgebra, DGAMorphism

@@ -141,8 +141,34 @@ def test_total_complex_and_bicomplex_checks():
     T = total_complex(B)
     assert [T.dim(n) for n in range(3)] == [1, 2, 1]
     assert (T.diff(1) @ T.diff(2)).is_zero()
+    # a commuting square builds as a bicomplex; its total complex has d^2 != 0
     with pytest.raises(CompositionNonzero):
-        Bicomplex(basis, {(0, 1): one, (1, 1): one}, {(1, 0): one, (1, 1): one})
+        total_complex(
+            Bicomplex(basis, {(0, 1): one, (1, 1): one}, {(1, 0): one, (1, 1): one})
+        )
+
+
+@pytest.mark.parametrize(
+    "cells, vertical, horizontal",
+    [
+        # vertical^2 != 0 down column 0
+        ([(0, 0), (0, 1), (0, 2)], [(0, 1), (0, 2)], []),
+        # horizontal^2 != 0 along row 0
+        ([(0, 0), (1, 0), (2, 0)], [], [(1, 0), (2, 0)]),
+        # v h != 0 while (1, 0) is empty, so v h + h v != 0
+        ([(0, 0), (0, 1), (1, 1)], [(0, 1)], [(1, 1)]),
+    ],
+    ids=["vertical", "horizontal", "anticommutation"],
+)
+def test_total_complex_checks_each_bicomplex_identity(cells, vertical, horizontal):
+    one = SparseIntMatrix.from_dense([[1]])
+    B = Bicomplex(
+        {st: (f"x{st}",) for st in cells},
+        {st: one for st in vertical},
+        {st: one for st in horizontal},
+    )
+    with pytest.raises(CompositionNonzero):
+        total_complex(B)
 
 
 def test_total_complex_explicit_bounds():

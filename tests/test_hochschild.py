@@ -6,14 +6,17 @@ from cychom.dga import (
     koszul_resolution,
     reduction_map,
 )
-from cychom.errors import BoundTooSmall, TruncationTooTight
+from cychom import hochschild
+from cychom.cyclic import cyclic_bundle
+from cychom.errors import BoundTooSmall, CompositionNonzero, TruncationTooTight
 from cychom.hochschild import (
+    HochschildComplex,
     connes_B,
     hh,
     hochschild_complex,
     induced_map,
 )
-from cychom.intlin import AbelianGroup
+from cychom.intlin import AbelianGroup, SparseIntMatrix
 
 
 def exterior_two():
@@ -124,3 +127,45 @@ def test_induced_map_drops_normalized_units():
     for n in range(4):
         M = F.component(n)
         assert M.shape == (tgt.total.dim(n), M.cols)
+
+
+def test_sign_errors_fail_the_total_complex_check(monkeypatch):
+    # each identity of the Hochschild and cyclic bicomplexes is checked as
+    # d^2 = 0 of their total complexes; a single wrong sign must be caught
+    A = exterior_two()
+    face_terms, internal_terms = hochschild._face_terms, hochschild._internal_terms
+
+    def flipped_wrap(A, word):
+        terms = list(face_terms(A, word))
+        if len(word) == 2:
+            inner = len(A.mult.get((word[0], word[1])) or {})
+            terms[inner:] = [(out, -c) for out, c in terms[inner:]]
+        return iter(terms)
+
+    def flipped_slot_one(A, word):
+        for out, c in internal_terms(A, word):
+            slot_one = len(word) >= 2 and out[0] == word[0] and out[2:] == word[2:]
+            yield out, -c if slot_one else c
+
+    for name, mutant in (("_face_terms", flipped_wrap), ("_internal_terms", flipped_slot_one)):
+        with monkeypatch.context() as m:
+            m.setattr(hochschild, name, mutant)
+            with pytest.raises(CompositionNonzero):
+                hochschild_complex(A, 5)
+
+    build_B = HochschildComplex._build_B
+
+    def negated_entry(self, n):
+        M = build_B(self, n)
+        if n != 1:
+            return M
+        entries = dict(M.entries)
+        key = min(entries)
+        entries[key] = -entries[key]
+        return SparseIntMatrix(M.rows, M.cols, entries)
+
+    hochschild_complex(A, 5)
+    cyclic_bundle(A, 5)
+    monkeypatch.setattr(HochschildComplex, "_build_B", negated_entry)
+    with pytest.raises(CompositionNonzero):
+        cyclic_bundle(A, 5)
