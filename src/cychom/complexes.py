@@ -6,16 +6,21 @@ ChainMap constructors are the structural checks: d^2 = 0 and commuting
 squares, raising rather than producing a silently broken object.  A
 bicomplex's identities are checked as d^2 = 0 of its total complex.
 
-Sign conventions, fixed once for the whole package:
-  * tensor product      d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy
-  * mapping cone        d(x, y) = (-dx, f(x) + dy)
-  * bicomplex           vertical^2 = horizontal^2 = v h + h v = 0
+total_complex alone lays cells out into total degrees, total_map alone cellwise
+maps.  Sign conventions, fixed once for the whole package:
+  * tensor product   total complex of the cells C_a (x) D_b, horizontal
+                     dC_a (x) 1, vertical (-1)^a 1 (x) dD_b
+  * mapping cone     total complex of the source in row 1 and the target in row 0,
+                     horizontal -d and d, vertical f: d(x, y) = (-dx, f(x) + dy),
+                     each degree listing the source block first
+  * bicomplex        vertical^2 = horizontal^2 = v h + h v = 0
 Each is gated by the ChainComplex check, not trusted.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     InvalidModulus,
     NotAChainMap,
+    ParseError,
     TruncationTooTight,
 )
 from .intlin import (
@@ -32,6 +38,7 @@ from .intlin import (
     SmithDecomposition,
     cokernel,
     invariant_factors,
+    kron,
     lattice_contains,
     smith_decomposition,
 )
@@ -177,45 +184,6 @@ def homology_mod(C: ChainComplex, i: int, q: int) -> AbelianGroup:
     return homology(tensor(C, two_term_complex(q)), i)
 
 
-def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
-    """Tensor product with Koszul signs; labels are (label_C, label_D) pairs."""
-    basis: Dict[int, List[Label]] = {}
-    # position maps: (degC, idxC, degD, idxD) -> column in degree degC+degD
-    pos: Dict[Tuple[int, int, int, int], int] = {}
-    for a in C.degrees():
-        for b in D.degrees():
-            n = a + b
-            blk = basis.setdefault(n, [])
-            for i, x in enumerate(C.labels(a)):
-                for j, y in enumerate(D.labels(b)):
-                    pos[(a, i, b, j)] = len(blk)
-                    blk.append((x, y))
-    diffs: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for (a, i, b, j), col in pos.items():
-        n = a + b
-        ent = diffs.setdefault(n, {})
-        dC = C.diff(a)
-        for (r, c), v in dC.entries.items():
-            if c == i:
-                ent[(pos[(a - 1, r, b, j)], col)] = ent.get((pos[(a - 1, r, b, j)], col), 0) + v
-        sign = -1 if a % 2 else 1
-        dD = D.diff(b)
-        for (r, c), v in dD.entries.items():
-            if c == j:
-                key = (pos[(a, i, b - 1, r)], col)
-                ent[key] = ent.get(key, 0) + sign * v
-    differential = {
-        n: SparseIntMatrix(len(basis.get(n - 1, ())), len(basis[n]), ent)
-        for n, ent in diffs.items()
-    }
-    return ChainComplex(
-        {n: tuple(lbls) for n, lbls in basis.items()},
-        differential,
-        C.min_degree + D.min_degree,
-        C.max_degree + D.max_degree,
-    )
-
-
 class Bicomplex:
     """First-quadrant-style bicomplex with anticommuting differentials.
 
@@ -265,6 +233,18 @@ class Bicomplex:
         return sorted(self.basis)
 
 
+def _cell_offsets(dims: Mapping[Tuple[int, int], int]) -> Tuple[Dict[Tuple[int, int], int], List[int]]:
+    """Where each cell starts in degree s + t (dims lists each degree's cells in
+    (s, t) order), and positions 0, 1, ... for entry keys: one int object per
+    position keeps keys small and the reducer's sort of them on its fast path."""
+    offsets: Dict[Tuple[int, int], int] = {}
+    size: Dict[int, int] = {}
+    for (s, t), k in dims.items():
+        start = offsets[(s, t)] = size.get(s + t, 0)
+        size[s + t] = start + k
+    return offsets, list(range(max(size.values(), default=0)))
+
+
 def total_complex(
     B: Bicomplex,
     min_degree: Optional[int] = None,
@@ -275,35 +255,41 @@ def total_complex(
     Labels become (s, t, label) triples, ordered by (s, t, position).
     Explicit degree bounds record window edges where all cells are empty.
     """
+    cells = B.cells()
+    at, ids = _cell_offsets({st: len(B.basis[st]) for st in cells})
     basis: Dict[int, List[Label]] = {}
-    pos: Dict[Tuple[int, int, int], int] = {}
-    for (s, t) in B.cells():
-        n = s + t
-        blk = basis.setdefault(n, [])
-        for k, lbl in enumerate(B.basis[(s, t)]):
-            pos[(s, t, k)] = len(blk)
-            blk.append((s, t, lbl))
     diffs: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for (s, t) in B.cells():
+    for st in cells:
+        s, t = st
+        blk = basis.setdefault(s + t, [])
+        for lbl in B.basis[st]:
+            blk.append((s, t, lbl))
         ent = diffs.setdefault(s + t, {})
-        V = B.vertical.get((s, t))
-        if V is not None:
-            for (r, c), v in V.entries.items():
-                ent[(pos[(s, t - 1, r)], pos[(s, t, c)])] = v
-        H = B.horizontal.get((s, t))
-        if H is not None:
-            for (r, c), v in H.entries.items():
-                ent[(pos[(s - 1, t, r)], pos[(s, t, c)])] = v
+        for M, below in ((B.vertical.get(st), (s, t - 1)), (B.horizontal.get(st), (s - 1, t))):
+            if M is not None:
+                r0, c0 = at[below], at[st]
+                for (r, c), v in M.entries.items():
+                    ent[(ids[r0 + r], ids[c0 + c])] = v
     differential = {
         n: SparseIntMatrix(len(basis.get(n - 1, ())), len(basis[n]), ent)
         for n, ent in diffs.items()
     }
-    return ChainComplex(
-        {n: tuple(lbls) for n, lbls in basis.items()},
-        differential,
-        min_degree,
-        max_degree,
-    )
+    return ChainComplex(basis, differential, min_degree, max_degree)
+
+
+def tensor(C: ChainComplex, D: ChainComplex) -> ChainComplex:
+    """Tensor product with Koszul signs: the total complex of the cells
+    C_a (x) D_b (labels (a, b, (x, y)), x outer), with horizontal
+    kron(dC_a, 1) and vertical (-1)^a kron(1, dD_b)."""
+    basis, vertical, horizontal = {}, {}, {}
+    for a in C.degrees():
+        for b in D.degrees():
+            basis[(a, b)] = [(x, y) for x in C.labels(a) for y in D.labels(b)]
+            horizontal[(a, b)] = kron(C.diff(a), SparseIntMatrix.identity(D.dim(b)))
+            sign = -1 if a % 2 else 1
+            vertical[(a, b)] = kron(SparseIntMatrix.identity(C.dim(a)), D.diff(b).scale(sign))
+    bounds = (C.min_degree + D.min_degree, C.max_degree + D.max_degree)
+    return total_complex(Bicomplex(basis, vertical, horizontal), *bounds)
 
 
 class ChainMap:
@@ -362,40 +348,46 @@ class ChainMap:
         )
 
 
-def mapping_cone(f: ChainMap) -> ChainComplex:
-    """Cone(f)_n = source_{n-1} (+) target_n, d(x, y) = (-dx, f(x) + dy)."""
-    src, tgt = f.source, f.target
-    basis: Dict[int, List[Label]] = {}
-    pos: Dict[Tuple[str, int, int], int] = {}
-    degrees = set(d + 1 for d in src.degrees()) | set(tgt.degrees())
-    for n in sorted(degrees):
-        blk = basis.setdefault(n, [])
-        for k, lbl in enumerate(src.labels(n - 1)):
-            pos[("s", n, k)] = len(blk)
-            blk.append(("src", lbl))
-        for k, lbl in enumerate(tgt.labels(n)):
-            pos[("t", n, k)] = len(blk)
-            blk.append(("tgt", lbl))
-    diffs: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for n in sorted(degrees):
-        ent = diffs.setdefault(n, {})
-        for (r, c), v in src.diff(n - 1).entries.items():
-            ent[(pos[("s", n - 1, r)], pos[("s", n, c)])] = -v
-        for (r, c), v in f.component(n - 1).entries.items():
-            ent[(pos[("t", n - 1, r)], pos[("s", n, c)])] = v
-        for (r, c), v in tgt.diff(n).entries.items():
-            ent[(pos[("t", n - 1, r)], pos[("t", n, c)])] = v
-    differential = {
-        n: SparseIntMatrix(len(basis.get(n - 1, ())), len(basis.get(n, ())), ent)
-        for n, ent in diffs.items()
-        if n in basis
-    }
-    return ChainComplex(
-        {n: tuple(b) for n, b in basis.items() if b},
-        differential,
-        min(src.min_degree + 1, tgt.min_degree),
-        max(src.max_degree + 1, tgt.max_degree),
+def total_map(
+    source: ChainComplex,
+    target: ChainComplex,
+    cells: Mapping[Tuple[int, int], SparseIntMatrix],
+) -> ChainMap:
+    """The chain map of total complexes (built by total_complex) with block
+    cells[(s, t)] from cell (s, t) to cell (s, t), and zero elsewhere."""
+    src_dims, tgt_dims = (
+        Counter(lbl[:2] for lbls in C.basis.values() for lbl in lbls) for C in (source, target)
     )
+    (src_at, src_ids), (tgt_at, tgt_ids) = _cell_offsets(src_dims), _cell_offsets(tgt_dims)
+    comps: Dict[int, Dict[Tuple[int, int], int]] = {}
+    for st, M in cells.items():
+        want = (tgt_dims[st], src_dims[st])
+        if M.shape != want:
+            raise DimensionMismatch(f"cell map at {st}: {M.shape} != {want}")
+        if not M.is_zero():
+            r0, c0 = tgt_at[st], src_at[st]
+            ent = comps.setdefault(st[0] + st[1], {})
+            for (r, c), v in M.entries.items():
+                ent[(tgt_ids[r0 + r], src_ids[c0 + c])] = v
+    return ChainMap(
+        source,
+        target,
+        {n: SparseIntMatrix(target.dim(n), source.dim(n), ent) for n, ent in comps.items()},
+    )
+
+
+def mapping_cone(f: ChainMap) -> ChainComplex:
+    """Cone(f)_n = source_{n-1} (+) target_n, d(x, y) = (-dx, f(x) + dy): the
+    total complex of the source in row 1 and the target in row 0, with
+    horizontal -d_src, d_tgt and vertical f."""
+    src, tgt = f.source, f.target
+    basis = {(n, 1): src.labels(n) for n in src.degrees()}
+    basis.update({(n, 0): tgt.labels(n) for n in tgt.degrees()})
+    horizontal = {(n, 1): -M for n, M in src.differential.items()}
+    horizontal.update({(n, 0): M for n, M in tgt.differential.items()})
+    vertical = {(n, 1): M for n, M in f.components.items()}
+    bounds = (min(src.min_degree + 1, tgt.min_degree), max(src.max_degree + 1, tgt.max_degree))
+    return total_complex(Bicomplex(basis, vertical, horizontal), *bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -554,25 +546,20 @@ def exact_sequence_check(
 def cone_les_check(f: ChainMap, degrees: Sequence[int]) -> ExactnessReport:
     """Exactness of H_n(src) -> H_n(tgt) -> H_n(cone) -> H_{n-1}(src) -> ...
 
-    The connecting map H_n(cone) -> H_{n-1}(src) is projection onto the
-    shifted source summand; the inclusion H_n(tgt) -> H_n(cone) is y -> (0, y).
+    The inclusion H_n(tgt) -> H_n(cone) is y -> (0, y); the connecting map
+    H_n(cone) -> H_{n-1}(src) is (x, y) -> -x, a chain map to the unshifted
+    source differential.
     """
     cone = mapping_cone(f)
     src, tgt = f.source, f.target
 
     def incl_matrix(n):
-        # tgt_n -> cone_n = src_{n-1} (+) tgt_n
-        k = src.dim(n - 1)
-        return SparseIntMatrix(
-            cone.dim(n), tgt.dim(n), {(k + j, j): 1 for j in range(tgt.dim(n))}
-        )
+        k, m = src.dim(n - 1), tgt.dim(n)
+        return SparseIntMatrix(cone.dim(n), m, {(k + j, j): 1 for j in range(m)})
 
     def proj_matrix(n):
-        # cone_n -> src_{n-1}, (x, y) -> -x  (sign so it is a chain map
-        # to the unshifted source differential)
-        return SparseIntMatrix(
-            src.dim(n - 1), cone.dim(n), {(i, i): -1 for i in range(src.dim(n - 1))}
-        )
+        k = src.dim(n - 1)
+        return SparseIntMatrix(k, cone.dim(n), {(i, i): -1 for i in range(k)})
 
     return exact_sequence_check(
         presentation_cache(src, tgt, cone),
@@ -596,9 +583,11 @@ def _label_to_json(lbl: Label):
 
 
 def _label_from_json(obj) -> Label:
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and obj.keys() == {"t"} and isinstance(obj["t"], list):
         return tuple(_label_from_json(x) for x in obj["t"])
-    return obj
+    if isinstance(obj, (str, int)):
+        return obj
+    raise TypeError(f"unserializable label {obj!r}")
 
 
 def dumps(C: ChainComplex) -> str:
@@ -623,11 +612,10 @@ def dumps(C: ChainComplex) -> str:
 
 
 def loads(text: str) -> ChainComplex:
-    from .errors import ParseError
-
+    """Parse a dumps document; every malformed or invalid one raises ParseError."""
     try:
         doc = json.loads(text)
-        if doc.get("format") != "cychom-chain-complex":
+        if not isinstance(doc, dict) or doc.get("format") != "cychom-chain-complex":
             raise ParseError("not a chain complex document")
         basis = {}
         diffs = {}
@@ -639,5 +627,7 @@ def loads(text: str) -> ChainComplex:
             ent = {(r, c): int(v) for r, c, v in blk["differential"]}
             diffs[d] = SparseIntMatrix(len(basis.get(d - 1, ())), len(basis[d]), ent)
         return ChainComplex(basis, diffs, doc["min_degree"], doc["max_degree"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad chain complex document: {e}") from e
+    except (CompositionNonzero, DimensionMismatch, TruncationTooTight) as e:
+        raise ParseError(f"chain complex document fails validation: {e}") from e

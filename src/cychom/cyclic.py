@@ -33,6 +33,7 @@ from .complexes import (
     presentation_cache,
     tensor,
     total_complex,
+    total_map,
     two_term_complex,
 )
 from .dga import DGAlgebra, DGAMorphism, reduction_map
@@ -107,38 +108,13 @@ def induced_cyclic_map(
     """The map of cyclic total complexes induced by an algebra map.
 
     The Hochschild-level map is verified to intertwine both differentials
-    before being copied into each bicomplex column; the bundles are built
-    over the same two Hochschild complexes.
+    before its degree t - s component is copied into each cell (s, t); the
+    bundles are built over the same two Hochschild complexes.
     """
     hsrc, htgt, F = induced_map(f, bound)
-    src = _bundle_over(hsrc)
-    tgt = _bundle_over(htgt)
-    components: Dict[int, SparseIntMatrix] = {}
-    for n in src.total.degrees():
-        tpos = {lbl: i for i, lbl in enumerate(tgt.total.labels(n))}
-        spos_by_cell: Dict[Tuple[int, int], Dict] = {}
-        entries: Dict[Tuple[int, int], int] = {}
-        for col, (s, t, hlbl) in enumerate(src.total.labels(n)):
-            cell = (s, t)
-            if cell not in spos_by_cell:
-                c = t - s
-                hsrc_lbls = hsrc.total.labels(c)
-                htgt_lbls = htgt.total.labels(c)
-                comp = F.component(c)
-                spos_by_cell[cell] = (
-                    {lbl: i for i, lbl in enumerate(hsrc_lbls)},
-                    htgt_lbls,
-                    comp,
-                )
-            hpos, htgt_lbls, comp = spos_by_cell[cell]
-            j = hpos[hlbl]
-            for (r, cc), v in comp.entries.items():
-                if cc == j:
-                    entries[(tpos[(s, t, htgt_lbls[r])], col)] = v
-        components[n] = SparseIntMatrix(
-            tgt.total.dim(n), src.total.dim(n), entries
-        )
-    return src, tgt, ChainMap(src.total, tgt.total, components)
+    src, tgt = _bundle_over(hsrc), _bundle_over(htgt)
+    cells = {(s, t): F.component(t - s) for (s, t) in src.bicomplex.basis}
+    return src, tgt, total_map(src.total, tgt.total, cells)
 
 
 def hc_relative(f: DGAMorphism, i: int, bound: int = None) -> AbelianGroup:
@@ -251,40 +227,30 @@ class SBIReport:
 
 
 def _column_zero_inclusion(bundle: CyclicComplexBundle, n: int) -> SparseIntMatrix:
-    pos = {lbl: i for i, lbl in enumerate(bundle.total.labels(n))}
-    H = bundle.hochschild
-    entries = {
-        (pos[(0, n, hlbl)], j): 1 for j, hlbl in enumerate(H.total.labels(n))
-    }
-    return SparseIntMatrix(bundle.total.dim(n), H.total.dim(n), entries)
+    """Column 0 is the leading block of each total degree."""
+    k = bundle.hochschild.total.dim(n)
+    return SparseIntMatrix(bundle.total.dim(n), k, {(j, j): 1 for j in range(k)})
 
 
 def _quotient_complex(bundle: CyclicComplexBundle) -> Tuple[ChainComplex, Dict[int, SparseIntMatrix]]:
-    """The total complex with column 0 removed, plus projections onto it."""
-    basis: Dict[int, List] = {}
-    projections: Dict[int, SparseIntMatrix] = {}
-    span = range(bundle.total.min_degree, bundle.total.max_degree + 1)
-    for n in span:
-        keep = [
-            (j, lbl) for j, lbl in enumerate(bundle.total.labels(n)) if lbl[0] >= 1
-        ]
-        basis[n] = [lbl for _, lbl in keep]
-        projections[n] = SparseIntMatrix(
-            len(keep),
-            bundle.total.dim(n),
-            {(r, j): 1 for r, (j, _) in enumerate(keep)},
-        )
-    diffs = {
-        n: projections[n - 1] @ bundle.total.diff(n) @ projections[n].transpose()
-        for n in span
-        if n - 1 in projections
-    }
-    Q = ChainComplex(
-        {n: tuple(b) for n, b in basis.items() if b},
-        {n: M for n, M in diffs.items()},
+    """The total complex of the columns s >= 1, plus the projections onto it
+    (those columns are the trailing block of each total degree)."""
+    B = bundle.bicomplex
+    Q = total_complex(
+        Bicomplex(
+            {(s, t): lbls for (s, t), lbls in B.basis.items() if s >= 1},
+            {(s, t): M for (s, t), M in B.vertical.items() if s >= 1},
+            {(s, t): M for (s, t), M in B.horizontal.items() if s >= 2},
+        ),
         bundle.total.min_degree,
         bundle.total.max_degree,
     )
+    projections = {}
+    for n in range(bundle.total.min_degree, bundle.total.max_degree + 1):
+        k = bundle.total.dim(n) - Q.dim(n)
+        projections[n] = SparseIntMatrix(
+            Q.dim(n), bundle.total.dim(n), {(r, k + r): 1 for r in range(Q.dim(n))}
+        )
     return Q, projections
 
 

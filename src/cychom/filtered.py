@@ -29,6 +29,7 @@ from .intlin import (
     SparseIntMatrix,
     cokernel,
     is_prime,
+    kron,
     lattice_contains,
 )
 
@@ -77,15 +78,6 @@ class PresentedGroup:
         self, A: SparseIntMatrix, B: SparseIntMatrix, target: "PresentedGroup"
     ) -> bool:
         return lattice_contains(target.relations, A + B.scale(-1))
-
-
-def _kron(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
-    """Kronecker product; row (i, j) -> i * B.rows + j, same for columns."""
-    entries = {}
-    for (i, k), a in A.entries.items():
-        for (j, l), b in B.entries.items():
-            entries[(i * B.rows + j, k * B.cols + l)] = a * b
-    return SparseIntMatrix(A.rows * B.rows, A.cols * B.cols, entries)
 
 
 def _tensor_presentation(parts: Sequence[PresentedGroup]) -> PresentedGroup:
@@ -261,8 +253,8 @@ class FilteredRing:
         for i in rng:
             ni = g.piece(i).num_generators
             # unit laws: 1 * x = x = x * 1
-            left = self.product(0, i) @ _kron(self.unit, SparseIntMatrix.identity(ni))
-            right = self.product(i, 0) @ _kron(SparseIntMatrix.identity(ni), self.unit)
+            left = self.product(0, i) @ kron(self.unit, SparseIntMatrix.identity(ni))
+            right = self.product(i, 0) @ kron(SparseIntMatrix.identity(ni), self.unit)
             ident = SparseIntMatrix.identity(ni)
             if not g.piece(i).homs_equal(left, ident, g.piece(i)):
                 raise InvalidParams(f"left unit law fails on piece {i}")
@@ -274,12 +266,12 @@ class FilteredRing:
                 nj = g.piece(j).num_generators
                 # transitions are multiplicative
                 lhs = g.transition(i + j) @ self.product(i, j)
-                rhs = self.product(i + 1, j) @ _kron(
+                rhs = self.product(i + 1, j) @ kron(
                     g.transition(i), SparseIntMatrix.identity(nj)
                 )
                 if not lattice_contains(g.piece(i + j + 1).relations, lhs + rhs.scale(-1)):
                     raise InvalidParams(f"product at {(i, j)} incompatible with transition")
-                rhs2 = self.product(i, j + 1) @ _kron(
+                rhs2 = self.product(i, j + 1) @ kron(
                     SparseIntMatrix.identity(ni), g.transition(j)
                 )
                 if not lattice_contains(g.piece(i + j + 1).relations, lhs + rhs2.scale(-1)):
@@ -289,10 +281,10 @@ class FilteredRing:
                 for k in rng:
                     ni = g.piece(i).num_generators
                     nk = g.piece(k).num_generators
-                    lhs = self.product(i + j, k) @ _kron(
+                    lhs = self.product(i + j, k) @ kron(
                         self.product(i, j), SparseIntMatrix.identity(nk)
                     )
-                    rhs = self.product(i, j + k) @ _kron(
+                    rhs = self.product(i, j + k) @ kron(
                         SparseIntMatrix.identity(ni), self.product(j, k)
                     )
                     if not lattice_contains(

@@ -27,9 +27,9 @@ as matrix equations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .complexes import Bicomplex, ChainMap, homology, total_complex
+from .complexes import Bicomplex, ChainMap, homology, total_complex, total_map
 from .dga import DGAlgebra, DGAMorphism
 from .errors import BoundTooSmall, NotAChainMap, TruncationTooTight
 from .intlin import AbelianGroup, SparseIntMatrix
@@ -215,7 +215,23 @@ def _face_terms(A: DGAlgebra, word: Word):
             yield ((lbl,) + word[1:s], sign * coeff)
 
 
-def _matrix_of(A: DGAlgebra, target: List[Word], source: List[Word], terms):
+def _image_terms(f: DGAMorphism, word: Word):
+    """Terms of f applied slot by slot, dropping units in slots >= 1."""
+    unit = f.target.unit
+    expanded: List[Tuple[Word, int]] = [((), 1)]
+    for slot, a in enumerate(word):
+        combo = f.apply({a: 1})
+        expanded = [
+            (w + (lbl,), c * coeff)
+            for (w, c) in expanded
+            for lbl, coeff in combo.items()
+            if not (slot >= 1 and lbl == unit)
+        ]
+    return expanded
+
+
+def _matrix_of(A, target: Sequence[Word], source: Sequence[Word], terms):
+    """The matrix of terms(A, word) from the source words to the target words."""
     pos = {w: i for i, w in enumerate(target)}
     entries: Dict[Tuple[int, int], int] = {}
     for col, w in enumerate(source):
@@ -258,33 +274,13 @@ def induced_map(
     """
     src = hochschild_complex(f.source, bound)
     tgt = hochschild_complex(f.target, bound)
-    unit = f.target.unit
-    components: Dict[int, SparseIntMatrix] = {}
-    for n in src.total.degrees():
-        pos = {lbl: i for i, lbl in enumerate(tgt.total.labels(n))}
-        entries: Dict[Tuple[int, int], int] = {}
-        for col, (s, t, word) in enumerate(src.total.labels(n)):
-            expanded: List[Tuple[Word, int]] = [((), 1)]
-            for slot, a in enumerate(word):
-                combo = f.apply({a: 1})
-                expanded = [
-                    (w + (lbl,), c * coeff)
-                    for (w, c) in expanded
-                    for lbl, coeff in combo.items()
-                    if not (slot >= 1 and lbl == unit)
-                ]
-            for out, coeff in expanded:
-                key = (pos[(s, t, out)], col)
-                entries[key] = entries.get(key, 0) + coeff
-        components[n] = SparseIntMatrix(
-            tgt.total.dim(n), src.total.dim(n), {k: v for k, v in entries.items() if v}
-        )
-    chain_map = ChainMap(src.total, tgt.total, components)
+    cells = {
+        st: _matrix_of(f, tgt.bicomplex.basis.get(st, ()), words, _image_terms)
+        for st, words in src.bicomplex.basis.items()
+    }
+    chain_map = total_map(src.total, tgt.total, cells)
     for n in range(bound + 1):
         lhs = tgt.cyclic_operator(n) @ chain_map.component(n)
-        rhs = components.get(n + 1)
-        if rhs is None:
-            rhs = SparseIntMatrix.zero(tgt.total.dim(n + 1), src.total.dim(n + 1))
-        if lhs != rhs @ src.cyclic_operator(n):
+        if lhs != chain_map.component(n + 1) @ src.cyclic_operator(n):
             raise NotAChainMap(f"induced map does not intertwine B at degree {n}")
     return src, tgt, chain_map

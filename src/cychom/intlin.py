@@ -214,6 +214,15 @@ class SparseIntMatrix:
         return SparseIntMatrix(self.rows + other.rows, self.cols, entries)
 
 
+def kron(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
+    """Kronecker product; row (i, j) -> i * B.rows + j, same for columns."""
+    entries = {}
+    for (i, k), a in A.entries.items():
+        for (j, l), b in B.entries.items():
+            entries[(i * B.rows + j, k * B.cols + l)] = a * b
+    return SparseIntMatrix(A.rows * B.rows, A.cols * B.cols, entries)
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
     """Finitely generated abelian group in invariant-factor form.

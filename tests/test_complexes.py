@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cychom.complexes import (
@@ -189,3 +191,36 @@ def test_serialization_round_trip():
         loads("{}")
     with pytest.raises(ParseError):
         loads("not json")
+
+
+def _document(degrees, min_degree=0, max_degree=None):
+    """A chain complex document: degrees maps d to (basis, [[row, col, value]])."""
+    return json.dumps({
+        "format": "cychom-chain-complex",
+        "version": 1,
+        "min_degree": min_degree,
+        "max_degree": max(degrees) if max_degree is None else max_degree,
+        "degrees": [
+            {"degree": d, "basis": basis, "differential": [[r, c, str(v)] for r, c, v in diff]}
+            for d, (basis, diff) in degrees.items()
+        ],
+    })
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        # entry (5, 0) outside the 1 x 1 differential
+        _document({0: (["a"], []), 1: (["b"], [[5, 0, 2]])}),
+        # d_1 d_2 = 1
+        _document({0: (["a"], []), 1: (["b"], [[0, 0, 1]]), 2: (["c"], [[0, 0, 1]])}),
+        _document({0: (["a"], [])}, min_degree=3, max_degree=1),
+        # dumps cannot write a float label
+        _document({0: ([1.5], [])}),
+    ],
+    ids=["not-an-object", "entry-outside-shape", "d-squared", "empty-range", "float-label"],
+)
+def test_loads_rejects_malformed_documents(text):
+    with pytest.raises(ParseError):
+        loads(text)

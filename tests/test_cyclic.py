@@ -17,7 +17,7 @@ from cychom.cyclic import (
 )
 from cychom.dga import DGAMorphism, base_ring, koszul_resolution, reduction_map
 from cychom.errors import BoundTooSmall, InvalidParams
-from cychom.hochschild import hh
+from cychom.hochschild import hh, induced_map
 from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel
 
 from oracles import (
@@ -139,17 +139,40 @@ def test_one_build_answers_every_degree():
             assert tower_report(p, n, F, i) == hc_tower_surjectivity(p, n, i), (p, n, i)
 
 
+def _cell_ranges(labels):
+    """(s, t) -> the index range of that cell's labels in a total degree."""
+    ranges = {}
+    for k, (s, t, _) in enumerate(labels):
+        ranges[(s, t)] = range(ranges.get((s, t), range(k, k)).start, k + 1)
+    return ranges
+
+
 def test_induced_cyclic_map_components_are_block_copies():
+    # cell (s, t) of the cyclic bicomplex holds the Hochschild chains of
+    # degree t - s, and F copies the Hochschild map into it
     f = reduction_map(9, 3)
     src, tgt, F = induced_cyclic_map(f, 3)
-    # column 0 of the cyclic complex is the Hochschild complex itself
-    from cychom.hochschild import induced_map
-
-    _, _, Fh = induced_map(f, 3)
-    for n in range(3):
-        labels = src.total.labels(n)
-        col0 = [k for k, (s, t, w) in enumerate(labels) if s == 0]
-        assert len(col0) == Fh.component(n).cols
+    hsrc, _, Fh = induced_map(f, 3)
+    blocks = 0
+    for n in src.total.degrees():
+        M = F.component(n)
+        rows, cols = _cell_ranges(tgt.total.labels(n)), _cell_ranges(src.total.labels(n))
+        inside = set()
+        for (s, t), cr in cols.items():
+            rr = rows.get((s, t), range(0))
+            assert [lbl for _, _, lbl in src.total.labels(n)[cr.start : cr.stop]] == list(
+                hsrc.total.labels(t - s)
+            )
+            block = {
+                (r - rr.start, c - cr.start): v
+                for (r, c), v in M.entries.items()
+                if r in rr and c in cr
+            }
+            assert SparseIntMatrix(len(rr), len(cr), block) == Fh.component(t - s), (s, t)
+            inside |= {(r, c) for r in rr for c in cr}
+            blocks += bool(block)
+        assert set(M.entries) <= inside, n
+    assert blocks == len(src.bicomplex.basis) == 9
 
 
 def test_sbi_sequence_exact():

@@ -2,10 +2,15 @@
 
 A planted-answer property test builds complexes whose homology is known by
 construction, and two counting tests pin down that a table reduces each
-differential once, without transforms, and checks its degrees first.
+differential once, without transforms, and checks its degrees first.  The
+planted complexes also drive property tests of the two total-complex
+constructions, `tensor` (the Kunneth formula) and `mapping_cone` (the cone
+of an identity is acyclic, with an exact long exact sequence), and of the
+`dumps`/`loads` round trip on their nested labels.
 """
 
 from itertools import accumulate
+from math import gcd
 from operator import mul
 
 import pytest
@@ -15,9 +20,15 @@ from hypothesis import strategies as st
 from cychom import complexes
 from cychom.complexes import (
     ChainComplex,
+    ChainMap,
+    cone_les_check,
+    dumps,
     homology,
     homology_groups,
     homology_presentation,
+    loads,
+    mapping_cone,
+    tensor,
 )
 from cychom.cyclic import cyclic_bundle, hc_table, hh_table
 from cychom.dga import DGAlgebra
@@ -25,7 +36,7 @@ from cychom.errors import TruncationTooTight
 from cychom.hochschild import hochschild_complex
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
-from oracles import dense_smith_diagonal
+from oracles import dense_smith_diagonal, quotient_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +119,65 @@ def test_homology_tiers_find_the_planted_groups(case):
     for i in range(top + 1):
         free = C.dim(i) - len(oracle[i]) - len(oracle[i + 1])
         assert AbelianGroup.from_diagonal(oracle[i + 1], free) == planted[i]
+
+
+def _cyclic_orders(G):
+    """G as a list of cyclic orders, 0 standing for Z."""
+    return [0] * G.free_rank + list(G.invariant_factors)
+
+
+def _direct_sum(orders):
+    """The sum of cyclic groups of the given orders, via the dense oracle."""
+    cols = [[d * (i == k) for i in range(len(orders))] for k, d in enumerate(orders) if d]
+    free, facs = quotient_invariants(len(orders), cols)
+    return AbelianGroup(free, tuple(facs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_complexes(), planted_complexes())
+def test_tensor_satisfies_kunneth(c_case, d_case):
+    # H_n(C (x) D) = sum_{a+b=n} H_a (x) H_b + sum_{a+b=n-1} Tor(H_a, H_b), with
+    # Z/x (x) Z/y = Z/gcd(x, y) and Tor(Z/x, Z/y) = Z/gcd(x, y) (0 for Z)
+    (C, HC, _), (D, HD, _) = c_case, d_case
+
+    def orders(H, i):
+        return _cyclic_orders(H[i]) if 0 <= i < len(H) else []
+
+    top = len(HC) + len(HD) - 1
+    for n, got in enumerate(homology_groups(tensor(C, D), range(top + 1))):
+        want = [gcd(x, y) for a in range(n + 1) for x in orders(HC, a) for y in orders(HD, n - a)]
+        want += [
+            gcd(x, y)
+            for a in range(n)
+            for x in orders(HC, a)
+            for y in orders(HD, n - 1 - a)
+            if x and y
+        ]
+        assert got == _direct_sum(want), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_complexes())
+def test_cone_of_identity_is_acyclic_with_exact_sequence(case):
+    C, planted, _ = case
+    top = len(planted) - 1
+    identity = ChainMap.identity(C)
+    cone = mapping_cone(identity)
+    assert all(G.is_trivial() for G in homology_groups(cone, range(cone.max_degree)))
+    report = cone_les_check(identity, range(1, top + 2))
+    assert report.exact and len(report.checked_nodes) == 3 * top
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_complexes(), planted_complexes())
+def test_tensor_and_cone_documents_round_trip(c_case, d_case):
+    # labels (a, b, (x, y)) in the tensor, (s, t, (a, b, (x, y))) in its cone
+    T = tensor(c_case[0], d_case[0])
+    for X in (T, mapping_cone(ChainMap.identity(T))):
+        text = dumps(X)
+        Y = loads(text)
+        assert Y == X
+        assert dumps(Y) == text
 
 
 def test_homology_groups_keeps_the_requested_order():
