@@ -35,6 +35,7 @@ from .filtered import (
     fixed_points_check,
     graded,
     graded_comparison,
+    graded_comparisons,
     load_filtered_ring,
 )
 from .hochschild import HochschildComplex, connes_B, hh, hochschild_complex
@@ -62,6 +63,7 @@ __all__ = [
     "goodwillie_range",
     "graded",
     "graded_comparison",
+    "graded_comparisons",
     "hc",
     "hc_mod",
     "hc_relative",

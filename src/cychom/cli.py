@@ -208,9 +208,8 @@ def _cmd_gr_check(spec: JobSpec, out) -> int:
     rows = []
     failures = 0
     for q in range(max_q + 1):
-        for k in range(-(q + 1) * m - 1, 2):
-            rep = filtered.graded_comparison(M, q, k)
-            ok = bool(rep)
+        for rep in filtered.graded_comparisons(M, q, range(-(q + 1) * m - 1, 2)):
+            k, ok = rep.level, bool(rep)
             failures += 0 if ok else 1
             rows.append(
                 ResultRow(

@@ -617,6 +617,11 @@ def loads(text: str) -> ChainComplex:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != "cychom-chain-complex":
             raise ParseError("not a chain complex document")
+        fields = [doc["min_degree"], doc["max_degree"]] + [b["degree"] for b in doc["degrees"]]
+        fields += [x for b in doc["degrees"] for e in b["differential"] for x in e[:2]]
+        bad = [x for x in fields if type(x) is not int]  # a bool is not an int here
+        if bad:
+            raise ParseError(f"a degree, row or column is not an integer: {bad[0]!r}")
         basis = {}
         diffs = {}
         for blk in doc["degrees"]:

@@ -14,10 +14,11 @@ sum = k with gluing relations contributed by the antidiagonal sum = k-1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidParams,
@@ -104,19 +105,26 @@ def _spot_sum(spots, parts_of):
     """The direct sum of the tensor spots, spot s being the tensor of the
     groups parts_of(s): the generator index (spot, gens) -> column, in spot
     order and row-major within a spot, and the block-diagonal presentation.
+    Spots with the same piece objects share one tensor presentation.
     """
     columns: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     entries = {}
     rel_col = 0
+    memo = {}
     for spot in spots:
         parts = parts_of(spot)
+        key = tuple(map(id, parts))
+        if key not in memo:
+            # the memo holds `parts`, so no id in a key is reused
+            R = _tensor_presentation(parts).relations
+            gens = list(itertools.product(*[range(P.num_generators) for P in parts]))
+            memo[key] = (parts, gens, list(R.entries.items()), R.cols)
+        _, gens, rel_entries, rel_cols = memo[key]
         base = len(columns)
-        for gens in itertools.product(*[range(P.num_generators) for P in parts]):
-            columns[(spot, gens)] = len(columns)
-        R = _tensor_presentation(parts).relations
-        for (r, c), v in R.entries.items():
+        columns.update({(spot, g): base + j for j, g in enumerate(gens)})
+        for (r, c), v in rel_entries:
             entries[(base + r, rel_col + c)] = v
-        rel_col += R.cols
+        rel_col += rel_cols
     n = len(columns)
     return columns, PresentedGroup(n, SparseIntMatrix(n, rel_col, entries))
 
@@ -388,6 +396,11 @@ def _antidiagonal(factors, total: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _transition_columns():
+    """A fresh memo (X, i) -> the columns of X.transition(i), read-only."""
+    return functools.lru_cache(maxsize=None)(lambda X, i: X.transition(i).columns())
+
+
 def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel:
     """The filtered tensor of the factors at level k.
 
@@ -402,16 +415,16 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
     )
     entries = dict(internal.relations.entries)
     num_rels = internal.relations.cols
+    transition_cols = _transition_columns()
     # gluing: bump coordinate 0 vs bump coordinate r
     for spot in _antidiagonal(factors, k - 1):
-        images = {}
-        for r in range(len(factors)):
-            bumped = spot[:r] + (spot[r] + 1,) + spot[r + 1 :]
-            images[r] = (bumped, factors[r].transition(spot[r]).columns())
-        ranges = [range(X.piece(i).num_generators) for X, i in zip(factors, spot)]
-        for gens in itertools.product(*ranges):
+        images = [
+            (spot[:r] + (i + 1,) + spot[r + 1 :], transition_cols(X, i))
+            for r, (X, i) in enumerate(zip(factors, spot))
+        ]
+        for gens in itertools.product(*[range(len(T_cols)) for _, T_cols in images]):
             vecs = []
-            for r, (bumped, T_cols) in images.items():
+            for r, (bumped, T_cols) in enumerate(images):
                 vecs.append({
                     columns[(bumped, gens[:r] + (row,) + gens[r + 1 :])]: v
                     for row, v in T_cols[gens[r]].items()
@@ -449,12 +462,12 @@ def tensor_transition(src: TensorLevel, tgt: TensorLevel) -> SparseIntMatrix:
     """The canonical map from level k-1 into level k (bump coordinate 0)."""
     if tgt.level != src.level + 1 or tgt.factors != src.factors:
         raise InvalidParams("tensor_transition wants consecutive levels")
-    factors = src.factors
+    X = src.factors[0]
+    transition_cols = _transition_columns()
     entries: Dict[Tuple[int, int], int] = {}
     for (spot, gens), col in src.columns.items():
         bumped = (spot[0] + 1,) + spot[1:]
-        T = factors[0].transition(spot[0])
-        for row, v in T.column(gens[0]).items():
+        for row, v in transition_cols(X, spot[0])[gens[0]].items():
             entries[(tgt.column_of(bumped, (row,) + gens[1:]), col)] = v
     return SparseIntMatrix(
         tgt.presentation.num_generators, src.presentation.num_generators, entries
@@ -486,7 +499,6 @@ def graded(M: FilteredRing) -> FilteredRing:
     for k in range(-m, 1):
         off = {}
         total = 0
-        rels = []
         for i in range(-m, k + 1):
             off[i] = total
             total += slices[i].num_generators
@@ -678,51 +690,60 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
     by constancy).  The report checks well-definedness, surjectivity,
     matching invariant factors, and that it intertwines the rotations.
     """
+    return next(graded_comparisons(M, q, [k]))
+
+
+def graded_comparisons(
+    M: FilteredRing, q: int, levels: Iterable[int]
+) -> Iterator[GradedComparisonReport]:
+    """graded_comparison(M, q, k) for each k in levels, in order.  Each
+    cyclic bar level is built once: level k serves as the k-1 level of a
+    comparison at k+1 that follows it."""
     m = M.depth()
-    lhs_level = cyclic_bar(M, q, k)
-    prev = cyclic_bar(M, q, k - 1)
-    incoming = tensor_transition(prev.tensor, lhs_level.tensor)
-    lhs_pres = PresentedGroup(
-        lhs_level.tensor.presentation.num_generators,
-        lhs_level.tensor.presentation.relations.hstack(incoming),
-    )
-    # right side: graded spots over tuples with entries in [-m, 0]; a graded
-    # slice has the generators of its piece, so phi matches equal keys
     slices = {i: graded_piece(M, i) for i in range(-m, 1)}
-    spots = [
-        spot
-        for spot in lhs_level.tensor.tuples
-        if all(-m <= i <= 0 for i in spot)
-    ]
-    rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
-    phi_entries = {
-        (rhs_columns[key], col): 1
-        for key, col in lhs_level.tensor.columns.items()
-        if key in rhs_columns
-    }
-    phi = SparseIntMatrix(
-        rhs_pres.num_generators, lhs_pres.num_generators, phi_entries
-    )
-    well_defined = lhs_pres.admits_hom(phi, rhs_pres)
-    onto = cokernel(phi.hstack(rhs_pres.relations)).is_trivial()
-    lhs_group = lhs_pres.group()
-    rhs_group = rhs_pres.group()
-    invariants_match = lhs_group == rhs_group
-    # a surjection between groups with equal invariants is an isomorphism
-    iso = well_defined and onto and invariants_match
-    # rotation on the right side permutes spots and generator tuples
-    rhs_rot = _rotation_matrix(rhs_columns)
-    diff = (phi @ lhs_level.rotation) + (rhs_rot @ phi).scale(-1)
-    rotation_compatible = lattice_contains(rhs_pres.relations, diff)
-    return GradedComparisonReport(
-        simplicial_degree=q,
-        level=k,
-        lhs=lhs_group,
-        rhs=rhs_group,
-        invariants_match=invariants_match,
-        map_is_iso=iso,
-        rotation_compatible=rotation_compatible,
-    )
+    prev = None
+    for k in levels:
+        if prev is None or prev.level != k - 1:
+            prev = cyclic_bar(M, q, k - 1)
+        lhs_level = cyclic_bar(M, q, k)
+        incoming = tensor_transition(prev.tensor, lhs_level.tensor)
+        prev = lhs_level
+        lhs_pres = PresentedGroup(
+            lhs_level.tensor.presentation.num_generators,
+            lhs_level.tensor.presentation.relations.hstack(incoming),
+        )
+        # right side: graded spots over tuples with entries in [-m, 0]; a
+        # graded slice has the generators of its piece, so phi matches keys
+        spots = [s for s in lhs_level.tensor.tuples if all(-m <= i <= 0 for i in s)]
+        rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
+        phi_entries = {
+            (rhs_columns[key], col): 1
+            for key, col in lhs_level.tensor.columns.items()
+            if key in rhs_columns
+        }
+        phi = SparseIntMatrix(
+            rhs_pres.num_generators, lhs_pres.num_generators, phi_entries
+        )
+        well_defined = lhs_pres.admits_hom(phi, rhs_pres)
+        onto = cokernel(phi.hstack(rhs_pres.relations)).is_trivial()
+        lhs_group = lhs_pres.group()
+        rhs_group = rhs_pres.group()
+        invariants_match = lhs_group == rhs_group
+        # a surjection between groups with equal invariants is an isomorphism
+        iso = well_defined and onto and invariants_match
+        # rotation on the right side permutes spots and generator tuples
+        rhs_rot = _rotation_matrix(rhs_columns)
+        diff = (phi @ lhs_level.rotation) + (rhs_rot @ phi).scale(-1)
+        rotation_compatible = lattice_contains(rhs_pres.relations, diff)
+        yield GradedComparisonReport(
+            simplicial_degree=q,
+            level=k,
+            lhs=lhs_group,
+            rhs=rhs_group,
+            invariants_match=invariants_match,
+            map_is_iso=iso,
+            rotation_compatible=rotation_compatible,
+        )
 
 
 # ---------------------------------------------------------------------------

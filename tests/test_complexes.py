@@ -218,8 +218,15 @@ def _document(degrees, min_degree=0, max_degree=None):
         _document({0: (["a"], [])}, min_degree=3, max_degree=1),
         # dumps cannot write a float label
         _document({0: ([1.5], [])}),
+        # a float row index: the entry [0.5, 0, "2"] of d_1
+        _document({0: (["a"], []), 1: (["b"], [[0.5, 0, 2]])}),
+        # a block whose degree is the JSON boolean true
+        _document({0: (["a"], []), True: (["b"], [])}, max_degree=1),
     ],
-    ids=["not-an-object", "entry-outside-shape", "d-squared", "empty-range", "float-label"],
+    ids=[
+        "not-an-object", "entry-outside-shape", "d-squared", "empty-range", "float-label",
+        "float-row", "bool-degree",
+    ],
 )
 def test_loads_rejects_malformed_documents(text):
     with pytest.raises(ParseError):

@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
+import io
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cychom.errors import InvalidParams, ParseError, UnsupportedFiltration
-from cychom import filtered
+from cychom import cli, filtered
 from cychom.filtered import (
     FilteredAbelianGroup,
     FilteredRing,
@@ -16,6 +23,7 @@ from cychom.filtered import (
     fixed_points_check,
     graded,
     graded_comparison,
+    graded_comparisons,
     graded_piece,
     load_filtered_ring,
     multi_tensor,
@@ -370,3 +378,183 @@ BAD_RING_TEXTS = [
     # a unit row in a piece without generators
     "[piece]\nindex 0\ngenerators 0\nrelations 0\n[unit]\n1\n",
 ]
+
+
+# ---------------------------------------------------------------------------
+# sweeps: graded_comparisons builds each cyclic bar level once
+# ---------------------------------------------------------------------------
+
+
+def sweep_levels(M, q):
+    return list(range(-(q + 1) * M.depth() - 1, 2))
+
+
+def count_cyclic_bars(monkeypatch):
+    built = []
+    original = filtered.cyclic_bar
+
+    def counting(M, q, k):
+        built.append(k)
+        return original(M, q, k)
+
+    monkeypatch.setattr(filtered, "cyclic_bar", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "ring, max_q",
+    [
+        ((2, 2), 2),
+        ((3, 2), 2),
+        ((2, 3), 2),
+        ("graded", 2),
+        ((3, 3), 3),
+        ((5, 2), 3),
+    ],
+    ids=["2^2", "3^2", "2^3", "graded-3^2", "3^3", "5^2"],
+)
+def test_sweep_matches_per_level_comparisons(ring, max_q, monkeypatch):
+    M = graded(adic_filtration(3, 2)) if ring == "graded" else adic_filtration(*ring)
+    built = count_cyclic_bars(monkeypatch)
+    for q in range(max_q + 1):
+        ks = sweep_levels(M, q)
+        built.clear()
+        swept = list(graded_comparisons(M, q, ks))
+        # consecutive levels: one build per level plus the first k-1
+        assert built == [ks[0] - 1] + ks
+        built.clear()
+        single = [graded_comparison(M, q, k) for k in ks]
+        assert built == [x for k in ks for x in (k - 1, k)]
+        assert [dataclasses.asdict(r) for r in swept] == [
+            dataclasses.asdict(r) for r in single
+        ]
+
+
+def test_sweep_rebuilds_the_previous_level_after_a_gap(monkeypatch):
+    M = adic_filtration(3, 2)
+    ks = [-4, -3, -1, 0, 0, 2]
+    built = count_cyclic_bars(monkeypatch)
+    swept = list(graded_comparisons(M, 2, ks))
+    # a gap, or a repeated level, rebuilds k-1 instead of reusing the last level
+    assert built == [-5, -4, -3, -2, -1, 0, -1, 0, 1, 2]
+    assert [r.level for r in swept] == ks
+    assert swept == [graded_comparison(M, 2, k) for k in ks]
+    assert list(graded_comparisons(M, 2, [])) == []
+
+
+# ---------------------------------------------------------------------------
+# spot sums: one presentation per distinct piece tuple, copied per spot
+# ---------------------------------------------------------------------------
+
+
+def check_spot_sum_blocks(factors, k):
+    """Check the level-k spot sum block by block against the Kronecker
+    reference; return how many spots repeat an earlier spot's pieces."""
+    level = multi_tensor(factors, k)
+    parts_of = lambda spot: [X.piece(i) for X, i in zip(factors, spot)]
+    columns, pres = filtered._spot_sum(level.tuples, parts_of)
+    assert columns == level.columns
+    R = pres.relations
+    covered = 0
+    row = col = 0
+    for spot in level.tuples:
+        gens, cols, entries = kron_tensor_presentation(parts_of(spot))
+        block = {
+            (r - row, c - col): v
+            for (r, c), v in R.entries.items()
+            if row <= r < row + gens and col <= c < col + cols
+        }
+        assert block == entries, spot
+        spot_cols = sorted(c for (s, _), c in columns.items() if s == spot)
+        assert spot_cols == list(range(row, row + gens))
+        covered += len(block)
+        row, col = row + gens, col + cols
+    assert (row, col) == (R.rows, R.cols)
+    assert covered == len(R.entries)  # nothing outside the diagonal blocks
+    # the internal relations lead the level's relation matrix
+    internal = {
+        key: v for key, v in level.presentation.relations.entries.items() if key[1] < R.cols
+    }
+    assert internal == R.entries
+    pieces = [tuple(map(id, parts_of(spot))) for spot in level.tuples]
+    return len(pieces) - len(set(pieces))
+
+
+def test_spot_sum_blocks_match_kronecker_reference():
+    G = graded(adic_filtration(3, 2)).group  # pieces of 0, 1 and 2 generators
+    Y = split_free_example()
+    Z = adic_filtration(3, 3).group  # one generator per piece, other relations
+    cases = (([G] * 3, range(-6, 2)), ([Y] * 3, range(-6, 1)), ([Z] * 3, range(-9, 2)))
+    for factors, levels in cases:
+        # the memo is exercised: some levels repeat a piece tuple
+        assert sum(check_spot_sum_blocks(factors, k) for k in levels) > 0
+
+
+def test_later_levels_leave_earlier_presentations_unchanged():
+    G = graded(adic_filtration(3, 2)).group
+    first = multi_tensor([G] * 3, -2)
+    entries = dict(first.presentation.relations.entries)
+    for k in (-3, -2, -1):
+        multi_tensor([G] * 3, k)
+    # a second spot sum over the same spots, then a whole sweep
+    filtered._spot_sum(first.tuples, lambda spot: [G.piece(i) for i in spot])
+    list(graded_comparisons(graded(adic_filtration(3, 2)), 2, range(-4, 1)))
+    assert first.presentation.relations.entries == entries
+
+
+# ---------------------------------------------------------------------------
+# malformed filtered-ring text through the CLI
+# ---------------------------------------------------------------------------
+
+RING_LINES = [line for line in RING_TEXT.splitlines() if line]
+HEADERS = ["[piece]", "[transition]", "[product]", "[unit]"]
+
+
+@st.composite
+def mutated_ring_texts(draw):
+    """RING_TEXT after one to four edits: drop a line, replace an integer
+    token (by another integer or by a non-integer), or rename a header."""
+    lines = list(RING_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        ints = [
+            (at, i)
+            for at, line in enumerate(lines)
+            for i, token in enumerate(line.split())
+            if token.lstrip("-").isdigit()
+        ]
+        headers = [at for at, line in enumerate(lines) if line.startswith("[")]
+        kinds = ["drop"] * bool(lines) + ["integer"] * bool(ints) + ["header"] * bool(headers)
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind == "drop":
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "integer":
+            at, i = draw(st.sampled_from(ints))
+            tokens = lines[at].split()
+            tokens[i] = draw(st.sampled_from(
+                ["0", "1", "-1", "2", "-3", "27", "100", "x", "1.5", ""]
+            ))
+            lines[at] = " ".join(tokens)
+        else:
+            at = draw(st.sampled_from(headers))
+            lines[at] = draw(st.sampled_from(HEADERS + ["[pieces]", "[Piece]", "piece"]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_ring_texts())
+def test_gr_check_on_mutated_ring_text_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["gr-check", "--ring", path, "--max-q", "1"])
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_PARSE), (code, err.getvalue())
+    if code == cli.EXIT_PARSE:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
