@@ -28,6 +28,7 @@ from .errors import (
 from .intlin import (
     AbelianGroup,
     SparseIntMatrix,
+    _stack,
     cokernel,
     is_prime,
     kron,
@@ -78,6 +79,7 @@ class PresentedGroup:
     def homs_equal(
         self, A: SparseIntMatrix, B: SparseIntMatrix, target: "PresentedGroup"
     ) -> bool:
+        """Do the generator matrices A and B agree as maps into target?"""
         return lattice_contains(target.relations, A + B.scale(-1))
 
 
@@ -127,6 +129,18 @@ def _spot_sum(spots, parts_of):
         rel_col += rel_cols
     n = len(columns)
     return columns, PresentedGroup(n, SparseIntMatrix(n, rel_col, entries))
+
+
+def _generator_map(src_columns, tgt_columns, images) -> SparseIntMatrix:
+    """The matrix between two generator indexes (see _spot_sum) sending the
+    generator `key` of the source to the sum of v * tgt over images(key),
+    an iterable of (tgt key, v) pairs."""
+    entries: Dict[Tuple[int, int], int] = {}
+    for key, col in src_columns.items():
+        for tgt, v in images(key):
+            at = (tgt_columns[tgt], col)
+            entries[at] = entries.get(at, 0) + v
+    return SparseIntMatrix(len(tgt_columns), len(src_columns), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +286,16 @@ class FilteredRing:
             for j in rng:
                 ni = g.piece(i).num_generators
                 nj = g.piece(j).num_generators
+                tgt = g.piece(i + j + 1)
                 # transitions are multiplicative
                 lhs = g.transition(i + j) @ self.product(i, j)
                 rhs = self.product(i + 1, j) @ kron(
                     g.transition(i), SparseIntMatrix.identity(nj)
                 )
-                if not lattice_contains(g.piece(i + j + 1).relations, lhs + rhs.scale(-1)):
-                    raise InvalidParams(f"product at {(i, j)} incompatible with transition")
                 rhs2 = self.product(i, j + 1) @ kron(
                     SparseIntMatrix.identity(ni), g.transition(j)
                 )
-                if not lattice_contains(g.piece(i + j + 1).relations, lhs + rhs2.scale(-1)):
+                if not (tgt.homs_equal(lhs, rhs, tgt) and tgt.homs_equal(lhs, rhs2, tgt)):
                     raise InvalidParams(f"product at {(i, j)} incompatible with transition")
         for i in rng:
             for j in rng:
@@ -295,9 +308,7 @@ class FilteredRing:
                     rhs = self.product(i, j + k) @ kron(
                         SparseIntMatrix.identity(ni), self.product(j, k)
                     )
-                    if not lattice_contains(
-                        g.piece(i + j + k).relations, lhs + rhs.scale(-1)
-                    ):
+                    if not g.piece(i + j + k).homs_equal(lhs, rhs, g.piece(i + j + k)):
                         raise InvalidParams(f"associativity fails at {(i, j, k)}")
 
 
@@ -355,7 +366,8 @@ class TensorLevel:
 
     Generators are indexed by (tuple, generator multi-index) pairs over the
     antidiagonal i_0 + ... + i_q = k; `columns` maps such a pair to its
-    generator index.
+    generator index.  `incoming` is the canonical map from level k-1 (bump
+    coordinate 0): its columns follow the generator order of level k-1.
     """
 
     factors: Tuple[FilteredAbelianGroup, ...]
@@ -363,6 +375,7 @@ class TensorLevel:
     tuples: Tuple[Tuple[int, ...], ...]
     columns: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]
     presentation: PresentedGroup
+    incoming: SparseIntMatrix
 
     def group(self) -> AbelianGroup:
         return self.presentation.group()
@@ -396,11 +409,6 @@ def _antidiagonal(factors, total: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _transition_columns():
-    """A fresh memo (X, i) -> the columns of X.transition(i), read-only."""
-    return functools.lru_cache(maxsize=None)(lambda X, i: X.transition(i).columns())
-
-
 def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel:
     """The filtered tensor of the factors at level k.
 
@@ -415,7 +423,8 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
     )
     entries = dict(internal.relations.entries)
     num_rels = internal.relations.cols
-    transition_cols = _transition_columns()
+    incoming = []  # bump-0 images of the level k-1 generators, in their order
+    transition_cols = functools.lru_cache(None)(lambda X, i: X.transition(i).columns())
     # gluing: bump coordinate 0 vs bump coordinate r
     for spot in _antidiagonal(factors, k - 1):
         images = [
@@ -430,6 +439,7 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
                     for row, v in T_cols[gens[r]].items()
                 })
             base = vecs[0]
+            incoming.append(base)
             for r in range(1, len(factors)):
                 col = dict(base)
                 for key, v in vecs[r].items():
@@ -448,6 +458,7 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
         presentation=PresentedGroup(
             num_gens, SparseIntMatrix(num_gens, num_rels, entries)
         ),
+        incoming=_stack(incoming, num_gens, as_columns=True),
     )
 
 
@@ -462,16 +473,7 @@ def tensor_transition(src: TensorLevel, tgt: TensorLevel) -> SparseIntMatrix:
     """The canonical map from level k-1 into level k (bump coordinate 0)."""
     if tgt.level != src.level + 1 or tgt.factors != src.factors:
         raise InvalidParams("tensor_transition wants consecutive levels")
-    X = src.factors[0]
-    transition_cols = _transition_columns()
-    entries: Dict[Tuple[int, int], int] = {}
-    for (spot, gens), col in src.columns.items():
-        bumped = (spot[0] + 1,) + spot[1:]
-        for row, v in transition_cols(X, spot[0])[gens[0]].items():
-            entries[(tgt.column_of(bumped, (row,) + gens[1:]), col)] = v
-    return SparseIntMatrix(
-        tgt.presentation.num_generators, src.presentation.num_generators, entries
-    )
+    return tgt.incoming
 
 
 # ---------------------------------------------------------------------------
@@ -491,65 +493,40 @@ def graded_piece(M: FilteredRing, i: int) -> PresentedGroup:
 
 def graded(M: FilteredRing) -> FilteredRing:
     """The associated graded ring, with piece(k) the sum of the graded
-    slices at indices <= k and products induced slotwise."""
+    slices at indices <= k (the spot sum over one-slot spots (i,), i <= k)
+    and products induced slotwise."""
     m = M.depth()
     slices = {i: graded_piece(M, i) for i in range(-m, 1)}
-    offsets: Dict[int, Dict[int, int]] = {}
-    pieces = {}
+    columns, pieces = {}, {}
     for k in range(-m, 1):
-        off = {}
-        total = 0
-        for i in range(-m, k + 1):
-            off[i] = total
-            total += slices[i].num_generators
-        entries = {}
-        col = 0
-        for i in range(-m, k + 1):
-            R = slices[i].relations
-            for (r, c), v in R.entries.items():
-                entries[(off[i] + r, col + c)] = v
-            col += R.cols
-        offsets[k] = off
-        pieces[k] = PresentedGroup(total, SparseIntMatrix(total, col, entries))
-    transitions = {}
-    for k in range(-m, 0):
-        entries = {
-            (offsets[k + 1][i] + r, offsets[k][i] + r): 1
-            for i in range(-m, k + 1)
-            for r in range(slices[i].num_generators)
-        }
-        transitions[k] = SparseIntMatrix(
-            pieces[k + 1].num_generators, pieces[k].num_generators, entries
+        columns[k], pieces[k] = _spot_sum(
+            [(i,) for i in range(-m, k + 1)], lambda spot: [slices[spot[0]]]
         )
+    transitions = {
+        k: _generator_map(columns[k], columns[k + 1], lambda key: [(key, 1)])
+        for k in range(-m, 0)
+    }
     group = FilteredAbelianGroup(pieces, transitions)
+
+    def product_images(pair):
+        ((i,), (gi,)), ((j,), (gj,)) = pair
+        if i + j < -m:
+            return ()  # graded slice below depth is zero
+        col = gi * M.piece(j).num_generators + gj
+        return [(((i + j,), (r,)), v) for r, v in M.product(i, j).column(col).items()]
+
     products = {}
     for a in range(-m, 1):
         for b in range(-m, 1):
-            na, nb = pieces[a].num_generators, pieces[b].num_generators
-            tgt = group.piece(a + b)
-            if a + b < -m:
-                products[(a, b)] = SparseIntMatrix.zero(0, na * nb)
-                continue
-            entries = {}
-            for i in range(-m, a + 1):
-                for j in range(-m, b + 1):
-                    if i + j < -m:
-                        continue  # graded slice below depth is zero
-                    mu = M.product(i, j)
-                    ni = M.piece(i).num_generators
-                    nj = M.piece(j).num_generators
-                    tgt_off = offsets[min(a + b, 0)].get(i + j)
-                    if tgt_off is None:
-                        continue
-                    for (r, c), v in mu.entries.items():
-                        gi, gj = divmod(c, nj)
-                        col = (offsets[a][i] + gi) * nb + (offsets[b][j] + gj)
-                        key = (tgt_off + r, col)
-                        entries[key] = entries.get(key, 0) + v
-            products[(a, b)] = SparseIntMatrix(tgt.num_generators, na * nb, entries)
-    unit_entries = {
-        (offsets[0][0] + r, 0): v for (r, _), v in M.unit.entries.items()
-    }
+            nb = pieces[b].num_generators
+            pairs = {
+                (x, y): cx * nb + cy
+                for x, cx in columns[a].items()
+                for y, cy in columns[b].items()
+            }
+            # below the depth the target piece is trivial
+            products[(a, b)] = _generator_map(pairs, columns.get(a + b, {}), product_images)
+    unit_entries = {(columns[0][((0,), (r,))], 0): v for (r, _), v in M.unit.entries.items()}
     unit = SparseIntMatrix(pieces[0].num_generators, 1, unit_entries)
     return FilteredRing(group, products, unit)
 
@@ -584,9 +561,7 @@ def _rotated(spot: Tuple[int, ...], gens: Tuple[int, ...]):
 
 def _rotation_matrix(columns) -> SparseIntMatrix:
     """The cyclic rotation on a spot-sum generator index (see _spot_sum)."""
-    n = len(columns)
-    entries = {(columns[_rotated(*key)], col): 1 for key, col in columns.items()}
-    return SparseIntMatrix(n, n, entries)
+    return _generator_map(columns, columns, lambda key: [(_rotated(*key), 1)])
 
 
 def cyclic_bar(M: FilteredRing, q: int, k: int) -> CyclicBarLevel:
@@ -611,30 +586,21 @@ def face_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIntMatri
     if not 0 <= i <= q:
         raise InvalidParams(f"face index {i} outside 0..{q}")
     M = src.ring
-    entries: Dict[Tuple[int, int], int] = {}
-    for (spot, gens), col in src.tensor.columns.items():
-        if i < q:
-            a, b = spot[i], spot[i + 1]
-            new_spot = spot[:i] + (a + b,) + spot[i + 2 :]
-            mu = M.product(a, b)
-            nb = M.piece(b).num_generators
-            pair = gens[i] * nb + gens[i + 1]
-            rest = lambda r: gens[:i] + (r,) + gens[i + 2 :]
-        else:
-            a, b = spot[q], spot[0]
-            new_spot = (a + b,) + spot[1:q]
-            mu = M.product(a, b)
-            nb = M.piece(b).num_generators
-            pair = gens[q] * nb + gens[0]
-            rest = lambda r: (r,) + gens[1:q]
-        for r, v in mu.column(pair).items():
-            key = (tgt.tensor.column_of(new_spot, rest(r)), col)
-            entries[key] = entries.get(key, 0) + v
-    return SparseIntMatrix(
-        tgt.tensor.presentation.num_generators,
-        src.tensor.presentation.num_generators,
-        entries,
-    )
+
+    def images(key):
+        j = i
+        if i == q:  # d_q is d_0 after the rotation
+            key, j = _rotated(*key), 0
+        spot, gens = key
+        a, b = spot[j], spot[j + 1]
+        new_spot = spot[:j] + (a + b,) + spot[j + 2 :]
+        pair = gens[j] * M.piece(b).num_generators + gens[j + 1]
+        return [
+            ((new_spot, gens[:j] + (r,) + gens[j + 2 :]), v)
+            for r, v in M.product(a, b).column(pair).items()
+        ]
+
+    return _generator_map(src.tensor.columns, tgt.tensor.columns, images)
 
 
 def degeneracy_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIntMatrix:
@@ -644,19 +610,14 @@ def degeneracy_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIn
         raise InvalidParams("degeneracy target must raise the simplicial degree")
     if not 0 <= i <= q:
         raise InvalidParams(f"degeneracy index {i} outside 0..{q}")
-    M = src.ring
-    entries: Dict[Tuple[int, int], int] = {}
-    for (spot, gens), col in src.tensor.columns.items():
+    unit = [(r, v) for (r, _), v in src.ring.unit.entries.items()]
+
+    def images(key):
+        spot, gens = key
         new_spot = spot[: i + 1] + (0,) + spot[i + 1 :]
-        for (r, _), v in M.unit.entries.items():
-            new_gens = gens[: i + 1] + (r,) + gens[i + 1 :]
-            key = (tgt.tensor.column_of(new_spot, new_gens), col)
-            entries[key] = entries.get(key, 0) + v
-    return SparseIntMatrix(
-        tgt.tensor.presentation.num_generators,
-        src.tensor.presentation.num_generators,
-        entries,
-    )
+        return [((new_spot, gens[: i + 1] + (r,) + gens[i + 1 :]), v) for r, v in unit]
+
+    return _generator_map(src.tensor.columns, tgt.tensor.columns, images)
 
 
 # ---------------------------------------------------------------------------
@@ -684,66 +645,56 @@ class GradedComparisonReport:
 def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport:
     """Compare Z_q(M)(k)/Z_q(M)(k-1) with the sum of graded tensor spots.
 
-    The comparison map sends a generator whose filtration tuple has all
-    coordinates <= 0 to the corresponding graded generator, and kills
-    generators with a positive coordinate (those factor through level k-1
-    by constancy).  The report checks well-definedness, surjectivity,
-    matching invariant factors, and that it intertwines the rotations.
+    The left side is level k modulo the image of level k-1 (the level's
+    `incoming` map), so only level k is built.  The comparison map sends a
+    generator whose filtration tuple has all coordinates <= 0 to the
+    corresponding graded generator, and kills generators with a positive
+    coordinate (those factor through level k-1 by constancy).  The report
+    checks well-definedness, surjectivity, matching invariant factors, and
+    that it intertwines the rotations.
     """
-    return next(graded_comparisons(M, q, [k]))
+    m = M.depth()
+    slices = {i: graded_piece(M, i) for i in range(-m, 1)}
+    lhs_level = cyclic_bar(M, q, k)
+    T = lhs_level.tensor
+    lhs_pres = PresentedGroup(
+        T.presentation.num_generators, T.presentation.relations.hstack(T.incoming)
+    )
+    # right side: graded spots over tuples with entries in [-m, 0]; a
+    # graded slice has the generators of its piece, so phi matches keys
+    spots = [s for s in T.tuples if all(-m <= i <= 0 for i in s)]
+    rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
+    phi = _generator_map(
+        T.columns, rhs_columns, lambda key: [(key, 1)] if key in rhs_columns else ()
+    )
+    well_defined = lhs_pres.admits_hom(phi, rhs_pres)
+    onto = cokernel(phi.hstack(rhs_pres.relations)).is_trivial()
+    lhs_group = lhs_pres.group()
+    rhs_group = rhs_pres.group()
+    invariants_match = lhs_group == rhs_group
+    # a surjection between groups with equal invariants is an isomorphism
+    iso = well_defined and onto and invariants_match
+    # rotation on the right side permutes spots and generator tuples
+    rotation_compatible = lhs_pres.homs_equal(
+        phi @ lhs_level.rotation, _rotation_matrix(rhs_columns) @ phi, rhs_pres
+    )
+    return GradedComparisonReport(
+        simplicial_degree=q,
+        level=k,
+        lhs=lhs_group,
+        rhs=rhs_group,
+        invariants_match=invariants_match,
+        map_is_iso=iso,
+        rotation_compatible=rotation_compatible,
+    )
 
 
 def graded_comparisons(
     M: FilteredRing, q: int, levels: Iterable[int]
 ) -> Iterator[GradedComparisonReport]:
-    """graded_comparison(M, q, k) for each k in levels, in order.  Each
-    cyclic bar level is built once: level k serves as the k-1 level of a
-    comparison at k+1 that follows it."""
-    m = M.depth()
-    slices = {i: graded_piece(M, i) for i in range(-m, 1)}
-    prev = None
-    for k in levels:
-        if prev is None or prev.level != k - 1:
-            prev = cyclic_bar(M, q, k - 1)
-        lhs_level = cyclic_bar(M, q, k)
-        incoming = tensor_transition(prev.tensor, lhs_level.tensor)
-        prev = lhs_level
-        lhs_pres = PresentedGroup(
-            lhs_level.tensor.presentation.num_generators,
-            lhs_level.tensor.presentation.relations.hstack(incoming),
-        )
-        # right side: graded spots over tuples with entries in [-m, 0]; a
-        # graded slice has the generators of its piece, so phi matches keys
-        spots = [s for s in lhs_level.tensor.tuples if all(-m <= i <= 0 for i in s)]
-        rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
-        phi_entries = {
-            (rhs_columns[key], col): 1
-            for key, col in lhs_level.tensor.columns.items()
-            if key in rhs_columns
-        }
-        phi = SparseIntMatrix(
-            rhs_pres.num_generators, lhs_pres.num_generators, phi_entries
-        )
-        well_defined = lhs_pres.admits_hom(phi, rhs_pres)
-        onto = cokernel(phi.hstack(rhs_pres.relations)).is_trivial()
-        lhs_group = lhs_pres.group()
-        rhs_group = rhs_pres.group()
-        invariants_match = lhs_group == rhs_group
-        # a surjection between groups with equal invariants is an isomorphism
-        iso = well_defined and onto and invariants_match
-        # rotation on the right side permutes spots and generator tuples
-        rhs_rot = _rotation_matrix(rhs_columns)
-        diff = (phi @ lhs_level.rotation) + (rhs_rot @ phi).scale(-1)
-        rotation_compatible = lattice_contains(rhs_pres.relations, diff)
-        yield GradedComparisonReport(
-            simplicial_degree=q,
-            level=k,
-            lhs=lhs_group,
-            rhs=rhs_group,
-            invariants_match=invariants_match,
-            map_is_iso=iso,
-            rotation_compatible=rotation_compatible,
-        )
+    """graded_comparison(M, q, k) for each k in levels, in order: one
+    cyclic bar build per level."""
+    return (graded_comparison(M, q, k) for k in levels)
 
 
 # ---------------------------------------------------------------------------

@@ -55,21 +55,18 @@ class HochschildComplex:
     degree `bound` and the cyclic operator through source degree `bound`.
     """
 
-    __slots__ = ("algebra", "bound", "bicomplex", "total", "_words", "_index", "_B")
+    __slots__ = ("algebra", "bound", "bicomplex", "total", "_words", "_B")
 
     def __init__(self, algebra: DGAlgebra, bound: int):
         if bound < 0:
             raise BoundTooSmall(f"bound {bound} < 0")
         window = bound + 1
         words: Dict[Tuple[int, int], List[Word]] = {}
-        index: Dict[Word, Tuple[Tuple[int, int], int]] = {}
         for s in range(window + 1):
             for t in range(window - s + 1):
                 cell = list(_cell_words(algebra, s, t))
                 if cell:
                     words[(s, t)] = cell
-                    for k, w in enumerate(cell):
-                        index[w] = ((s, t), k)
         vertical: Dict[Tuple[int, int], SparseIntMatrix] = {}
         horizontal: Dict[Tuple[int, int], SparseIntMatrix] = {}
         for (s, t), cell in words.items():
@@ -87,7 +84,6 @@ class HochschildComplex:
         object.__setattr__(self, "total", tot)
         object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_B", {})
-        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("HochschildComplex is immutable")

@@ -128,25 +128,15 @@ def published_k(p: int, n: int, i: int) -> AbelianGroup:
 def k_group(p: int, n: int, i: int, cross_check: bool = False) -> AbelianGroup:
     """K_i(Z/p^n) for 1 <= i <= p-3, the closed form of published_k.
 
-    With cross_check the p-part's order is re-derived by induction on the
-    level, multiplying the relative contributions computed from scratch.
+    With cross_check the closed form must equal k_table's group, which is
+    assembled from the relative groups computed from scratch.
     """
     _check_range(p, n, i)
     group = published_k(p, n, i)
-    if cross_check and i % 2:
-        p_order = group.p_part(p).order()
-        derived = 1
-        for level in range(2, n + 1):
-            rel, flag = relative_k(p, level, i)
-            if flag != ISO:
-                raise CychomError(
-                    f"degree {i} left the isomorphism range at level {level}"
-                )
-            derived *= rel.order()
-        if derived != p_order:
-            raise CychomError(
-                f"inductive p-part order {derived} != closed form {p_order}"
-            )
+    if cross_check:
+        derived = k_table(p, n)[i].group
+        if derived != group:
+            raise CychomError(f"k_table gives {derived}, closed form {group}")
     return group
 
 
@@ -160,11 +150,14 @@ class KTableEntry:
 def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
     """The full K-group table of Z/p^n over 1 <= i <= p-3.
 
-    Each odd entry carries its provenance chain: the relative cyclic
-    homology group consumed at each level of the induction, the base-level
-    input for the prime-to-p part, and the AXIOM-TC cyclicity assumption.
-    Each level builds one induced cyclic map, at the bound relative_k uses
-    for the top odd degree p-4, and reads every degree from it.
+    In odd degree i = 2j-1 the group is cyclic (AXIOM-TC) of order p^j - 1
+    times the orders of the p-parts of the relative groups in degree i-1 at
+    levels 2..n.  Each odd entry carries its provenance chain: the relative
+    cyclic homology group consumed at each level of the induction, the
+    base-level input for the prime-to-p part, and the AXIOM-TC cyclicity
+    assumption.  Each level builds one induced cyclic map, at the bound
+    relative_k uses for the top odd degree p-4, and reads every degree from
+    it.
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
@@ -183,15 +176,19 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
         if i % 2 == 0:
             table[i] = KTableEntry(i, AbelianGroup.trivial(), ("even degree: 0",))
             continue
+        if flag(i) != ISO:
+            raise CychomError(f"degree {i} is outside the isomorphism range")
         j = (i + 1) // 2
+        order = p ** j - 1
         chain = [
-            f"prime-to-p part: Z/{p ** j - 1} from the level-1 groups",
+            f"prime-to-p part: Z/{order} from the level-1 groups",
         ]
         for level in range(2, n + 1):
             rel = relative[level][i - 1].p_part(p)
+            order *= rel.order()
             chain.append(
                 f"level {level}: relative contribution {rel} [{flag(i)}]"
             )
         chain.append("AXIOM-TC: p-part taken cyclic (imported, not computed)")
-        table[i] = KTableEntry(i, k_group(p, n, i), tuple(chain))
+        table[i] = KTableEntry(i, AbelianGroup.cyclic(order), tuple(chain))
     return table

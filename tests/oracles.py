@@ -209,3 +209,129 @@ def kron_tensor_presentation(parts):
             entries[(i, cols + j)] = v
         cols += M[1]
     return gens, cols, entries
+
+
+# ---------------------------------------------------------------------------
+# Generator-by-generator constructions of the filtered layer's maps, in the
+# form they had before one generator-map function made them all.  Each returns
+# (rows, cols, entries) with zero entries dropped; the arguments are the
+# package's own tensor levels, cyclic bar levels and filtered rings, of
+# which only the generator indexes, pieces, transitions and products are
+# read.
+# ---------------------------------------------------------------------------
+
+
+def _matrix(rows, cols, entries):
+    return rows, cols, {key: v for key, v in entries.items() if v}
+
+
+def tensor_transition_reference(src, tgt):
+    """Level k-1 into level k of a filtered tensor, bumping coordinate 0."""
+    X = src.factors[0]
+    entries = {}
+    for (spot, gens), col in src.columns.items():
+        bumped = (spot[0] + 1,) + spot[1:]
+        for row, v in X.transition(spot[0]).column(gens[0]).items():
+            entries[(tgt.column_of(bumped, (row,) + gens[1:]), col)] = v
+    return _matrix(len(tgt.columns), len(src.columns), entries)
+
+
+def face_map_reference(src, tgt, i):
+    """d_i: multiply slots i, i+1, with a separate branch for slot q into
+    slot 0 at i = q."""
+    q = src.simplicial_degree
+    M = src.ring
+    entries = {}
+    for (spot, gens), col in src.tensor.columns.items():
+        if i < q:
+            a, b = spot[i], spot[i + 1]
+            new_spot = spot[:i] + (a + b,) + spot[i + 2 :]
+            pair = gens[i] * M.piece(b).num_generators + gens[i + 1]
+            rest = lambda r: gens[:i] + (r,) + gens[i + 2 :]
+        else:
+            a, b = spot[q], spot[0]
+            new_spot = (a + b,) + spot[1:q]
+            pair = gens[q] * M.piece(b).num_generators + gens[0]
+            rest = lambda r: (r,) + gens[1:q]
+        for r, v in M.product(a, b).column(pair).items():
+            key = (tgt.tensor.column_of(new_spot, rest(r)), col)
+            entries[key] = entries.get(key, 0) + v
+    return _matrix(len(tgt.tensor.columns), len(src.tensor.columns), entries)
+
+
+def degeneracy_map_reference(src, tgt, i):
+    """s_i: insert the unit after slot i, at filtration index 0."""
+    entries = {}
+    for (spot, gens), col in src.tensor.columns.items():
+        new_spot = spot[: i + 1] + (0,) + spot[i + 1 :]
+        for (r, _), v in src.ring.unit.entries.items():
+            new_gens = gens[: i + 1] + (r,) + gens[i + 1 :]
+            key = (tgt.tensor.column_of(new_spot, new_gens), col)
+            entries[key] = entries.get(key, 0) + v
+    return _matrix(len(tgt.tensor.columns), len(src.tensor.columns), entries)
+
+
+def graded_reference(M):
+    """The associated graded ring of M from hand-kept offset tables:
+    {"pieces": {k: relation matrix}, "transitions": {k: ...},
+    "products": {(a, b): ...}, "unit": ...}, every matrix as
+    (rows, cols, entries).  Graded slice i is piece(i) modulo the image of
+    piece(i-1), on the generators of piece(i)."""
+    m = M.depth()
+    slices = {}
+    for i in range(-m, 1):
+        P = M.piece(i)
+        T = M.group.transition(i - 1)
+        rel = dict(P.relations.entries)
+        rel.update({(r, P.relations.cols + c): v for (r, c), v in T.entries.items()})
+        slices[i] = (P.num_generators, P.relations.cols + T.cols, rel)
+    offsets, pieces = {}, {}
+    for k in range(-m, 1):
+        off, total, col, entries = {}, 0, 0, {}
+        for i in range(-m, k + 1):
+            off[i] = total
+            gens, cols, rel = slices[i]
+            for (r, c), v in rel.items():
+                entries[(total + r, col + c)] = v
+            total += gens
+            col += cols
+        offsets[k] = off
+        pieces[k] = _matrix(total, col, entries)
+    transitions = {
+        k: _matrix(
+            pieces[k + 1][0],
+            pieces[k][0],
+            {
+                (offsets[k + 1][i] + r, offsets[k][i] + r): 1
+                for i in range(-m, k + 1)
+                for r in range(slices[i][0])
+            },
+        )
+        for k in range(-m, 0)
+    }
+    products = {}
+    for a in range(-m, 1):
+        for b in range(-m, 1):
+            na, nb = pieces[a][0], pieces[b][0]
+            if a + b < -m:
+                products[(a, b)] = _matrix(0, na * nb, {})
+                continue
+            entries = {}
+            for i in range(-m, a + 1):
+                for j in range(-m, b + 1):
+                    if i + j < -m:
+                        continue  # graded slice below depth is zero
+                    nj = M.piece(j).num_generators
+                    for (r, c), v in M.product(i, j).entries.items():
+                        gi, gj = divmod(c, nj)
+                        col = (offsets[a][i] + gi) * nb + (offsets[b][j] + gj)
+                        key = (offsets[a + b][i + j] + r, col)
+                        entries[key] = entries.get(key, 0) + v
+            products[(a, b)] = _matrix(pieces[a + b][0], na * nb, entries)
+    unit = {(offsets[0][0] + r, 0): v for (r, _), v in M.unit.entries.items()}
+    return {
+        "pieces": pieces,
+        "transitions": transitions,
+        "products": products,
+        "unit": _matrix(pieces[0][0], 1, unit),
+    }

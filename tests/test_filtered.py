@@ -31,7 +31,14 @@ from cychom.filtered import (
 )
 from cychom.intlin import AbelianGroup, SparseIntMatrix, lattice_contains
 
-from oracles import kron_tensor_presentation, quotient_invariants
+from oracles import (
+    degeneracy_map_reference,
+    face_map_reference,
+    graded_reference,
+    kron_tensor_presentation,
+    quotient_invariants,
+    tensor_transition_reference,
+)
 
 
 def group_of(level):
@@ -381,7 +388,7 @@ BAD_RING_TEXTS = [
 
 
 # ---------------------------------------------------------------------------
-# sweeps: graded_comparisons builds each cyclic bar level once
+# sweeps: graded_comparisons builds each requested cyclic bar level once
 # ---------------------------------------------------------------------------
 
 
@@ -420,23 +427,23 @@ def test_sweep_matches_per_level_comparisons(ring, max_q, monkeypatch):
         ks = sweep_levels(M, q)
         built.clear()
         swept = list(graded_comparisons(M, q, ks))
-        # consecutive levels: one build per level plus the first k-1
-        assert built == [ks[0] - 1] + ks
+        # one build per requested level, swept or not
+        assert built == ks
         built.clear()
         single = [graded_comparison(M, q, k) for k in ks]
-        assert built == [x for k in ks for x in (k - 1, k)]
+        assert built == ks
         assert [dataclasses.asdict(r) for r in swept] == [
             dataclasses.asdict(r) for r in single
         ]
 
 
-def test_sweep_rebuilds_the_previous_level_after_a_gap(monkeypatch):
+def test_sweep_with_gaps_builds_each_requested_level_once(monkeypatch):
     M = adic_filtration(3, 2)
     ks = [-4, -3, -1, 0, 0, 2]
     built = count_cyclic_bars(monkeypatch)
     swept = list(graded_comparisons(M, 2, ks))
-    # a gap, or a repeated level, rebuilds k-1 instead of reusing the last level
-    assert built == [-5, -4, -3, -2, -1, 0, -1, 0, 1, 2]
+    # a gap or a repeated level needs no level k-1: it comes with level k
+    assert built == ks
     assert [r.level for r in swept] == ks
     assert swept == [graded_comparison(M, 2, k) for k in ks]
     assert list(graded_comparisons(M, 2, [])) == []
@@ -500,6 +507,69 @@ def test_later_levels_leave_earlier_presentations_unchanged():
     filtered._spot_sum(first.tuples, lambda spot: [G.piece(i) for i in spot])
     list(graded_comparisons(graded(adic_filtration(3, 2)), 2, range(-4, 1)))
     assert first.presentation.relations.entries == entries
+
+
+# ---------------------------------------------------------------------------
+# generator maps against the generator-by-generator references
+# ---------------------------------------------------------------------------
+
+
+def as_triple(A):
+    return A.rows, A.cols, A.entries
+
+
+def reference_rings():
+    return {
+        "3^2": adic_filtration(3, 2),
+        "3^3": adic_filtration(3, 3),
+        "5^3 by p^2": adic_filtration(5, 3, 2),
+        "graded 3^3": graded(adic_filtration(3, 3)),
+    }
+
+
+def test_tensor_transition_matches_reference():
+    groups = {name: M.group for name, M in reference_rings().items()}
+    groups["split free"] = split_free_example()
+    for name, X in groups.items():
+        for n in (2, 3, 4):
+            levels = range(-n * X.depth - 1, 2)
+            tensors = {k: multi_tensor([X] * n, k) for k in [levels[0] - 1, *levels]}
+            for k in levels:
+                src, tgt = tensors[k - 1], tensors[k]
+                want = tensor_transition_reference(src, tgt)
+                assert as_triple(tensor_transition(src, tgt)) == want, (name, n, k)
+
+
+def test_face_and_degeneracy_maps_match_reference():
+    for name, M in reference_rings().items():
+        m = M.depth()
+        for k in range(-4 * m - 1, 2):
+            # simplicial degrees 0..3: one to four factors
+            bars = {q: cyclic_bar(M, q, k) for q in range(4)}
+            for q in (1, 2, 3):
+                for i in range(q + 1):
+                    want = face_map_reference(bars[q], bars[q - 1], i)
+                    assert as_triple(face_map(bars[q], bars[q - 1], i)) == want, (name, k, q, i)
+                    if q < 3:
+                        want = degeneracy_map_reference(bars[q], bars[q + 1], i)
+                        got = degeneracy_map(bars[q], bars[q + 1], i)
+                        assert as_triple(got) == want, (name, k, q, i)
+
+
+def test_graded_matches_reference():
+    rings = reference_rings()
+    rings["graded graded 3^2"] = graded(graded(adic_filtration(3, 2)))
+    for name, M in rings.items():
+        G, want = graded(M), graded_reference(M)
+        m = M.depth()
+        assert G.depth() == m, name
+        for k in range(-m, 1):
+            assert as_triple(G.piece(k).relations) == want["pieces"][k], (name, k)
+        for k in range(-m, 0):
+            assert as_triple(G.group.transition(k)) == want["transitions"][k], (name, k)
+        for key, matrix in want["products"].items():
+            assert as_triple(G.products[key]) == matrix, (name, key)
+        assert as_triple(G.unit) == want["unit"], name
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cychom import ktheory
+from cychom import cli, ktheory
 from cychom.errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
 from cychom.intlin import AbelianGroup
 from cychom.ktheory import (
@@ -127,3 +127,19 @@ def test_cross_check_failure_is_loud():
     # level must refuse to cross-check rather than silently agree
     with pytest.raises((CychomError, OutOfRange)):
         k_group(5, 2, 3, cross_check=True)
+
+
+def test_k_groups_are_read_from_the_relative_groups(monkeypatch, capsys):
+    # with a wrong relative group the K cells must fail and the cross-check
+    # must raise, so neither compares the closed form with itself
+    monkeypatch.setattr(
+        ktheory, "rel_hc_table", lambda F, top: [AbelianGroup.trivial()] * (top + 1)
+    )
+    assert cli.main(["reproduce-paper", "--p-list", "7", "--n-list", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL k p=7 n=2 i=1 (got Z/6, want Z/42)" in out
+    assert "FAIL k p=7 n=2 i=3 (got Z/48, want Z/2352)" in out
+    with pytest.raises(CychomError):
+        k_group(7, 2, 1, cross_check=True)
+    # level 1 takes no relative input, so it still agrees
+    assert k_group(7, 1, 1, cross_check=True) == AbelianGroup.cyclic(6)
