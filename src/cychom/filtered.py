@@ -8,8 +8,10 @@ are generator matrices, and every operation on filtered objects is reduced
 to explicit integer matrix algebra on those presentations.
 
 The filtered tensor at level k is the colimit over {(i_0,...,i_q) :
-sum <= k}; it is presented by the generators on the boundary antidiagonal
-sum = k with gluing relations contributed by the antidiagonal sum = k-1.
+sum <= k}.  Transitions are identities above index 0, so the colimit may
+be taken over the nonpositive box: level k <= 0 is presented by the
+generators on the box antidiagonal sum = k with gluing relations from the
+box antidiagonal sum = k-1, and level k > 0 is level 0.
 """
 
 from __future__ import annotations
@@ -107,26 +109,19 @@ def _spot_sum(spots, parts_of):
     """The direct sum of the tensor spots, spot s being the tensor of the
     groups parts_of(s): the generator index (spot, gens) -> column, in spot
     order and row-major within a spot, and the block-diagonal presentation.
-    Spots with the same piece objects share one tensor presentation.
     """
     columns: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     entries = {}
     rel_col = 0
-    memo = {}
     for spot in spots:
         parts = parts_of(spot)
-        key = tuple(map(id, parts))
-        if key not in memo:
-            # the memo holds `parts`, so no id in a key is reused
-            R = _tensor_presentation(parts).relations
-            gens = list(itertools.product(*[range(P.num_generators) for P in parts]))
-            memo[key] = (parts, gens, list(R.entries.items()), R.cols)
-        _, gens, rel_entries, rel_cols = memo[key]
+        R = _tensor_presentation(parts).relations
         base = len(columns)
+        gens = itertools.product(*[range(P.num_generators) for P in parts])
         columns.update({(spot, g): base + j for j, g in enumerate(gens)})
-        for (r, c), v in rel_entries:
+        for (r, c), v in R.entries.items():
             entries[(base + r, rel_col + c)] = v
-        rel_col += rel_cols
+        rel_col += R.cols
     n = len(columns)
     return columns, PresentedGroup(n, SparseIntMatrix(n, rel_col, entries))
 
@@ -365,9 +360,11 @@ class TensorLevel:
     """The colimit presentation of (X_0 (x) ... (x) X_q)(k).
 
     Generators are indexed by (tuple, generator multi-index) pairs over the
-    antidiagonal i_0 + ... + i_q = k; `columns` maps such a pair to its
-    generator index.  `incoming` is the canonical map from level k-1 (bump
-    coordinate 0): its columns follow the generator order of level k-1.
+    box antidiagonal {b : -depth_r <= b_r <= 0, sum b = min(k, 0)};
+    `columns` maps such a pair to its generator index, and `column_of`
+    takes box keys only.  `incoming` is the canonical map from level k-1
+    (bump the first negative coordinate; the identity for k > 0): its
+    columns follow the generator order of level k-1.
     """
 
     factors: Tuple[FilteredAbelianGroup, ...]
@@ -385,24 +382,17 @@ class TensorLevel:
 
 
 def _antidiagonal(factors, total: int) -> List[Tuple[int, ...]]:
-    """Tuples summing to `total` with coordinate r at least -depth_r and
-    at most total plus the other depths (outside which a factor vanishes)."""
-    depths = [X.depth for X in factors]
-    lows = [-d for d in depths]
-    total_depth = sum(depths)
-    highs = [total + total_depth - d for d in depths]
+    """The box antidiagonal: tuples summing to `total` with coordinate r in
+    [-depth_r, 0] (below, a factor vanishes; above, it is constant)."""
+    lows = [-X.depth for X in factors]
     out = []
 
     def rec(r, remaining, prefix):
         if r == len(factors) - 1:
-            if lows[r] <= remaining <= highs[r]:
+            if lows[r] <= remaining <= 0:
                 out.append(prefix + (remaining,))
             return
-        tail_low = sum(lows[r + 1 :])
-        tail_high = sum(highs[r + 1 :])
-        lo = max(lows[r], remaining - tail_high)
-        hi = min(highs[r], remaining - tail_low)
-        for i in range(lo, hi + 1):
+        for i in range(max(lows[r], remaining), min(0, remaining - sum(lows[r + 1 :])) + 1):
             rec(r + 1, remaining - i, prefix + (i,))
 
     rec(0, total, ())
@@ -412,37 +402,41 @@ def _antidiagonal(factors, total: int) -> List[Tuple[int, ...]]:
 def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel:
     """The filtered tensor of the factors at level k.
 
-    Presented on the antidiagonal sum = k: internal relations of each
-    tensor spot, plus gluing relations identifying, for every spot on the
-    antidiagonal sum = k-1, its images under bumping any two coordinates.
+    For k <= 0 it is presented on the box antidiagonal sum = k: internal
+    relations of each tensor spot, plus gluing relations identifying, for
+    every spot on the box antidiagonal sum = k-1, its images under bumping
+    any two negative coordinates.  Level k > 0 is level 0.
     """
     factors = tuple(factors)
-    spots = _antidiagonal(factors, k)
+    top = min(k, 0)
+    spots = _antidiagonal(factors, top)
     columns, internal = _spot_sum(
         spots, lambda spot: [X.piece(i) for X, i in zip(factors, spot)]
     )
     entries = dict(internal.relations.entries)
     num_rels = internal.relations.cols
-    incoming = []  # bump-0 images of the level k-1 generators, in their order
+    incoming = []  # images of the level k-1 generators, in their order
     transition_cols = functools.lru_cache(None)(lambda X, i: X.transition(i).columns())
-    # gluing: bump coordinate 0 vs bump coordinate r
-    for spot in _antidiagonal(factors, k - 1):
+    # gluing: bump the first negative coordinate vs bump another one
+    for spot in _antidiagonal(factors, top - 1):
         images = [
-            (spot[:r] + (i + 1,) + spot[r + 1 :], transition_cols(X, i))
+            (spot[:r] + (i + 1,) + spot[r + 1 :], transition_cols(X, i), r)
             for r, (X, i) in enumerate(zip(factors, spot))
+            if i < 0
         ]
-        for gens in itertools.product(*[range(len(T_cols)) for _, T_cols in images]):
+        sizes = [X.piece(i).num_generators for X, i in zip(factors, spot)]
+        for gens in itertools.product(*map(range, sizes)):
             vecs = []
-            for r, (bumped, T_cols) in enumerate(images):
+            for bumped, T_cols, r in images:
                 vecs.append({
                     columns[(bumped, gens[:r] + (row,) + gens[r + 1 :])]: v
                     for row, v in T_cols[gens[r]].items()
                 })
             base = vecs[0]
             incoming.append(base)
-            for r in range(1, len(factors)):
+            for vec in vecs[1:]:
                 col = dict(base)
-                for key, v in vecs[r].items():
+                for key, v in vec.items():
                     col[key] = col.get(key, 0) - v
                 col = {key: v for key, v in col.items() if v}
                 if col:
@@ -458,19 +452,24 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
         presentation=PresentedGroup(
             num_gens, SparseIntMatrix(num_gens, num_rels, entries)
         ),
-        incoming=_stack(incoming, num_gens, as_columns=True),
+        incoming=(
+            _stack(incoming, num_gens, as_columns=True)
+            if k <= 0
+            else SparseIntMatrix.identity(num_gens)
+        ),
     )
 
 
 def filtered_tensor(
     X: FilteredAbelianGroup, Y: FilteredAbelianGroup, k: int
 ) -> TensorLevel:
-    """(X (x) Y)(k) as a presented group over the antidiagonal i + j = k."""
+    """(X (x) Y)(k) as a presented group over the box antidiagonal
+    i + j = min(k, 0)."""
     return multi_tensor([X, Y], k)
 
 
 def tensor_transition(src: TensorLevel, tgt: TensorLevel) -> SparseIntMatrix:
-    """The canonical map from level k-1 into level k (bump coordinate 0)."""
+    """The canonical map from level k-1 into level k (`tgt.incoming`)."""
     if tgt.level != src.level + 1 or tgt.factors != src.factors:
         raise InvalidParams("tensor_transition wants consecutive levels")
     return tgt.incoming
@@ -646,12 +645,12 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
     """Compare Z_q(M)(k)/Z_q(M)(k-1) with the sum of graded tensor spots.
 
     The left side is level k modulo the image of level k-1 (the level's
-    `incoming` map), so only level k is built.  The comparison map sends a
-    generator whose filtration tuple has all coordinates <= 0 to the
-    corresponding graded generator, and kills generators with a positive
-    coordinate (those factor through level k-1 by constancy).  The report
-    checks well-definedness, surjectivity, matching invariant factors, and
-    that it intertwines the rotations.
+    `incoming` map), so only level k is built.  The right side is the sum
+    of graded tensor spots over the level's box antidiagonal sum = k, which
+    is empty for k > 0.  The comparison map sends each generator to the
+    corresponding graded generator.  The report checks well-definedness,
+    surjectivity, matching invariant factors, and that it intertwines the
+    rotations.
     """
     m = M.depth()
     slices = {i: graded_piece(M, i) for i in range(-m, 1)}
@@ -660,13 +659,11 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
     lhs_pres = PresentedGroup(
         T.presentation.num_generators, T.presentation.relations.hstack(T.incoming)
     )
-    # right side: graded spots over tuples with entries in [-m, 0]; a
-    # graded slice has the generators of its piece, so phi matches keys
-    spots = [s for s in T.tuples if all(-m <= i <= 0 for i in s)]
+    # a graded slice has the generators of its piece, so phi matches keys
+    # (for k <= 0; above, the right side is zero)
+    spots = [s for s in T.tuples if sum(s) == k]
     rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
-    phi = _generator_map(
-        T.columns, rhs_columns, lambda key: [(key, 1)] if key in rhs_columns else ()
-    )
+    phi = _generator_map(T.columns, rhs_columns, lambda key: [(key, 1)] if k <= 0 else ())
     well_defined = lhs_pres.admits_hom(phi, rhs_pres)
     onto = cokernel(phi.hstack(rhs_pres.relations)).is_trivial()
     lhs_group = lhs_pres.group()
@@ -740,19 +737,19 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
     if q < 1:
         raise InvalidParams(f"power {q} < 1")
     _require_split_free(Y)
-    expected = Y.piece(s // q).num_generators
-    T = multi_tensor([Y] * q, s)
+    top = min(s, 0)  # level s > 0 is level 0
+    T = multi_tensor([Y] * q, top)
     pres = T.presentation
     # a diagonal class for basis element b of piece(j): the tensor
     # b (x) ... (x) b pushed onto the antidiagonal along the transitions
     found_cols: List[Dict[int, int]] = []
-    lvl = s // q
+    lvl = top // q
     base = Y.piece(lvl)
     for b in range(base.num_generators):
         spot = tuple([lvl] * q)
         gens = tuple([b] * q)
-        # distribute the remainder s - q*lvl by bumping leading coordinates
-        rem = s - q * lvl
+        # distribute the remainder top - q*lvl by bumping leading coordinates
+        rem = top - q * lvl
         cur_spot, cur_gens = list(spot), list(gens)
         for r in range(rem):
             idx = r % q
@@ -783,7 +780,7 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
     return FixedPointsReport(
         power=q,
         level=s,
-        expected_rank=expected,
+        expected_rank=base.num_generators,
         found=len(found_cols),
         independent=independent,
     )

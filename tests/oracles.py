@@ -335,3 +335,120 @@ def graded_reference(M):
         "products": products,
         "unit": _matrix(pieces[0][0], 1, unit),
     }
+
+
+# ---------------------------------------------------------------------------
+# The filtered tensor as the colimit over the whole poset {i : sum i <= k}:
+# generators on the full antidiagonal sum = k, positive coordinates
+# included, glued along the antidiagonal sum = k-1 by bumping coordinate 0
+# against each other coordinate.  The package presents the same group over
+# the nonpositive box only; `clip_map` is the isomorphism between the two.
+# Factors are the package's filtered groups, of which only the depths,
+# pieces and transitions are read.
+# ---------------------------------------------------------------------------
+
+
+def full_antidiagonal(factors, total):
+    """Tuples summing to `total` with coordinate r at least -depth_r and
+    at most total plus the other depths (outside which a factor vanishes)."""
+    depths = [X.depth for X in factors]
+    lows = [-d for d in depths]
+    highs = [total + sum(depths) - d for d in depths]
+    out = []
+
+    def rec(r, remaining, prefix):
+        if r == len(factors) - 1:
+            if lows[r] <= remaining <= highs[r]:
+                out.append(prefix + (remaining,))
+            return
+        lo = max(lows[r], remaining - sum(highs[r + 1 :]))
+        hi = min(highs[r], remaining - sum(lows[r + 1 :]))
+        for i in range(lo, hi + 1):
+            rec(r + 1, remaining - i, prefix + (i,))
+
+    rec(0, total, ())
+    return out
+
+
+class FullTensorLevel:
+    """Level k of the filtered tensor over the full antidiagonal.
+
+    `columns` maps (spot, generator multi-index) to a generator index, in
+    spot order and row-major within a spot; `relations` is
+    (rows, cols, entries): each spot's Kronecker relations, then the
+    gluing differences.
+    """
+
+    def __init__(self, factors, k):
+        from itertools import product
+
+        self.factors, self.level = tuple(factors), k
+        self.tuples = full_antidiagonal(self.factors, k)
+        self.columns = {}
+        entries, cols = {}, 0
+        kron_of = {}  # pieces depend on the clipped spot only
+        for spot in self.tuples:
+            parts = [X.piece(i) for X, i in zip(self.factors, spot)]
+            base = len(self.columns)
+            for gens in product(*[range(P.num_generators) for P in parts]):
+                self.columns[(spot, gens)] = len(self.columns)
+            clipped = tuple(min(i, 0) for i in spot)
+            if clipped not in kron_of:
+                kron_of[clipped] = kron_tensor_presentation(parts)
+            _, spot_cols, spot_entries = kron_of[clipped]
+            for (r, c), v in spot_entries.items():
+                entries[(base + r, cols + c)] = v
+            cols += spot_cols
+        transitions = [
+            {i: X.transition(i) for i in range(-X.depth, 1)} for X in self.factors
+        ]
+        for spot in full_antidiagonal(self.factors, k - 1):
+            images = [
+                (spot[:r] + (i + 1,) + spot[r + 1 :], transitions[r][min(i, 0)])
+                for r, i in enumerate(spot)
+            ]
+            for gens in product(*[range(T.cols) for _, T in images]):
+                vecs = [
+                    {
+                        self.columns[(bumped, gens[:r] + (row,) + gens[r + 1 :])]: v
+                        for row, v in T.column(gens[r]).items()
+                    }
+                    for r, (bumped, T) in enumerate(images)
+                ]
+                for vec in vecs[1:]:
+                    col = dict(vecs[0])
+                    for key, v in vec.items():
+                        col[key] = col.get(key, 0) - v
+                    if any(col.values()):
+                        entries.update({(key, cols): v for key, v in col.items() if v})
+                        cols += 1
+        self.num_generators = len(self.columns)
+        self.relations = (self.num_generators, cols, entries)
+
+    def column_of(self, spot, gens):
+        return self.columns[(spot, gens)]
+
+
+def clip_map(full, box):
+    """The map from a full level onto the package's box level k: a
+    generator at spot i goes to the same generator at clip(i) =
+    (min(i_r, 0))_r, which is the same piece by constancy, and then up
+    along the transitions, bumping the first negative coordinate, until the
+    spot sums to min(k, 0), where the box level's generators sit."""
+    top = min(full.level, 0)
+    entries = {}
+    for (spot, gens), col in full.columns.items():
+        spot, vec = tuple(min(i, 0) for i in spot), {gens: 1}
+        while sum(spot) < top:
+            r = next(r for r, i in enumerate(spot) if i < 0)
+            column = full.factors[r].transition(spot[r]).column
+            pushed = {}
+            for g, v in vec.items():
+                for row, w in column(g[r]).items():
+                    h = g[:r] + (row,) + g[r + 1 :]
+                    pushed[h] = pushed.get(h, 0) + v * w
+            spot, vec = spot[:r] + (spot[r] + 1,) + spot[r + 1 :], pushed
+        for g, v in vec.items():
+            at = (box.column_of(spot, g), col)
+            entries[at] = entries.get(at, 0) + v
+    return _matrix(len(box.columns), len(full.columns), entries)

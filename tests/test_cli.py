@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -127,6 +128,18 @@ def test_gr_check_command(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "q=1,k=-1:PASS" in out
+
+
+GR_CHECK_GOLDEN = pathlib.Path(__file__).parent / "data" / "gr-check"
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 5, 7) for n in (2, 3)])
+def test_gr_check_matches_recorded_output(p, n, capsys):
+    # stdout recorded from the full-antidiagonal presentation of each level,
+    # which exited 0 on all eight rings
+    code, out = run_cli(["gr-check", "--ring", f"zmod:{p}^{n}", "--max-q", "4"], capsys)
+    assert code == cli.EXIT_OK
+    assert out == (GR_CHECK_GOLDEN / f"zmod-{p}-{n}-q4.txt").read_text()
 
 
 def test_gr_check_rejects_negative_max_q(capsys):

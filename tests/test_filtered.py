@@ -6,7 +6,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cychom.errors import InvalidParams, ParseError, UnsupportedFiltration
@@ -29,9 +29,11 @@ from cychom.filtered import (
     multi_tensor,
     tensor_transition,
 )
-from cychom.intlin import AbelianGroup, SparseIntMatrix, lattice_contains
+from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel, lattice_contains
 
 from oracles import (
+    FullTensorLevel,
+    clip_map,
     degeneracy_map_reference,
     face_map_reference,
     graded_reference,
@@ -293,6 +295,17 @@ def test_fixed_points_split_free():
             assert rep.found == Y.piece(s // q).num_generators
 
 
+def test_fixed_points_above_zero_match_level_zero():
+    # level s > 0 is level 0
+    Y = split_free_example()
+    for q in (1, 2, 3):
+        at_zero = fixed_points_check(Y, q, 0)
+        for s in (1, 2, q + 1, 2 * q + 1):
+            rep = fixed_points_check(Y, q, s)
+            assert rep.level == s and rep, (q, s, rep)
+            assert (rep.found, rep.independent) == (at_zero.found, at_zero.independent)
+
+
 def test_fixed_points_rejects_torsion():
     Y = adic_filtration(3, 2).group
     with pytest.raises(UnsupportedFiltration):
@@ -450,13 +463,13 @@ def test_sweep_with_gaps_builds_each_requested_level_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# spot sums: one presentation per distinct piece tuple, copied per spot
+# spot sums: one tensor presentation per spot, in a block-diagonal sum
 # ---------------------------------------------------------------------------
 
 
 def check_spot_sum_blocks(factors, k):
     """Check the level-k spot sum block by block against the Kronecker
-    reference; return how many spots repeat an earlier spot's pieces."""
+    reference."""
     level = multi_tensor(factors, k)
     parts_of = lambda spot: [X.piece(i) for X, i in zip(factors, spot)]
     columns, pres = filtered._spot_sum(level.tuples, parts_of)
@@ -483,8 +496,6 @@ def check_spot_sum_blocks(factors, k):
         key: v for key, v in level.presentation.relations.entries.items() if key[1] < R.cols
     }
     assert internal == R.entries
-    pieces = [tuple(map(id, parts_of(spot))) for spot in level.tuples]
-    return len(pieces) - len(set(pieces))
 
 
 def test_spot_sum_blocks_match_kronecker_reference():
@@ -493,8 +504,8 @@ def test_spot_sum_blocks_match_kronecker_reference():
     Z = adic_filtration(3, 3).group  # one generator per piece, other relations
     cases = (([G] * 3, range(-6, 2)), ([Y] * 3, range(-6, 1)), ([Z] * 3, range(-9, 2)))
     for factors, levels in cases:
-        # the memo is exercised: some levels repeat a piece tuple
-        assert sum(check_spot_sum_blocks(factors, k) for k in levels) > 0
+        for k in levels:
+            check_spot_sum_blocks(factors, k)
 
 
 def test_later_levels_leave_earlier_presentations_unchanged():
@@ -507,6 +518,64 @@ def test_later_levels_leave_earlier_presentations_unchanged():
     filtered._spot_sum(first.tuples, lambda spot: [G.piece(i) for i in spot])
     list(graded_comparisons(graded(adic_filtration(3, 2)), 2, range(-4, 1)))
     assert first.presentation.relations.entries == entries
+
+
+# ---------------------------------------------------------------------------
+# box levels against the full-poset colimit
+# ---------------------------------------------------------------------------
+
+
+def full_presentation(full):
+    return PresentedGroup(full.num_generators, SparseIntMatrix(*full.relations))
+
+
+def clip(full, box):
+    return SparseIntMatrix(*clip_map(full, box))
+
+
+def check_clip_iso(factors, k):
+    """The clip map from the full-poset level k onto the box level k is a
+    well-defined surjection between groups with equal invariant factors,
+    hence an isomorphism."""
+    full, box = FullTensorLevel(factors, k), multi_tensor(factors, k)
+    src, C = full_presentation(full), clip(full, box)
+    assert src.admits_hom(C, box.presentation), k
+    assert cokernel(C.hstack(box.presentation.relations)).is_trivial(), k
+    assert src.group() == box.group(), k
+
+
+@pytest.mark.parametrize(
+    "ring, powers",
+    [((p, n), range(1, 6)) for p in (2, 3, 5, 7) for n in (2, 3)] + [((3, 3), [6])],
+    ids=[f"{p}^{n}" for p in (2, 3, 5, 7) for n in (2, 3)] + ["3^3-q5"],
+)
+def test_clip_map_is_an_isomorphism_on_cyclic_bar_levels(ring, powers):
+    # every level of the gr-check sweep at q <= 4, and of Z/27 at q = 5
+    X = adic_filtration(*ring).group
+    for n in powers:
+        for k in range(-n * X.depth - 1, 2):
+            check_clip_iso([X] * n, k)
+
+
+MIXED_FACTORS = {
+    "graded 3^2": graded(adic_filtration(3, 2)).group,  # 0, 1, 2 generators
+    "split free": split_free_example(),  # free, depth 2
+    "5^3 by p^2": adic_filtration(5, 3, 2).group,  # depth 2
+    "2^3": adic_filtration(2, 3).group,  # depth 3
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(sorted(MIXED_FACTORS)), min_size=1, max_size=3))
+@example(["graded 3^2", "split free", "graded 3^2"])
+@example(["split free", "5^3 by p^2"])
+@example(["5^3 by p^2", "graded 3^2", "split free"])
+def test_box_levels_match_full_poset_on_mixed_factors(names):
+    # the box bounds are per factor: mixed depths and multi-generator pieces
+    factors = [MIXED_FACTORS[name] for name in names]
+    depth = sum(X.depth for X in factors)
+    for k in range(-depth - 1, 3):
+        check_clip_iso(factors, k)
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +597,21 @@ def reference_rings():
 
 
 def test_tensor_transition_matches_reference():
+    # incoming agrees with the full-poset bump-0 transition through the
+    # clip maps, as homomorphisms into the box level k
     groups = {name: M.group for name, M in reference_rings().items()}
     groups["split free"] = split_free_example()
     for name, X in groups.items():
         for n in (2, 3, 4):
             levels = range(-n * X.depth - 1, 2)
-            tensors = {k: multi_tensor([X] * n, k) for k in [levels[0] - 1, *levels]}
+            full = {k: FullTensorLevel([X] * n, k) for k in [levels[0] - 1, *levels]}
+            box = {k: multi_tensor([X] * n, k) for k in full}
             for k in levels:
-                src, tgt = tensors[k - 1], tensors[k]
-                want = tensor_transition_reference(src, tgt)
-                assert as_triple(tensor_transition(src, tgt)) == want, (name, n, k)
+                src = full_presentation(full[k - 1])
+                bump = SparseIntMatrix(*tensor_transition_reference(full[k - 1], full[k]))
+                got = tensor_transition(box[k - 1], box[k]) @ clip(full[k - 1], box[k - 1])
+                want = clip(full[k], box[k]) @ bump
+                assert src.homs_equal(got, want, box[k].presentation), (name, n, k)
 
 
 def test_face_and_degeneracy_maps_match_reference():
