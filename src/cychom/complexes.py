@@ -154,12 +154,25 @@ def homology_groups(C: ChainComplex, degrees: Iterable[int]) -> List[AbelianGrou
     the ChainComplex constructor).  Every degree is checked before any
     reduction, and each differential is reduced once, serving both
     degrees it touches.
+
+    The differentials are reduced top-down with clearing: when d_{n+1} has
+    just been reduced, d_n is reduced without the columns at the rows of
+    the unit pivots that d_{n+1} retired before its first core step.  Up
+    to then each row operation adds a multiple of such a pivot row, so
+    d_n U^-1 differs from d_n only in those columns, and there it is zero
+    because d_n d_{n+1} = 0; its invariant factors are those of d_n.  A
+    core step may use a row that never becomes a pivot, which is why the
+    rule stops there (intlin's module docstring).
     """
     degrees = list(degrees)
     for i in degrees:
         _check_degree(C, i)
-    reduced = sorted({d for i in degrees for d in (i, i + 1)})
-    factors = {d: invariant_factors(C.diff(d)) for d in reduced}
+    factors: Dict[int, List[int]] = {}
+    cleared: List[int] = []
+    for d in sorted({d for i in degrees for d in (i, i + 1)}, reverse=True):
+        skip = cleared if d + 1 in factors else ()
+        cleared = []
+        factors[d] = invariant_factors(C.diff(d), skip, cleared)
     return [
         AbelianGroup.from_diagonal(
             factors[i + 1], C.dim(i) - len(factors[i]) - len(factors[i + 1])

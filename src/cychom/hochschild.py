@@ -27,6 +27,7 @@ as matrix equations.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from .complexes import Bicomplex, ChainMap, homology, total_complex, total_map
@@ -37,15 +38,11 @@ from .intlin import AbelianGroup, SparseIntMatrix
 Word = Tuple[str, ...]
 
 
-def _shifted_degree(A: DGAlgebra, word: Word, slot: int) -> int:
-    if slot == 0:
-        return A.degree_of(word[0])
-    return A.degree_of(word[slot]) + 1
-
-
-def _prefix_sum(A: DGAlgebra, word: Word, upto: int) -> int:
-    """Sum of shifted degrees of slots 0..upto-1."""
-    return sum(_shifted_degree(A, word, j) for j in range(upto))
+def _slot_prefix(A: DGAlgebra, word: Word) -> List[int]:
+    """prefix[i] = m_0 + ... + m_{i-1} for i = 0, ..., s + 1."""
+    degree = A.degree_of
+    shifted = [degree(word[0])] + [degree(a) + 1 for a in word[1:]]
+    return list(accumulate(shifted, initial=0))
 
 
 class HochschildComplex:
@@ -55,7 +52,7 @@ class HochschildComplex:
     degree `bound` and the cyclic operator through source degree `bound`.
     """
 
-    __slots__ = ("algebra", "bound", "bicomplex", "total", "_words", "_B")
+    __slots__ = ("algebra", "bound", "total", "_words", "_B")
 
     def __init__(self, algebra: DGAlgebra, bound: int):
         if bound < 0:
@@ -76,11 +73,10 @@ class HochschildComplex:
             horizontal[(s, t)] = _matrix_of(
                 algebra, words.get((s - 1, t), []), cell, _face_terms
             )
-        bic = Bicomplex(words, vertical, horizontal)
-        tot = total_complex(bic, 0, window)
+        # the total complex copies the cells; only the word basis is kept
+        tot = total_complex(Bicomplex(words, vertical, horizontal), 0, window)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "bicomplex", bic)
         object.__setattr__(self, "total", tot)
         object.__setattr__(self, "_words", words)
         object.__setattr__(self, "_B", {})
@@ -116,10 +112,10 @@ class HochschildComplex:
         for col, (s, t, word) in enumerate(src):
             if word[0] == A.unit:
                 continue
-            shifted = [A.degree_of(a) + 1 for a in word]
-            total_shift = sum(shifted)
+            heads = list(accumulate((A.degree_of(a) + 1 for a in word), initial=0))
+            total_shift = heads[-1]
             for i in range(s + 1):
-                head = sum(shifted[:i])
+                head = heads[i]
                 sign = -1 if (head * (total_shift - head)) % 2 else 1
                 out = (A.unit,) + word[i:] + word[:i]
                 key = (tgt_pos[(s + 1, t, out)], col)
@@ -175,6 +171,7 @@ def _cell_words(A: DGAlgebra, s: int, t: int):
 def _internal_terms(A: DGAlgebra, word: Word):
     """Terms of the slotwise algebra differential, normalized."""
     s = len(word) - 1
+    prefix = _slot_prefix(A, word)
     for i in range(s + 1):
         combo = A.diff.get(word[i])
         if not combo:
@@ -182,7 +179,7 @@ def _internal_terms(A: DGAlgebra, word: Word):
         if i == 0:
             sign = 1
         else:
-            sign = -1 if (1 + _prefix_sum(A, word, i)) % 2 else 1
+            sign = -1 if (1 + prefix[i]) % 2 else 1
         for lbl, coeff in combo.items():
             if i >= 1 and lbl == A.unit:
                 continue
@@ -194,8 +191,9 @@ def _face_terms(A: DGAlgebra, word: Word):
     s = len(word) - 1
     if s == 0:
         return
+    prefix = _slot_prefix(A, word)
     for i in range(s):
-        sign = -1 if _prefix_sum(A, word, i + 1) % 2 else 1
+        sign = -1 if prefix[i + 1] % 2 else 1
         combo = A.mult.get((word[i], word[i + 1]))
         if not combo:
             continue
@@ -203,7 +201,7 @@ def _face_terms(A: DGAlgebra, word: Word):
             if i >= 1 and lbl == A.unit:
                 continue
             yield (word[:i] + (lbl,) + word[i + 2 :], sign * coeff)
-    wrap = _shifted_degree(A, word, s) * _prefix_sum(A, word, s)
+    wrap = (prefix[s + 1] - prefix[s]) * prefix[s]
     sign = 1 if wrap % 2 else -1
     combo = A.mult.get((word[s], word[0]))
     if combo:
@@ -271,8 +269,8 @@ def induced_map(
     src = hochschild_complex(f.source, bound)
     tgt = hochschild_complex(f.target, bound)
     cells = {
-        st: _matrix_of(f, tgt.bicomplex.basis.get(st, ()), words, _image_terms)
-        for st, words in src.bicomplex.basis.items()
+        st: _matrix_of(f, tgt._words.get(st, ()), words, _image_terms)
+        for st, words in src._words.items()
     }
     chain_map = total_map(src.total, tgt.total, cells)
     for n in range(bound + 1):

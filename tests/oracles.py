@@ -452,3 +452,83 @@ def clip_map(full, box):
             at = (box.column_of(spot, g), col)
             entries[at] = entries.get(at, 0) + v
     return _matrix(len(box.columns), len(full.columns), entries)
+
+
+# ---------------------------------------------------------------------------
+# Hochschild signs, slot by slot: the shifted degrees of a word's prefix are
+# added up again for every slot.  The algebra is read through degree_of,
+# diff, mult and unit only; words are tuples of basis labels.
+# ---------------------------------------------------------------------------
+
+
+def _shifted_degree(A, word, slot):
+    if slot == 0:
+        return A.degree_of(word[0])
+    return A.degree_of(word[slot]) + 1
+
+
+def _prefix_sum(A, word, upto):
+    """Sum of shifted degrees of slots 0..upto-1."""
+    return sum(_shifted_degree(A, word, j) for j in range(upto))
+
+
+def internal_terms_reference(A, word):
+    """Terms of the slotwise algebra differential, normalized."""
+    s = len(word) - 1
+    for i in range(s + 1):
+        combo = A.diff.get(word[i])
+        if not combo:
+            continue
+        if i == 0:
+            sign = 1
+        else:
+            sign = -1 if (1 + _prefix_sum(A, word, i)) % 2 else 1
+        for lbl, coeff in combo.items():
+            if i >= 1 and lbl == A.unit:
+                continue
+            yield (word[:i] + (lbl,) + word[i + 1 :], sign * coeff)
+
+
+def face_terms_reference(A, word):
+    """Terms of the multiplication (face) differential, normalized."""
+    s = len(word) - 1
+    if s == 0:
+        return
+    for i in range(s):
+        sign = -1 if _prefix_sum(A, word, i + 1) % 2 else 1
+        combo = A.mult.get((word[i], word[i + 1]))
+        if not combo:
+            continue
+        for lbl, coeff in combo.items():
+            if i >= 1 and lbl == A.unit:
+                continue
+            yield (word[:i] + (lbl,) + word[i + 2 :], sign * coeff)
+    wrap = _shifted_degree(A, word, s) * _prefix_sum(A, word, s)
+    sign = 1 if wrap % 2 else -1
+    combo = A.mult.get((word[s], word[0]))
+    if combo:
+        for lbl, coeff in combo.items():
+            yield ((lbl,) + word[1:s], sign * coeff)
+
+
+def cyclic_operator_reference(H, n):
+    """B: C_n -> C_{n+1} of a Hochschild complex H, as (rows, cols, entries).
+
+    Reads the total complex's labels (s, t, word) only.
+    """
+    A = H.algebra
+    src = H.total.labels(n)
+    tgt_pos = {lbl: i for i, lbl in enumerate(H.total.labels(n + 1))}
+    entries = {}
+    for col, (s, t, word) in enumerate(src):
+        if word[0] == A.unit:
+            continue
+        shifted = [A.degree_of(a) + 1 for a in word]
+        total_shift = sum(shifted)
+        for i in range(s + 1):
+            head = sum(shifted[:i])
+            sign = -1 if (head * (total_shift - head)) % 2 else 1
+            out = (A.unit,) + word[i:] + word[:i]
+            key = (tgt_pos[(s + 1, t, out)], col)
+            entries[key] = entries.get(key, 0) + sign
+    return _matrix(H.total.dim(n + 1), H.total.dim(n), entries)

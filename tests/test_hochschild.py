@@ -1,9 +1,12 @@
+import pathlib
+
 import pytest
 
 from cychom.dga import (
     DGAlgebra,
     base_ring,
     koszul_resolution,
+    load_algebra,
     reduction_map,
 )
 from cychom import hochschild
@@ -17,6 +20,10 @@ from cychom.hochschild import (
     induced_map,
 )
 from cychom.intlin import AbelianGroup, SparseIntMatrix
+
+from oracles import cyclic_operator_reference, face_terms_reference, internal_terms_reference
+
+BENCH_INPUTS = pathlib.Path(__file__).parent.parent / "bench" / "inputs"
 
 
 def exterior_two():
@@ -169,3 +176,29 @@ def test_sign_errors_fail_the_total_complex_check(monkeypatch):
     monkeypatch.setattr(HochschildComplex, "_build_B", negated_entry)
     with pytest.raises(CompositionNonzero):
         cyclic_bundle(A, 5)
+
+
+@pytest.mark.parametrize(
+    "name", ["ext2-a9-b3", "ext2-a3-b9", "ext2-a-3-b9", "koszul(9)", "base_ring"]
+)
+def test_signs_match_the_slot_by_slot_reference(monkeypatch, name):
+    # one prefix array per word gives the signs that adding up each slot's
+    # prefix again gives, matrix for matrix, for D and B in every degree
+    if name == "koszul(9)":
+        A = koszul_resolution(9)
+    elif name == "base_ring":
+        A = base_ring()
+    else:
+        A = load_algebra((BENCH_INPUTS / f"{name}.alg").read_text())
+    bound = 8
+    H = hochschild_complex(A, bound)
+    with monkeypatch.context() as m:
+        m.setattr(hochschild, "_internal_terms", internal_terms_reference)
+        m.setattr(hochschild, "_face_terms", face_terms_reference)
+        ref = hochschild_complex(A, bound)
+    assert H.total.basis == ref.total.basis
+    for n in range(bound + 2):
+        assert H.differential(n) == ref.differential(n), n
+    for n in range(bound + 1):
+        B = H.cyclic_operator(n)
+        assert (B.rows, B.cols, B.entries) == cyclic_operator_reference(ref, n), n

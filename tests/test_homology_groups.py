@@ -2,7 +2,10 @@
 
 A planted-answer property test builds complexes whose homology is known by
 construction, and two counting tests pin down that a table reduces each
-differential once, without transforms, and checks its degrees first.  The
+differential once, without transforms, and checks its degrees first.
+Clearing is checked against reducing each differential alone and against
+the dense oracle, on planted complexes whose unit pivots appear only by
+fill-in after a core step and on the cone of Z/19^3 -> Z/19^2.  The
 planted complexes also drive property tests of the two total-complex
 constructions, `tensor` (the Kunneth formula) and `mapping_cone` (the cone
 of an identity is acyclic, with an exact long exact sequence), and of the
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cychom import complexes
+from cychom import complexes, intlin
 from cychom.complexes import (
     ChainComplex,
     ChainMap,
@@ -30,8 +33,8 @@ from cychom.complexes import (
     mapping_cone,
     tensor,
 )
-from cychom.cyclic import cyclic_bundle, hc_table, hh_table
-from cychom.dga import DGAlgebra
+from cychom.cyclic import cyclic_bundle, hc_table, hh_table, induced_cyclic_map
+from cychom.dga import DGAlgebra, reduction_map
 from cychom.errors import TruncationTooTight
 from cychom.hochschild import hochschild_complex
 from cychom.intlin import AbelianGroup, SparseIntMatrix
@@ -223,14 +226,15 @@ def ext2(a=9, b=3):
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """Count the reductions `complexes` makes, by the names it looks up."""
+    """Count the reductions `complexes` makes, by the names it looks up,
+    forwarding every argument."""
     calls = {"invariant_factors": 0, "smith_decomposition": 0}
     for name in calls:
         original = getattr(complexes, name)
 
-        def counted(M, _name=name, _original=original):
+        def counted(M, *args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(M)
+            return _original(M, *args, **kwargs)
 
         monkeypatch.setattr(complexes, name, counted)
     return calls
@@ -240,13 +244,13 @@ def test_tables_reduce_each_differential_once(reductions):
     A = ext2()
     groups = hc_table(cyclic_bundle(A, 13), 13)
     assert len(groups) == 14
-    assert reductions["invariant_factors"] <= 13 + 2
+    assert 1 <= reductions["invariant_factors"] <= 13 + 2
     assert reductions["smith_decomposition"] == 0
 
     reductions["invariant_factors"] = 0
     groups = hh_table(hochschild_complex(A, 14), 14)
     assert len(groups) == 15
-    assert reductions["invariant_factors"] <= 14 + 2
+    assert 1 <= reductions["invariant_factors"] <= 14 + 2
     assert reductions["smith_decomposition"] == 0
 
 
@@ -262,3 +266,100 @@ def test_homology_groups_checks_degrees_before_reducing(reductions):
         with pytest.raises(TruncationTooTight):
             homology_groups(C, bad)
     assert reductions == {"invariant_factors": 0, "smith_decomposition": 0}
+
+
+# ---------------------------------------------------------------------------
+# clearing: each differential's Smith diagonal, as if reduced alone
+# ---------------------------------------------------------------------------
+
+# blocks of SL_2(Z) with no unit entry, nor in their inverses [[d, -b], [-c, a]]
+UNITLESS_SL2 = ((2, 3, 3, 5), (3, 2, 4, 3), (2, 5, 3, 8), (3, 4, 5, 7), (4, 3, 5, 4))
+
+
+@st.composite
+def hidden_unit_complexes(draw):
+    """Planted complexes with their unit pivots hidden behind unitless blocks.
+
+    Each C_n gets a change of basis Q_n: blocks from UNITLESS_SL2 on
+    disjoint pairs of basis vectors, so d_n becomes Q_{n-1} d_n Q_n^-1.  A
+    column +-e_k of d_{n+1} turns into a pair of coprime non-units, which
+    the reducer makes into a unit pivot only by fill-in after a core step.
+    """
+    C, planted, chains = draw(planted_complexes())
+    Q, Qinv = {}, {}
+    for n in range(C.max_degree + 1):
+        dim = C.dim(n)
+        Q[n] = [[int(r == c) for c in range(dim)] for r in range(dim)]
+        Qinv[n] = [row[:] for row in Q[n]]
+        order = draw(st.permutations(range(dim)))
+        for j, k in zip(order[0::2], order[1::2]):
+            a, b, c, d = draw(st.sampled_from(UNITLESS_SL2))
+            Q[n][j][j], Q[n][j][k], Q[n][k][j], Q[n][k][k] = a, b, c, d
+            Qinv[n][j][j], Qinv[n][j][k], Qinv[n][k][j], Qinv[n][k][k] = d, -b, -c, a
+    diffs = {}
+    for n in C.differential:
+        rows, cols = C.dim(n - 1), C.dim(n)
+        d_n = _matmul(_matmul(Q[n - 1], C.diff(n).to_dense(), rows, cols), Qinv[n], rows, cols)
+        diffs[n] = SparseIntMatrix.from_dense(d_n, cols=cols)
+    return ChainComplex(C.basis, diffs, C.min_degree, C.max_degree), planted, chains
+
+
+def _groups_reducing_alone(C, degrees):
+    """H_i for i in degrees, from each differential's own invariant factors,
+    which must equal the dense oracle's Smith diagonal."""
+    factors = {}
+    for d in sorted({d for i in degrees for d in (i, i + 1)}):
+        factors[d] = intlin.invariant_factors(C.diff(d))
+        assert factors[d] == dense_smith_diagonal(C.diff(d).to_dense()), d
+    return [
+        AbelianGroup.from_diagonal(factors[i + 1], C.dim(i) - len(factors[i]) - len(factors[i + 1]))
+        for i in degrees
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hidden_unit_complexes())
+def test_clearing_matches_reducing_each_differential_alone(case):
+    C, planted, _ = case
+    degrees = range(len(planted))
+    assert homology_groups(C, degrees) == _groups_reducing_alone(C, degrees) == planted
+
+
+def test_units_made_by_fill_in_are_not_cleared():
+    # (2, 3): the core step on 2 leaves the remainder 1 in row 1, which then
+    # retires as a unit pivot; d_1 = (3, -2) is not zero in column 1, and
+    # leaving that column out would give H_0 = Z/3.  In (3, 1) the unit
+    # retires first, and d_1 = (1, -3) may lose column 1.
+    hidden, plain = SparseIntMatrix.from_dense([[2], [3]]), SparseIntMatrix.from_dense([[3], [1]])
+    for d_2, rows in ((hidden, []), (plain, [1])):
+        cleared = []
+        assert intlin.invariant_factors(d_2, (), cleared) == [1] and cleared == rows
+    for d_2, d_1 in ((hidden, [[3, -2]]), (plain, [[1, -3]])):
+        C = ChainComplex(
+            {0: ("a",), 1: ("b", "c"), 2: ("e",)}, {1: SparseIntMatrix.from_dense(d_1), 2: d_2}, 0, 3
+        )
+        assert homology_groups(C, [0, 1, 2]) == [AbelianGroup.trivial()] * 3
+
+
+def test_clearing_on_the_cone_of_a_reduction():
+    # the cone of Z/19^3 -> Z/19^2 through degree 38: most unit pivots come
+    # after a core step, and leaving out every pivot row of d_38 gives d_37
+    # rank 18 instead of 19
+    _, _, F = induced_cyclic_map(reduction_map(19 ** 3, 19 ** 2), 38)
+    cone = mapping_cone(F)
+    degrees = range(39)
+    assert homology_groups(cone, degrees) == _groups_reducing_alone(cone, degrees)
+
+
+def test_hochschild_table_clears_columns(monkeypatch):
+    skipped = []
+    original = complexes.invariant_factors
+
+    def spy(M, skip_columns=(), cleared=None):
+        skipped.append(len(skip_columns))
+        return original(M, skip_columns, cleared)
+
+    monkeypatch.setattr(complexes, "invariant_factors", spy)
+    H = hochschild_complex(ext2(), 9)
+    assert hh_table(H, 9) == _groups_reducing_alone(H.total, range(10))
+    assert sum(skipped) > 0
