@@ -401,6 +401,8 @@ def load_algebra(text: str) -> DGAlgebra:
             label = lhs.strip()
             if label not in known:
                 raise ParseError(f"line {no}: unknown label {label!r}")
+            if label in diff:
+                raise ParseError(f"line {no}: differential of {label!r} given twice")
             combo = _parse_combo(rhs, no)
             _require_known(combo, known, no)
             diff[label] = combo
@@ -414,6 +416,8 @@ def load_algebra(text: str) -> DGAlgebra:
             a, b = pair
             if a not in known or b not in known:
                 raise ParseError(f"line {no}: unknown label in {lhs.strip()!r}")
+            if (a, b) in mult:
+                raise ParseError(f"line {no}: product {a}*{b} given twice")
             combo = _parse_combo(rhs, no)
             _require_known(combo, known, no)
             mult[(a, b)] = combo

@@ -3,7 +3,10 @@
 Nothing here imports cychom's reduction code: the Smith form below is a
 plain dense Gaussian-style elimination, determinants use the Bareiss
 fraction-free scheme, and determinantal divisors come straight from gcds
-of minors.  Slow, simple, and written separately on purpose.
+of minors.  Slow, simple, and written separately on purpose.  The one
+exception is the graded comparison reference at the end, which keeps the
+package's earlier comparison-map construction on the package's own
+reductions.
 """
 
 from math import gcd
@@ -532,3 +535,60 @@ def cyclic_operator_reference(H, n):
             key = (tgt_pos[(s + 1, t, out)], col)
             entries[key] = entries.get(key, 0) + sign
     return _matrix(H.total.dim(n + 1), H.total.dim(n), entries)
+
+
+# ---------------------------------------------------------------------------
+# The graded comparison through an explicit comparison map: phi sends each
+# generator of level k to the graded generator of the same key, and the
+# report checks that phi is well defined, onto, and intertwines the level's
+# rotation with a rotation built again on the graded index.  Unlike the rest
+# of this file it runs on the package's own presentations and reductions:
+# it pins what the package's shared-index shortcut reports, not the
+# arithmetic underneath.
+# ---------------------------------------------------------------------------
+
+
+def graded_comparison_reference(M, q, k):
+    from cychom.filtered import (
+        GradedComparisonReport,
+        PresentedGroup,
+        _generator_map,
+        _rotated,
+        _spot_sum,
+        cyclic_bar,
+        graded_piece,
+    )
+    from cychom.intlin import cokernel
+
+    m = M.depth()
+    slices = {i: graded_piece(M, i) for i in range(-m, 1)}
+    lhs_level = cyclic_bar(M, q, k)
+    T = lhs_level.tensor
+    lhs_pres = PresentedGroup(
+        T.presentation.num_generators, T.presentation.relations.hstack(T.incoming)
+    )
+    spots = [s for s in T.tuples if sum(s) == k]
+    rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
+    phi = _generator_map(T.columns, rhs_columns, lambda key: [(key, 1)] if k <= 0 else ())
+    well_defined = lhs_pres.admits_hom(phi, rhs_pres)
+    onto = cokernel(phi.hstack(rhs_pres.relations)).is_trivial()
+    lhs_group = lhs_pres.group()
+    rhs_group = rhs_pres.group()
+    invariants_match = lhs_group == rhs_group
+    # a surjection between groups with equal invariants is an isomorphism
+    iso = well_defined and onto and invariants_match
+    rhs_rotation = _generator_map(
+        rhs_columns, rhs_columns, lambda key: [(_rotated(*key), 1)]
+    )
+    rotation_compatible = lhs_pres.homs_equal(
+        phi @ lhs_level.rotation, rhs_rotation @ phi, rhs_pres
+    )
+    return GradedComparisonReport(
+        simplicial_degree=q,
+        level=k,
+        lhs=lhs_group,
+        rhs=rhs_group,
+        invariants_match=invariants_match,
+        map_is_iso=iso,
+        rotation_compatible=rotation_compatible,
+    )

@@ -1,6 +1,17 @@
-import pytest
+import contextlib
+import io
+import os
+import pathlib
+import re
+import tempfile
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cychom import cli
 from cychom.complexes import homology
+from cychom.cyclic import sbi_check
 from cychom.dga import (
     DGAlgebra,
     DGAMorphism,
@@ -112,11 +123,38 @@ def test_morphism_compose_and_identity():
     assert f.compose(ident).action == f.action
 
 
-def test_text_format_round_trip():
-    A = koszul_resolution(4)
+def ext2_text(a, b):
+    """The exterior DG algebra on x, y in degree 1 with dx = a, dy = b and
+    d(xy) = a*y - b*x, in the text format of bench/inputs/ext2-*.alg."""
+    return (
+        "[basis]\n1 0\nx 1\ny 1\nxy 2\n[unit]\n1\n[diff]\n"
+        f"x = {a}*1\ny = {b}*1\nxy = {a}*y + {-b}*x\n[mult]\n"
+        "1*1 = 1*1\n1*x = 1*x\nx*1 = 1*x\n1*y = 1*y\ny*1 = 1*y\n"
+        "1*xy = 1*xy\nxy*1 = 1*xy\nx*y = 1*xy\ny*x = -1*xy\n"
+    )
+
+
+COEFFICIENTS = st.integers(-12, 12)
+ALGEBRAS = st.one_of(
+    st.builds(lambda a, b: load_algebra(ext2_text(a, b)), COEFFICIENTS, COEFFICIENTS),
+    st.builds(koszul_resolution, st.integers(2, 200)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ALGEBRAS)
+@example(koszul_resolution(4))
+def test_text_format_round_trip(A):
     text = dump_algebra(A)
     assert load_algebra(text) == A
     assert dump_algebra(load_algebra(text)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(ALGEBRAS)
+def test_sbi_sequence_is_exact_on_ext2_and_koszul_models(A):
+    rep = sbi_check(A, 6)
+    assert rep.exact and rep.periodicity_ok, rep.failures
 
 
 def test_text_format_errors():
@@ -133,6 +171,17 @@ def test_text_format_errors():
     with pytest.raises(ParseError):
         # validation failures surface as parse errors with context
         load_algebra("[basis]\n1 0\n[unit]\n1\n[mult]\n1*1 = 2*1\n")
+    # a later definition must not silently replace an earlier one
+    koszul = "[basis]\n1 0\nt 1\n[unit]\n1\n[diff]\nt = 5*1\n[mult]\n" \
+             "1*1 = 1*1\n1*t = t\nt*1 = t\nt*t = 0\n"
+    assert load_algebra(koszul) == koszul_resolution(5)
+    for bad in (
+        koszul.replace("t = 5*1\n", "t = 5*1\nt = 9*1\n"),
+        koszul.replace("t*t = 0\n", "t*t = 0\nt*t = 0\n"),
+        koszul.replace("1*t = t\n", "1*t = t\n1*t = 2*t\n"),
+    ):
+        with pytest.raises(ParseError, match="given twice"):
+            load_algebra(bad)
 
 
 def test_combo_parsing_details():
@@ -144,3 +193,65 @@ def test_combo_parsing_details():
     assert A == koszul_resolution(4)
     with pytest.raises(ParseError):
         load_algebra(src.replace("1*1 = 1*1", "1*1 = 1"))
+
+
+# ---------------------------------------------------------------------------
+# malformed algebra text through the CLI
+# ---------------------------------------------------------------------------
+
+EXT2_LINES = [
+    line
+    for line in (pathlib.Path(__file__).parent.parent / "bench" / "inputs" / "ext2-a9-b3.alg")
+    .read_text()
+    .splitlines()
+    if line and not line.startswith("#")
+]
+ALG_HEADERS = ["[basis]", "[unit]", "[diff]", "[mult]"]
+INTEGER = re.compile(r"-?\d+")
+
+
+@st.composite
+def mutated_algebra_texts(draw):
+    """ext2-a9-b3.alg after one to four edits: drop or repeat a line,
+    replace an integer (by another integer or by a non-integer), or rename
+    a header."""
+    lines = list(EXT2_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        ints = [
+            (at, m.span()) for at, line in enumerate(lines) for m in INTEGER.finditer(line)
+        ]
+        headers = [at for at, line in enumerate(lines) if line.startswith("[")]
+        kinds = ["drop", "repeat"] * bool(lines) + ["integer"] * bool(ints)
+        kinds += ["header"] * bool(headers)
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("drop", "repeat"):
+            at = draw(st.integers(0, len(lines) - 1))
+            lines[at:at + 1] = [] if kind == "drop" else [lines[at]] * 2
+        elif kind == "integer":
+            at, (i, j) = draw(st.sampled_from(ints))
+            token = draw(st.sampled_from(["0", "1", "-1", "2", "-3", "27", "100", "x", "1.5", ""]))
+            lines[at] = lines[at][:i] + token + lines[at][j:]
+        else:
+            at = draw(st.sampled_from(headers))
+            lines[at] = draw(st.sampled_from(ALG_HEADERS + ["[Basis]", "[muls]", "diff"]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_algebra_texts())
+def test_hh_on_mutated_algebra_text_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.alg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["hh", "--ring", path, "--max-degree", "3"])
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE), (code, err.getvalue())
+    if code == cli.EXIT_PARSE:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import os
 import random
+import sys
 import tempfile
 
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     clip_map,
     degeneracy_map_reference,
     face_map_reference,
+    graded_comparison_reference,
     graded_reference,
     kron_tensor_presentation,
     quotient_invariants,
@@ -272,6 +274,81 @@ def test_graded_comparison_report_fields():
     assert rep.lhs == rep.rhs
 
 
+COMPARISON_RINGS = {
+    **{
+        f"{p}^{n}": (lambda p=p, n=n: adic_filtration(p, n))
+        for p in (2, 3, 5, 7)
+        for n in (2, 3)
+    },
+    "graded 3^2": lambda: graded(adic_filtration(3, 2)),
+    "graded 3^3": lambda: graded(adic_filtration(3, 3)),
+    "5^3 by p^2": lambda: adic_filtration(5, 3, 2),
+    "text": lambda: load_filtered_ring(RING_TEXT),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPARISON_RINGS))
+def test_graded_comparison_matches_comparison_map_reference(name):
+    # on the level's own generator index, the report says what the explicit
+    # comparison map, its cokernel and the two rotations said
+    M = COMPARISON_RINGS[name]()
+    for q in range(4):
+        for k in sweep_levels(M, q):
+            got = dataclasses.asdict(graded_comparison(M, q, k))
+            assert got == dataclasses.asdict(graded_comparison_reference(M, q, k)), (q, k)
+
+
+def test_graded_comparison_fails_without_transition_relations(monkeypatch):
+    # each slice is its whole piece: the image of the piece below is no
+    # longer divided out, so the graded side is too large
+    M = adic_filtration(3, 2)
+
+    def whole_piece(M, i):
+        return M.piece(i) if -M.depth() <= i <= 0 else PresentedGroup.trivial()
+
+    monkeypatch.setattr(filtered, "graded_piece", whole_piece)
+    reports = [graded_comparison(M, q, k) for q in range(2) for k in sweep_levels(M, q)]
+    assert not all(r.map_is_iso for r in reports)
+    assert not all(reports)
+
+
+def test_graded_comparison_checks_the_lattice_not_only_the_groups(monkeypatch):
+    # each slice with its generators listed backwards is the same group,
+    # but level k's relations no longer lie in the graded relations
+    M = graded(adic_filtration(3, 2))
+    true_piece = filtered.graded_piece
+
+    def reversed_slice(M, i):
+        P = true_piece(M, i)
+        n = P.num_generators
+        entries = {(n - 1 - r, c): v for (r, c), v in P.relations.entries.items()}
+        return PresentedGroup(n, SparseIntMatrix(n, P.relations.cols, entries))
+
+    monkeypatch.setattr(filtered, "graded_piece", reversed_slice)
+    reports = [graded_comparison(M, q, k) for q in range(2) for k in sweep_levels(M, q)]
+    assert all(r.invariants_match and r.rotation_compatible for r in reports)
+    assert not all(r.map_is_iso for r in reports)
+
+
+def test_graded_comparison_fails_on_a_reordered_graded_index(monkeypatch):
+    # list the graded side's spots backwards, leaving the level's own spot
+    # sum alone: the two indexes differ, and the report must say so
+    original = filtered._spot_sum
+
+    def graded_side_reversed(spots, parts_of):
+        if sys._getframe(1).f_code.co_name == "graded_comparison":
+            spots = spots[::-1]
+        return original(spots, parts_of)
+
+    monkeypatch.setattr(filtered, "_spot_sum", graded_side_reversed)
+    M = adic_filtration(3, 2)
+    # one spot: nothing to reorder
+    assert graded_comparison(M, 0, -1)
+    rep = graded_comparison(M, 1, -1)  # spots (-1, 0) and (0, -1)
+    assert rep.invariants_match and rep.lhs == rep.rhs
+    assert not rep.rotation_compatible and not rep.map_is_iso and not rep
+
+
 def split_free_example():
     # free pieces Z^1 -> Z^2 -> Z^2, transitions basis to basis
     pieces = {
@@ -397,6 +474,13 @@ BAD_RING_TEXTS = [
     "[piece]\nindex 0\ngenerators 1\nrelations 2\n3\n3\n[unit]\n1\n",
     # a unit row in a piece without generators
     "[piece]\nindex 0\ngenerators 0\nrelations 0\n[unit]\n1\n",
+    # relation lines beyond the declared count (would load Z/9)
+    RING_TEXT.replace("relations 1\n9\n", "relations 1\n9\n27\n"),
+    # a second block for one piece, transition or product, and a second unit
+    RING_TEXT.replace("[unit]", "[piece]\nindex -1\ngenerators 1\nrelations 1\n3\n[unit]"),
+    RING_TEXT.replace("[unit]", "[transition]\nindex -1\n3\n[unit]"),
+    RING_TEXT.replace("[unit]", "[product]\nindices 0 -1\n1\n[unit]"),
+    RING_TEXT + "[unit]\n1\n",
 ]
 
 
