@@ -15,6 +15,12 @@ maps.  Sign conventions, fixed once for the whole package:
                      each degree listing the source block first
   * bicomplex        vertical^2 = horizontal^2 = v h + h v = 0
 Each is gated by the ChainComplex check, not trusted.
+
+Homology comes in two tiers: `homology_groups` reads groups from invariant
+factors, and `homology_presentation` presents H_i on Smith-form generators
+(one per invariant factor d > 1, then the free part) with cycle lifts, so
+that induced maps and the exactness checks work on matrices the size of
+the group.
 """
 
 from __future__ import annotations
@@ -38,9 +44,11 @@ from .intlin import (
     SmithDecomposition,
     cokernel,
     invariant_factors,
+    kernel_basis,
     kron,
     lattice_contains,
     smith_decomposition,
+    smith_generators,
 )
 
 Label = Any
@@ -410,22 +418,31 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 
 @dataclass(frozen=True)
 class HomologyPresentation:
-    """H_i presented as Z^k / relations, with cycle lifts for the generators.
+    """H_i presented on Smith-form generators, as Z^s / relations.
 
-    cycles: chain-degree matrix whose columns are cycle representatives of
-    the k presentation generators (a basis of ker d_out).
-    relations: k x m matrix of boundary relations in those coordinates.
+    There is one generator per invariant factor d_j > 1 of H_i, in
+    divisibility order, then one per free summand.
+    cycles: chain-degree matrix whose s columns are cycle representatives
+    of the generators.
+    relations: the s x s diagonal of the d_j, with 0 for a free generator.
     """
 
     degree: int
     cycles: SparseIntMatrix
     relations: SparseIntMatrix
     group: AbelianGroup
-    _decomposition: SmithDecomposition
+    _decomposition: SmithDecomposition  # of d_i, for coordinates on ker d_i
+    _to_generators: SparseIntMatrix  # s x dim ker d_i
 
     def coords_of_cycles(self, X: SparseIntMatrix) -> SparseIntMatrix:
-        """Express cycle columns of X in the presentation generators."""
-        return self._decomposition.kernel_coords(X)
+        """Express cycle columns of X in the generators, torsion ones mod d_j."""
+        Y = self._to_generators @ self._decomposition.kernel_coords(X)
+        d = self.relations.entries
+        return SparseIntMatrix(
+            Y.rows,
+            Y.cols,
+            {(i, j): v % d[(i, i)] if (i, i) in d else v for (i, j), v in Y.entries.items()},
+        )
 
     def generated_by(self, A: SparseIntMatrix) -> bool:
         """Do the classes with generator coordinates A span the group?"""
@@ -433,15 +450,21 @@ class HomologyPresentation:
 
 
 def homology_presentation(C: ChainComplex, i: int) -> HomologyPresentation:
+    """H_i on Smith-form generators.  d_i is decomposed for a kernel basis
+    and kernel coordinates; the boundaries' coordinates R are then
+    diagonalized once, and the generators and the group are read from that
+    diagonal."""
     _check_degree(C, i)
     dec = smith_decomposition(C.diff(i))
-    relations = dec.kernel_coords(C.diff(i + 1))
+    factors, to_generators, generators = smith_generators(dec.kernel_coords(C.diff(i + 1)))
+    s = len(factors)
     return HomologyPresentation(
         degree=i,
-        cycles=dec.kernel_basis(),
-        relations=relations,
-        group=cokernel(relations),
+        cycles=dec.kernel_basis() @ generators,
+        relations=SparseIntMatrix(s, s, {(j, j): d for j, d in enumerate(factors)}),
+        group=AbelianGroup.from_diagonal(factors, factors.count(0)),
         _decomposition=dec,
+        _to_generators=to_generators,
     )
 
 
@@ -465,8 +488,6 @@ def _kernel_of_induced(
     A: SparseIntMatrix, target_relations: SparseIntMatrix
 ) -> SparseIntMatrix:
     """Generators of {x : A x lies in the target relation lattice}."""
-    from .intlin import kernel_basis
-
     stacked = A.hstack(target_relations.scale(-1))
     K = kernel_basis(stacked)
     # project onto the x-block
@@ -486,14 +507,16 @@ def exact_at(
 
     `incoming` is a matrix into mid's generators, `outgoing` a matrix from
     mid's generators into a group presented with relation matrix
-    `out_relations`.
+    `out_relations`.  Two lattice tests decide it: the composite vanishes
+    (image within kernel), and the kernel lies in the image.  The first
+    already puts every column of `incoming` in the preimage lattice that
+    `_kernel_of_induced` spans, so image within kernel needs no test of
+    its own.
     """
-    image = incoming.hstack(mid.relations)
-    # composite must vanish
     if not lattice_contains(out_relations, outgoing @ incoming):
         return False
-    kernel = _kernel_of_induced(outgoing, out_relations).hstack(mid.relations)
-    return lattice_contains(image, kernel) and lattice_contains(kernel, image)
+    kernel = _kernel_of_induced(outgoing, out_relations)
+    return lattice_contains(incoming.hstack(mid.relations), kernel)
 
 
 @dataclass(frozen=True)

@@ -264,9 +264,18 @@ def sbi_check(A: DGAlgebra, bound: int) -> SBIReport:
     Q, proj = _quotient_complex(bundle)
 
     def connecting(n):
-        # lift a quotient cycle, apply d, land in column 0
-        d = bundle.total.diff(n) @ proj[n].transpose()
-        return _column_zero_inclusion(bundle, n - 1).transpose() @ d
+        # lift a quotient cycle (the trailing block of degree n), apply d and
+        # keep column 0 (the leading block of degree n - 1)
+        rows, first = bundle.hochschild.total.dim(n - 1), bundle.total.dim(n) - Q.dim(n)
+        return SparseIntMatrix(
+            rows,
+            Q.dim(n),
+            {
+                (r, c - first): v
+                for (r, c), v in bundle.total.diff(n).entries.items()
+                if r < rows and c >= first
+            },
+        )
 
     hp = presentation_cache(bundle.hochschild.total, bundle.total, Q)
     degrees = range(2, bound + 1)

@@ -7,9 +7,13 @@ shortcut.
 One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
 without transforms: the rank and the Smith diagonal are all a homology
 group or a cokernel needs.  `smith_decomposition` keeps U, V and V^-1 with
-U*M*V = D, for cycle lifts, kernel coordinates and induced maps, and
-`lattice_contains` keeps U only.  U is row-major, V column-major (a column
-operation touches one dict) and V^-1 row-major.
+U*M*V = D, for kernel bases and kernel coordinates; `lattice_contains` and
+`smith_generators` (a cokernel on Smith-form generators, one per invariant
+factor d > 1 plus the free part) keep U only.  V is column-major (a column
+operation touches one dict) and V^-1 row-major.  U is never updated during
+the elimination: its row operations are logged, and rows of U with the
+matching columns of U^-1 come from replaying the log backwards, at a cost
+that grows with how many are wanted, not with the size of U.
 
 Nothing is swapped: a pivot (r, c) is recorded and, once its row and column
 are clear, both leave the active part; the results are permuted once so
@@ -40,7 +44,8 @@ every pivot row gives rank 18 instead of 19 in degree 37.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CompositionNonzero, DimensionMismatch
@@ -358,7 +363,8 @@ class _Reducer:
 
     The current matrix is row-major (`rows`) with a column index (`colnz`).
     A retired pivot (r, c) leaves row r as {c: d} and column c as {r: d}.
-    U is optional, and so are V and V^-1, which are kept together.
+    With track_u, U is the product of the logged row operations, in order
+    (`ops`); V and V^-1 are optional and are kept together as matrices.
     """
 
     def __init__(
@@ -373,7 +379,9 @@ class _Reducer:
             if j not in skip:
                 self.rows[i][j] = v
                 self.colnz[j].add(i)
-        self.U = [{i: 1} for i in range(self.m)] if track_u else None
+        # (a, b, c): row a += c * row b; (x, y, a, b, c, d): rows x, y <-
+        # a*x + b*y, c*x + d*y (determinant 1); (r,): row r <- -row r
+        self.ops: Optional[List[tuple]] = [] if track_u else None
         self.V = [{j: 1} for j in range(self.n)] if track_v else None
         self.Vinv = [{j: 1} for j in range(self.n)] if track_v else None
         self.retired = [False] * self.m
@@ -405,8 +413,8 @@ class _Reducer:
             else:
                 del ra[j]
                 self.colnz[j].discard(a)
-        if self.U is not None:
-            _add_into(self.U[a], self.U[b], c)
+        if self.ops is not None:
+            self.ops.append((a, b, c))
 
     def add_col(self, a: int, b: int, c: int):
         """col a += c * col b (M <- M*E with E = I + c*e_{b,a})."""
@@ -504,8 +512,8 @@ class _Reducer:
         for k, (r, _) in enumerate(self.pivots):
             if d[k] < 0:
                 d[k] = -d[k]
-                if self.U is not None:
-                    self.U[r] = {j: -v for j, v in self.U[r].items()}
+                if self.ops is not None:
+                    self.ops.append((r,))
         # pivot rows (columns) first, in pivot order, then the rest
         self.row_order = [r for r, _ in self.pivots]
         self.row_order += sorted(set(range(self.m)) - set(self.row_order))
@@ -518,11 +526,46 @@ class _Reducer:
         a, b = self.diag[x], self.diag[y]
         g, s, t = _xgcd(a, b)
         self.diag[x], self.diag[y] = g, a // g * b
-        if self.U is not None:
-            _mix(self.U, r1, r2, s, t, -(b // g), a // g)
+        if self.ops is not None:
+            self.ops.append((r1, r2, s, t, -(b // g), a // g))
         if self.V is not None:
             _mix(self.V, c1, c2, 1, 1, -t * (b // g), s * (a // g))
             _mix(self.Vinv, c1, c2, s * (a // g), t * (b // g), -1, 1)
+
+
+# U from the logged row operations G_1, ..., G_N of a reduction: U = G_N ... G_1
+
+
+def _u_rows_and_inverse_columns(
+    ops: List[tuple], m: int, kept: Sequence[int]
+) -> Tuple[List[Dict[int, int]], List[Dict[int, int]]]:
+    """Rows kept[t] of the m x m matrix U and columns kept[t] of U^-1, as P
+    and Q with P[j][t] = U[kept[t], j] and Q[i][t] = U^-1[i, kept[t]].
+
+    Row r of U is e_r G_N ... G_1, and column r of U^-1 is
+    G_1^-1 ... G_N^-1 e_r: both start from e_r and run the log backwards,
+    at a cost per operation that grows with len(kept), not with m.
+    """
+    P: List[Dict[int, int]] = [dict() for _ in range(m)]
+    Q: List[Dict[int, int]] = [dict() for _ in range(m)]
+    for t, r in enumerate(kept):
+        P[r][t] = Q[r][t] = 1
+    for op in reversed(ops):
+        if len(op) == 3:
+            # G = I + c E_ab: P G adds c * column a to column b,
+            # G^-1 Q subtracts c * row b from row a
+            a, b, c = op
+            _add_into(P[b], P[a], c)
+            _add_into(Q[a], Q[b], -c)
+        elif len(op) == 6:
+            x, y, a, b, c, d = op
+            _mix(P, x, y, a, c, b, d)
+            _mix(Q, x, y, d, -b, -c, a)
+        else:
+            (r,) = op
+            P[r] = {t: -v for t, v in P[r].items()}
+            Q[r] = {t: -v for t, v in Q[r].items()}
+    return P, Q
 
 
 def _stack(vectors: List[Dict[int, int]], length: int, as_columns: bool) -> SparseIntMatrix:
@@ -538,14 +581,25 @@ def _stack(vectors: List[Dict[int, int]], length: int, as_columns: bool) -> Spar
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V = D with U, V unimodular and D a Smith diagonal."""
+    """U @ M @ V = D with U, V unimodular and D a Smith diagonal.
+
+    U is formed from the logged row operations when first read: kernel
+    bases and kernel coordinates need only V and V^-1.
+    """
 
     matrix: SparseIntMatrix
     d: SparseIntMatrix
-    u: SparseIntMatrix
     v: SparseIntMatrix
     vinv: SparseIntMatrix
     rank: int
+    _row_ops: List[tuple] = field(repr=False, compare=False)
+    _row_order: List[int] = field(repr=False, compare=False)
+
+    @cached_property
+    def u(self) -> SparseIntMatrix:
+        m = self.matrix.rows
+        U, _ = _u_rows_and_inverse_columns(self._row_ops, m, self._row_order)
+        return _stack(U, m, as_columns=True)
 
     @property
     def diagonal(self) -> List[int]:
@@ -580,10 +634,11 @@ def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
     return SmithDecomposition(
         matrix=M,
         d=SparseIntMatrix(w.m, w.n, {(k, k): v for k, v in enumerate(w.diag)}),
-        u=_stack([w.U[i] for i in w.row_order], w.m, as_columns=False),
         v=_stack([w.V[j] for j in w.col_order], w.n, as_columns=True),
         vinv=_stack([w.Vinv[j] for j in w.col_order], w.n, as_columns=False),
         rank=w.rank,
+        _row_ops=w.ops,
+        _row_order=w.row_order,
     )
 
 
@@ -611,22 +666,54 @@ def cokernel(M: SparseIntMatrix) -> AbelianGroup:
     return AbelianGroup.from_diagonal(facs, free_rank=M.rows - len(facs))
 
 
+def smith_generators(R: SparseIntMatrix) -> Tuple[List[int], SparseIntMatrix, SparseIntMatrix]:
+    """Smith-form generators of the cokernel Z^k / (column lattice of R), k = R.rows.
+
+    Returns (d, P, Q): the cokernel is the sum of Z/d_j over s generators,
+    the invariant factors d_j > 1 in divisibility order, then d_j = 0 for
+    each free generator.  P (s x k) maps coordinates to generator
+    coordinates, and the columns of Q (k x s) are the generators: row j of
+    P Q - I is divisible by d_j (zero for a free generator).
+
+    With U R V = D, the coordinates y = U x see the relations D: a row
+    of U at a unit factor is zero in the cokernel and is left out, and a
+    row past the rank is a free generator.  R is reduced without V, and only
+    the kept rows of U and the matching columns of U^-1 are built, from the
+    logged row operations.  Columns of U^-1 grow along the elimination's
+    remainder sequences; when the cokernel is finite, its exponent kills
+    every coordinate vector, so Q is reduced modulo it.
+    """
+    w = _Reducer(R, track_u=True, track_v=False)
+    w.reduce()
+    kept = [(r, d) for (r, _), d in zip(w.pivots, w.diag) if d != 1]
+    kept += [(r, 0) for r in w.row_order[w.rank:]]
+    factors = [d for _, d in kept]
+    P, Q = _u_rows_and_inverse_columns(w.ops, w.m, [r for r, _ in kept])
+    if factors and factors[-1]:
+        e = factors[-1]
+        Q = [{t: v - e * _nearest(v, e) for t, v in row.items() if v % e} for row in Q]
+    s = len(factors)
+    return factors, _stack(P, s, as_columns=True), _stack(Q, s, as_columns=False)
+
+
 def kernel_basis(M: SparseIntMatrix) -> SparseIntMatrix:
     return smith_decomposition(M).kernel_basis()
 
 
 def lattice_contains(M: SparseIntMatrix, X: SparseIntMatrix) -> bool:
-    """Is every column of X in the lattice spanned by the columns of M?"""
+    """Is every column of X in the lattice spanned by the columns of M?
+
+    It is when X's coordinates on the Smith-form generators of the cokernel
+    of M vanish; against a diagonal M this is a divisibility test, row by
+    row.
+    """
     if M.rows != X.rows:
         raise DimensionMismatch("lattice_contains row mismatch")
-    w = _Reducer(M, track_u=True, track_v=False)
-    w.reduce()
-    # U*M*V = D for some V, and the column lattice of U*M is that of D
-    Z = _stack([w.U[i] for i in w.row_order], w.m, as_columns=False) @ X
-    for (i, j), v in Z.entries.items():
-        if i >= w.rank or v % w.diag[i]:
-            return False
-    return True
+    if M.is_diagonal():
+        d = M.entries
+        return all((i, i) in d and v % d[(i, i)] == 0 for (i, _), v in X.entries.items())
+    factors, P, _ = smith_generators(M)
+    return all(factors[j] and v % factors[j] == 0 for (j, _), v in (P @ X).entries.items())
 
 
 def is_prime(n: int) -> bool:

@@ -4,8 +4,8 @@ Nothing here imports cychom's reduction code: the Smith form below is a
 plain dense Gaussian-style elimination, determinants use the Bareiss
 fraction-free scheme, and determinantal divisors come straight from gcds
 of minors.  Slow, simple, and written separately on purpose.  The one
-exception is the graded comparison reference at the end, which keeps the
-package's earlier comparison-map construction on the package's own
+exceptions are the two references at the end, which keep the package's
+earlier graded comparison and earlier exactness check on the package's own
 reductions.
 """
 
@@ -592,3 +592,81 @@ def graded_comparison_reference(M, q, k):
         map_is_iso=iso,
         rotation_compatible=rotation_compatible,
     )
+
+
+# ---------------------------------------------------------------------------
+# Exactness on the full kernel basis: H_i presented as Z^k / R, with k the
+# rank of ker d_i and R the coordinates of d_{i+1} in a kernel basis, and
+# exact_at's three lattice tests (composite vanishes, kernel within image,
+# image within kernel).  Kernel bases and coordinates come from the
+# package's smith_decomposition; lattice membership is decided here, from
+# dense Smith diagonals.
+# ---------------------------------------------------------------------------
+
+
+def lattice_contains_reference(M, X):
+    """Does the column lattice of M hold every column of X?  Adding X's
+    columns can only enlarge the lattice, and Z^n over a lattice surjects
+    onto Z^n over a larger one; equal invariants make that an isomorphism."""
+    columns = [[M[i, j] for i in range(M.rows)] for j in range(M.cols)]
+    more = columns + [[X[i, j] for i in range(X.rows)] for j in range(X.cols)]
+    return quotient_invariants(M.rows, columns) == quotient_invariants(M.rows, more)
+
+
+def presentation_reference(C, i):
+    """(kernel basis of d_i, relation matrix R, decomposition of d_i)."""
+    from cychom.errors import TruncationTooTight
+    from cychom.intlin import smith_decomposition
+
+    if not C.min_degree <= i < C.max_degree:
+        raise TruncationTooTight(f"H_{i} outside the complex")
+    dec = smith_decomposition(C.diff(i))
+    return dec.kernel_basis(), dec.kernel_coords(C.diff(i + 1)), dec
+
+
+def exact_at_reference(mid_relations, incoming, outgoing, out_relations):
+    """Exactness at a group Z^k / mid_relations of the maps `incoming` into
+    it and `outgoing` out of it into Z^l / out_relations."""
+    from cychom.intlin import SparseIntMatrix, kernel_basis
+
+    image = incoming.hstack(mid_relations)
+    if not lattice_contains_reference(out_relations, outgoing @ incoming):
+        return False
+    K = kernel_basis(outgoing.hstack(out_relations.scale(-1)))
+    preimage = SparseIntMatrix(
+        outgoing.cols, K.cols, {(i, j): v for (i, j), v in K.entries.items() if i < outgoing.cols}
+    )
+    kernel = preimage.hstack(mid_relations)
+    return lattice_contains_reference(image, kernel) and lattice_contains_reference(kernel, image)
+
+
+def exact_sequence_reference(complexes, maps, degrees):
+    """The nodes (k, n) where ... -> H_n(X0) -> H_n(X1) -> H_n(X2) ->
+    H_{n-1}(X0) -> ... fails to be exact, in the order exact_sequence_check
+    visits them: for each degree n, the nodes H_n(X1), H_n(X2), H_{n-1}(X0).
+    maps[k](n) is the chain-level matrix out of X_k in degree n."""
+    from cychom.errors import TruncationTooTight
+
+    failures = []
+    for n in degrees:
+        try:
+            x0, x1, x2, y0, y1 = (
+                presentation_reference(complexes[k], m)
+                for k, m in ((0, n), (1, n), (2, n), (0, n - 1), (1, n - 1))
+            )
+        except TruncationTooTight:
+            continue
+
+        def induced(k, m, source, target):
+            return target[2].kernel_coords(maps[k](m) @ source[0])
+
+        a_n, b_n = induced(0, n, x0, x1), induced(1, n, x1, x2)
+        c_n, a_n1 = induced(2, n, x2, y0), induced(0, n - 1, y0, y1)
+        for node, mid, incoming, outgoing, target in (
+            ((1, n), x1, a_n, b_n, x2),
+            ((2, n), x2, b_n, c_n, y0),
+            ((0, n - 1), y0, c_n, a_n1, y1),
+        ):
+            if not exact_at_reference(mid[1], incoming, outgoing, target[1]):
+                failures.append(node)
+    return failures

@@ -8,6 +8,7 @@ from cychom.complexes import (
     ChainMap,
     cone_les_check,
     dumps,
+    exact_at,
     homology,
     homology_mod,
     homology_presentation,
@@ -129,6 +130,87 @@ def test_homology_presentation_coords():
     from cychom.intlin import lattice_contains
 
     assert lattice_contains(hp.relations, coords)
+
+
+def _complex_with_h0(d_1):
+    """C_1 -> C_0 with the dense d_1, declared through degree 1."""
+    d_1 = SparseIntMatrix.from_dense(d_1)
+    basis = {0: tuple(f"a{k}" for k in range(d_1.rows)), 1: tuple(f"b{k}" for k in range(d_1.cols))}
+    return ChainComplex(basis, {1: d_1}, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "d_1, group",
+    [
+        # Z (+) Z/6, with the relation spread over both coordinates
+        ([[6, 0], [-12, 0]], AbelianGroup(1, (6,))),
+        # Z/2 (+) Z/4 through a unimodular change of coordinates
+        ([[2, 4], [2, 8]], AbelianGroup(0, (2, 4))),
+        ([[2, 0, 0], [0, 4, 0], [0, 0, 1]], AbelianGroup(0, (2, 4))),
+    ],
+)
+def test_presentation_on_smith_form_generators(d_1, group):
+    hp = homology_presentation(_complex_with_h0(d_1), 0)
+    s = len(group.invariant_factors) + group.free_rank
+    assert hp.group == group
+    # one generator per nontrivial invariant factor, then the free part
+    factors = list(group.invariant_factors) + [0] * group.free_rank
+    assert hp.relations == SparseIntMatrix(s, s, {(j, j): d for j, d in enumerate(factors) if d})
+    # each generator's cycle maps to its unit coordinate vector
+    assert hp.coords_of_cycles(hp.cycles) == SparseIntMatrix.identity(s)
+    # torsion coordinates are reduced into [0, d_j); free ones are exact
+    coords = hp.coords_of_cycles(hp.cycles.scale(-7))
+    for j, d in enumerate(factors):
+        assert coords[j, j] == (-7 % d if d else -7)
+
+
+def test_generated_by():
+    hp = homology_presentation(_complex_with_h0([[0]]), 0)  # H_0 = Z
+    assert hp.group == AbelianGroup.free(1)
+    assert not hp.generated_by(SparseIntMatrix.from_dense([[2]]))  # Z --2--> Z
+    assert hp.generated_by(SparseIntMatrix.from_dense([[-1]]))
+    assert hp.generated_by(SparseIntMatrix.from_dense([[2, 3]]))
+
+
+def test_coords_of_a_non_cycle_raise():
+    # a -> z, c -> 3b: H_0 = <b> / <3b>, and a is not a cycle
+    C = ChainComplex(
+        {-1: ("z",), 0: ("a", "b"), 1: ("c",)},
+        {0: SparseIntMatrix.from_dense([[1, 0]]), 1: SparseIntMatrix.from_dense([[0], [3]])},
+    )
+    hp = homology_presentation(C, 0)
+    assert hp.group == AbelianGroup.cyclic(3)
+    assert hp.coords_of_cycles(SparseIntMatrix.from_dense([[0], [4]])).to_dense() == [[1]]
+    with pytest.raises(CompositionNonzero):
+        hp.coords_of_cycles(SparseIntMatrix.from_dense([[1], [0]]))
+
+
+def _one(v):
+    return SparseIntMatrix.from_dense([[v]])
+
+
+@pytest.mark.parametrize(
+    "mid_d1, incoming, outgoing, out_relations, exact",
+    [
+        # Z --2--> Z --> Z/2
+        ([[0]], _one(2), _one(1), _one(2), True),
+        # composite != 0, so the image is not in the kernel: Z --1--> Z --1--> Z
+        ([[0]], _one(1), _one(1), SparseIntMatrix.zero(1, 0), False),
+        # kernel not in the image: 0 --> Z --0--> Z
+        ([[0]], SparseIntMatrix.zero(1, 0), _one(0), SparseIntMatrix.zero(1, 0), False),
+        # Z/4 --2--> Z/4 --1--> Z/2: the kernel {0, 2} is the image
+        ([[4]], _one(2), _one(1), _one(2), True),
+        # Z/4 --2--> Z/4 --2--> Z/4: the kernel {0, 2} is the image
+        ([[4]], _one(2), _one(2), _one(4), True),
+        # Z/4 --1--> Z/4 --2--> Z/4: the composite 2 is not 0 in Z/4
+        ([[4]], _one(1), _one(2), _one(4), False),
+        # Z/4 --0--> Z/4 --2--> Z/4: the kernel {0, 2} is not in the image 0
+        ([[4]], _one(0), _one(2), _one(4), False),
+    ],
+)
+def test_exact_at_lattice_tests(mid_d1, incoming, outgoing, out_relations, exact):
+    mid = homology_presentation(_complex_with_h0(mid_d1), 0)
+    assert exact_at(mid, incoming, outgoing, out_relations) is exact
 
 
 def test_total_complex_and_bicomplex_checks():

@@ -3,6 +3,9 @@
 A planted-answer property test builds complexes whose homology is known by
 construction, and two counting tests pin down that a table reduces each
 differential once, without transforms, and checks its degrees first.
+Exactness checks on Smith-form presentations are compared node by node
+with the full-kernel-basis reference on planted cone sequences, exact
+ones and ones with a scaled map.
 Clearing is checked against reducing each differential alone and against
 the dense oracle, on planted complexes whose unit pivots appear only by
 fill-in after a core step and on the cone of Z/19^3 -> Z/19^2.  The
@@ -26,11 +29,13 @@ from cychom.complexes import (
     ChainMap,
     cone_les_check,
     dumps,
+    exact_sequence_check,
     homology,
     homology_groups,
     homology_presentation,
     loads,
     mapping_cone,
+    presentation_cache,
     tensor,
 )
 from cychom.cyclic import cyclic_bundle, hc_table, hh_table, induced_cyclic_map
@@ -39,7 +44,7 @@ from cychom.errors import TruncationTooTight
 from cychom.hochschild import hochschild_complex
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
-from oracles import dense_smith_diagonal, quotient_invariants
+from oracles import dense_smith_diagonal, exact_sequence_reference, quotient_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +174,82 @@ def test_cone_of_identity_is_acyclic_with_exact_sequence(case):
     assert all(G.is_trivial() for G in homology_groups(cone, range(cone.max_degree)))
     report = cone_les_check(identity, range(1, top + 2))
     assert report.exact and len(report.checked_nodes) == 3 * top
+
+
+NAMES = ("src", "tgt", "cone")
+
+
+def _cone_sequence(f, scales):
+    """The complexes of f's cone sequence and its three chain-level maps
+    (f, y -> (0, y), (x, y) -> -x), each times its scale: scaling keeps
+    every map a chain map, and with scales other than +-1 the sequence is
+    usually not exact."""
+    src, tgt, cone = f.source, f.target, mapping_cone(f)
+
+    def incl(n):
+        k, m = src.dim(n - 1), tgt.dim(n)
+        return SparseIntMatrix(cone.dim(n), m, {(k + j, j): 1 for j in range(m)})
+
+    def proj(n):
+        k = src.dim(n - 1)
+        return SparseIntMatrix(k, cone.dim(n), {(i, i): -1 for i in range(k)})
+
+    maps = [
+        lambda n, g=g, a=a: g(n).scale(a) for g, a in zip((f.component, incl, proj), scales)
+    ]
+    return (src, tgt, cone), maps
+
+
+@st.composite
+def planted_sequences(draw):
+    """(complexes, maps, degrees, scales): the cone sequence of c times the
+    identity of a planted complex, with each map scaled."""
+    C, planted, _ = draw(planted_complexes())
+    c = draw(st.integers(-2, 3))
+    f = ChainMap(C, C, {n: SparseIntMatrix.identity(C.dim(n)).scale(c) for n in C.degrees()})
+    scales = draw(st.tuples(*[st.sampled_from((1, 1, -1, 0, 2, 3))] * 3))
+    complexes_, maps = _cone_sequence(f, scales)
+    return complexes_, maps, range(1, len(planted) + 1), scales
+
+
+def _check_against_reference(complexes_, maps, degrees):
+    report = exact_sequence_check(presentation_cache(*complexes_), maps, NAMES, degrees)
+    want = tuple((NAMES[k], n) for k, n in exact_sequence_reference(complexes_, maps, degrees))
+    assert report.failures == want
+    assert report.exact == (not want)
+    return report
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_sequences())
+def test_exactness_matches_the_full_kernel_basis_reference(case):
+    complexes_, maps, degrees, scales = case
+    report = _check_against_reference(complexes_, maps, degrees)
+    assert len(report.checked_nodes) == 3 * (len(degrees) - 1)
+    if all(a in (1, -1) for a in scales):
+        assert report.exact  # the long exact sequence of a cone
+
+
+def test_scaled_cone_sequences_fail_where_the_reference_fails():
+    # H_0 = Z/4 and H_1 = Z/3 (+) Z: the cone of the identity is acyclic, so
+    # exactness needs H(src) -> H(tgt) to be an isomorphism.  Doubling it
+    # leaves the cokernel Z/2 at H_1(tgt) and the kernel Z/2 at H_0(src),
+    # and is injective on H_1(src)
+    C = ChainComplex(
+        {0: ("a",), 1: ("b", "c", "e"), 2: ("g",)},
+        {1: SparseIntMatrix.from_dense([[4, 0, 0]]), 2: SparseIntMatrix.from_dense([[0], [3], [0]])},
+        0,
+        3,
+    )
+    identity = ChainMap.identity(C)
+    report = _check_against_reference(*_cone_sequence(identity, (2, 1, 1)), range(1, 3))
+    assert report.failures == (("tgt", 1), ("src", 0))
+    assert _check_against_reference(*_cone_sequence(identity, (1, 1, 1)), range(1, 3)).exact
+    # the cone of 2 * id has homology, which a zero connecting map leaves
+    # outside the image of H(tgt)
+    double = ChainMap(C, C, {n: SparseIntMatrix.identity(C.dim(n)).scale(2) for n in C.degrees()})
+    assert _check_against_reference(*_cone_sequence(double, (1, 1, 1)), range(1, 3)).exact
+    assert not _check_against_reference(*_cone_sequence(double, (1, 1, 0)), range(1, 3)).exact
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,9 +12,15 @@ from cychom.intlin import (
     kernel_basis,
     lattice_contains,
     smith_decomposition,
+    smith_generators,
 )
 
-from oracles import dense_smith_diagonal, determinant, invariant_factors_via_divisors
+from oracles import (
+    dense_smith_diagonal,
+    determinant,
+    invariant_factors_via_divisors,
+    quotient_invariants,
+)
 
 
 def dense(M):
@@ -130,6 +136,42 @@ def test_transforms_do_not_depend_on_entry_order():
         a, b = smith_decomposition(M), smith_decomposition(shuffled)
         assert (a.d, a.u, a.v, a.vinv) == (b.d, b.u, b.v, b.vinv), f"trial {trial}"
         assert invariant_factors(M) == invariant_factors(shuffled), f"trial {trial}"
+
+
+def test_smith_generators_present_the_cokernel():
+    # P: Z^k -> Z^s kills every relation mod its factor and has Q as a right
+    # inverse mod the factors, so it maps Z^k / R onto the sum of the Z/d_j;
+    # that sum has the cokernel's invariants (dense oracle), so the map is
+    # an isomorphism
+    rng = random.Random(20261019)
+    for trial in range(300):
+        R = random_matrix(rng) if trial % 2 else unit_heavy_matrix(rng)
+        d, P, Q = smith_generators(R)
+        s = len(d)
+        torsion, free = [x for x in d if x], d.count(0)
+        assert d == torsion + [0] * free, f"trial {trial}"
+        assert all(x > 1 for x in torsion), f"trial {trial}"
+        assert all(b % a == 0 for a, b in zip(torsion, torsion[1:])), f"trial {trial}"
+        assert P.shape == (s, R.rows) and Q.shape == (R.rows, s), f"trial {trial}"
+        for (j, _), v in (P @ Q - SparseIntMatrix.identity(s)).entries.items():
+            assert d[j] and v % d[j] == 0, f"trial {trial}"
+        for (j, _), v in (P @ R).entries.items():
+            assert d[j] and v % d[j] == 0, f"trial {trial}"
+        if not free and torsion:
+            assert all(2 * abs(v) <= torsion[-1] for v in Q.entries.values()), f"trial {trial}"
+        columns = [[R[i, j] for i in range(R.rows)] for j in range(R.cols)]
+        assert (free, torsion) == quotient_invariants(R.rows, columns), f"trial {trial}"
+
+
+def test_lattice_contains_a_diagonal_lattice():
+    rng = random.Random(3)
+    for trial in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(0, 5)
+        diagonal = {(k, k): rng.choice((0, 1, 2, -3, 6)) for k in range(min(rows, cols))}
+        M = SparseIntMatrix(rows, cols, diagonal)
+        assert M.is_diagonal()
+        X = SparseIntMatrix.from_dense([[rng.randint(-7, 7)] for _ in range(rows)])
+        assert lattice_contains(M, X) == oracle_contains(M, X), f"trial {trial}"
 
 
 def test_kernel_basis_spans_kernel():
