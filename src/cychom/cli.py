@@ -108,12 +108,15 @@ def _parse_ring(text: str) -> RingDescriptor:
         if not is_prime(p) or n < 1:
             raise InvalidParams(f"descriptor {text!r} needs a prime and level >= 1")
         return RingDescriptor(p, n, dga.koszul_resolution(p ** n))
+    return RingDescriptor(None, None, dga.load_algebra(_read_file(text, "ring")))
+
+
+def _read_file(path: str, kind: str) -> str:
     try:
-        with open(text) as fh:
-            source = fh.read()
+        with open(path) as fh:
+            return fh.read()
     except OSError as e:
-        raise ParseError(f"cannot read ring file {text!r}: {e}")
-    return RingDescriptor(None, None, dga.load_algebra(source))
+        raise ParseError(f"cannot read {kind} file {path!r}: {e}")
 
 
 def _degree_plan(ring: RingDescriptor, max_degree, allow_unverified: bool):
@@ -143,38 +146,29 @@ def _table_rows(groups, verified_top, kind) -> List[ResultRow]:
     return rows
 
 
-def _cmd_hh(spec: JobSpec, out) -> int:
-    ring = _parse_ring(spec.params["ring"])
-    top, verified = _degree_plan(
-        ring, spec.params.get("max_degree"), spec.params.get("allow_unverified", False)
-    )
-    groups = cyclic.hh_table(hochschild.hochschild_complex(ring.algebra, top), top)
-    _emit(spec, _table_rows(groups, verified, "HH"), out)
-    return EXIT_OK
-
-
-def _cmd_hc(spec: JobSpec, out) -> int:
-    ring = _parse_ring(spec.params["ring"])
-    top, verified = _degree_plan(
-        ring, spec.params.get("max_degree"), spec.params.get("allow_unverified", False)
-    )
-    groups = cyclic.hc_table(cyclic.cyclic_bundle(ring.algebra, top), top)
-    _emit(spec, _table_rows(groups, verified, "HC"), out)
-    return EXIT_OK
-
-
-def _cmd_rel_hc(spec: JobSpec, out) -> int:
-    ring = _parse_ring(spec.params["ring"])
-    if not ring.builtin:
-        raise InvalidParams("rel-hc needs a builtin zmod:p^n ring")
-    if ring.n < 2:
-        raise InvalidParams("rel-hc needs level n >= 2")
-    top, verified = _degree_plan(
-        ring, spec.params.get("max_degree"), spec.params.get("allow_unverified", False)
-    )
+def _table(command: str, ring: RingDescriptor, top: int) -> List[AbelianGroup]:
+    """The groups of the hh, hc or rel-hc table in degrees 0..top."""
+    if command == "hh":
+        return cyclic.hh_table(hochschild.hochschild_complex(ring.algebra, top), top)
+    if command == "hc":
+        return cyclic.hc_table(cyclic.cyclic_bundle(ring.algebra, top), top)
     f = dga.reduction_map(ring.p ** ring.n, ring.p ** (ring.n - 1))
     _, _, F = cyclic.induced_cyclic_map(f, top + 1)
-    _emit(spec, _table_rows(cyclic.rel_hc_table(F, top), verified, "rel-HC"), out)
+    return cyclic.rel_hc_table(F, top)
+
+
+def _cmd_table(spec: JobSpec, out) -> int:
+    ring = _parse_ring(spec.params["ring"])
+    if spec.command == "rel-hc":
+        if not ring.builtin:
+            raise InvalidParams("rel-hc needs a builtin zmod:p^n ring")
+        if ring.n < 2:
+            raise InvalidParams("rel-hc needs level n >= 2")
+    top, verified = _degree_plan(
+        ring, spec.params.get("max_degree"), spec.params.get("allow_unverified", False)
+    )
+    kind = {"hh": "HH", "hc": "HC", "rel-hc": "rel-HC"}[spec.command]
+    _emit(spec, _table_rows(_table(spec.command, ring, top), verified, kind), out)
     return EXIT_OK
 
 
@@ -199,11 +193,7 @@ def _cmd_gr_check(spec: JobSpec, out) -> int:
         desc = _parse_ring(text)
         M = filtered.adic_filtration(desc.p, desc.n)
     else:
-        try:
-            with open(text) as fh:
-                M = filtered.load_filtered_ring(fh.read())
-        except OSError as e:
-            raise ParseError(f"cannot read filtered ring file {text!r}: {e}")
+        M = filtered.load_filtered_ring(_read_file(text, "filtered ring"))
     m = M.depth()
     rows = []
     failures = 0
@@ -286,9 +276,9 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
 
 
 _COMMANDS = {
-    "hh": _cmd_hh,
-    "hc": _cmd_hc,
-    "rel-hc": _cmd_rel_hc,
+    "hh": _cmd_table,
+    "hc": _cmd_table,
+    "rel-hc": _cmd_table,
     "gr-check": _cmd_gr_check,
     "k-groups": _cmd_k_groups,
     "reproduce-paper": _cmd_reproduce_paper,

@@ -107,9 +107,12 @@ def induced_cyclic_map(
 ) -> Tuple[CyclicComplexBundle, CyclicComplexBundle, ChainMap]:
     """The map of cyclic total complexes induced by an algebra map.
 
-    The Hochschild-level map is verified to intertwine both differentials
-    before its degree t - s component is copied into each cell (s, t); the
-    bundles are built over the same two Hochschild complexes.
+    The Hochschild-level map's degree t - s component is copied into each
+    cell (s, t); the bundles are built over the same two Hochschild
+    complexes.  The ChainMap constructor checks the squares with the total
+    differential, whose horizontal blocks are B: this is where the map is
+    verified to intertwine B, in Hochschild degrees 0..bound - 1, the ones
+    the cyclic total uses.
     """
     hsrc, htgt, F = induced_map(f, bound)
     src, tgt = _bundle_over(hsrc), _bundle_over(htgt)

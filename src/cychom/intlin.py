@@ -6,27 +6,31 @@ shortcut.
 
 One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
 without transforms: the rank and the Smith diagonal are all a homology
-group or a cokernel needs.  `smith_decomposition` keeps U, V and V^-1 with
-U*M*V = D, for kernel bases and kernel coordinates; `lattice_contains` and
-`smith_generators` (a cokernel on Smith-form generators, one per invariant
-factor d > 1 plus the free part) keep U only.  V is column-major (a column
-operation touches one dict) and V^-1 row-major.  U is never updated during
-the elimination: its row operations are logged, and rows of U with the
-matching columns of U^-1 come from replaying the log backwards, at a cost
-that grows with how many are wanted, not with the size of U.
+group or a cokernel needs.  The other tier logs the transforms of
+U*M*V = D: `smith_decomposition` for kernel bases and kernel coordinates,
+`lattice_contains` and `smith_generators` (a cokernel on Smith-form
+generators, one per invariant factor d > 1 plus the free part) for U.
+Neither U nor V is updated during the elimination: row operations and
+column operations go to two logs of the same form.  Rows of U with the
+matching columns of U^-1 come from replaying the row log backwards, at a
+cost that grows with how many are wanted, not with the size of U.  The
+column log, read as row operations, is the log of V^T, so the same replay
+gives columns of V.  Kernel coordinates V^-1 X apply the inverse column
+operations to the rows of X in log order, so V^-1 is never formed.
 
 Nothing is swapped: a pivot (r, c) is recorded and, once its row and column
 are clear, both leave the active part; the results are permuted once so
 that the pivots come first.  As in Dumas-Heckenbach-Saunders-Welker (2003)
 there are two phases.  The unit phase takes +-1 pivots from a heap keyed by
 the Markowitz cost (row nnz - 1) * (column nnz - 1), ties by (row, column),
-re-keying stale entries when popped; without V, a unit's row is dropped
-once its column is clear.  The core phase pivots on an active entry of
-least absolute value, with nearest-integer quotients, so that remainders
-are centered and transforms stay small.  The pivots are then sorted by
-absolute value, and pairs that break the divisibility chain become gcd and
-lcm.  Rows are built from the entries sorted by (row, column), so the
-transforms depend on the matrix only.
+re-keying stale entries when popped; a unit's row is dropped once its
+column is clear, since the column operations that clear it change nothing
+else.  The core phase pivots on an active entry of least absolute value,
+with nearest-integer quotients, so that remainders are centered and
+transforms stay small.  The pivots are then sorted by absolute value, and
+pairs that break the divisibility chain become gcd and lcm.  Rows are built
+from the entries sorted by (row, column), so the transforms depend on the
+matrix only.
 
 Clearing (the "twist" of Chen-Kerber 2011, as in Bauer's Ripser): for
 d_n d_{n+1} = 0, the rows of the unit pivots that reducing d_{n+1} retires
@@ -201,19 +205,6 @@ class SparseIntMatrix:
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
-    def apply(self, vec: Mapping[int, int]) -> Dict[int, int]:
-        """Apply to a sparse column vector {index: value}."""
-        out: Dict[int, int] = {}
-        cols = {}
-        for (i, j), v in self.entries.items():
-            cols.setdefault(j, []).append((i, v))
-        for j, c in vec.items():
-            if not c:
-                continue
-            for i, v in cols.get(j, ()):
-                out[i] = out.get(i, 0) + c * v
-        return {i: v for i, v in out.items() if v}
-
     def hstack(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
@@ -221,14 +212,6 @@ class SparseIntMatrix:
         for (i, j), v in other.entries.items():
             entries[(i, j + self.cols)] = v
         return SparseIntMatrix(self.rows, self.cols + other.cols, entries)
-
-    def vstack(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack col mismatch")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i + self.rows, j)] = v
-        return SparseIntMatrix(self.rows + other.rows, self.cols, entries)
 
 
 def kron(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
@@ -363,13 +346,11 @@ class _Reducer:
 
     The current matrix is row-major (`rows`) with a column index (`colnz`).
     A retired pivot (r, c) leaves row r as {c: d} and column c as {r: d}.
-    With track_u, U is the product of the logged row operations, in order
-    (`ops`); V and V^-1 are optional and are kept together as matrices.
+    When logged, U is the product of the row operations in `ops` and V^T
+    that of the column operations in `col_ops`, each in log order.
     """
 
-    def __init__(
-        self, M: SparseIntMatrix, track_u: bool, track_v: bool, skip_columns: Iterable[int] = ()
-    ):
+    def __init__(self, M: SparseIntMatrix, logged: bool, skip_columns: Iterable[int] = ()):
         self.m = M.rows
         self.n = M.cols
         self.rows: List[Dict[int, int]] = [dict() for _ in range(self.m)]
@@ -380,10 +361,10 @@ class _Reducer:
                 self.rows[i][j] = v
                 self.colnz[j].add(i)
         # (a, b, c): row a += c * row b; (x, y, a, b, c, d): rows x, y <-
-        # a*x + b*y, c*x + d*y (determinant 1); (r,): row r <- -row r
-        self.ops: Optional[List[tuple]] = [] if track_u else None
-        self.V = [{j: 1} for j in range(self.n)] if track_v else None
-        self.Vinv = [{j: 1} for j in range(self.n)] if track_v else None
+        # a*x + b*y, c*x + d*y (determinant 1); (r,): row r <- -row r.
+        # col_ops holds the same tuples for columns, without sign changes
+        self.ops: Optional[List[tuple]] = [] if logged else None
+        self.col_ops: Optional[List[tuple]] = [] if logged else None
         self.retired = [False] * self.m
         self.live = list(range(self.m))
         self.pivots: List[Tuple[int, int]] = []
@@ -397,7 +378,7 @@ class _Reducer:
         ]
         heapq.heapify(self.heap)
 
-    # -- elementary operations (each keeps U*M_orig*V = M_current) ---------
+    # -- the reduction ------------------------------------------------------
 
     def add_row(self, a: int, b: int, c: int):
         """row a += c * row b; new unit entries join the pivot heap."""
@@ -415,25 +396,6 @@ class _Reducer:
                 self.colnz[j].discard(a)
         if self.ops is not None:
             self.ops.append((a, b, c))
-
-    def add_col(self, a: int, b: int, c: int):
-        """col a += c * col b (M <- M*E with E = I + c*e_{b,a})."""
-        for i in self.colnz[b]:
-            r = self.rows[i]
-            w = r.get(a, 0) + c * r[b]
-            if w:
-                if a not in r:
-                    self.colnz[a].add(i)
-                r[a] = w
-            else:
-                del r[a]
-                self.colnz[a].discard(i)
-        if self.V is not None:
-            _add_into(self.V[a], self.V[b], c)
-            # E^{-1} * Vinv: row b -= c * row a
-            _add_into(self.Vinv[b], self.Vinv[a], -c)
-
-    # -- the reduction ------------------------------------------------------
 
     def _unit_pivot(self) -> Optional[Tuple[int, int]]:
         """The active ±1 entry of least Markowitz cost, re-keying stale ones."""
@@ -474,18 +436,27 @@ class _Reducer:
                 self.add_row(i, r, -_nearest(self.rows[i][c], p))
         if len(self.colnz[c]) > 1:
             return
-        if self.V is None and (p == 1 or p == -1):
-            # column c is zero off row r, so the column operations that would
-            # clear row r change nothing else: drop its other entries
-            for j in row:
+        # column c is zero off row r, so the column operation col j += q * col c
+        # changes row r alone; it is logged as (j, c, q)
+        log = self.col_ops
+        if p == 1 or p == -1:
+            for j, v in row.items():
                 if j != c:
                     self.colnz[j].discard(r)
+                    if log is not None:
+                        log.append((j, c, -v * p))
             self.rows[r] = {c: p}
         else:
-            for j, v in list(row.items()):
-                if j != c:
-                    self.add_col(j, c, -_nearest(v, p))
-            if len(row) > 1:
+            rest = self.rows[r] = {}
+            for j, v in row.items():
+                q = 0 if j == c else _nearest(v, p)
+                if q and log is not None:
+                    log.append((j, c, -q))
+                if v - q * p:
+                    rest[j] = v - q * p
+                else:
+                    self.colnz[j].discard(r)
+            if len(rest) > 1:
                 return
         self.retired[r] = True
         self.pivots.append((r, c))
@@ -528,12 +499,12 @@ class _Reducer:
         self.diag[x], self.diag[y] = g, a // g * b
         if self.ops is not None:
             self.ops.append((r1, r2, s, t, -(b // g), a // g))
-        if self.V is not None:
-            _mix(self.V, c1, c2, 1, 1, -t * (b // g), s * (a // g))
-            _mix(self.Vinv, c1, c2, s * (a // g), t * (b // g), -1, 1)
+            self.col_ops.append((c1, c2, 1, 1, -t * (b // g), s * (a // g)))
 
 
-# U from the logged row operations G_1, ..., G_N of a reduction: U = G_N ... G_1
+# U from the logged row operations G_1, ..., G_N of a reduction: U = G_N ... G_1.
+# V from the logged column operations E_1, ..., E_N: V = E_1 ... E_N, so
+# V^T = E_N^T ... E_1^T, and E_k^T is the row operation with E_k's tuple.
 
 
 def _u_rows_and_inverse_columns(
@@ -544,7 +515,8 @@ def _u_rows_and_inverse_columns(
 
     Row r of U is e_r G_N ... G_1, and column r of U^-1 is
     G_1^-1 ... G_N^-1 e_r: both start from e_r and run the log backwards,
-    at a cost per operation that grows with len(kept), not with m.
+    at a cost per operation that grows with len(kept), not with m.  On a
+    column log, U is V^T and P[j][t] = V[j, kept[t]].
     """
     P: List[Dict[int, int]] = [dict() for _ in range(m)]
     Q: List[Dict[int, int]] = [dict() for _ in range(m)]
@@ -583,17 +555,18 @@ def _stack(vectors: List[Dict[int, int]], length: int, as_columns: bool) -> Spar
 class SmithDecomposition:
     """U @ M @ V = D with U, V unimodular and D a Smith diagonal.
 
-    U is formed from the logged row operations when first read: kernel
-    bases and kernel coordinates need only V and V^-1.
+    U and V are formed from the logged operations when first read.  A
+    kernel basis replays only the columns of V past the rank, and kernel
+    coordinates apply the inverse column operations to their argument.
     """
 
     matrix: SparseIntMatrix
     d: SparseIntMatrix
-    v: SparseIntMatrix
-    vinv: SparseIntMatrix
     rank: int
     _row_ops: List[tuple] = field(repr=False, compare=False)
     _row_order: List[int] = field(repr=False, compare=False)
+    _col_ops: List[tuple] = field(repr=False, compare=False)
+    _col_order: List[int] = field(repr=False, compare=False)
 
     @cached_property
     def u(self) -> SparseIntMatrix:
@@ -601,44 +574,61 @@ class SmithDecomposition:
         U, _ = _u_rows_and_inverse_columns(self._row_ops, m, self._row_order)
         return _stack(U, m, as_columns=True)
 
+    @cached_property
+    def v(self) -> SparseIntMatrix:
+        return self._v_columns(self._col_order)
+
+    def _v_columns(self, kept: Sequence[int]) -> SparseIntMatrix:
+        """The columns kept[t] of V, replayed from the column log."""
+        V, _ = _u_rows_and_inverse_columns(self._col_ops, self.matrix.cols, kept)
+        return _stack(V, len(kept), as_columns=False)
+
     @property
     def diagonal(self) -> List[int]:
         return self.d.diagonal_entries()
 
     def kernel_basis(self) -> SparseIntMatrix:
         """Columns form a basis of the (saturated) integer kernel lattice."""
-        cols = self.v.cols
-        entries = {}
-        for (i, j), val in self.v.entries.items():
-            if j >= self.rank:
-                entries[(i, j - self.rank)] = val
-        return SparseIntMatrix(cols, cols - self.rank, entries)
+        return self._v_columns(self._col_order[self.rank :])
 
     def kernel_coords(self, X: SparseIntMatrix) -> SparseIntMatrix:
         """Coordinates of the columns of X in the kernel basis.
 
         Every column of X must lie in the kernel of the decomposed matrix.
         """
-        Y = self.vinv @ X
-        entries = {}
-        for (i, j), v in Y.entries.items():
-            if i < self.rank:
-                raise CompositionNonzero("column not in the kernel")
-            entries[(i - self.rank, j)] = v
-        return SparseIntMatrix(self.matrix.cols - self.rank, X.cols, entries)
+        if X.rows != self.matrix.cols:
+            raise DimensionMismatch(f"kernel_coords: {X.rows} rows, {self.matrix.cols} columns")
+        # V^-1 X = E_N^-1 ... E_1^-1 X: the inverses act on X's rows in log order
+        rows: List[Dict[int, int]] = [dict() for _ in range(X.rows)]
+        for (i, j), v in X.entries.items():
+            rows[i][j] = v
+        for op in self._col_ops:
+            if len(op) == 3:
+                # E = I + c E_ba: E^-1 X subtracts c * row a from row b
+                a, b, c = op
+                if rows[a]:
+                    _add_into(rows[b], rows[a], -c)
+            else:
+                x, y, a, b, c, d = op
+                _mix(rows, x, y, d, -c, -b, a)
+        if any(rows[j] for j in self._col_order[: self.rank]):
+            raise CompositionNonzero("column not in the kernel")
+        rest = self._col_order[self.rank :]
+        entries = {(t, k): v for t, j in enumerate(rest) for k, v in rows[j].items()}
+        return SparseIntMatrix(len(rest), X.cols, entries)
 
 
 def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
-    w = _Reducer(M, track_u=True, track_v=True)
+    w = _Reducer(M, logged=True)
     w.reduce()
     return SmithDecomposition(
         matrix=M,
         d=SparseIntMatrix(w.m, w.n, {(k, k): v for k, v in enumerate(w.diag)}),
-        v=_stack([w.V[j] for j in w.col_order], w.n, as_columns=True),
-        vinv=_stack([w.Vinv[j] for j in w.col_order], w.n, as_columns=False),
         rank=w.rank,
         _row_ops=w.ops,
         _row_order=w.row_order,
+        _col_ops=w.col_ops,
+        _col_order=w.col_order,
     )
 
 
@@ -653,7 +643,7 @@ def invariant_factors(
     passed as `cleared` receives the rows that may be skipped in the next
     differential down (see the clearing rule in the module docstring).
     """
-    w = _Reducer(M, track_u=False, track_v=False, skip_columns=skip_columns)
+    w = _Reducer(M, logged=False, skip_columns=skip_columns)
     w.reduce()
     if cleared is not None:
         cleared.extend(w.cleared)
@@ -677,13 +667,13 @@ def smith_generators(R: SparseIntMatrix) -> Tuple[List[int], SparseIntMatrix, Sp
 
     With U R V = D, the coordinates y = U x see the relations D: a row
     of U at a unit factor is zero in the cokernel and is left out, and a
-    row past the rank is a free generator.  R is reduced without V, and only
-    the kept rows of U and the matching columns of U^-1 are built, from the
-    logged row operations.  Columns of U^-1 grow along the elimination's
-    remainder sequences; when the cokernel is finite, its exponent kills
-    every coordinate vector, so Q is reduced modulo it.
+    row past the rank is a free generator.  Only the kept rows of U and the
+    matching columns of U^-1 are built, from the logged row operations.
+    Columns of U^-1 grow along the elimination's remainder sequences; when
+    the cokernel is finite, its exponent kills every coordinate vector, so
+    Q is reduced modulo it.
     """
-    w = _Reducer(R, track_u=True, track_v=False)
+    w = _Reducer(R, logged=True)
     w.reduce()
     kept = [(r, d) for (r, _), d in zip(w.pivots, w.diag) if d != 1]
     kept += [(r, 0) for r in w.row_order[w.rank:]]

@@ -66,6 +66,16 @@ def test_rel_hc_needs_tower(capsys):
     assert code == cli.EXIT_BAD_ARGS
 
 
+def test_rel_hc_needs_a_builtin_ring(tmp_path, capsys):
+    path = tmp_path / "ring.alg"
+    path.write_text(dump_algebra(koszul_resolution(9)))
+    # refused before the degree plan, which would ask for --max-degree
+    assert cli.main(["rel-hc", "--ring", str(path)]) == cli.EXIT_BAD_ARGS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: rel-hc needs a builtin zmod:p^n ring\n"
+
+
 def test_degree_window_gate(capsys):
     code, _ = run_cli(["hh", "--ring", "zmod:3", "--max-degree", "8"], capsys)
     assert code == cli.EXIT_RANGE
@@ -153,6 +163,15 @@ def test_gr_check_malformed_ring_file(tmp_path, capsys):
     path = tmp_path / "bad.ring"
     path.write_text("[piece]\nindex x\ngenerators 1\nrelations 0\n[unit]\n1\n")
     assert run_cli(["gr-check", "--ring", str(path)], capsys)[0] == cli.EXIT_PARSE
+
+
+def test_gr_check_missing_ring_file(tmp_path, capsys):
+    path = tmp_path / "missing.ring"
+    assert cli.main(["gr-check", "--ring", str(path)]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read filtered ring file {str(path)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_reproduce_paper_known_failures(capsys):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from cychom.complexes import ChainMap, total_map
 from cychom.cyclic import (
     cyclic_bundle,
     hc,
@@ -16,7 +19,7 @@ from cychom.cyclic import (
     tower_report,
 )
 from cychom.dga import DGAMorphism, base_ring, koszul_resolution, reduction_map
-from cychom.errors import BoundTooSmall, InvalidParams
+from cychom.errors import BoundTooSmall, InvalidParams, NotAChainMap
 from cychom.hochschild import hh, induced_map
 from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel
 
@@ -173,6 +176,33 @@ def test_induced_cyclic_map_components_are_block_copies():
             blocks += bool(block)
         assert set(M.entries) <= inside, n
     assert blocks == len(src.bicomplex.basis) == 9
+
+
+def test_induced_cyclic_map_checks_the_squares_with_B():
+    # F = 1 + b h + h b commutes with b for any h of degree +1, but not with
+    # B in general; the cyclic chain map is the only place B is checked
+    bundle = cyclic_bundle(koszul_resolution(4), 5)
+    C = bundle.hochschild.total
+    rng = random.Random(20261018)
+    h = {
+        n: SparseIntMatrix(
+            C.dim(n + 1),
+            C.dim(n),
+            {(i, j): rng.choice((-1, 1, 2)) for i in range(C.dim(n + 1)) for j in range(C.dim(n))},
+        )
+        for n in range(-1, 7)
+    }
+    F = {
+        n: SparseIntMatrix.identity(C.dim(n)) + C.diff(n + 1) @ h[n] + h[n - 1] @ C.diff(n)
+        for n in range(7)
+    }
+    ChainMap(C, C, F)
+    B = bundle.hochschild.cyclic_operator
+    # B fails to commute in a Hochschild degree below 5, which the cyclic total uses
+    assert [n for n in range(5) if B(n) @ F[n] != F[n + 1] @ B(n)] == [3]
+    cells = {(s, t): F[t - s] for (s, t) in bundle.bicomplex.basis}
+    with pytest.raises(NotAChainMap):
+        total_map(bundle.total, bundle.total, cells)
 
 
 def test_sbi_sequence_exact():

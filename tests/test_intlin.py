@@ -1,7 +1,11 @@
+import hashlib
+import pathlib
 import random
 
 import pytest
 
+from cychom.cyclic import cyclic_bundle
+from cychom.dga import load_algebra
 from cychom.errors import CompositionNonzero, DimensionMismatch
 from cychom.intlin import (
     AbelianGroup,
@@ -54,7 +58,7 @@ def check_decomposition(M):
     assert dec.u @ M @ dec.v == dec.d
     assert determinant(dense(dec.u)) in (1, -1)
     assert determinant(dense(dec.v)) in (1, -1)
-    assert dec.vinv @ dec.v == SparseIntMatrix.identity(M.cols)
+    assert dec.kernel_coords(dec.kernel_basis()) == SparseIntMatrix.identity(M.cols - dec.rank)
     return nonzero
 
 
@@ -134,7 +138,7 @@ def test_transforms_do_not_depend_on_entry_order():
         rng.shuffle(items)
         shuffled = SparseIntMatrix(M.rows, M.cols, dict(items))
         a, b = smith_decomposition(M), smith_decomposition(shuffled)
-        assert (a.d, a.u, a.v, a.vinv) == (b.d, b.u, b.v, b.vinv), f"trial {trial}"
+        assert (a.d, a.u, a.v) == (b.d, b.u, b.v), f"trial {trial}"
         assert invariant_factors(M) == invariant_factors(shuffled), f"trial {trial}"
 
 
@@ -192,6 +196,29 @@ def test_kernel_coords_rejects_non_kernel_columns():
     dec = smith_decomposition(M)
     with pytest.raises(CompositionNonzero):
         dec.kernel_coords(SparseIntMatrix.from_dense([[1], [0]]))
+    with pytest.raises(DimensionMismatch):
+        dec.kernel_coords(SparseIntMatrix.zero(3, 1))
+    # reductions that use column operations: diag(2, 3) beside the dependent
+    # column (2, 3) ends in a gcd/lcm step on the columns, then seeded ones
+    rng = random.Random(20261025)
+    cases = [SparseIntMatrix.from_dense([[2, 0, 2], [0, 3, 3]])]
+    cases += [random_matrix(rng) if k % 2 else unit_heavy_matrix(rng) for k in range(200)]
+    checked = 0
+    for trial, M in enumerate(cases):
+        dec = smith_decomposition(M)
+        K = dec.kernel_basis()
+        # a V with more entries than columns comes from column operations
+        if len(dec.v.entries) == M.cols or not K.cols:
+            continue
+        checked += 1
+        Z = SparseIntMatrix.from_dense([[rng.randint(-3, 3) for _ in range(3)] for _ in range(K.cols)])
+        X = K @ Z
+        Y = dec.kernel_coords(X)
+        assert Y == Z and K @ Y == X, f"trial {trial}"
+        j = next(j for j in range(M.cols) if M.column(j))
+        with pytest.raises(CompositionNonzero):
+            dec.kernel_coords(X.hstack(SparseIntMatrix(M.cols, 1, {(j, 0): 1})))
+    assert checked >= 50
 
 
 def test_cokernel_examples():
@@ -243,7 +270,76 @@ def test_matrix_arithmetic_basics():
     assert (A + B - B) == A
     assert A.transpose().transpose() == A
     assert A.hstack(B).shape == (2, 4)
-    assert A.vstack(B).shape == (4, 2)
-    assert A.apply({0: 1, 1: 1}) == {0: 3, 1: 7}
     with pytest.raises(DimensionMismatch):
         A @ SparseIntMatrix.zero(3, 3)
+
+
+# ---------------------------------------------------------------------------
+# the transforms, pinned: digests recorded when V and V^-1 were still dict
+# matrices updated on every column operation
+# ---------------------------------------------------------------------------
+
+EXT2 = pathlib.Path(__file__).parent.parent / "bench" / "inputs" / "ext2-a9-b3.alg"
+
+
+def _text(M):
+    return f"{M.rows}x{M.cols}:{sorted(M.entries.items())}"
+
+
+def _decomposition_text(M, X):
+    """d, u, v, the kernel basis and the kernel coordinates of X (or the
+    rejection) of M's Smith decomposition."""
+    dec = smith_decomposition(M)
+    try:
+        coords = _text(dec.kernel_coords(X))
+    except CompositionNonzero:
+        coords = "rejected"
+    parts = (dec.d, dec.u, dec.v, dec.kernel_basis())
+    return "|".join([_text(A) for A in parts] + [coords, str(dec.rank)])
+
+
+def _generators_text(M):
+    d, P, Q = smith_generators(M)
+    return f"{d}|{_text(P)}|{_text(Q)}"
+
+
+def _factors_text(M):
+    cleared = []
+    return f"{invariant_factors(M, cleared=cleared)}|{cleared}"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_transforms_of_seeded_matrices_match_the_recorded_digest():
+    rng = random.Random(20261024)
+    lines = []
+    for trial in range(120):
+        M = random_matrix(rng) if trial % 2 else unit_heavy_matrix(rng)
+        dec = smith_decomposition(M)
+        # one kernel multiple (accepted) and one random matrix (mostly rejected)
+        Z = SparseIntMatrix.from_dense(
+            [[rng.randint(-3, 3) for _ in range(2)] for _ in range(M.cols - dec.rank)], 2
+        )
+        X = SparseIntMatrix.from_dense(
+            [[rng.randint(-2, 2) for _ in range(2)] for _ in range(M.cols)], 2
+        )
+        lines.append(_decomposition_text(M, dec.kernel_basis() @ Z))
+        lines.append(_decomposition_text(M, X))
+        lines.append(_generators_text(M))
+        lines.append(_factors_text(M))
+    assert _digest(lines) == "a4cb8d023110fc313bbf9fd179090c8ce953fbb4a84a50128b761b27729264b8"
+
+
+def test_transforms_of_ext2_cyclic_differentials_match_the_recorded_digest():
+    C = cyclic_bundle(load_algebra(EXT2.read_text()), 10).total
+    lines = []
+    skip = []
+    for n in reversed(C.degrees()):
+        lines.append(_decomposition_text(C.diff(n), C.diff(n + 1)))
+        lines.append(_generators_text(C.diff(n + 1)))
+        cleared = []
+        lines.append(f"{invariant_factors(C.diff(n), skip, cleared)}|{cleared}")
+        skip = cleared
+    assert _digest(lines) == "432effecb135d4f3f2f2e0c954ea1eeb1a8474538efb4b3dc51efd6d8d860d42"
