@@ -26,7 +26,7 @@ the group.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -254,16 +254,23 @@ class Bicomplex:
         return sorted(self.basis)
 
 
-def _cell_offsets(dims: Mapping[Tuple[int, int], int]) -> Tuple[Dict[Tuple[int, int], int], List[int]]:
-    """Where each cell starts in degree s + t (dims lists each degree's cells in
-    (s, t) order), and positions 0, 1, ... for entry keys: one int object per
-    position keeps keys small and the reducer's sort of them on its fast path."""
+def _cell_offsets(dims: Mapping[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:
+    """Where each cell starts in degree s + t (dims lists each degree's cells
+    in (s, t) order)."""
     offsets: Dict[Tuple[int, int], int] = {}
     size: Dict[int, int] = {}
     for (s, t), k in dims.items():
         start = offsets[(s, t)] = size.get(s + t, 0)
         size[s + t] = start + k
-    return offsets, list(range(max(size.values(), default=0)))
+    return offsets
+
+
+def _place(rows: Dict[int, Dict[int, int]], M: SparseIntMatrix, r0: int, c0: int):
+    """Copy M into the rows (a defaultdict) of a larger matrix, corner at (r0, c0)."""
+    for r, row in M.by_row.items():
+        dst = rows[r0 + r]
+        for c, v in row.items():
+            dst[c0 + c] = v
 
 
 def total_complex(
@@ -277,23 +284,21 @@ def total_complex(
     Explicit degree bounds record window edges where all cells are empty.
     """
     cells = B.cells()
-    at, ids = _cell_offsets({st: len(B.basis[st]) for st in cells})
+    at = _cell_offsets({st: len(B.basis[st]) for st in cells})
     basis: Dict[int, List[Label]] = {}
-    diffs: Dict[int, Dict[Tuple[int, int], int]] = {}
+    diffs: Dict[int, Dict[int, Dict[int, int]]] = {}
     for st in cells:
         s, t = st
         blk = basis.setdefault(s + t, [])
         for lbl in B.basis[st]:
             blk.append((s, t, lbl))
-        ent = diffs.setdefault(s + t, {})
+        rows = diffs.setdefault(s + t, defaultdict(dict))
         for M, below in ((B.vertical.get(st), (s, t - 1)), (B.horizontal.get(st), (s - 1, t))):
             if M is not None:
-                r0, c0 = at[below], at[st]
-                for (r, c), v in M.entries.items():
-                    ent[(ids[r0 + r], ids[c0 + c])] = v
+                _place(rows, M, at[below], at[st])
     differential = {
-        n: SparseIntMatrix(len(basis.get(n - 1, ())), len(basis[n]), ent)
-        for n, ent in diffs.items()
+        n: SparseIntMatrix.from_rows(len(basis.get(n - 1, ())), len(basis[n]), rows)
+        for n, rows in diffs.items()
     }
     return ChainComplex(basis, differential, min_degree, max_degree)
 
@@ -379,22 +384,18 @@ def total_map(
     src_dims, tgt_dims = (
         Counter(lbl[:2] for lbls in C.basis.values() for lbl in lbls) for C in (source, target)
     )
-    (src_at, src_ids), (tgt_at, tgt_ids) = _cell_offsets(src_dims), _cell_offsets(tgt_dims)
-    comps: Dict[int, Dict[Tuple[int, int], int]] = {}
+    src_at, tgt_at = _cell_offsets(src_dims), _cell_offsets(tgt_dims)
+    comps: Dict[int, Dict[int, Dict[int, int]]] = {}
     for st, M in cells.items():
         want = (tgt_dims[st], src_dims[st])
         if M.shape != want:
             raise DimensionMismatch(f"cell map at {st}: {M.shape} != {want}")
         if not M.is_zero():
-            r0, c0 = tgt_at[st], src_at[st]
-            ent = comps.setdefault(st[0] + st[1], {})
-            for (r, c), v in M.entries.items():
-                ent[(tgt_ids[r0 + r], src_ids[c0 + c])] = v
-    return ChainMap(
-        source,
-        target,
-        {n: SparseIntMatrix(target.dim(n), source.dim(n), ent) for n, ent in comps.items()},
-    )
+            _place(comps.setdefault(st[0] + st[1], defaultdict(dict)), M, tgt_at[st], src_at[st])
+    matrices = {}
+    for n, rows in comps.items():
+        matrices[n] = SparseIntMatrix.from_rows(target.dim(n), source.dim(n), rows)
+    return ChainMap(source, target, matrices)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -437,12 +438,11 @@ class HomologyPresentation:
     def coords_of_cycles(self, X: SparseIntMatrix) -> SparseIntMatrix:
         """Express cycle columns of X in the generators, torsion ones mod d_j."""
         Y = self._to_generators @ self._decomposition.kernel_coords(X)
-        d = self.relations.entries
-        return SparseIntMatrix(
-            Y.rows,
-            Y.cols,
-            {(i, j): v % d[(i, i)] if (i, i) in d else v for (i, j), v in Y.entries.items()},
-        )
+        rows = dict(Y.by_row)
+        for i, d in self.relations.by_row.items():
+            if i in rows:
+                rows[i] = {j: v % d[i] for j, v in rows[i].items()}
+        return SparseIntMatrix.from_rows(Y.rows, Y.cols, rows)
 
     def generated_by(self, A: SparseIntMatrix) -> bool:
         """Do the classes with generator coordinates A span the group?"""
@@ -490,11 +490,8 @@ def _kernel_of_induced(
     """Generators of {x : A x lies in the target relation lattice}."""
     stacked = A.hstack(target_relations.scale(-1))
     K = kernel_basis(stacked)
-    # project onto the x-block
-    entries = {
-        (i, j): v for (i, j), v in K.entries.items() if i < A.cols
-    }
-    return SparseIntMatrix(A.cols, K.cols, entries)
+    x_block = {i: row for i, row in K.by_row.items() if i < A.cols}
+    return SparseIntMatrix.from_rows(A.cols, K.cols, x_block)
 
 
 def exact_at(
@@ -638,7 +635,7 @@ def dumps(C: ChainComplex) -> str:
                 "degree": d,
                 "basis": [_label_to_json(l) for l in C.labels(d)],
                 "differential": sorted(
-                    [r, c, str(v)] for (r, c), v in C.diff(d).entries.items()
+                    [r, c, str(v)] for r, row in C.diff(d).by_row.items() for c, v in row.items()
                 ),
             }
             for d in C.degrees()

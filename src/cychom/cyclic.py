@@ -270,15 +270,9 @@ def sbi_check(A: DGAlgebra, bound: int) -> SBIReport:
         # lift a quotient cycle (the trailing block of degree n), apply d and
         # keep column 0 (the leading block of degree n - 1)
         rows, first = bundle.hochschild.total.dim(n - 1), bundle.total.dim(n) - Q.dim(n)
-        return SparseIntMatrix(
-            rows,
-            Q.dim(n),
-            {
-                (r, c - first): v
-                for (r, c), v in bundle.total.diff(n).entries.items()
-                if r < rows and c >= first
-            },
-        )
+        D = bundle.total.diff(n).by_row
+        block = {r: {c - first: v for c, v in D[r].items() if c >= first} for r in D if r < rows}
+        return SparseIntMatrix.from_rows(rows, Q.dim(n), block)
 
     hp = presentation_cache(bundle.hochschild.total, bundle.total, Q)
     degrees = range(2, bound + 1)

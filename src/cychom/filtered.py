@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -30,7 +31,6 @@ from .errors import (
 from .intlin import (
     AbelianGroup,
     SparseIntMatrix,
-    _stack,
     cokernel,
     is_prime,
     kron,
@@ -91,18 +91,19 @@ def _tensor_presentation(parts: Sequence[PresentedGroup]) -> PresentedGroup:
     order: factor r's column (a, c, b) has R_r[i, c] in row (a, i, b)."""
     dims = [P.num_generators for P in parts]
     gens = math.prod(dims)
-    entries = {}
+    rows = defaultdict(dict)
     col = 0
     for r, P in enumerate(parts):
         outer, inner = math.prod(dims[:r]), math.prod(dims[r + 1 :])
-        rel_cols = P.relations.columns()
-        for a in range(outer):
-            for c in rel_cols:
-                for b in range(inner):
-                    for i, v in c.items():
-                        entries[((a * dims[r] + i) * inner + b, col)] = v
-                    col += 1
-    return PresentedGroup(gens, SparseIntMatrix(gens, col, entries))
+        R = P.relations
+        for i, rel in R.by_row.items():
+            for a in range(outer):
+                for c, v in rel.items():
+                    first = col + (a * R.cols + c) * inner
+                    for b in range(inner):
+                        rows[(a * dims[r] + i) * inner + b][first + b] = v
+        col += outer * R.cols * inner
+    return PresentedGroup(gens, SparseIntMatrix.from_rows(gens, col, rows))
 
 
 def _spot_sum(spots, parts_of):
@@ -111,7 +112,7 @@ def _spot_sum(spots, parts_of):
     order and row-major within a spot, and the block-diagonal presentation.
     """
     columns: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    entries = {}
+    rows: Dict[int, Dict[int, int]] = {}
     rel_col = 0
     for spot in spots:
         parts = parts_of(spot)
@@ -119,23 +120,23 @@ def _spot_sum(spots, parts_of):
         base = len(columns)
         gens = itertools.product(*[range(P.num_generators) for P in parts])
         columns.update({(spot, g): base + j for j, g in enumerate(gens)})
-        for (r, c), v in R.entries.items():
-            entries[(base + r, rel_col + c)] = v
+        for r, row in R.by_row.items():
+            rows[base + r] = {rel_col + c: v for c, v in row.items()}
         rel_col += R.cols
     n = len(columns)
-    return columns, PresentedGroup(n, SparseIntMatrix(n, rel_col, entries))
+    return columns, PresentedGroup(n, SparseIntMatrix.from_rows(n, rel_col, rows))
 
 
 def _generator_map(src_columns, tgt_columns, images) -> SparseIntMatrix:
     """The matrix between two generator indexes (see _spot_sum) sending the
     generator `key` of the source to the sum of v * tgt over images(key),
     an iterable of (tgt key, v) pairs."""
-    entries: Dict[Tuple[int, int], int] = {}
+    rows = defaultdict(dict)
     for key, col in src_columns.items():
         for tgt, v in images(key):
-            at = (tgt_columns[tgt], col)
-            entries[at] = entries.get(at, 0) + v
-    return SparseIntMatrix(len(tgt_columns), len(src_columns), entries)
+            row = rows[tgt_columns[tgt]]
+            row[col] = row.get(col, 0) + v
+    return SparseIntMatrix.from_rows(len(tgt_columns), len(src_columns), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +414,10 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
     columns, internal = _spot_sum(
         spots, lambda spot: [X.piece(i) for X, i in zip(factors, spot)]
     )
-    entries = dict(internal.relations.entries)
-    num_rels = internal.relations.cols
-    incoming = []  # images of the level k-1 generators, in their order
+    glue = defaultdict(dict)  # the gluing relations, by row
+    num_glue = 0
+    incoming = defaultdict(dict)  # column g: the image of level k-1's generator g
+    num_incoming = 0
     transition_cols = functools.lru_cache(None)(lambda X, i: X.transition(i).columns())
     # gluing: bump the first negative coordinate vs bump another one
     for spot in _antidiagonal(factors, top - 1):
@@ -433,7 +435,9 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
                     for row, v in T_cols[gens[r]].items()
                 })
             base = vecs[0]
-            incoming.append(base)
+            for key, v in base.items():
+                incoming[key][num_incoming] = v
+            num_incoming += 1
             for vec in vecs[1:]:
                 col = dict(base)
                 for key, v in vec.items():
@@ -441,19 +445,18 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
                 col = {key: v for key, v in col.items() if v}
                 if col:
                     for key, v in col.items():
-                        entries[(key, num_rels)] = v
-                    num_rels += 1
+                        glue[key][num_glue] = v
+                    num_glue += 1
     num_gens = len(columns)
+    gluing = SparseIntMatrix.from_rows(num_gens, num_glue, glue)
     return TensorLevel(
         factors=factors,
         level=k,
         tuples=tuple(spots),
         columns=columns,
-        presentation=PresentedGroup(
-            num_gens, SparseIntMatrix(num_gens, num_rels, entries)
-        ),
+        presentation=PresentedGroup(num_gens, internal.relations.hstack(gluing)),
         incoming=(
-            _stack(incoming, num_gens, as_columns=True)
+            SparseIntMatrix.from_rows(num_gens, num_incoming, incoming)
             if k <= 0
             else SparseIntMatrix.identity(num_gens)
         ),
@@ -525,8 +528,8 @@ def graded(M: FilteredRing) -> FilteredRing:
             }
             # below the depth the target piece is trivial
             products[(a, b)] = _generator_map(pairs, columns.get(a + b, {}), product_images)
-    unit_entries = {(columns[0][((0,), (r,))], 0): v for (r, _), v in M.unit.entries.items()}
-    unit = SparseIntMatrix(pieces[0].num_generators, 1, unit_entries)
+    unit_rows = {columns[0][((0,), (r,))]: row for r, row in M.unit.by_row.items()}
+    unit = SparseIntMatrix.from_rows(pieces[0].num_generators, 1, unit_rows)
     return FilteredRing(group, products, unit)
 
 
@@ -601,7 +604,7 @@ def degeneracy_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIn
         raise InvalidParams("degeneracy target must raise the simplicial degree")
     if not 0 <= i <= q:
         raise InvalidParams(f"degeneracy index {i} outside 0..{q}")
-    unit = [(r, v) for (r, _), v in src.ring.unit.entries.items()]
+    unit = list(src.ring.unit.column(0).items())
 
     def images(key):
         spot, gens = key
@@ -705,15 +708,13 @@ def _require_split_free(Y: FilteredAbelianGroup):
         if Y.piece(s).relations.cols != 0:
             raise UnsupportedFiltration(f"piece {s} is not free")
     for s in range(-Y.depth, 0):
-        T = Y.transition(s)
         seen = set()
-        for c in range(T.cols):
-            col = [(r, v) for (r, cc), v in T.entries.items() if cc == c]
-            if len(col) != 1 or col[0][1] != 1 or col[0][0] in seen:
+        for col in Y.transition(s).columns():
+            if len(col) != 1 or 1 not in col.values() or col.keys() & seen:
                 raise UnsupportedFiltration(
                     f"transition at {s} does not embed basis into basis"
                 )
-            seen.add(col[0][0])
+            seen |= col.keys()
 
 
 def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsReport:
@@ -731,7 +732,7 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
     pres = T.presentation
     # a diagonal class for basis element b of piece(j): the tensor
     # b (x) ... (x) b pushed onto the antidiagonal along the transitions
-    found_cols: List[Dict[int, int]] = []
+    found: List[int] = []  # the generators that carry a fixed class
     lvl = top // q
     base = Y.piece(lvl)
     for b in range(base.num_generators):
@@ -752,25 +753,21 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
         diff = {} if image == col else {(col, 0): 1, (image, 0): -1}
         diff_mat = SparseIntMatrix(pres.num_generators, 1, diff)
         if lattice_contains(pres.relations, diff_mat):
-            found_cols.append({col: 1})
+            found.append(col)
     # independence: the classes span a rank-`found` direct summand
-    n = pres.num_generators
-    span = SparseIntMatrix(
-        n,
-        len(found_cols),
-        {(r, c): v for c, col in enumerate(found_cols) for r, v in col.items()},
-    )
+    classes = {(r, c): 1 for c, r in enumerate(found)}
+    span = SparseIntMatrix(pres.num_generators, len(found), classes)
     quotient = cokernel(span.hstack(pres.relations))
     full = pres.group()
     independent = (
-        full.free_rank - quotient.free_rank == len(found_cols)
+        full.free_rank - quotient.free_rank == len(found)
         and not quotient.invariant_factors
     )
     return FixedPointsReport(
         power=q,
         level=s,
         expected_rank=base.num_generators,
-        found=len(found_cols),
+        found=len(found),
         independent=independent,
     )
 

@@ -27,6 +27,7 @@ as matrix equations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
@@ -108,7 +109,7 @@ class HochschildComplex:
         A = self.algebra
         src = self.total.labels(n)
         tgt_pos = {lbl: i for i, lbl in enumerate(self.total.labels(n + 1))}
-        entries: Dict[Tuple[int, int], int] = {}
+        rows = defaultdict(dict)
         for col, (s, t, word) in enumerate(src):
             if word[0] == A.unit:
                 continue
@@ -118,9 +119,9 @@ class HochschildComplex:
                 head = heads[i]
                 sign = -1 if (head * (total_shift - head)) % 2 else 1
                 out = (A.unit,) + word[i:] + word[:i]
-                key = (tgt_pos[(s + 1, t, out)], col)
-                entries[key] = entries.get(key, 0) + sign
-        return SparseIntMatrix(self.total.dim(n + 1), self.total.dim(n), entries)
+                row = rows[tgt_pos[(s + 1, t, out)]]
+                row[col] = row.get(col, 0) + sign
+        return SparseIntMatrix.from_rows(self.total.dim(n + 1), self.total.dim(n), rows)
 
     def check_identities(self, up_to: int = None) -> Dict[str, bool]:
         """Matrix checks D^2 = 0, B^2 = 0, D B + B D = 0 through degree up_to."""
@@ -227,17 +228,17 @@ def _image_terms(f: DGAMorphism, word: Word):
 def _matrix_of(A, target: Sequence[Word], source: Sequence[Word], terms):
     """The matrix of terms(A, word) from the source words to the target words."""
     pos = {w: i for i, w in enumerate(target)}
-    entries: Dict[Tuple[int, int], int] = {}
+    rows = defaultdict(dict)
     for col, w in enumerate(source):
         for out, coeff in terms(A, w):
-            row = pos.get(out)
-            if row is None:
+            i = pos.get(out)
+            if i is None:
                 # normalized away or outside the cell (cannot happen for
                 # degree reasons once the word survives normalization)
                 raise AssertionError(f"word {out} missing from target cell")
-            key = (row, col)
-            entries[key] = entries.get(key, 0) + coeff
-    return SparseIntMatrix(len(target), len(source), {k: v for k, v in entries.items() if v})
+            row = rows[i]
+            row[col] = row.get(col, 0) + coeff
+    return SparseIntMatrix.from_rows(len(target), len(source), rows)
 
 
 def hochschild_complex(A: DGAlgebra, bound: int) -> HochschildComplex:

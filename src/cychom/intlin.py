@@ -2,7 +2,8 @@
 
 Smith normal form, cokernels, kernel bases and lattice membership over
 Python's arbitrary-precision integers: no floating point, no modular
-shortcut.
+shortcut.  A matrix stores its nonempty rows as {column: value} dicts, and
+`.entries`, the (row, column) -> value map, is a view built on request.
 
 One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
 without transforms: the rank and the Smith diagonal are all a homology
@@ -11,12 +12,13 @@ U*M*V = D: `smith_decomposition` for kernel bases and kernel coordinates,
 `lattice_contains` and `smith_generators` (a cokernel on Smith-form
 generators, one per invariant factor d > 1 plus the free part) for U.
 Neither U nor V is updated during the elimination: row operations and
-column operations go to two logs of the same form.  Rows of U with the
-matching columns of U^-1 come from replaying the row log backwards, at a
-cost that grows with how many are wanted, not with the size of U.  The
-column log, read as row operations, is the log of V^T, so the same replay
-gives columns of V.  Kernel coordinates V^-1 X apply the inverse column
-operations to the rows of X in log order, so V^-1 is never formed.
+column operations go to two logs of the same form.  Rows of U come from
+replaying the row log backwards, at a cost that grows with how many are
+wanted, not with the size of U; the same replay of the inverse-transposed
+operations gives the matching columns of U^-1.  The column log, read as
+row operations, is the log of V^T, so the same replay gives columns of V.
+Kernel coordinates V^-1 X apply the inverse column operations to the rows
+of X in log order, so V^-1 is never formed.
 
 Nothing is swapped: a pivot (r, c) is recorded and, once its row and column
 are clear, both leave the active part; the results are permuted once so
@@ -28,9 +30,10 @@ column is clear, since the column operations that clear it change nothing
 else.  The core phase pivots on an active entry of least absolute value,
 with nearest-integer quotients, so that remainders are centered and
 transforms stay small.  The pivots are then sorted by absolute value, and
-pairs that break the divisibility chain become gcd and lcm.  Rows are built
-from the entries sorted by (row, column), so the transforms depend on the
-matrix only.
+pairs that break the divisibility chain become gcd and lcm.  The reducer
+copies the rows in ascending order, each sorted by column, so the
+transforms depend on the matrix only, not on the order its rows and
+entries were built in.
 
 Clearing (the "twist" of Chen-Kerber 2011, as in Bauer's Ripser): for
 d_n d_{n+1} = 0, the rows of the unit pivots that reducing d_{n+1} retires
@@ -48,36 +51,37 @@ every pivot row gives rank 18 instead of 19 in degree 37.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CompositionNonzero, DimensionMismatch
 
 
 Entries = Mapping[Tuple[int, int], int]
+Rows = Dict[int, Dict[int, int]]
 
 
 class SparseIntMatrix:
-    """Immutable sparse integer matrix: map (row, col) -> nonzero int."""
+    """Immutable sparse integer matrix, stored by rows: `by_row` maps each
+    nonempty row index to that row's {col: nonzero value}."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "by_row")
 
     def __init__(self, rows: int, cols: int, entries: Optional[Entries] = None):
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"negative shape ({rows}, {cols})")
-        clean: Dict[Tuple[int, int], int] = {}
+        by_row: Rows = {}
         for (i, j), v in (entries or {}).items():
-            if v == 0:
-                continue
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise DimensionMismatch(
-                    f"entry ({i}, {j}) outside shape ({rows}, {cols})"
-                )
-            clean[(i, j)] = int(v)
+            if v:
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise DimensionMismatch(f"entry ({i}, {j}) outside shape ({rows}, {cols})")
+                by_row.setdefault(i, {})[j] = int(v)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "by_row", by_row)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseIntMatrix is immutable")
@@ -85,8 +89,24 @@ class SparseIntMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_rows(cls, rows: int, cols: int, by_row: Rows) -> "SparseIntMatrix":
+        """The matrix whose row i is by_row[i] ({col: value}), without zeros or
+        empty rows; the other row dicts are taken over, and must not change."""
+        M = cls(rows, cols)
+        if 0 in chain.from_iterable(map(dict.values, by_row.values())):
+            by_row = {i: {j: v for j, v in row.items() if v} for i, row in by_row.items()}
+        if not all(by_row.values()):
+            by_row = {i: row for i, row in by_row.items() if row}
+        if by_row:
+            used = set().union(*by_row.values())
+            if min(by_row) < 0 or max(by_row) >= rows or min(used) < 0 or max(used) >= cols:
+                raise DimensionMismatch(f"an index lies outside shape ({rows}, {cols})")
+            object.__setattr__(M, "by_row", dict(by_row))
+        return M
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseIntMatrix":
-        return cls(rows, cols, {})
+        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "SparseIntMatrix":
@@ -112,45 +132,50 @@ class SparseIntMatrix:
     def shape(self) -> Tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> Dict[Tuple[int, int], int]:
+        """(row, col) -> nonzero value, built anew on each access."""
+        return {(i, j): v for i, row in self.by_row.items() for j, v in row.items()}
+
     def __getitem__(self, key: Tuple[int, int]) -> int:
-        return self.entries.get(key, 0)
+        return self.by_row.get(key[0], {}).get(key[1], 0)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseIntMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
+        same_shape = isinstance(other, SparseIntMatrix) and self.shape == other.shape
+        return same_shape and self.by_row == other.by_row
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        rows = frozenset((i, frozenset(row.items())) for i, row in self.by_row.items())
+        return hash((self.rows, self.cols, rows))
 
     def __repr__(self):
-        return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        nnz = sum(map(len, self.by_row.values()))
+        return f"SparseIntMatrix({self.rows}x{self.cols}, {nnz} nonzero)"
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.by_row
 
     def is_diagonal(self) -> bool:
-        return all(i == j for (i, j) in self.entries)
+        return all(len(row) == 1 and i in row for i, row in self.by_row.items())
 
     def to_dense(self) -> List[List[int]]:
         dense = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
+        for i, row in self.by_row.items():
+            for j, v in row.items():
+                dense[i][j] = v
         return dense
 
     def diagonal_entries(self) -> List[int]:
-        n = min(self.rows, self.cols)
-        return [self.entries.get((k, k), 0) for k in range(n)]
+        return [self[k, k] for k in range(min(self.rows, self.cols))]
 
     def column(self, j: int) -> Dict[int, int]:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+        return {i: row[j] for i, row in self.by_row.items() if j in row}
 
     def columns(self) -> List[Dict[int, int]]:
         cols: List[Dict[int, int]] = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.entries.items():
-            cols[j][i] = v
+        for i, row in self.by_row.items():
+            for j, v in row.items():
+                cols[j][i] = v
         return cols
 
     # -- arithmetic --------------------------------------------------------
@@ -158,69 +183,61 @@ class SparseIntMatrix:
     def __add__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} + {other.shape}")
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            entries[key] = entries.get(key, 0) + v
-        return SparseIntMatrix(self.rows, self.cols, entries)
+        out = {i: dict(row) for i, row in self.by_row.items()}
+        for i, row in other.by_row.items():
+            mine = out.setdefault(i, {})
+            for j, v in row.items():
+                mine[j] = mine.get(j, 0) + v
+        return SparseIntMatrix.from_rows(self.rows, self.cols, out)
 
     def __neg__(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.rows, self.cols, {k: -v for k, v in self.entries.items()}
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         return self + (-other)
 
     def scale(self, c: int) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.rows, self.cols, {k: c * v for k, v in self.entries.items()}
-        )
+        rows = {i: {j: c * v for j, v in row.items()} for i, row in self.by_row.items()}
+        return SparseIntMatrix.from_rows(self.rows, self.cols, rows)
 
     def __matmul__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul {self.shape} @ {other.shape}")
-        # row-major view of self, column accumulate over other's rows
-        by_row: Dict[int, Dict[int, int]] = {}
-        for (i, j), v in self.entries.items():
-            by_row.setdefault(i, {})[j] = v
-        other_rows: Dict[int, Dict[int, int]] = {}
-        for (i, j), v in other.entries.items():
-            other_rows.setdefault(i, {})[j] = v
-        entries: Dict[Tuple[int, int], int] = {}
-        for i, row in by_row.items():
+        other_rows = other.by_row
+        out: Rows = {}
+        for i, row in self.by_row.items():
             acc: Dict[int, int] = {}
             for k, a in row.items():
                 orow = other_rows.get(k)
-                if not orow:
-                    continue
-                for j, b in orow.items():
-                    acc[j] = acc.get(j, 0) + a * b
-            for j, v in acc.items():
-                if v:
-                    entries[(i, j)] = v
-        return SparseIntMatrix(self.rows, other.cols, entries)
+                if orow:
+                    for j, b in orow.items():
+                        acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                out[i] = acc
+        return SparseIntMatrix.from_rows(self.rows, other.cols, out)
 
     def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
+        return SparseIntMatrix.from_rows(self.cols, self.rows, dict(enumerate(self.columns())))
 
     def hstack(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i, j + self.cols)] = v
-        return SparseIntMatrix(self.rows, self.cols + other.cols, entries)
+        out = dict(self.by_row)
+        for i, row in other.by_row.items():
+            out[i] = {**out.get(i, {}), **{j + self.cols: v for j, v in row.items()}}
+        return SparseIntMatrix.from_rows(self.rows, self.cols + other.cols, out)
 
 
 def kron(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
     """Kronecker product; row (i, j) -> i * B.rows + j, same for columns."""
-    entries = {}
-    for (i, k), a in A.entries.items():
-        for (j, l), b in B.entries.items():
-            entries[(i * B.rows + j, k * B.cols + l)] = a * b
-    return SparseIntMatrix(A.rows * B.rows, A.cols * B.cols, entries)
+    rows: Rows = {}
+    for i, ra in A.by_row.items():
+        for j, rb in B.by_row.items():
+            row = rows[i * B.rows + j] = {}
+            for k, a in ra.items():
+                for l, b in rb.items():
+                    row[k * B.cols + l] = a * b
+    return SparseIntMatrix.from_rows(A.rows * B.rows, A.cols * B.cols, rows)
 
 
 @dataclass(frozen=True)
@@ -353,13 +370,15 @@ class _Reducer:
     def __init__(self, M: SparseIntMatrix, logged: bool, skip_columns: Iterable[int] = ()):
         self.m = M.rows
         self.n = M.cols
-        self.rows: List[Dict[int, int]] = [dict() for _ in range(self.m)]
-        self.colnz: List[set] = [set() for _ in range(self.n)]
+        rows: List[Dict[int, int]] = [dict() for _ in range(self.m)]
+        colnz: List[set] = [set() for _ in range(self.n)]
         skip = set(skip_columns)
-        for (i, j), v in sorted(M.entries.items()):
-            if j not in skip:
-                self.rows[i][j] = v
-                self.colnz[j].add(i)
+        for i, row in sorted(M.by_row.items()):  # ascending rows, each by column
+            for j in sorted(row):
+                if j not in skip:
+                    rows[i][j] = row[j]
+                    colnz[j].add(i)
+        self.rows, self.colnz = rows, colnz
         # (a, b, c): row a += c * row b; (x, y, a, b, c, d): rows x, y <-
         # a*x + b*y, c*x + d*y (determinant 1); (r,): row r <- -row r.
         # col_ops holds the same tuples for columns, without sign changes
@@ -507,48 +526,35 @@ class _Reducer:
 # V^T = E_N^T ... E_1^T, and E_k^T is the row operation with E_k's tuple.
 
 
-def _u_rows_and_inverse_columns(
-    ops: List[tuple], m: int, kept: Sequence[int]
-) -> Tuple[List[Dict[int, int]], List[Dict[int, int]]]:
-    """Rows kept[t] of the m x m matrix U and columns kept[t] of U^-1, as P
-    and Q with P[j][t] = U[kept[t], j] and Q[i][t] = U^-1[i, kept[t]].
+def _u_rows(ops: Iterable[tuple], kept: Sequence[int]) -> Rows:
+    """Rows kept[t] of the m x m matrix U = G_N ... G_1, as P with
+    P[j][t] = U[kept[t], j]; `ops` lists G_N, ..., G_1 (the log backwards).
 
-    Row r of U is e_r G_N ... G_1, and column r of U^-1 is
-    G_1^-1 ... G_N^-1 e_r: both start from e_r and run the log backwards,
-    at a cost per operation that grows with len(kept), not with m.  On a
-    column log, U is V^T and P[j][t] = V[j, kept[t]].
+    Row r of U is e_r G_N ... G_1, so it starts from e_r and runs the log
+    backwards, at a cost per operation that grows with len(kept), not with
+    m.  On a column log, U is V^T and P[j][t] = V[j, kept[t]].
     """
-    P: List[Dict[int, int]] = [dict() for _ in range(m)]
-    Q: List[Dict[int, int]] = [dict() for _ in range(m)]
-    for t, r in enumerate(kept):
-        P[r][t] = Q[r][t] = 1
-    for op in reversed(ops):
+    P = defaultdict(dict, {r: {t: 1} for t, r in enumerate(kept)})
+    for op in ops:
         if len(op) == 3:
-            # G = I + c E_ab: P G adds c * column a to column b,
-            # G^-1 Q subtracts c * row b from row a
+            # G = I + c E_ab: P G adds c * column a to column b
             a, b, c = op
             _add_into(P[b], P[a], c)
-            _add_into(Q[a], Q[b], -c)
         elif len(op) == 6:
             x, y, a, b, c, d = op
             _mix(P, x, y, a, c, b, d)
-            _mix(Q, x, y, d, -b, -c, a)
         else:
             (r,) = op
             P[r] = {t: -v for t, v in P[r].items()}
-            Q[r] = {t: -v for t, v in Q[r].items()}
-    return P, Q
+    return P
 
 
-def _stack(vectors: List[Dict[int, int]], length: int, as_columns: bool) -> SparseIntMatrix:
-    """The matrix whose rows (or columns) are the sparse dicts `vectors`."""
-    entries = {}
-    for k, vec in enumerate(vectors):
-        for i, v in vec.items():
-            entries[(i, k) if as_columns else (k, i)] = v
-    if as_columns:
-        return SparseIntMatrix(length, len(vectors), entries)
-    return SparseIntMatrix(len(vectors), length, entries)
+def _inverse_transposed(op: tuple) -> tuple:
+    """The logged form of (G^-1)^T for the logged operation G."""
+    if len(op) == 6:
+        x, y, a, b, c, d = op
+        return (x, y, d, -c, -b, a)
+    return (op[1], op[0], -op[2]) if len(op) == 3 else op
 
 
 @dataclass(frozen=True)
@@ -571,8 +577,8 @@ class SmithDecomposition:
     @cached_property
     def u(self) -> SparseIntMatrix:
         m = self.matrix.rows
-        U, _ = _u_rows_and_inverse_columns(self._row_ops, m, self._row_order)
-        return _stack(U, m, as_columns=True)
+        U = _u_rows(reversed(self._row_ops), self._row_order)
+        return SparseIntMatrix.from_rows(m, m, U).transpose()
 
     @cached_property
     def v(self) -> SparseIntMatrix:
@@ -580,8 +586,8 @@ class SmithDecomposition:
 
     def _v_columns(self, kept: Sequence[int]) -> SparseIntMatrix:
         """The columns kept[t] of V, replayed from the column log."""
-        V, _ = _u_rows_and_inverse_columns(self._col_ops, self.matrix.cols, kept)
-        return _stack(V, len(kept), as_columns=False)
+        V = _u_rows(reversed(self._col_ops), kept)
+        return SparseIntMatrix.from_rows(self.matrix.cols, len(kept), V)
 
     @property
     def diagonal(self) -> List[int]:
@@ -599,9 +605,7 @@ class SmithDecomposition:
         if X.rows != self.matrix.cols:
             raise DimensionMismatch(f"kernel_coords: {X.rows} rows, {self.matrix.cols} columns")
         # V^-1 X = E_N^-1 ... E_1^-1 X: the inverses act on X's rows in log order
-        rows: List[Dict[int, int]] = [dict() for _ in range(X.rows)]
-        for (i, j), v in X.entries.items():
-            rows[i][j] = v
+        rows = defaultdict(dict, {i: dict(row) for i, row in X.by_row.items()})
         for op in self._col_ops:
             if len(op) == 3:
                 # E = I + c E_ba: E^-1 X subtracts c * row a from row b
@@ -614,8 +618,8 @@ class SmithDecomposition:
         if any(rows[j] for j in self._col_order[: self.rank]):
             raise CompositionNonzero("column not in the kernel")
         rest = self._col_order[self.rank :]
-        entries = {(t, k): v for t, j in enumerate(rest) for k, v in rows[j].items()}
-        return SparseIntMatrix(len(rest), X.cols, entries)
+        coords = {t: rows[j] for t, j in enumerate(rest)}
+        return SparseIntMatrix.from_rows(len(rest), X.cols, coords)
 
 
 def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
@@ -678,12 +682,16 @@ def smith_generators(R: SparseIntMatrix) -> Tuple[List[int], SparseIntMatrix, Sp
     kept = [(r, d) for (r, _), d in zip(w.pivots, w.diag) if d != 1]
     kept += [(r, 0) for r in w.row_order[w.rank:]]
     factors = [d for _, d in kept]
-    P, Q = _u_rows_and_inverse_columns(w.ops, w.m, [r for r, _ in kept])
+    rows = [r for r, _ in kept]
+    P = _u_rows(reversed(w.ops), rows)
+    Q = _u_rows(map(_inverse_transposed, reversed(w.ops)), rows)
     if factors and factors[-1]:
         e = factors[-1]
-        Q = [{t: v - e * _nearest(v, e) for t, v in row.items() if v % e} for row in Q]
+        for i, row in Q.items():
+            Q[i] = {t: v - e * _nearest(v, e) for t, v in row.items() if v % e}
     s = len(factors)
-    return factors, _stack(P, s, as_columns=True), _stack(Q, s, as_columns=False)
+    P_T = SparseIntMatrix.from_rows(w.m, s, P)
+    return factors, P_T.transpose(), SparseIntMatrix.from_rows(w.m, s, Q)
 
 
 def kernel_basis(M: SparseIntMatrix) -> SparseIntMatrix:
@@ -700,10 +708,11 @@ def lattice_contains(M: SparseIntMatrix, X: SparseIntMatrix) -> bool:
     if M.rows != X.rows:
         raise DimensionMismatch("lattice_contains row mismatch")
     if M.is_diagonal():
-        d = M.entries
-        return all((i, i) in d and v % d[(i, i)] == 0 for (i, _), v in X.entries.items())
-    factors, P, _ = smith_generators(M)
-    return all(factors[j] and v % factors[j] == 0 for (j, _), v in (P @ X).entries.items())
+        factors, Y = [M[i, i] for i in range(M.rows)], X
+    else:
+        factors, P, _ = smith_generators(M)
+        Y = P @ X
+    return all(factors[i] and v % factors[i] == 0 for i, r in Y.by_row.items() for v in r.values())
 
 
 def is_prime(n: int) -> bool:

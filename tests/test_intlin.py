@@ -14,6 +14,7 @@ from cychom.intlin import (
     invariant_factors,
     is_prime,
     kernel_basis,
+    kron,
     lattice_contains,
     smith_decomposition,
     smith_generators,
@@ -137,9 +138,20 @@ def test_transforms_do_not_depend_on_entry_order():
         items = list(M.entries.items())
         rng.shuffle(items)
         shuffled = SparseIntMatrix(M.rows, M.cols, dict(items))
-        a, b = smith_decomposition(M), smith_decomposition(shuffled)
-        assert (a.d, a.u, a.v) == (b.d, b.u, b.v), f"trial {trial}"
-        assert invariant_factors(M) == invariant_factors(shuffled), f"trial {trial}"
+        # the same rows, given to from_rows with rows and keys in shuffled order
+        rows = list(M.by_row.items())
+        rng.shuffle(rows)
+        by_row = {}
+        for i, row in rows:
+            keys = list(row)
+            rng.shuffle(keys)
+            by_row[i] = {j: row[j] for j in keys}
+        reordered = SparseIntMatrix.from_rows(M.rows, M.cols, by_row)
+        a = smith_decomposition(M)
+        for N in (shuffled, reordered):
+            b = smith_decomposition(N)
+            assert (a.d, a.u, a.v) == (b.d, b.u, b.v), f"trial {trial}"
+            assert invariant_factors(M) == invariant_factors(N), f"trial {trial}"
 
 
 def test_smith_generators_present_the_cokernel():
@@ -272,6 +284,55 @@ def test_matrix_arithmetic_basics():
     assert A.hstack(B).shape == (2, 4)
     with pytest.raises(DimensionMismatch):
         A @ SparseIntMatrix.zero(3, 3)
+    # every operation against dense-list arithmetic, with empty rows, 0 x n and m x 0
+    rng = random.Random(20261018)
+
+    def sparse(m, n):
+        # about half the rows empty, so that the row maps have gaps
+        live = [i for i in range(m) if rng.random() < 0.5]
+        entries = {(i, j): rng.randint(-4, 4) for i in live for j in range(n) if rng.random() < 0.5}
+        return SparseIntMatrix(m, n, entries)
+
+    def check(M, shape, expected):
+        assert M.shape == shape
+        assert M.to_dense() == expected
+        # only nonempty rows of nonzero entries are stored
+        assert all(row and all(row.values()) for row in M.by_row.values())
+
+    shapes = [(0, 3), (3, 0), (0, 0), (1, 1)]
+    shapes += [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(150)]
+    for trial, (m, n) in enumerate(shapes):
+        k = rng.randint(0, 5)
+        A, B, C, D = sparse(m, n), sparse(m, n), sparse(n, k), sparse(m, k)
+        a, b, c, d = A.to_dense(), B.to_dense(), C.to_dense(), D.to_dense()
+        assert SparseIntMatrix(m, n, A.entries) == A, f"trial {trial}"
+        product = [[sum(a[i][p] * c[p][j] for p in range(n)) for j in range(k)] for i in range(m)]
+        check(A @ C, (m, k), product)
+        check(A + B, (m, n), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        check(A - B, (m, n), [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for s in (0, -3):
+            check(A.scale(s), (m, n), [[s * x for x in ra] for ra in a])
+        check(A.transpose(), (n, m), [[a[i][j] for i in range(m)] for j in range(n)])
+        check(A.hstack(D), (m, n + k), [ra + rd for ra, rd in zip(a, d)])
+        kronecker = [
+            [a[i][p] * c[j][q] for p in range(n) for q in range(k)]
+            for i in range(m)
+            for j in range(n)
+        ]
+        check(kron(A, C), (m * n, n * k), kronecker)
+        columns = [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
+        assert A.columns() == columns, f"trial {trial}"
+        assert [A.column(j) for j in range(n)] == columns, f"trial {trial}"
+        assert A.diagonal_entries() == [a[i][i] for i in range(min(m, n))], f"trial {trial}"
+        # a sum that cancels equals the zero matrix, which stores no rows
+        assert A + (-A) == SparseIntMatrix.zero(m, n), f"trial {trial}"
+        assert (A - A).by_row == {}, f"trial {trial}"
+    # from_rows drops zeros and empty rows, and checks the bounds like the constructor
+    M = SparseIntMatrix.from_rows(3, 3, {0: {0: 0}, 1: {2: 5, 0: 0}, 2: {}})
+    assert M.by_row == {1: {2: 5}} and M == SparseIntMatrix(3, 3, {(1, 2): 5})
+    for rows in ({2: {0: 1}}, {-1: {0: 1}}, {0: {3: 1}}, {0: {-1: 1}}):
+        with pytest.raises(DimensionMismatch):
+            SparseIntMatrix.from_rows(2, 3, rows)
 
 
 # ---------------------------------------------------------------------------
