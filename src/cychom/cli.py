@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import cyclic, dga, filtered, hochschild, ktheory
+from . import cyclic, dga, filtered, ktheory
 from .errors import (
     BoundTooSmall,
     CychomError,
@@ -149,12 +149,10 @@ def _table_rows(groups, verified_top, kind) -> List[ResultRow]:
 def _table(command: str, ring: RingDescriptor, top: int) -> List[AbelianGroup]:
     """The groups of the hh, hc or rel-hc table in degrees 0..top."""
     if command == "hh":
-        return cyclic.hh_table(hochschild.hochschild_complex(ring.algebra, top), top)
+        return cyclic.hh_groups(ring.algebra, top)
     if command == "hc":
-        return cyclic.hc_table(cyclic.cyclic_bundle(ring.algebra, top), top)
-    f = dga.reduction_map(ring.p ** ring.n, ring.p ** (ring.n - 1))
-    _, _, F = cyclic.induced_cyclic_map(f, top + 1)
-    return cyclic.rel_hc_table(F, top)
+        return cyclic.hc_groups(ring.algebra, top)
+    return cyclic.rel_hc_groups(dga.reduction_map(ring.p ** ring.n, ring.p ** (ring.n - 1)), top)
 
 
 def _cmd_table(spec: JobSpec, out) -> int:

@@ -11,6 +11,15 @@ the cone).
 Cells are built for every total degree up to bound + 1; columns beyond
 s = (bound + 1) // 2 contribute only above that window, so the groups
 through degree `bound` are exact, not truncations.
+
+`hh_groups` and `hc_groups`, the tables of the CLI, read the groups off
+the critical cells of the first-slot matching (hochschild module) when
+the algebra's table passes its check: in the cyclic total complex the
+cells of column s are paired as Hochschild words, and the flows follow
+D + B, which never raises the column.  Other algebras, such as the
+one-generator models of Z/m, where t * t = 0 leaves nothing to pair, take
+the full build, which also serves the induced maps, the relative groups
+and the exactness checks.
 """
 
 from __future__ import annotations
@@ -38,7 +47,13 @@ from .complexes import (
 )
 from .dga import DGAlgebra, DGAMorphism, reduction_map
 from .errors import BoundTooSmall, InvalidModulus, InvalidParams
-from .hochschild import HochschildComplex, hochschild_complex, induced_map
+from .hochschild import (
+    HochschildComplex,
+    critical_complex,
+    first_slot_matching,
+    hochschild_complex,
+    induced_map,
+)
 from .intlin import AbelianGroup, SparseIntMatrix, is_prime
 
 
@@ -198,6 +213,24 @@ def hc_table(bundle: CyclicComplexBundle, top: int) -> List[AbelianGroup]:
     return homology_groups(bundle.total, range(top + 1))
 
 
+def hh_groups(A: DGAlgebra, top: int) -> List[AbelianGroup]:
+    """HH_0..HH_top of A: on the critical words when A's table passes the
+    first-slot matching check, else from the full build."""
+    M = first_slot_matching(A)
+    if M is None:
+        return hh_table(hochschild_complex(A, top), top)
+    return homology_groups(critical_complex(M, top), range(top + 1))
+
+
+def hc_groups(A: DGAlgebra, top: int) -> List[AbelianGroup]:
+    """HC_0..HC_top of A, on the critical cells of the cyclic total complex
+    when A has a first-slot matching, else from the full build."""
+    M = first_slot_matching(A)
+    if M is None:
+        return hc_table(cyclic_bundle(A, top), top)
+    return homology_groups(critical_complex(M, top, cyclic=True), range(top + 1))
+
+
 def hc_mod_table(bundle: CyclicComplexBundle, top: int, q: int) -> List[AbelianGroup]:
     """HC with mod-q coefficients; the total complex is tensored once."""
     if q < 2:
@@ -208,6 +241,12 @@ def hc_mod_table(bundle: CyclicComplexBundle, top: int, q: int) -> List[AbelianG
 def rel_hc_table(F: ChainMap, top: int) -> List[AbelianGroup]:
     """Relative HC of the map F induces, in fiber indexing (see hc_relative)."""
     return homology_groups(mapping_cone(F), range(1, top + 2))
+
+
+def rel_hc_groups(f: DGAMorphism, top: int) -> List[AbelianGroup]:
+    """Relative HC of f in degrees 0..top, from one induced cyclic map."""
+    _, _, F = induced_cyclic_map(f, top + 1)
+    return rel_hc_table(F, top)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,12 @@ class NotAChainMap(CychomError):
     """A map of complexes fails to commute with the differentials."""
 
 
+class MatchingFailed(CychomError):
+    """A Morse matching fails a check along a flow: a pair that is not an
+    involution, a matched coefficient other than +-1, a cycle of flows, or a
+    flow past its step cap."""
+
+
 class NotDivisible(CychomError):
     """A reduction map was requested between non-divisible moduli."""
 

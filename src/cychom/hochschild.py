@@ -23,20 +23,47 @@ None of these is trusted: the square-zero and anticommutation identities
 of the bicomplex are checked as D^2 = 0 by the ChainComplex constructor of
 its total complex, and check_identities verifies B^2 = 0 and D B + B D = 0
 as matrix equations.
+
+The word basis grows exponentially with the degree (like the Fibonacci
+numbers for an exterior algebra on two generators).  Algebraic discrete
+Morse theory (Skoldberg, Trans. AMS 358 (2006); Jöllenbeck-Welker, Mem.
+AMS 197 (2009)) gives a complex with the same homology over Z on the
+unpaired words of a matching whose paired coefficients are +-1.  The
+first-slot matching pairs a word by its first slot i >= 1 that holds a
+letter c = +-a*b (split it) or starts the pair (a, b) (merge it).
+`first_slot_matching` reads the rule off the table and accepts it only
+where a table-level check proves it an involution with +-1 coefficients
+on every word; `critical_words` enumerates the unpaired words directly,
+and `critical_complex` flows the differential of each through the pairs,
+for the Hochschild complex or the cyclic total complex.  The checks move
+to the flow: the involution and the coefficient are asserted again on
+every pair a flow uses, a cycle of flows or a flow past its step cap
+raises, D(D(w)) = 0 ((D + B)^2 = 0 for the cyclic total) is checked on
+every word w whose differential a flow reads, and the ChainComplex
+constructor checks d^2 = 0 of the result.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import Bicomplex, ChainMap, homology, total_complex, total_map
+from .complexes import (
+    Bicomplex,
+    ChainComplex,
+    ChainMap,
+    homology,
+    total_complex,
+    total_map,
+)
 from .dga import DGAlgebra, DGAMorphism
-from .errors import BoundTooSmall, TruncationTooTight
+from .errors import BoundTooSmall, CompositionNonzero, MatchingFailed, TruncationTooTight
 from .intlin import AbelianGroup, SparseIntMatrix
 
 Word = Tuple[str, ...]
+Cell = Hashable
 
 
 def _slot_prefix(A: DGAlgebra, word: Word) -> List[int]:
@@ -106,19 +133,10 @@ class HochschildComplex:
         return self._B[n]
 
     def _build_B(self, n: int) -> SparseIntMatrix:
-        A = self.algebra
-        src = self.total.labels(n)
         tgt_pos = {lbl: i for i, lbl in enumerate(self.total.labels(n + 1))}
         rows = defaultdict(dict)
-        for col, (s, t, word) in enumerate(src):
-            if word[0] == A.unit:
-                continue
-            heads = list(accumulate((A.degree_of(a) + 1 for a in word), initial=0))
-            total_shift = heads[-1]
-            for i in range(s + 1):
-                head = heads[i]
-                sign = -1 if (head * (total_shift - head)) % 2 else 1
-                out = (A.unit,) + word[i:] + word[:i]
+        for col, (s, t, word) in enumerate(self.total.labels(n)):
+            for out, sign in _cyclic_terms(self.algebra, word):
                 row = rows[tgt_pos[(s + 1, t, out)]]
                 row[col] = row.get(col, 0) + sign
         return SparseIntMatrix.from_rows(self.total.dim(n + 1), self.total.dim(n), rows)
@@ -210,6 +228,27 @@ def _face_terms(A: DGAlgebra, word: Word):
             yield ((lbl,) + word[1:s], sign * coeff)
 
 
+def _cyclic_terms(A: DGAlgebra, word: Word):
+    """Terms of B: a unit in front of each rotation of the word (zero when
+    slot 0 holds the unit), signed by the block transposition."""
+    if word[0] == A.unit:
+        return
+    heads = list(accumulate((A.degree_of(a) + 1 for a in word), initial=0))
+    total_shift = heads[-1]
+    for i in range(len(word)):
+        head = heads[i]
+        sign = -1 if (head * (total_shift - head)) % 2 else 1
+        yield ((A.unit,) + word[i:] + word[:i], sign)
+
+
+def _collect(terms) -> Dict[Word, int]:
+    """The terms summed word by word, without zeros."""
+    out: Dict[Word, int] = defaultdict(int)
+    for w, k in terms:
+        out[w] += k
+    return {w: k for w, k in out.items() if k}
+
+
 def _image_terms(f: DGAMorphism, word: Word):
     """Terms of f applied slot by slot, dropping units in slots >= 1."""
     unit = f.target.unit
@@ -276,3 +315,256 @@ def induced_map(
         for st, words in src._words.items()
     }
     return src, tgt, total_map(src.total, tgt.total, cells)
+
+
+# ---------------------------------------------------------------------------
+# Morse reduction along the first-slot matching
+# ---------------------------------------------------------------------------
+
+MAX_FLOW_STEPS = 1_000_000
+
+
+@dataclass(frozen=True)
+class FirstSlotMatching:
+    """Pairs of words read off a multiplication table.
+
+    split[c] = (a, b) when a * b = +-c for non-units a, b (the first such
+    pair in label order); merge is its inverse, so only that pair merges.
+    A word is paired by its first slot i >= 1 that holds a split letter c
+    (partner: c split into a, b, one degree up) or starts a merge pair
+    (partner: the pair merged, one degree down); a word with neither is
+    critical.
+    """
+
+    algebra: DGAlgebra
+    split: Mapping[str, Tuple[str, str]]
+    merge: Mapping[Tuple[str, str], str]
+
+    def partner(self, word: Word) -> Optional[Tuple[Word, bool]]:
+        """(partner, whether it is the longer word), or None when critical."""
+        for i in range(1, len(word)):
+            pair = self.split.get(word[i])
+            if pair is not None:
+                return word[:i] + pair + word[i + 1 :], True
+            c = self.merge.get(word[i : i + 2])
+            if c is not None:
+                return word[:i] + (c,) + word[i + 2 :], False
+        return None
+
+
+def first_slot_matching(A: DGAlgebra) -> Optional[FirstSlotMatching]:
+    """The first-slot matching of A, or None when A has nothing to match or
+    its table fails the check that makes the rule an involution with +-1
+    coefficients on every word.
+
+    The check: every non-unit has positive degree, and for each split
+    c -> (a, b), a is not split and no merge pair ends in a or in c.  Then
+    splitting c in slot i gives a word whose first paired slot is i, where
+    (a, b) merges back, and merging (a, b) gives a word whose first paired
+    slot is i, holding c.  Positive degrees leave one term of the
+    differential of the longer word on the shorter one, the face that
+    multiplies a * b, so the coefficient is +-1.
+    """
+    non_unit = A.non_unit_labels()
+    if not all(A.degree_of(a) > 0 for a in non_unit):
+        return None
+    split: Dict[str, Tuple[str, str]] = {}
+    for a in non_unit:
+        for b in non_unit:
+            product = A.mult.get((a, b), {})
+            if len(product) == 1:
+                ((c, k),) = product.items()
+                if abs(k) == 1:
+                    split.setdefault(c, (a, b))
+    merge = {pair: c for c, pair in split.items()}
+    ends = {b for _, b in merge}
+    if not split or any(a in split or a in ends or c in ends for c, (a, _) in split.items()):
+        return None
+    return FirstSlotMatching(A, split, merge)
+
+
+def critical_words(M: FirstSlotMatching, top: int) -> Dict[int, List[Word]]:
+    """The critical words of Hochschild degree 0..top, by degree.
+
+    A depth-first search over the slots >= 1 that never takes a split
+    letter and never completes a merge pair, so only critical words are
+    ever formed."""
+    A = M.algebra
+    letters = [(a, A.degree_of(a) + 1) for a in A.non_unit_labels() if a not in M.split]
+    heads = [(a, A.degree_of(a)) for a in A.labels()]
+    words: Dict[int, List[Word]] = {n: [] for n in range(top + 1)}
+    stack: List[Tuple[Word, int]] = [((), 0)]
+    while stack:
+        tail, shift = stack.pop()
+        for a, d in heads:
+            if shift + d <= top:
+                words[shift + d].append((a,) + tail)
+        for a, d in letters:
+            if shift + d <= top and tail[-1:] + (a,) not in M.merge:
+                stack.append((tail + (a,), shift + d))
+    return words
+
+
+def critical_complex(M: FirstSlotMatching, bound: int, cyclic: bool = False) -> ChainComplex:
+    """The Morse complex of M's critical words through degree bound + 1.
+
+    Cells are (s, word).  For the Hochschild complex s = 0 and d = D; with
+    cyclic=True they are the cells of the cyclic total complex, word in
+    column s and total degree 2s + (its Hochschild degree), d = D + B, B
+    into column s - 1, matched inside each column.  B lowers the column,
+    so a flow never returns to a column it left.  Through degree bound the
+    homology is that of the full build.
+    """
+    if bound < 0:
+        raise BoundTooSmall(f"bound {bound} < 0")
+    A, top = M.algebra, bound + 1
+    words = critical_words(M, top)
+    cells = {
+        n: [(s, w) for s in (range(n // 2 + 1) if cyclic else (0,)) for w in words[n - 2 * s]]
+        for n in range(top + 1)
+    }
+
+    known: Dict[Word, Dict[Word, int]] = {}  # D of the words of several columns
+
+    def terms(cell):
+        s, word = cell
+        D = known.get(word) if cyclic else None
+        if D is None:
+            D = _collect(chain(_internal_terms(A, word), _face_terms(A, word)))
+            if cyclic:
+                known[word] = D
+        out = {(s, w): k for w, k in D.items()}
+        if s:
+            out.update(((s - 1, w), k) for w, k in _collect(_cyclic_terms(A, word)).items())
+        return out
+
+    def partner(cell):
+        found = M.partner(cell[1])
+        return None if found is None else ((cell[0], found[0]), found[1])
+
+    return _morse_complex(cells, terms, partner, top)
+
+
+def _morse_complex(
+    critical: Mapping[int, Sequence[Cell]],
+    terms: Callable[[Cell], Dict[Cell, int]],
+    partner: Callable[[Cell], Optional[Tuple[Cell, bool]]],
+    top: int,
+) -> ChainComplex:
+    """The Morse complex of a based complex on its critical cells, degrees
+    0..top (Skoldberg, Trans. AMS 358 (2006)).
+
+    critical[n] lists the critical cells of degree n, terms(cell) is the
+    differential of a cell, and partner(cell) is (partner, up) for a
+    matched cell, up when the partner sits one degree higher.  The Morse
+    differential of a critical cell c is d(c) flowed through the pairs: a
+    term on a cell u paired with w above is replaced by subtracting
+    (coefficient / [d w : u]) d w, a term on a cell paired below is
+    dropped, and what is left lies on critical cells.  The cells a flow
+    passes through are swept in topological order, so each is flowed once.
+
+    Checked on every cell a flow touches: the pairing is an involution;
+    [d w : u] = +-1; the flows form no cycle and pass through at most
+    MAX_FLOW_STEPS cells each; a cell left unpaired is one of the critical
+    cells; d(d(x)) = 0 for every cell x whose differential is read.  The
+    ChainComplex constructor checks d^2 = 0 of the result.
+    """
+    diffs: Dict[int, SparseIntMatrix] = {}
+    below: Dict[Cell, Dict[Cell, int]] = {}  # differentials of degree n - 1 cells
+    for n in range(1, top + 1):
+        here: Dict[Cell, Dict[Cell, int]] = {}
+        index = {c: i for i, c in enumerate(critical[n - 1])}
+        pairs: Dict[Cell, Optional[Tuple[Cell, bool]]] = {}
+        flows: Dict[Cell, Tuple[int, Dict[Cell, int], list]] = {}
+
+        def checked_terms(x):
+            dx = here[x] = terms(x)
+            ddx: Dict[Cell, int] = defaultdict(int)
+            for v, k in dx.items():
+                dv = below.get(v)
+                if dv is None:
+                    dv = below[v] = terms(v)
+                for y, j in dv.items():
+                    ddx[y] += k * j
+            if any(ddx.values()):
+                raise CompositionNonzero(f"d(d(x)) != 0 at x = {x}")
+            return dx
+
+        def pair_of(v):
+            if v not in pairs:
+                pairs[v] = partner(v)
+                if pairs[v] is None and v not in index:
+                    raise MatchingFailed(f"unpaired cell {v} is not among the critical cells")
+            return pairs[v]
+
+        def flow_of(u):
+            """(e, lower terms, critical terms) of d w for u's partner w, e = [d w : u]."""
+            if u not in flows:
+                w = pairs[u][0]
+                if partner(w) != (u, False):
+                    raise MatchingFailed(f"the pairing is not an involution at {u}")
+                dw = dict(checked_terms(w))
+                e = dw.pop(u, 0)
+                if abs(e) != 1:
+                    raise MatchingFailed(f"coefficient {e} on the pair at {u}")
+                lower, crit = {}, []
+                for v, k in dw.items():
+                    found = pair_of(v)
+                    if found is None:
+                        crit.append((index[v], k))
+                    elif found[1]:
+                        lower[v] = k
+                flows[u] = (e, lower, crit)
+            return flows[u]
+
+        rows: Dict[int, Dict[int, int]] = defaultdict(dict)
+        for col, c in enumerate(critical[n]):
+            out: Dict[int, int] = defaultdict(int)
+            coeff: Dict[Cell, int] = {}
+            for v, k in checked_terms(c).items():
+                found = pair_of(v)
+                if found is None:
+                    out[index[v]] += k
+                elif found[1]:
+                    coeff[v] = k
+            for u in _flow_order(coeff, flow_of):
+                lam = coeff.pop(u, 0)
+                if lam:
+                    e, lower, crit = flows[u]
+                    lam *= e  # 1 / e = e
+                    for v, k in lower.items():
+                        coeff[v] = coeff.get(v, 0) - lam * k
+                    for r, k in crit:
+                        out[r] -= lam * k
+            for r, k in out.items():
+                if k:
+                    rows[r][col] = k
+        diffs[n] = SparseIntMatrix.from_rows(len(index), len(critical[n]), rows)
+        below = here
+    return ChainComplex({n: critical[n] for n in range(top + 1)}, diffs, 0, top)
+
+
+def _flow_order(seeds, flow_of) -> List[Cell]:
+    """The cells reachable from seeds through lower terms, each before the
+    cells its flow reaches; raises on a cycle or past MAX_FLOW_STEPS cells."""
+    done: Dict[Cell, bool] = {}  # False while on the search stack
+    post: List[Cell] = []
+    stack = [(None, iter(seeds))]
+    while stack:
+        u, rest = stack[-1]
+        for v in rest:
+            if v not in done:
+                done[v] = False
+                stack.append((v, iter(flow_of(v)[1])))
+                break
+            if not done[v]:
+                raise MatchingFailed(f"the flows through {v} form a cycle")
+        else:
+            stack.pop()
+            if stack:
+                done[u] = True
+                post.append(u)
+            if len(post) > MAX_FLOW_STEPS:
+                raise MatchingFailed(f"a flow passes through more than {MAX_FLOW_STEPS} cells")
+    post.reverse()
+    return post

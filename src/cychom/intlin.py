@@ -53,7 +53,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -104,9 +104,11 @@ class SparseIntMatrix:
             object.__setattr__(M, "by_row", dict(by_row))
         return M
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "SparseIntMatrix":
-        return cls(rows, cols)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def zero(rows: int, cols: int) -> "SparseIntMatrix":
+        """The zero matrix of a shape: one shared instance per shape."""
+        return SparseIntMatrix(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "SparseIntMatrix":

@@ -4,9 +4,10 @@ Nothing here imports cychom's reduction code: the Smith form below is a
 plain dense Gaussian-style elimination, determinants use the Bareiss
 fraction-free scheme, and determinantal divisors come straight from gcds
 of minors.  Slow, simple, and written separately on purpose.  The one
-exceptions are the two references at the end, which keep the package's
+exceptions are the two references near the end, which keep the package's
 earlier graded comparison and earlier exactness check on the package's own
-reductions.
+reductions, and the Z[x]/(x^n) builder at the end, which returns the
+package's DGAlgebra.
 """
 
 from math import gcd
@@ -670,3 +671,28 @@ def exact_sequence_reference(complexes, maps, degrees):
             if not exact_at_reference(mid[1], incoming, outgoing, target[1]):
                 failures.append(node)
     return failures
+
+
+# ---------------------------------------------------------------------------
+# truncated polynomial rings
+# ---------------------------------------------------------------------------
+
+
+def truncated_polynomial(n, degree=0):
+    """Z[x]/(x^n) as a DG algebra with zero differential and x in the given
+    degree: basis 1, x, x2, ..., x{n-1}, with x^i x^j = x^(i+j), zero from
+    x^n on.  For degree 0 and any n >= 2 (Buenos Aires Cyclic Homology
+    Group, K-Theory 5 (1991)): HH_0 = Z^n, HH_{2i-1} = Z^(n-1) + Z/n and
+    HH_{2i} = Z^(n-1)."""
+    from cychom.dga import DGAlgebra
+
+    labels = ["1", "x"] + [f"x{k}" for k in range(2, n)]
+    mult = {
+        (labels[i], labels[j]): {labels[i + j]: 1} if i + j < n else {}
+        for i in range(n)
+        for j in range(n)
+    }
+    basis = {}
+    for k, lbl in enumerate(labels):
+        basis.setdefault(degree * k, []).append(lbl)
+    return DGAlgebra(basis, mult, {}, "1")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cychom import cli
 from cychom.complexes import homology
-from cychom.cyclic import sbi_check
+from cychom.cyclic import cyclic_bundle, hc_groups, hc_table, hh_groups, hh_table, sbi_check
 from cychom.dga import (
     DGAlgebra,
     DGAMorphism,
@@ -23,6 +23,7 @@ from cychom.dga import (
     validate,
 )
 from cychom.errors import InvalidModulus, InvalidParams, NotDivisible, ParseError
+from cychom.hochschild import first_slot_matching, hochschild_complex
 from cychom.intlin import AbelianGroup
 
 
@@ -155,6 +156,22 @@ def test_text_format_round_trip(A):
 def test_sbi_sequence_is_exact_on_ext2_and_koszul_models(A):
     rep = sbi_check(A, 6)
     assert rep.exact and rep.periodicity_ok, rep.failures
+
+
+@settings(max_examples=25, deadline=None)
+@given(COEFFICIENTS, COEFFICIENTS)
+@example(9, 3)
+@example(3, 9)
+@example(-3, 9)
+@example(0, 0)
+def test_morse_tables_match_the_full_build_on_ext2(a, b):
+    # every ext2 passes the matching check, so hh_groups / hc_groups read
+    # the critical cells; the full build is the oracle (the examples are
+    # bench/inputs/ext2-*.alg and the algebra with zero differential)
+    A = load_algebra(ext2_text(a, b))
+    assert first_slot_matching(A) is not None
+    assert hh_groups(A, 10) == hh_table(hochschild_complex(A, 10), 10)
+    assert hc_groups(A, 10) == hc_table(cyclic_bundle(A, 10), 10)
 
 
 def test_text_format_errors():

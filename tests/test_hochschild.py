@@ -1,3 +1,5 @@
+import contextlib
+import io
 import pathlib
 
 import pytest
@@ -9,19 +11,29 @@ from cychom.dga import (
     load_algebra,
     reduction_map,
 )
-from cychom import hochschild
-from cychom.cyclic import cyclic_bundle
-from cychom.errors import BoundTooSmall, CompositionNonzero, TruncationTooTight
+from cychom import cli, hochschild
+from cychom.cyclic import cyclic_bundle, sbi_check
+from cychom.dga import dump_algebra
+from cychom.errors import BoundTooSmall, CompositionNonzero, MatchingFailed, TruncationTooTight
 from cychom.hochschild import (
+    FirstSlotMatching,
     HochschildComplex,
     connes_B,
+    critical_complex,
+    critical_words,
+    first_slot_matching,
     hh,
     hochschild_complex,
     induced_map,
 )
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
-from oracles import cyclic_operator_reference, face_terms_reference, internal_terms_reference
+from oracles import (
+    cyclic_operator_reference,
+    face_terms_reference,
+    internal_terms_reference,
+    truncated_polynomial,
+)
 
 BENCH_INPUTS = pathlib.Path(__file__).parent.parent / "bench" / "inputs"
 
@@ -202,3 +214,107 @@ def test_signs_match_the_slot_by_slot_reference(monkeypatch, name):
     for n in range(bound + 1):
         B = H.cyclic_operator(n)
         assert (B.rows, B.cols, B.entries) == cyclic_operator_reference(ref, n), n
+
+
+# ---------------------------------------------------------------------------
+# Morse reduction along the first-slot matching
+# ---------------------------------------------------------------------------
+
+
+def ext2():
+    return load_algebra((BENCH_INPUTS / "ext2-a9-b3.alg").read_text())
+
+
+def test_matching_of_ext2_and_its_critical_words():
+    M = first_slot_matching(ext2())
+    assert M.split == {"xy": ("x", "y")} and M.merge == {("x", "y"): "xy"}
+    assert M.partner(("1", "x", "xy", "y")) == (("1", "x", "x", "y", "y"), True)
+    assert M.partner(("1", "x", "x", "y", "y")) == (("1", "x", "xy", "y"), False)
+    assert M.partner(("x", "y", "y", "x")) is None
+    words = critical_words(M, 9)
+    # a_0 followed by y^k x^l: n + 1 words in degree n
+    assert [len(words[n]) for n in range(10)] == list(range(1, 11))
+    assert all(M.partner(w) is None for n in words for w in words[n])
+
+
+def test_no_matching_for_koszul_models_and_truncated_polynomials():
+    # t * t = 0 leaves nothing to split; x * x = x2 splits, but x is the end
+    # of the merge pair (x, x), so splitting x2 in (1, x, x2) gives
+    # (1, x, x, x), whose first pair merges back to (1, x2, x)
+    for A in (koszul_resolution(4), koszul_resolution(27), base_ring()):
+        assert first_slot_matching(A) is None
+    for n in (3, 4):
+        assert first_slot_matching(truncated_polynomial(n)) is None
+        assert first_slot_matching(truncated_polynomial(n, degree=2)) is None
+    rule = FirstSlotMatching(truncated_polynomial(3, degree=2), {"x2": ("x", "x")}, {("x", "x"): "x2"})
+    assert rule.partner(("1", "x", "x2")) == (("1", "x", "x", "x"), True)
+    assert rule.partner(("1", "x", "x", "x")) == (("1", "x2", "x"), False)
+
+
+def test_morse_path_raises_on_a_wrong_sign(monkeypatch):
+    # the differential on slot 0 negated: D(D(w)) != 0 on a word w a flow reads
+    internal_terms = hochschild._internal_terms
+
+    def flipped_slot_zero(A, word):
+        for out, c in internal_terms(A, word):
+            yield out, -c if out[0] != word[0] else c
+
+    M = first_slot_matching(ext2())
+    critical_complex(M, 6)
+    monkeypatch.setattr(hochschild, "_internal_terms", flipped_slot_zero)
+    for cyclic in (False, True):
+        with pytest.raises(CompositionNonzero):
+            critical_complex(M, 6, cyclic=cyclic)
+
+
+def test_morse_path_raises_on_a_non_involutive_split():
+    # xy splits into (y, x), which does not merge back: the first flow
+    # through a word holding xy finds the split word critical
+    M = FirstSlotMatching(ext2(), {"xy": ("y", "x")}, {("x", "y"): "xy"})
+    for cyclic in (False, True):
+        with pytest.raises(MatchingFailed, match="involution"):
+            critical_complex(M, 6, cyclic=cyclic)
+
+
+def test_morse_path_raises_past_its_step_cap(monkeypatch):
+    M = first_slot_matching(ext2())
+    critical_complex(M, 6, cyclic=True)
+    monkeypatch.setattr(hochschild, "MAX_FLOW_STEPS", 1)
+    for cyclic in (False, True):
+        with pytest.raises(MatchingFailed, match="more than 1 cells"):
+            critical_complex(M, 6, cyclic=cyclic)
+
+
+def cli_table(command, A, top, tmp_path):
+    path = tmp_path / "ring.alg"
+    path.write_text(dump_algebra(A))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([command, "--ring", str(path), "--max-degree", str(top)])
+    assert code == cli.EXIT_OK
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hh_of_truncated_polynomials(tmp_path, n):
+    # HH_0 = Z^n, HH_{2i-1} = Z^(n-1) + Z/n, HH_{2i} = Z^(n-1); the matching
+    # refuses Z[x]/(x^n), so the table comes from the full build
+    odd, even = AbelianGroup.from_diagonal([n], n - 1), AbelianGroup.free(n - 1)
+    want = [AbelianGroup.free(n)] + [odd if i % 2 else even for i in range(1, 8)]
+    lines = cli_table("hh", truncated_polynomial(n), 7, tmp_path)
+    assert lines == [f"HH_{i}: {g}" for i, g in enumerate(want)]
+
+
+def test_hc_of_dual_numbers(tmp_path):
+    A = truncated_polynomial(2)
+    want = {
+        1: AbelianGroup.from_diagonal([2]),
+        3: AbelianGroup.from_diagonal([2, 6]),
+        5: AbelianGroup.from_diagonal([2, 2, 30]),
+        7: AbelianGroup.from_diagonal([2, 2, 2, 210]),
+    }
+    lines = cli_table("hc", A, 7, tmp_path)
+    for i, g in want.items():
+        assert lines[i] == f"HC_{i}: {g}"
+    # the Connes sequence HH -> HC -> HC[-2] -> HH[-1] is exact through 7
+    assert sbi_check(A, 7)
