@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
+    BoundTooSmall,
     CompositionNonzero,
     DimensionMismatch,
     InvalidModulus,
@@ -550,7 +551,8 @@ def exact_sequence_check(
     chain-level matrix that induces the arrow out of H_n(X_k): X0_n -> X1_n,
     X1_n -> X2_n and X2_n -> X0_{n-1}.  Each degree n checks the nodes
     H_n(X1), H_n(X2) and H_{n-1}(X0), named by names[k]; a degree whose
-    presentations fall outside the complexes is skipped.
+    presentations fall outside the complexes is skipped, and BoundTooSmall
+    is raised when every degree is, rather than passing on no node.
     """
     checked: List[Tuple[str, int]] = []
     failures: List[Tuple[str, int]] = []
@@ -571,6 +573,8 @@ def exact_sequence_check(
             checked.append(node)
             if not exact_at(mid, incoming, outgoing, out_relations):
                 failures.append(node)
+    if not checked:
+        raise BoundTooSmall(f"no node of the sequence lies within degrees {list(degrees)}")
     return ExactnessReport(
         exact=not failures, checked_nodes=tuple(checked), failures=tuple(failures)
     )

@@ -12,20 +12,22 @@ Cells are built for every total degree up to bound + 1; columns beyond
 s = (bound + 1) // 2 contribute only above that window, so the groups
 through degree `bound` are exact, not truncations.
 
-`hh_groups` and `hc_groups`, the tables of the CLI, read the groups off
-the critical cells of the first-slot matching (hochschild module) when
-the algebra's table passes its check: in the cyclic total complex the
-cells of column s are paired as Hochschild words, and the flows follow
-D + B, which never raises the column.  Other algebras, such as the
-one-generator models of Z/m, where t * t = 0 leaves nothing to pair, take
-the full build, which also serves the induced maps, the relative groups
-and the exactness checks.
+`hh_groups` and `hc_groups`, the tables of the CLI, and `sbi_check` read
+the groups off the critical cells of the first-slot matching (hochschild
+module) when the algebra's table passes its check: in the cyclic total
+complex the cells of column s are paired as Hochschild words, and the
+flows follow D + B, which never raises the column, so the reduction keeps
+the column filtration the Connes sequence comes from.  Other algebras,
+such as the one-generator models of Z/m, where t * t = 0 leaves nothing
+to pair, take the full build, which also serves the induced maps, the
+relative groups and the relative exactness check.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .complexes import (
     Bicomplex,
@@ -46,7 +48,7 @@ from .complexes import (
     two_term_complex,
 )
 from .dga import DGAlgebra, DGAMorphism, reduction_map
-from .errors import BoundTooSmall, InvalidModulus, InvalidParams
+from .errors import BoundTooSmall, CompositionNonzero, InvalidModulus, InvalidParams
 from .hochschild import (
     HochschildComplex,
     critical_complex,
@@ -268,56 +270,37 @@ class SBIReport:
         return self.exact and self.periodicity_ok
 
 
-def _column_zero_inclusion(bundle: CyclicComplexBundle, n: int) -> SparseIntMatrix:
-    """Column 0 is the leading block of each total degree."""
-    k = bundle.hochschild.total.dim(n)
-    return SparseIntMatrix(bundle.total.dim(n), k, {(j, j): 1 for j in range(k)})
-
-
-def _quotient_complex(bundle: CyclicComplexBundle) -> Tuple[ChainComplex, Dict[int, SparseIntMatrix]]:
-    """The total complex of the columns s >= 1, plus the projections onto it
-    (those columns are the trailing block of each total degree)."""
-    B = bundle.bicomplex
-    Q = total_complex(
-        Bicomplex(
-            {(s, t): lbls for (s, t), lbls in B.basis.items() if s >= 1},
-            {(s, t): M for (s, t), M in B.vertical.items() if s >= 1},
-            {(s, t): M for (s, t), M in B.horizontal.items() if s >= 2},
-        ),
-        bundle.total.min_degree,
-        bundle.total.max_degree,
-    )
-    projections = {}
-    for n in range(bundle.total.min_degree, bundle.total.max_degree + 1):
-        k = bundle.total.dim(n) - Q.dim(n)
-        projections[n] = SparseIntMatrix(
-            Q.dim(n), bundle.total.dim(n), {(r, k + r): 1 for r in range(Q.dim(n))}
-        )
-    return Q, projections
-
-
-def sbi_check(A: DGAlgebra, bound: int) -> SBIReport:
-    """Verify the Connes exact sequence node by node up to `bound`.
-
-    Also confirms the periodicity identification: the quotient complex has
-    H_n equal to HC_{n-2} for every checkable n.
+def _connes_sequence(C: ChainComplex, leading: Mapping[int, int], bound: int) -> SBIReport:
+    """The SBIReport of H -> C -> Q through `bound`, where the first
+    leading[n] cells of each degree n span the subcomplex H (column 0) and
+    the others the quotient Q (columns s >= 1).  The maps are the inclusion
+    of the leading block, the projection onto the trailing block, and the
+    connecting map, the trailing-to-leading block of d.  Raises
+    CompositionNonzero where d maps a leading cell off the leading block.
     """
-    bundle = cyclic_bundle(A, bound)
-    Q, proj = _quotient_complex(bundle)
-
-    def connecting(n):
-        # lift a quotient cycle (the trailing block of degree n), apply d and
-        # keep column 0 (the leading block of degree n - 1)
-        rows, first = bundle.hochschild.total.dim(n - 1), bundle.total.dim(n) - Q.dim(n)
-        D = bundle.total.diff(n).by_row
-        block = {r: {c - first: v for c, v in D[r].items() if c >= first} for r in D if r < rows}
-        return SparseIntMatrix.from_rows(rows, Q.dim(n), block)
-
-    hp = presentation_cache(bundle.hochschild.total, bundle.total, Q)
+    lo, hi = C.min_degree, C.max_degree
+    lead = defaultdict(int, leading)
+    h, q, incl, proj, connecting = {}, {}, {}, {}, {}
+    for n in range(lo, hi + 1):
+        k, j, trail = lead[n], lead[n - 1], C.dim(n) - lead[n]
+        blocks = defaultdict(lambda: defaultdict(dict))  # (trailing row, trailing column)
+        for r, row in C.diff(n).by_row.items():
+            for c, v in row.items():
+                blocks[r >= j, c >= k][r - j if r >= j else r][c - k if c >= k else c] = v
+        if blocks[True, False]:
+            raise CompositionNonzero(f"d_{n} maps a leading cell off the leading block")
+        h[n] = SparseIntMatrix.from_rows(j, k, blocks[False, False])
+        q[n] = SparseIntMatrix.from_rows(C.dim(n - 1) - j, trail, blocks[True, True])
+        connecting[n] = SparseIntMatrix.from_rows(j, trail, blocks[False, True])
+        incl[n] = SparseIntMatrix(C.dim(n), k, {(i, i): 1 for i in range(k)})
+        proj[n] = SparseIntMatrix(trail, C.dim(n), {(r, k + r): 1 for r in range(trail)})
+    H = ChainComplex({n: C.labels(n)[: lead[n]] for n in C.degrees()}, h, lo, hi)
+    Q = ChainComplex({n: C.labels(n)[lead[n] :] for n in C.degrees()}, q, lo, hi)
+    hp = presentation_cache(H, C, Q)
     degrees = range(2, bound + 1)
     report = exact_sequence_check(
         hp,
-        (lambda n: _column_zero_inclusion(bundle, n), proj.__getitem__, connecting),
+        (incl.__getitem__, proj.__getitem__, connecting.__getitem__),
         ("hh", "hc", "hc_shifted"),
         degrees,
     )
@@ -327,3 +310,24 @@ def sbi_check(A: DGAlgebra, bound: int) -> SBIReport:
         checked_nodes=report.checked_nodes,
         failures=report.failures,
     )
+
+
+def sbi_check(A: DGAlgebra, bound: int) -> SBIReport:
+    """Verify the Connes exact sequence node by node up to `bound`.
+
+    Also confirms the periodicity identification: the quotient complex has
+    H_n equal to HC_{n-2} for every checkable n.  The sequence is that of
+    the column filtration, split at column 0 of the cyclic total complex:
+    on its Morse complex when A has a first-slot matching (column 0's
+    critical cells span a subcomplex, as the matching pairs cells inside
+    one column and the flows follow D + B, which never raises the column),
+    else on the full build.
+    """
+    M = first_slot_matching(A)
+    if M is None:
+        bundle = cyclic_bundle(A, bound)
+        C, leading = bundle.total, {n: bundle.hochschild.dim(n) for n in bundle.total.degrees()}
+    else:
+        C = critical_complex(M, bound, cyclic=True)
+        leading = {n: sum(s == 0 for s, _ in C.labels(n)) for n in C.degrees()}
+    return _connes_sequence(C, leading, bound)

@@ -21,6 +21,7 @@ from cychom.complexes import (
     unit_complex,
 )
 from cychom.errors import (
+    BoundTooSmall,
     CompositionNonzero,
     DimensionMismatch,
     NotAChainMap,
@@ -111,13 +112,15 @@ def test_chain_map_square_checked():
 
 
 def test_cone_les_exactness():
-    f = ChainMap(
-        two_term_complex(4),
-        two_term_complex(2),
-        {0: SparseIntMatrix.identity(1), 1: SparseIntMatrix.from_dense([[2]])},
-    )
-    report = cone_les_check(f, [1])
+    components = {0: SparseIntMatrix.identity(1), 1: SparseIntMatrix.from_dense([[2]])}
+    # H_1 needs chains in degree 2: on the complexes as built, which end in
+    # degree 1, degree 1 has no node, and a check of no node is refused
+    with pytest.raises(BoundTooSmall):
+        cone_les_check(ChainMap(two_term_complex(4), two_term_complex(2), components), [1])
+    src, tgt = (ChainComplex(T.basis, T.differential, 0, 2) for T in map(two_term_complex, (4, 2)))
+    report = cone_les_check(ChainMap(src, tgt, components), [1])
     assert report
+    assert report.checked_nodes == (("tgt", 1), ("cone", 1), ("src", 0))
     assert not report.failures
 
 

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from cychom.cyclic import (
     sbi_check,
     tower_report,
 )
-from cychom.dga import DGAMorphism, base_ring, koszul_resolution, reduction_map
+from cychom.dga import DGAMorphism, base_ring, koszul_resolution, load_algebra, reduction_map
 from cychom.errors import BoundTooSmall, InvalidParams, NotAChainMap
 from cychom.hochschild import hh, induced_map
 from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel
@@ -211,3 +212,22 @@ def test_sbi_sequence_exact():
         rep = sbi_check(A, bound)
         assert rep.exact and rep.periodicity_ok, rep.failures
         assert rep.checked_nodes
+
+
+def test_exactness_checks_refuse_a_range_without_nodes():
+    # sbi_check's first node is in degree 2 and relative_les_check's in
+    # degree 1: below them the sequence has nothing to check, and a check of
+    # nothing must not pass (the ext2 algebra takes the Morse path, the
+    # Koszul model the full build)
+    ext2 = load_algebra((pathlib.Path(__file__).parent.parent / "bench" / "inputs"
+                         / "ext2-a9-b3.alg").read_text())
+    for A in (ext2, koszul_resolution(4)):
+        for bound in (0, 1):
+            with pytest.raises(BoundTooSmall):
+                sbi_check(A, bound)
+        assert sbi_check(A, 2).checked_nodes == (("hc", 2), ("hc_shifted", 2), ("hh", 1))
+    with pytest.raises(BoundTooSmall):
+        relative_les_check(reduction_map(9, 3), -1)
+    assert relative_les_check(reduction_map(9, 3), 0).checked_nodes == (
+        ("tgt", 1), ("cone", 1), ("src", 0)
+    )

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from cychom import cli
 from cychom.complexes import homology
-from cychom.cyclic import cyclic_bundle, hc_groups, hc_table, hh_groups, hh_table, sbi_check
+from cychom.cyclic import (
+    _connes_sequence,
+    cyclic_bundle,
+    hc_groups,
+    hc_table,
+    hh_groups,
+    hh_table,
+    sbi_check,
+)
 from cychom.dga import (
     DGAlgebra,
     DGAMorphism,
@@ -172,6 +180,23 @@ def test_morse_tables_match_the_full_build_on_ext2(a, b):
     assert first_slot_matching(A) is not None
     assert hh_groups(A, 10) == hh_table(hochschild_complex(A, 10), 10)
     assert hc_groups(A, 10) == hc_table(cyclic_bundle(A, 10), 10)
+
+
+@settings(max_examples=15, deadline=None)
+@given(COEFFICIENTS, COEFFICIENTS, st.integers(2, 8))
+@example(9, 3, 8)
+@example(3, 9, 8)
+@example(-3, 9, 8)
+@example(0, 0, 8)
+def test_morse_sbi_report_matches_the_full_build_on_ext2(a, b, bound):
+    # sbi_check reads ext2's sequence on the critical cells; the same split
+    # of the full cyclic total at the Hochschild dimensions is the oracle
+    A = load_algebra(ext2_text(a, b))
+    bundle = cyclic_bundle(A, bound)
+    leading = {n: bundle.hochschild.dim(n) for n in bundle.total.degrees()}
+    report = sbi_check(A, bound)
+    assert report == _connes_sequence(bundle.total, leading, bound)
+    assert report and len(report.checked_nodes) == 3 * (bound - 1)
 
 
 def test_text_format_errors():

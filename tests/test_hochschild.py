@@ -12,7 +12,8 @@ from cychom.dga import (
     reduction_map,
 )
 from cychom import cli, hochschild
-from cychom.cyclic import cyclic_bundle, sbi_check
+from cychom.complexes import ChainComplex
+from cychom.cyclic import _connes_sequence, cyclic_bundle, sbi_check
 from cychom.dga import dump_algebra
 from cychom.errors import BoundTooSmall, CompositionNonzero, MatchingFailed, TruncationTooTight
 from cychom.hochschild import (
@@ -283,6 +284,46 @@ def test_morse_path_raises_past_its_step_cap(monkeypatch):
     for cyclic in (False, True):
         with pytest.raises(MatchingFailed, match="more than 1 cells"):
             critical_complex(M, 6, cyclic=cyclic)
+
+
+def test_column_zero_of_the_cyclic_morse_complex_is_the_hochschild_one():
+    # column 0 leads each degree and spans a subcomplex: the Morse complex
+    # of the Hochschild complex, label for label and block for block
+    M = first_slot_matching(ext2())
+    C, H = critical_complex(M, 9, cyclic=True), critical_complex(M, 9)
+    lead = [sum(s == 0 for s, _ in C.labels(n)) for n in range(11)]
+    for n in range(11):
+        assert C.labels(n)[: lead[n]] == H.labels(n)
+        assert all(s > 0 for s, _ in C.labels(n)[lead[n] :])
+    for n in range(1, 11):
+        rows = C.diff(n).by_row
+        assert {r: {c: v for c, v in row.items() if c < lead[n]} for r, row in rows.items()
+                if r < lead[n - 1] and min(row) < lead[n]} == H.diff(n).by_row
+        assert all(min(row) >= lead[n] for r, row in rows.items() if r >= lead[n - 1])
+
+
+def test_connes_split_refuses_a_leading_block_that_is_not_a_subcomplex():
+    # d c = b: with the leading block {a} in degree 0 and {c} in degree 1,
+    # d maps the leading cell c onto the trailing cell b
+    C = ChainComplex({0: ("a", "b"), 1: ("c",), 2: ("e",)}, {1: SparseIntMatrix.from_dense([[0], [1]])})
+    with pytest.raises(CompositionNonzero, match="leading block"):
+        _connes_sequence(C, {0: 1, 1: 1}, 1)
+    with pytest.raises(BoundTooSmall):  # split, but degree 2 has no node
+        _connes_sequence(C, {0: 2, 1: 1}, 2)
+
+
+def test_morse_sbi_check_raises_on_a_wrong_sign_of_B(monkeypatch):
+    # the rotation by one slot negated: (D + B)^2 != 0 on a word a flow reads
+    cyclic_terms = hochschild._cyclic_terms
+
+    def flipped_rotation(A, word):
+        for i, (out, sign) in enumerate(cyclic_terms(A, word)):
+            yield out, -sign if i == 1 else sign
+
+    assert sbi_check(ext2(), 6)
+    monkeypatch.setattr(hochschild, "_cyclic_terms", flipped_rotation)
+    with pytest.raises(CompositionNonzero):
+        sbi_check(ext2(), 6)
 
 
 def cli_table(command, A, top, tmp_path):
