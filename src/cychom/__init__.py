@@ -14,6 +14,7 @@ from .cyclic import (
     hc_mod,
     hc_relative,
     hc_tower_surjectivity,
+    hh,
     relative_les_check,
     sbi_check,
 )
@@ -38,7 +39,7 @@ from .filtered import (
     graded_comparisons,
     load_filtered_ring,
 )
-from .hochschild import HochschildComplex, connes_B, hh, hochschild_complex
+from .hochschild import HochschildComplex, hochschild_complex
 from .intlin import AbelianGroup, SparseIntMatrix, smith_decomposition
 from .ktheory import goodwillie_range, k_group, k_table, relative_k
 
@@ -55,7 +56,6 @@ __all__ = [
     "SparseIntMatrix",
     "adic_filtration",
     "base_ring",
-    "connes_B",
     "cyclic_bar",
     "cyclic_bundle",
     "filtered_tensor",

@@ -12,22 +12,24 @@ Cells are built for every total degree up to bound + 1; columns beyond
 s = (bound + 1) // 2 contribute only above that window, so the groups
 through degree `bound` are exact, not truncations.
 
-`hh_groups` and `hc_groups`, the tables of the CLI, and `sbi_check` read
-the groups off the critical cells of the first-slot matching (hochschild
-module) when the algebra's table passes its check: in the cyclic total
-complex the cells of column s are paired as Hochschild words, and the
-flows follow D + B, which never raises the column, so the reduction keeps
-the column filtration the Connes sequence comes from.  Other algebras,
-such as the one-generator models of Z/m, where t * t = 0 leaves nothing
-to pair, take the full build, which also serves the induced maps, the
-relative groups and the relative exactness check.
+Every algebra-level Hochschild or cyclic group (`hh`, `hc`, `hc_mod`,
+`hh_groups`, `hc_groups`) and the Connes check `sbi_check` is read off the
+complex one private selector, `_chains`, returns: the critical cells of
+the first-slot matching (hochschild module) when the algebra's table
+passes its check, else the full build.  In the cyclic total complex the
+cells of column s are paired as Hochschild words, and the flows follow
+D + B, which never raises the column, so the reduction keeps the column
+filtration the Connes sequence comes from.  Other algebras, such as the
+one-generator models of Z/m, where t * t = 0 leaves nothing to pair, take
+the full build, which also serves the induced maps, the relative groups
+and the relative exactness check.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import (
     Bicomplex,
@@ -101,22 +103,41 @@ def _bundle_over(H: HochschildComplex) -> CyclicComplexBundle:
     )
 
 
-def hc(A: DGAlgebra, i: int, bound: int = None) -> AbelianGroup:
-    """Cyclic homology HC_i(A), exact once bound >= i."""
+def _chains(A: DGAlgebra, bound: int, cyclic: bool = False) -> ChainComplex:
+    """A complex with the Hochschild homology of A (with cyclic=True, the
+    cyclic homology) through degree bound, each cell labelled by its column
+    first: the Morse complex of A's first-slot matching when A's table
+    passes its check, else the full build's total complex."""
+    M = first_slot_matching(A)
+    if M is not None:
+        return critical_complex(M, bound, cyclic)
+    if cyclic:
+        return cyclic_bundle(A, bound).total
+    return hochschild_complex(A, bound).total
+
+
+def _bound(i: int, bound: int = None) -> int:
+    """The bound a degree-i query builds to: i unless given, never below i."""
     if bound is None:
-        bound = i
+        return i
     if i > bound:
         raise BoundTooSmall(f"degree {i} exceeds bound {bound}")
-    return homology(cyclic_bundle(A, bound).total, i)
+    return bound
+
+
+def hh(A: DGAlgebra, i: int, bound: int = None) -> AbelianGroup:
+    """Hochschild homology HH_i(A) over Z in degree i."""
+    return homology(_chains(A, _bound(i, bound)), i)
+
+
+def hc(A: DGAlgebra, i: int, bound: int = None) -> AbelianGroup:
+    """Cyclic homology HC_i(A) over Z in degree i."""
+    return homology(_chains(A, _bound(i, bound), cyclic=True), i)
 
 
 def hc_mod(A: DGAlgebra, i: int, q: int, bound: int = None) -> AbelianGroup:
-    """Homology of the cyclic total complex with mod-q coefficients."""
-    if bound is None:
-        bound = i
-    if i > bound:
-        raise BoundTooSmall(f"degree {i} exceeds bound {bound}")
-    return homology_mod(cyclic_bundle(A, bound).total, i, q)
+    """Cyclic homology of A with mod-q coefficients in degree i."""
+    return homology_mod(_chains(A, _bound(i, bound), cyclic=True), i, q)
 
 
 def induced_cyclic_map(
@@ -143,11 +164,7 @@ def hc_relative(f: DGAMorphism, i: int, bound: int = None) -> AbelianGroup:
     Computed as H_{i+1} of the mapping cone of the induced map of total
     complexes, which is the fiber's homology in degree i.
     """
-    if bound is None:
-        bound = i
-    if i > bound:
-        raise BoundTooSmall(f"degree {i} exceeds bound {bound}")
-    _, _, F = induced_cyclic_map(f, bound + 1)
+    _, _, F = induced_cyclic_map(f, _bound(i, bound) + 1)
     return homology(mapping_cone(F), i + 1)
 
 
@@ -207,30 +224,14 @@ def tower_report(p: int, n: int, F: ChainMap, i: int) -> TowerSurjectivityReport
 # ---------------------------------------------------------------------------
 
 
-def hh_table(H: HochschildComplex, top: int) -> List[AbelianGroup]:
-    return homology_groups(H.total, range(top + 1))
-
-
-def hc_table(bundle: CyclicComplexBundle, top: int) -> List[AbelianGroup]:
-    return homology_groups(bundle.total, range(top + 1))
-
-
 def hh_groups(A: DGAlgebra, top: int) -> List[AbelianGroup]:
-    """HH_0..HH_top of A: on the critical words when A's table passes the
-    first-slot matching check, else from the full build."""
-    M = first_slot_matching(A)
-    if M is None:
-        return hh_table(hochschild_complex(A, top), top)
-    return homology_groups(critical_complex(M, top), range(top + 1))
+    """HH_0..HH_top of A, from one complex (see _chains)."""
+    return homology_groups(_chains(A, top), range(top + 1))
 
 
 def hc_groups(A: DGAlgebra, top: int) -> List[AbelianGroup]:
-    """HC_0..HC_top of A, on the critical cells of the cyclic total complex
-    when A has a first-slot matching, else from the full build."""
-    M = first_slot_matching(A)
-    if M is None:
-        return hc_table(cyclic_bundle(A, top), top)
-    return homology_groups(critical_complex(M, top, cyclic=True), range(top + 1))
+    """HC_0..HC_top of A, from one complex (see _chains)."""
+    return homology_groups(_chains(A, top, cyclic=True), range(top + 1))
 
 
 def hc_mod_table(bundle: CyclicComplexBundle, top: int, q: int) -> List[AbelianGroup]:
@@ -270,16 +271,17 @@ class SBIReport:
         return self.exact and self.periodicity_ok
 
 
-def _connes_sequence(C: ChainComplex, leading: Mapping[int, int], bound: int) -> SBIReport:
-    """The SBIReport of H -> C -> Q through `bound`, where the first
-    leading[n] cells of each degree n span the subcomplex H (column 0) and
-    the others the quotient Q (columns s >= 1).  The maps are the inclusion
-    of the leading block, the projection onto the trailing block, and the
-    connecting map, the trailing-to-leading block of d.  Raises
-    CompositionNonzero where d maps a leading cell off the leading block.
+def _connes_sequence(C: ChainComplex, bound: int) -> SBIReport:
+    """The SBIReport of H -> C -> Q through `bound`, where C's cells are
+    labelled by their column first, and in each degree the column-0 cells
+    lead and span the subcomplex H while the others (columns s >= 1) span
+    the quotient Q.  The maps are the inclusion of the leading block, the
+    projection onto the trailing block, and the connecting map, the
+    trailing-to-leading block of d.  Raises CompositionNonzero where d maps
+    a leading cell off the leading block.
     """
     lo, hi = C.min_degree, C.max_degree
-    lead = defaultdict(int, leading)
+    lead = defaultdict(int, {n: sum(cell[0] == 0 for cell in C.labels(n)) for n in C.degrees()})
     h, q, incl, proj, connecting = {}, {}, {}, {}, {}
     for n in range(lo, hi + 1):
         k, j, trail = lead[n], lead[n - 1], C.dim(n) - lead[n]
@@ -317,17 +319,9 @@ def sbi_check(A: DGAlgebra, bound: int) -> SBIReport:
 
     Also confirms the periodicity identification: the quotient complex has
     H_n equal to HC_{n-2} for every checkable n.  The sequence is that of
-    the column filtration, split at column 0 of the cyclic total complex:
-    on its Morse complex when A has a first-slot matching (column 0's
-    critical cells span a subcomplex, as the matching pairs cells inside
-    one column and the flows follow D + B, which never raises the column),
-    else on the full build.
+    the column filtration, split at column 0 of the cyclic complex that
+    _chains returns.  On the Morse complex column 0's critical cells span a
+    subcomplex, because the matching pairs cells inside one column and the
+    flows follow D + B, which never raises the column.
     """
-    M = first_slot_matching(A)
-    if M is None:
-        bundle = cyclic_bundle(A, bound)
-        C, leading = bundle.total, {n: bundle.hochschild.dim(n) for n in bundle.total.degrees()}
-    else:
-        C = critical_complex(M, bound, cyclic=True)
-        leading = {n: sum(s == 0 for s, _ in C.labels(n)) for n in C.degrees()}
-    return _connes_sequence(C, leading, bound)
+    return _connes_sequence(_chains(A, bound, cyclic=True), bound)

@@ -41,6 +41,11 @@ every pair a flow uses, a cycle of flows or a flow past its step cap
 raises, D(D(w)) = 0 ((D + B)^2 = 0 for the cyclic total) is checked on
 every word w whose differential a flow reads, and the ChainComplex
 constructor checks d^2 = 0 of the result.
+
+This module computes no groups: the cyclic module reads every
+algebra-level Hochschild or cyclic group off the complex its one selector
+picks, `critical_complex` when `first_slot_matching` accepts the algebra,
+else the full build here, which is also the only source of induced maps.
 """
 
 from __future__ import annotations
@@ -50,17 +55,10 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import (
-    Bicomplex,
-    ChainComplex,
-    ChainMap,
-    homology,
-    total_complex,
-    total_map,
-)
+from .complexes import Bicomplex, ChainComplex, ChainMap, total_complex, total_map
 from .dga import DGAlgebra, DGAMorphism
 from .errors import BoundTooSmall, CompositionNonzero, MatchingFailed, TruncationTooTight
-from .intlin import AbelianGroup, SparseIntMatrix
+from .intlin import SparseIntMatrix
 
 Word = Tuple[str, ...]
 Cell = Hashable
@@ -112,9 +110,6 @@ class HochschildComplex:
     def __setattr__(self, name, value):
         raise AttributeError("HochschildComplex is immutable")
 
-    def words(self, s: int, t: int) -> Tuple[Word, ...]:
-        return tuple(self._words.get((s, t), ()))
-
     def dim(self, n: int) -> int:
         return self.total.dim(n)
 
@@ -160,11 +155,6 @@ class HochschildComplex:
             for n in range(1, hi + 1)
         )
         return {"D2": ok_d2, "B2": ok_b2, "DB_plus_BD": ok_mixed}
-
-    def homology(self, i: int) -> AbelianGroup:
-        if i > self.bound:
-            raise TruncationTooTight(f"homology at {i} beyond bound {self.bound}")
-        return homology(self.total, i)
 
 
 def _cell_words(A: DGAlgebra, s: int, t: int):
@@ -282,18 +272,6 @@ def _matrix_of(A, target: Sequence[Word], source: Sequence[Word], terms):
 
 def hochschild_complex(A: DGAlgebra, bound: int) -> HochschildComplex:
     return HochschildComplex(A, bound)
-
-
-def hh(A: DGAlgebra, i: int, bound: int = None) -> AbelianGroup:
-    """Hochschild homology HH_i(A) over Z in degree i."""
-    if bound is None:
-        bound = i
-    return hochschild_complex(A, bound).homology(i)
-
-
-def connes_B(H: HochschildComplex, n: int) -> SparseIntMatrix:
-    """The degree-raising cyclic operator of H in degree n."""
-    return H.cyclic_operator(n)
 
 
 def induced_map(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .cyclic import hc_relative, induced_cyclic_map, rel_hc_table
+from .cyclic import hc_relative, rel_hc_groups
 from .dga import reduction_map
 from .errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
 from .intlin import AbelianGroup, is_prime
@@ -168,9 +168,7 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
     flag = goodwillie_range(p, 2).flag
     relative = {}
     for level in range(2, n + 1):
-        f = reduction_map(p ** level, p ** (level - 1))
-        _, _, F = induced_cyclic_map(f, p - 4)
-        relative[level] = rel_hc_table(F, p - 5)
+        relative[level] = rel_hc_groups(reduction_map(p ** level, p ** (level - 1)), p - 5)
     table: Dict[int, KTableEntry] = {}
     for i in range(1, p - 2):
         if i % 2 == 0:

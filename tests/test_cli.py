@@ -277,10 +277,10 @@ def test_bad_argv(capsys):
 
 
 def test_internal_invariant_failure_exits_5(capsys, monkeypatch):
-    def broken(bundle, top):
+    def broken(A, top):
         raise CompositionNonzero("d_3 @ d_4 != 0")
 
-    monkeypatch.setattr(cyclic, "hc_table", broken)
+    monkeypatch.setattr(cyclic, "hc_groups", broken)
     assert cli.main(["hc", "--ring", "zmod:3", "--max-degree", "4"]) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,19 +11,17 @@ from cychom.dga import (
     load_algebra,
     reduction_map,
 )
-from cychom import cli, hochschild
-from cychom.complexes import ChainComplex
-from cychom.cyclic import _connes_sequence, cyclic_bundle, sbi_check
+from cychom import cli, cyclic, hochschild
+from cychom.complexes import ChainComplex, homology, homology_mod
+from cychom.cyclic import _connes_sequence, cyclic_bundle, hc, hc_mod, hh, sbi_check
 from cychom.dga import dump_algebra
 from cychom.errors import BoundTooSmall, CompositionNonzero, MatchingFailed, TruncationTooTight
 from cychom.hochschild import (
     FirstSlotMatching,
     HochschildComplex,
-    connes_B,
     critical_complex,
     critical_words,
     first_slot_matching,
-    hh,
     hochschild_complex,
     induced_map,
 )
@@ -117,16 +115,18 @@ def test_hh_of_upper_triangular_is_separable_like():
 def test_bounds_and_truncation():
     with pytest.raises(BoundTooSmall):
         hochschild_complex(base_ring(), -1)
+    # a degree above the bound is refused before any build, on either path
+    for A in (koszul_resolution(4), ext2()):
+        with pytest.raises(BoundTooSmall):
+            hh(A, 4, bound=3)
     H = hochschild_complex(koszul_resolution(4), 3)
-    with pytest.raises(TruncationTooTight):
-        H.homology(4)
     with pytest.raises(TruncationTooTight):
         H.cyclic_operator(4)
 
 
 def test_connes_operator_degrees():
     H = hochschild_complex(koszul_resolution(4), 4)
-    B = connes_B(H, 2)
+    B = H.cyclic_operator(2)
     assert B.shape == (H.dim(3), H.dim(2))
 
 
@@ -303,13 +303,16 @@ def test_column_zero_of_the_cyclic_morse_complex_is_the_hochschild_one():
 
 
 def test_connes_split_refuses_a_leading_block_that_is_not_a_subcomplex():
-    # d c = b: with the leading block {a} in degree 0 and {c} in degree 1,
-    # d maps the leading cell c onto the trailing cell b
-    C = ChainComplex({0: ("a", "b"), 1: ("c",), 2: ("e",)}, {1: SparseIntMatrix.from_dense([[0], [1]])})
+    # cells labelled (column, name), d c = b: column 0 is {a} in degree 0
+    # and {c} in degree 1, and d maps the leading cell c onto the column-1
+    # cell b
+    d = {1: SparseIntMatrix.from_dense([[0], [1]])}
+    C = ChainComplex({0: ((0, "a"), (1, "b")), 1: ((0, "c"),), 2: ((1, "e"),)}, d)
     with pytest.raises(CompositionNonzero, match="leading block"):
-        _connes_sequence(C, {0: 1, 1: 1}, 1)
+        _connes_sequence(C, 1)
+    C = ChainComplex({0: ((0, "a"), (0, "b")), 1: ((0, "c"),), 2: ((1, "e"),)}, d)
     with pytest.raises(BoundTooSmall):  # split, but degree 2 has no node
-        _connes_sequence(C, {0: 2, 1: 1}, 2)
+        _connes_sequence(C, 2)
 
 
 def test_morse_sbi_check_raises_on_a_wrong_sign_of_B(monkeypatch):
@@ -324,6 +327,27 @@ def test_morse_sbi_check_raises_on_a_wrong_sign_of_B(monkeypatch):
     monkeypatch.setattr(hochschild, "_cyclic_terms", flipped_rotation)
     with pytest.raises(CompositionNonzero):
         sbi_check(ext2(), 6)
+
+
+def test_library_queries_on_ext2_never_take_the_full_build(monkeypatch):
+    # ext2 passes the matching check, so hh, hc, hc_mod and sbi_check read
+    # the critical cells; the full build, made before it is disabled, is
+    # the oracle through bound 8
+    A = ext2()
+    H, bundle = hochschild_complex(A, 8).total, cyclic_bundle(A, 8).total
+    want_sbi = _connes_sequence(bundle, 8)
+
+    def refuse(*args):
+        raise AssertionError("the full build was called")
+
+    monkeypatch.setattr(cyclic, "hochschild_complex", refuse)
+    monkeypatch.setattr(cyclic, "cyclic_bundle", refuse)
+    for i in range(9):
+        assert hh(A, i) == homology(H, i), i
+        assert hc(A, i) == homology(bundle, i), i
+        for q in (2, 3):
+            assert hc_mod(A, i, q) == homology_mod(bundle, i, q), (i, q)
+    assert sbi_check(A, 8) == want_sbi and want_sbi
 
 
 def cli_table(command, A, top, tmp_path):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cychom import cli, ktheory
+from cychom import cli, cyclic, ktheory
 from cychom.errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
 from cychom.intlin import AbelianGroup
 from cychom.ktheory import (
@@ -101,13 +101,13 @@ def test_k_table_provenance():
 def test_k_table_builds_one_map_per_level(monkeypatch):
     # levels 2 and 3 each read all their degrees from one induced cyclic map
     calls = []
-    induced = ktheory.induced_cyclic_map
+    induced = cyclic.induced_cyclic_map
 
     def counting_induced(*args):
         calls.append(args)
         return induced(*args)
 
-    monkeypatch.setattr(ktheory, "induced_cyclic_map", counting_induced)
+    monkeypatch.setattr(cyclic, "induced_cyclic_map", counting_induced)
     table = k_table(11, 3)
     assert len(calls) == 2
     assert table[5].group == AbelianGroup.cyclic(11 ** 6 * (11 ** 3 - 1))
@@ -133,7 +133,7 @@ def test_k_groups_are_read_from_the_relative_groups(monkeypatch, capsys):
     # with a wrong relative group the K cells must fail and the cross-check
     # must raise, so neither compares the closed form with itself
     monkeypatch.setattr(
-        ktheory, "rel_hc_table", lambda F, top: [AbelianGroup.trivial()] * (top + 1)
+        ktheory, "rel_hc_groups", lambda f, top: [AbelianGroup.trivial()] * (top + 1)
     )
     assert cli.main(["reproduce-paper", "--p-list", "7", "--n-list", "2"]) == 1
     out = capsys.readouterr().out
