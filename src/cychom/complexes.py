@@ -20,7 +20,10 @@ Homology comes in two tiers: `homology_groups` reads groups from invariant
 factors, and `homology_presentation` presents H_i on Smith-form generators
 (one per invariant factor d > 1, then the free part) with cycle lifts, so
 that induced maps and the exactness checks work on matrices the size of
-the group.
+the group.  A complex is immutable, so `ChainComplex.presentation` keeps
+each degree's presentation on the complex: every induced map and
+exactness check that reads H_i of the same complex shares one.  Mod-q
+groups come from the integral ones by the universal coefficient theorem.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from math import gcd
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -58,7 +62,7 @@ Label = Any
 class ChainComplex:
     """A bounded complex ... -> C_d -> C_{d-1} -> ... of free Z-modules."""
 
-    __slots__ = ("basis", "differential", "min_degree", "max_degree")
+    __slots__ = ("basis", "differential", "min_degree", "max_degree", "_presentations")
 
     def __init__(
         self,
@@ -92,6 +96,7 @@ class ChainComplex:
         object.__setattr__(self, "differential", diffs)
         object.__setattr__(self, "min_degree", min_degree)
         object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "_presentations", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -110,6 +115,13 @@ class ChainComplex:
 
     def degrees(self) -> List[int]:
         return sorted(self.basis)
+
+    def presentation(self, i: int) -> "HomologyPresentation":
+        """homology_presentation(self, i), computed once per degree."""
+        hp = self._presentations.get(i)
+        if hp is None:
+            hp = self._presentations[i] = homology_presentation(self, i)
+        return hp
 
     def __eq__(self, other) -> bool:
         return (
@@ -196,14 +208,33 @@ def homology(C: ChainComplex, i: int) -> AbelianGroup:
 
 
 def homology_mod(C: ChainComplex, i: int, q: int) -> AbelianGroup:
-    """H_i(C (x) Z/q), computed as H_i of C tensored with a free resolution of Z/q.
+    """H_i(C (x) Z/q), from one homology_groups call (see
+    universal_coefficients; H_{i-1} = 0 below min_degree).  It needs
+    H_i(C), so it raises TruncationTooTight wherever homology(C, i) does."""
+    if q < 2:
+        raise InvalidModulus(f"modulus {q} < 2")
+    if i > C.min_degree:
+        H, below = homology_groups(C, [i, i - 1])
+    else:
+        H, below = homology(C, i), AbelianGroup.trivial()
+    return universal_coefficients(H, below, q)
 
-    C is degreewise free, so tensoring with the two-term resolution of Z/q is
-    a flat replacement for literal mod-q coefficients.
+
+def universal_coefficients(H: AbelianGroup, below: AbelianGroup, q: int) -> AbelianGroup:
+    """H_i(C (x) Z/q) from H = H_i(C) and below = H_{i-1}(C), for a
+    degreewise free C.
+
+    The universal coefficient theorem (Weibel, An Introduction to
+    Homological Algebra, Thm 3.6.2) gives H (x) Z/q (+) Tor(below, Z/q):
+    Z/q for each free summand of H, and Z/gcd(d, q) for each invariant
+    factor d of H and of below.
     """
     if q < 2:
         raise InvalidModulus(f"modulus {q} < 2")
-    return homology(tensor(C, two_term_complex(q)), i)
+    torsion = H.invariant_factors + below.invariant_factors
+    diagonal = [q] * H.free_rank + [gcd(d, q) for d in torsion]
+    k = len(diagonal)
+    return cokernel(SparseIntMatrix(k, k, {(j, j): d for j, d in enumerate(diagonal)}))
 
 
 class Bicomplex:
@@ -473,8 +504,8 @@ def induced_on_homology(
     f: ChainMap, i: int
 ) -> Tuple[HomologyPresentation, HomologyPresentation, SparseIntMatrix]:
     """The matrix of H_i(f) on presentation generators."""
-    hp_src = homology_presentation(f.source, i)
-    hp_tgt = homology_presentation(f.target, i)
+    hp_src = f.source.presentation(i)
+    hp_tgt = f.target.presentation(i)
     image_cycles = f.component(i) @ hp_src.cycles
     return hp_src, hp_tgt, hp_tgt.coords_of_cycles(image_cycles)
 
@@ -527,27 +558,16 @@ class ExactnessReport:
         return self.exact
 
 
-def presentation_cache(*complexes: ChainComplex):
-    """hp(k, n): homology_presentation(complexes[k], n), computed once."""
-    pres: Dict[Tuple[int, int], HomologyPresentation] = {}
-
-    def hp(k: int, n: int) -> HomologyPresentation:
-        if (k, n) not in pres:
-            pres[(k, n)] = homology_presentation(complexes[k], n)
-        return pres[(k, n)]
-
-    return hp
-
-
 def exact_sequence_check(
-    hp: Callable[[int, int], HomologyPresentation],
+    complexes: Sequence[ChainComplex],
     maps: Sequence[Callable[[int], SparseIntMatrix]],
     names: Sequence[str],
     degrees: Sequence[int],
 ) -> ExactnessReport:
     """Exactness of ... -> H_n(X0) -> H_n(X1) -> H_n(X2) -> H_{n-1}(X0) -> ...
 
-    hp is a presentation_cache over (X0, X1, X2).  maps[k](n) is the
+    complexes is (X0, X1, X2), each presented once per degree
+    (ChainComplex.presentation).  maps[k](n) is the
     chain-level matrix that induces the arrow out of H_n(X_k): X0_n -> X1_n,
     X1_n -> X2_n and X2_n -> X0_{n-1}.  Each degree n checks the nodes
     H_n(X1), H_n(X2) and H_{n-1}(X0), named by names[k]; a degree whose
@@ -556,9 +576,11 @@ def exact_sequence_check(
     """
     checked: List[Tuple[str, int]] = []
     failures: List[Tuple[str, int]] = []
+    X0, X1, X2 = complexes
     for n in degrees:
         try:
-            x0, x1, x2, y0, y1 = hp(0, n), hp(1, n), hp(2, n), hp(0, n - 1), hp(1, n - 1)
+            x0, x1, x2 = X0.presentation(n), X1.presentation(n), X2.presentation(n)
+            y0, y1 = X0.presentation(n - 1), X1.presentation(n - 1)
         except TruncationTooTight:
             continue
         a_n = x1.coords_of_cycles(maps[0](n) @ x0.cycles)
@@ -599,7 +621,7 @@ def cone_les_check(f: ChainMap, degrees: Sequence[int]) -> ExactnessReport:
         return SparseIntMatrix(k, cone.dim(n), {(i, i): -1 for i in range(k)})
 
     return exact_sequence_check(
-        presentation_cache(src, tgt, cone),
+        (src, tgt, cone),
         (f.component, incl_matrix, proj_matrix),
         ("src", "tgt", "cone"),
         degrees,

@@ -23,13 +23,20 @@ filtration the Connes sequence comes from.  Other algebras, such as the
 one-generator models of Z/m, where t * t = 0 leaves nothing to pair, take
 the full build, which also serves the induced maps, the relative groups
 and the relative exactness check.
+
+Along the tower Z/p^n -> Z/p^{n-1} -> ... -> Z/p, `reduction_tower`
+builds each ring's bundle once and each reduction's induced cyclic map
+between those shared bundles, so a ring that is the source of one
+reduction and the target of the next is built, checked and presented
+once.  Mod-q groups (`hc_mod`, `hc_mod_table`) come from the integral
+groups by the universal coefficient theorem; no tensor complex is built.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .complexes import (
     Bicomplex,
@@ -43,20 +50,19 @@ from .complexes import (
     homology_mod,
     induced_on_homology,
     mapping_cone,
-    presentation_cache,
-    tensor,
     total_complex,
     total_map,
-    two_term_complex,
+    universal_coefficients,
 )
-from .dga import DGAlgebra, DGAMorphism, reduction_map
-from .errors import BoundTooSmall, CompositionNonzero, InvalidModulus, InvalidParams
+from .dga import DGAlgebra, DGAMorphism, koszul_resolution, reduction_map
+from .errors import BoundTooSmall, CompositionNonzero, InvalidParams
 from .hochschild import (
     HochschildComplex,
     critical_complex,
     first_slot_matching,
     hochschild_complex,
     induced_map,
+    induced_map_between,
 )
 from .intlin import AbelianGroup, SparseIntMatrix, is_prime
 
@@ -143,19 +149,26 @@ def hc_mod(A: DGAlgebra, i: int, q: int, bound: int = None) -> AbelianGroup:
 def induced_cyclic_map(
     f: DGAMorphism, bound: int
 ) -> Tuple[CyclicComplexBundle, CyclicComplexBundle, ChainMap]:
-    """The map of cyclic total complexes induced by an algebra map.
+    """The map of cyclic total complexes induced by an algebra map, with
+    the two bundles it is built over (see cyclic_map)."""
+    hsrc, htgt, F = induced_map(f, bound)
+    src, tgt = _bundle_over(hsrc), _bundle_over(htgt)
+    return src, tgt, cyclic_map(F, src, tgt)
 
-    The Hochschild-level map's degree t - s component is copied into each
-    cell (s, t); the bundles are built over the same two Hochschild
-    complexes.  The ChainMap constructor checks the squares with the total
+
+def cyclic_map(
+    F: ChainMap, src: CyclicComplexBundle, tgt: CyclicComplexBundle
+) -> ChainMap:
+    """The map of cyclic total complexes whose cell (s, t) block is the
+    degree t - s component of F, a map of the bundles' Hochschild complexes.
+
+    The ChainMap constructor checks the squares with the total
     differential, whose horizontal blocks are B: this is where the map is
     verified to intertwine B, in Hochschild degrees 0..bound - 1, the ones
     the cyclic total uses.
     """
-    hsrc, htgt, F = induced_map(f, bound)
-    src, tgt = _bundle_over(hsrc), _bundle_over(htgt)
     cells = {(s, t): F.component(t - s) for (s, t) in src.bicomplex.basis}
-    return src, tgt, total_map(src.total, tgt.total, cells)
+    return total_map(src.total, tgt.total, cells)
 
 
 def hc_relative(f: DGAMorphism, i: int, bound: int = None) -> AbelianGroup:
@@ -234,11 +247,12 @@ def hc_groups(A: DGAlgebra, top: int) -> List[AbelianGroup]:
     return homology_groups(_chains(A, top, cyclic=True), range(top + 1))
 
 
-def hc_mod_table(bundle: CyclicComplexBundle, top: int, q: int) -> List[AbelianGroup]:
-    """HC with mod-q coefficients; the total complex is tensored once."""
-    if q < 2:
-        raise InvalidModulus(f"modulus {q} < 2")
-    return homology_groups(tensor(bundle.total, two_term_complex(q)), range(top + 1))
+def hc_mod_table(hc: List[AbelianGroup], q: int) -> List[AbelianGroup]:
+    """HC with mod-q coefficients in degrees 0..len(hc) - 1, read off the
+    integral groups HC_0, HC_1, ... by universal coefficients (the cyclic
+    total is zero below degree 0)."""
+    below = [AbelianGroup.trivial()] + hc[:-1]
+    return [universal_coefficients(h, b, q) for h, b in zip(hc, below)]
 
 
 def rel_hc_table(F: ChainMap, top: int) -> List[AbelianGroup]:
@@ -250,6 +264,36 @@ def rel_hc_groups(f: DGAMorphism, top: int) -> List[AbelianGroup]:
     """Relative HC of f in degrees 0..top, from one induced cyclic map."""
     _, _, F = induced_cyclic_map(f, top + 1)
     return rel_hc_table(F, top)
+
+
+def reduction_tower(
+    p: int, n: int, bound: int, first: int = 1
+) -> Iterator[Tuple[int, CyclicComplexBundle, Optional[ChainMap]]]:
+    """(k, bundle, F) for the levels k = first..n of the tower of Z/p^n:
+    the cyclic bundle of Z/p^k through `bound` and, for k >= 2, the
+    induced cyclic map F of Z/p^k -> Z/p^{k-1} onto the previous level's
+    bundle (None for k = 1).
+
+    Each ring's Hochschild complex and cyclic bundle is built once and
+    shared by the two reductions it meets, as their source and as their
+    target.  Level first - 1 is built as the target of level first and not
+    yielded.  The generator holds two bundles at a time, the current
+    level's and the previous one's.
+    """
+
+    def bundle_of(k: int) -> CyclicComplexBundle:
+        return cyclic_bundle(koszul_resolution(p ** k), bound)
+
+    previous = bundle_of(first - 1) if 1 < first <= n else None
+    for k in range(first, n + 1):
+        bundle = bundle_of(k)
+        F = None
+        if previous is not None:
+            f = reduction_map(p ** k, p ** (k - 1))
+            hmap = induced_map_between(f, bundle.hochschild, previous.hochschild)
+            F = cyclic_map(hmap, bundle, previous)
+        yield k, bundle, F
+        previous = bundle
 
 
 @dataclass(frozen=True)
@@ -298,17 +342,16 @@ def _connes_sequence(C: ChainComplex, bound: int) -> SBIReport:
         proj[n] = SparseIntMatrix(trail, C.dim(n), {(r, k + r): 1 for r in range(trail)})
     H = ChainComplex({n: C.labels(n)[: lead[n]] for n in C.degrees()}, h, lo, hi)
     Q = ChainComplex({n: C.labels(n)[lead[n] :] for n in C.degrees()}, q, lo, hi)
-    hp = presentation_cache(H, C, Q)
     degrees = range(2, bound + 1)
     report = exact_sequence_check(
-        hp,
+        (H, C, Q),
         (incl.__getitem__, proj.__getitem__, connecting.__getitem__),
         ("hh", "hc", "hc_shifted"),
         degrees,
     )
     return SBIReport(
         exact=report.exact,
-        periodicity_ok=all(hp(2, n).group == hp(1, n - 2).group for n in degrees),
+        periodicity_ok=all(Q.presentation(n).group == C.presentation(n - 2).group for n in degrees),
         checked_nodes=report.checked_nodes,
         failures=report.failures,
     )

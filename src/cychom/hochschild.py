@@ -277,22 +277,31 @@ def hochschild_complex(A: DGAlgebra, bound: int) -> HochschildComplex:
 def induced_map(
     f: DGAMorphism, bound: int
 ) -> Tuple[HochschildComplex, HochschildComplex, ChainMap]:
-    """The chain map of Hochschild complexes induced by an algebra map.
+    """The chain map of Hochschild complexes induced by an algebra map,
+    with the two complexes it is built over (see induced_map_between)."""
+    src = hochschild_complex(f.source, bound)
+    tgt = hochschild_complex(f.target, bound)
+    return src, tgt, induced_map_between(f, src, tgt)
+
+
+def induced_map_between(
+    f: DGAMorphism, src: HochschildComplex, tgt: HochschildComplex
+) -> ChainMap:
+    """The chain map src -> tgt induced by f, for Hochschild complexes of
+    f's source and target built through the same bound.
 
     Acts word by word, expanding multilinearly and dropping the terms a
     normalized slot turns into a unit.  Compatibility with the total
     differential is verified by the ChainMap constructor; compatibility
-    with the cyclic operator B is verified by `cyclic.induced_cyclic_map`,
-    where the squares with B are blocks of the cyclic chain map.  Failure
+    with the cyclic operator B is verified by `cyclic.cyclic_map`, where
+    the squares with B are blocks of the cyclic chain map.  Failure
     raises NotAChainMap.
     """
-    src = hochschild_complex(f.source, bound)
-    tgt = hochschild_complex(f.target, bound)
     cells = {
         st: _matrix_of(f, tgt._words.get(st, ()), words, _image_terms)
         for st, words in src._words.items()
     }
-    return src, tgt, total_map(src.total, tgt.total, cells)
+    return total_map(src.total, tgt.total, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +411,9 @@ def critical_complex(M: FirstSlotMatching, bound: int, cyclic: bool = False) -> 
         for n in range(top + 1)
     }
 
-    known: Dict[Word, Dict[Word, int]] = {}  # D of the words of several columns
+    # D and B of the words of several columns, each computed once
+    known: Dict[Word, Dict[Word, int]] = {}
+    known_B: Dict[Word, Dict[Word, int]] = {}
 
     def terms(cell):
         s, word = cell
@@ -413,7 +424,10 @@ def critical_complex(M: FirstSlotMatching, bound: int, cyclic: bool = False) -> 
                 known[word] = D
         out = {(s, w): k for w, k in D.items()}
         if s:
-            out.update(((s - 1, w), k) for w, k in _collect(_cyclic_terms(A, word)).items())
+            B = known_B.get(word)
+            if B is None:
+                B = known_B[word] = _collect(_cyclic_terms(A, word))
+            out.update(((s - 1, w), k) for w, k in B.items())
         return out
 
     def partner(cell):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
-from .cyclic import hc_relative, rel_hc_groups
+from .cyclic import hc_relative, reduction_tower, rel_hc_table
 from .dga import reduction_map
 from .errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
 from .intlin import AbelianGroup, is_prime
@@ -148,16 +148,12 @@ class KTableEntry:
 
 
 def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
-    """The full K-group table of Z/p^n over 1 <= i <= p-3.
+    """The full K-group table of Z/p^n over 1 <= i <= p-3 (see k_entries).
 
-    In odd degree i = 2j-1 the group is cyclic (AXIOM-TC) of order p^j - 1
-    times the orders of the p-parts of the relative groups in degree i-1 at
-    levels 2..n.  Each odd entry carries its provenance chain: the relative
-    cyclic homology group consumed at each level of the induction, the
-    base-level input for the prime-to-p part, and the AXIOM-TC cyclicity
-    assumption.  Each level builds one induced cyclic map, at the bound
-    relative_k uses for the top odd degree p-4, and reads every degree from
-    it.
+    The relative groups come from the reduction tower of Z/p^n through the
+    bound relative_k uses for the top odd degree p-4: each ring's complexes
+    are built once, and each level's relative groups are read off one
+    induced cyclic map.
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
@@ -165,10 +161,25 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
         raise InvalidParams(f"level n = {n} < 1")
     if p <= 3:
         raise RangeEmpty(f"range 1 <= i <= p-3 is empty for p = {p}")
+    relative = {k: rel_hc_table(F, p - 5) for k, _, F in reduction_tower(p, n, p - 4, first=2)}
+    return k_entries(p, n, relative)
+
+
+def k_entries(
+    p: int, n: int, relative: Mapping[int, Sequence[AbelianGroup]]
+) -> Dict[int, KTableEntry]:
+    """The K-group table of Z/p^n over 1 <= i <= p-3, assembled from
+    relative[level][d], the relative cyclic homology of Z/p^level ->
+    Z/p^{level-1} in degree d, for levels 2..n and degrees 0..p-5.
+
+    In odd degree i = 2j-1 the group is cyclic (AXIOM-TC) of order p^j - 1
+    times the orders of the p-parts of the relative groups in degree i-1 at
+    levels 2..n.  Each odd entry carries its provenance chain: the relative
+    cyclic homology group consumed at each level of the induction, the
+    base-level input for the prime-to-p part, and the AXIOM-TC cyclicity
+    assumption.
+    """
     flag = goodwillie_range(p, 2).flag
-    relative = {}
-    for level in range(2, n + 1):
-        relative[level] = rel_hc_groups(reduction_map(p ** level, p ** (level - 1)), p - 5)
     table: Dict[int, KTableEntry] = {}
     for i in range(1, p - 2):
         if i % 2 == 0:

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from cychom import cli, cyclic, hochschild
+from cychom import cli, complexes, cyclic, hochschild
 from cychom.dga import dump_algebra, koszul_resolution
 from cychom.errors import CompositionNonzero
 
@@ -234,27 +234,28 @@ def test_reproduce_paper_rejects_empty_lists(capsys):
 
 
 def test_reproduce_paper_builds_one_map_per_tower(monkeypatch):
-    # every row of (p, n) = (5, 2) comes from one induced cyclic map, and
-    # k_table builds one more for K_1; each map builds two Hochschild
-    # complexes, the ones its cyclic bundles are made from
-    counts = {"hochschild": 0, "map": 0}
+    # p = 5, n = 2, 3 reads every row, the K cells included, off the tower
+    # Z/125 -> Z/25 -> Z/5: one Hochschild complex per ring, and each
+    # ring's cyclic homology presented once in each degree 0..9, although
+    # Z/25 is the target of one reduction and the source of the other
+    builds, presented = [], []
     init = hochschild.HochschildComplex.__init__
-    induced = cyclic.induced_cyclic_map
+    present = complexes.homology_presentation
 
-    def counting_init(self, *args):
-        counts["hochschild"] += 1
-        init(self, *args)
+    def counting_init(self, A, bound):
+        builds.append(A.diff["t"]["1"])
+        init(self, A, bound)
 
-    def counting_induced(*args):
-        counts["map"] += 1
-        return induced(*args)
+    def counting_present(C, i):
+        presented.append(i)
+        return present(C, i)
 
     monkeypatch.setattr(hochschild.HochschildComplex, "__init__", counting_init)
-    monkeypatch.setattr(cyclic, "induced_cyclic_map", counting_induced)
-    spec = cli.JobSpec("reproduce-paper", {"p_list": [5], "n_list": [2]}, False)
+    monkeypatch.setattr(complexes, "homology_presentation", counting_present)
+    spec = cli.JobSpec("reproduce-paper", {"p_list": [5], "n_list": [2, 3]}, False)
     assert cli.run(spec, out=io.StringIO()) == cli.EXIT_CHECK_FAILED
-    assert counts["hochschild"] <= 4
-    assert counts["map"] <= 2
+    assert sorted(builds) == [5, 25, 125]
+    assert sorted(presented) == sorted(list(range(10)) * 3)
 
 
 def test_run_with_jobspec_directly():

@@ -84,10 +84,24 @@ def test_tensor_kunneth():
 
 
 def test_homology_mod():
+    # degree 1 reads H_1, so the complex must reach degree 2
     C = two_term_complex(4)
+    C = ChainComplex(C.basis, C.differential, 0, 2)
     assert homology_mod(C, 0, 2) == AbelianGroup.cyclic(2)
     assert homology_mod(C, 1, 2) == AbelianGroup.cyclic(2)
     assert homology_mod(C, 1, 3).is_trivial()
+
+
+def test_homology_mod_refuses_the_top_degree():
+    # Z --1--> Z --0--> Z: H_1(C; Z/2) = 0, but the truncation at degree 1
+    # has lost d_2, and would read Z/2 there
+    one = SparseIntMatrix.from_dense([[1]])
+    full = ChainComplex({0: ("a",), 1: ("b",), 2: ("c",)}, {2: one})
+    assert homology_mod(full, 1, 2).is_trivial()
+    truncated = ChainComplex({0: ("a",), 1: ("b",)}, {}, 0, 1)
+    with pytest.raises(TruncationTooTight):
+        homology_mod(truncated, 1, 2)
+    assert homology_mod(truncated, 0, 2) == AbelianGroup.cyclic(2)
 
 
 def test_mapping_cone_of_identity_is_acyclic():

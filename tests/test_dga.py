@@ -10,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cychom import cli
-from cychom.complexes import homology, homology_groups
+from cychom.complexes import (
+    homology,
+    homology_groups,
+    homology_mod,
+    tensor,
+    two_term_complex,
+)
 from cychom.cyclic import _connes_sequence, cyclic_bundle, hc_groups, hh_groups, sbi_check
 from cychom.dga import (
     DGAlgebra,
@@ -23,7 +29,7 @@ from cychom.dga import (
     validate,
 )
 from cychom.errors import InvalidModulus, InvalidParams, NotDivisible, ParseError
-from cychom.hochschild import first_slot_matching, hochschild_complex
+from cychom.hochschild import critical_complex, first_slot_matching, hochschild_complex
 from cychom.intlin import AbelianGroup
 
 
@@ -188,6 +194,25 @@ def test_morse_sbi_report_matches_the_full_build_on_ext2(a, b, bound):
     report = sbi_check(A, bound)
     assert report == _connes_sequence(cyclic_bundle(A, bound).total, bound)
     assert report and len(report.checked_nodes) == 3 * (bound - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ALGEBRAS, st.sampled_from((4, 6, 8, 9, 12, 18, 27)))
+@example(load_algebra(ext2_text(9, 3)), 12)
+@example(koszul_resolution(12), 6)
+def test_universal_coefficients_match_the_tensor_complex(A, q):
+    # mod-q groups are read off the integral ones; the homology of C tensored
+    # with Z --q--> Z is the independent oracle, on the full builds of every
+    # algebra and on the Morse complexes of the ext2 family
+    bound = 6
+    chains = [hochschild_complex(A, bound).total, cyclic_bundle(A, bound).total]
+    M = first_slot_matching(A)
+    if M is not None:
+        chains += [critical_complex(M, bound), critical_complex(M, bound, cyclic=True)]
+    degrees = range(bound + 1)
+    for C in chains:
+        want = homology_groups(tensor(C, two_term_complex(q)), degrees)
+        assert [homology_mod(C, i, q) for i in degrees] == want
 
 
 def test_text_format_errors():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cychom import cli, cyclic, ktheory
+from cychom import cli, cyclic, hochschild, ktheory
 from cychom.errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
 from cychom.intlin import AbelianGroup
 from cychom.ktheory import (
@@ -99,17 +99,25 @@ def test_k_table_provenance():
 
 
 def test_k_table_builds_one_map_per_level(monkeypatch):
-    # levels 2 and 3 each read all their degrees from one induced cyclic map
-    calls = []
-    induced = cyclic.induced_cyclic_map
+    # levels 2 and 3 each read all their degrees from one induced cyclic map,
+    # built over the shared Hochschild complexes of Z/11, Z/11^2 and Z/11^3
+    builds, maps = [], []
+    init = hochschild.HochschildComplex.__init__
+    between = cyclic.induced_map_between
 
-    def counting_induced(*args):
-        calls.append(args)
-        return induced(*args)
+    def counting_init(self, A, bound):
+        builds.append(bound)
+        init(self, A, bound)
 
-    monkeypatch.setattr(cyclic, "induced_cyclic_map", counting_induced)
+    def counting_between(*args):
+        maps.append(args)
+        return between(*args)
+
+    monkeypatch.setattr(hochschild.HochschildComplex, "__init__", counting_init)
+    monkeypatch.setattr(cyclic, "induced_map_between", counting_between)
     table = k_table(11, 3)
-    assert len(calls) == 2
+    assert builds == [11 - 4] * 3
+    assert len(maps) == 2
     assert table[5].group == AbelianGroup.cyclic(11 ** 6 * (11 ** 3 - 1))
 
 
@@ -132,9 +140,11 @@ def test_cross_check_failure_is_loud():
 def test_k_groups_are_read_from_the_relative_groups(monkeypatch, capsys):
     # with a wrong relative group the K cells must fail and the cross-check
     # must raise, so neither compares the closed form with itself
-    monkeypatch.setattr(
-        ktheory, "rel_hc_groups", lambda f, top: [AbelianGroup.trivial()] * (top + 1)
-    )
+    # reproduce-paper passes its rel-hc rows on, k_table computes its own
+    for module in (cyclic, ktheory):
+        monkeypatch.setattr(
+            module, "rel_hc_table", lambda F, top: [AbelianGroup.trivial()] * (top + 1)
+        )
     assert cli.main(["reproduce-paper", "--p-list", "7", "--n-list", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL k p=7 n=2 i=1 (got Z/6, want Z/42)" in out
