@@ -248,7 +248,11 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
                 relative[n] = cyclic.rel_hc_table(F, top)
             if n not in levels:
                 continue
-            hc = homology_groups(bundle.total, degrees)
+            # with a map, the tower rows present this total in every degree
+            if F is None:
+                hc = homology_groups(bundle.total, degrees)
+            else:
+                hc = [bundle.total.presentation(i).group for i in degrees]
             tables = [
                 ("hh", homology_groups(bundle.hochschild.total, degrees), ktheory.published_hh),
                 ("hc", hc, ktheory.published_hc),

@@ -6,7 +6,9 @@ labels with a_i != 1 for i >= 1 and n = s + sum of internal degrees.  The
 words form a bicomplex: the column index s is the word length, the row index
 t the internal degree.  The vertical differential applies the algebra
 differential to one slot, the horizontal differential multiplies adjacent
-slots (wrapping the last slot around to the front).
+slots (wrapping the last slot around to the front).  One enumeration per
+build serves every cell: cell (s, t) is read off the cells of column s - 1
+(see `_word_basis`).
 
 Sign conventions come from the Koszul rule after shifting every slot past
 the first up by one degree; writing m_0 = |a_0| and m_j = |a_j| + 1:
@@ -76,6 +78,8 @@ class HochschildComplex:
 
     total degrees 0..bound+1 are built, so homology is available through
     degree `bound` and the cyclic operator through source degree `bound`.
+    The word basis of every cell comes from one enumeration, `_word_basis`,
+    which lives for the build.
     """
 
     __slots__ = ("algebra", "bound", "total", "_words", "_B")
@@ -84,12 +88,7 @@ class HochschildComplex:
         if bound < 0:
             raise BoundTooSmall(f"bound {bound} < 0")
         window = bound + 1
-        words: Dict[Tuple[int, int], List[Word]] = {}
-        for s in range(window + 1):
-            for t in range(window - s + 1):
-                cell = list(_cell_words(algebra, s, t))
-                if cell:
-                    words[(s, t)] = cell
+        words = _word_basis(algebra, window)
         vertical: Dict[Tuple[int, int], SparseIntMatrix] = {}
         horizontal: Dict[Tuple[int, int], SparseIntMatrix] = {}
         for (s, t), cell in words.items():
@@ -157,24 +156,30 @@ class HochschildComplex:
         return {"D2": ok_d2, "B2": ok_b2, "DB_plus_BD": ok_mixed}
 
 
-def _cell_words(A: DGAlgebra, s: int, t: int):
-    """Words (a_0, ..., a_s) with internal degree t, slots >= 1 unit-free."""
-    non_unit = A.non_unit_labels()
-
-    def tails(k: int, remaining: int):
-        if k == 0:
-            yield ((), remaining)
-            return
-        for a in non_unit:
-            d = A.degree_of(a)
-            if d <= remaining:
-                for (rest, left) in tails(k - 1, remaining - d):
-                    yield ((a,) + rest, left)
-
-    for (tail, left) in tails(s, t):
-        for a0 in A.labels():
-            if A.degree_of(a0) == left:
-                yield (a0,) + tail
+def _word_basis(A: DGAlgebra, window: int) -> Dict[Tuple[int, int], List[Word]]:
+    """Every nonempty cell (s, t), s + t <= window, of words (a_0, ..., a_s)
+    of internal degree t with slots >= 1 unit-free, in one enumeration:
+    cell (s, t) puts each non-unit a, in label order, into slot 1 of each
+    word of cell (s - 1, t - |a|).  That is the order of a depth-first
+    search over slots 1..s by label with slot 0 filled last, which the rows
+    and columns of every matrix of the build follow.
+    """
+    heads: Dict[int, List[Word]] = defaultdict(list)
+    for a in A.labels():
+        heads[A.degree_of(a)].append((a,))
+    words = {(0, t): heads[t] for t in range(window + 1) if t in heads}
+    letters = [(a, A.degree_of(a)) for a in A.non_unit_labels()]
+    for s in range(1, window + 1):
+        for t in range(window - s + 1):
+            cell = [
+                w[:1] + (a,) + w[1:]
+                for a, d in letters
+                if d <= t
+                for w in words.get((s - 1, t - d), ())
+            ]
+            if cell:
+                words[(s, t)] = cell
+    return words
 
 
 def _internal_terms(A: DGAlgebra, word: Word):

@@ -55,7 +55,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import CompositionNonzero, DimensionMismatch
 
@@ -366,10 +366,13 @@ class _Reducer:
     The current matrix is row-major (`rows`) with a column index (`colnz`).
     A retired pivot (r, c) leaves row r as {c: d} and column c as {r: d}.
     When logged, U is the product of the row operations in `ops` and V^T
-    that of the column operations in `col_ops`, each in log order.
+    that of the column operations in `col_ops`, each in log order;
+    logged="rows" keeps `ops` alone.
     """
 
-    def __init__(self, M: SparseIntMatrix, logged: bool, skip_columns: Iterable[int] = ()):
+    def __init__(
+        self, M: SparseIntMatrix, logged: Union[bool, str], skip_columns: Iterable[int] = ()
+    ):
         self.m = M.rows
         self.n = M.cols
         rows: List[Dict[int, int]] = [dict() for _ in range(self.m)]
@@ -385,7 +388,7 @@ class _Reducer:
         # a*x + b*y, c*x + d*y (determinant 1); (r,): row r <- -row r.
         # col_ops holds the same tuples for columns, without sign changes
         self.ops: Optional[List[tuple]] = [] if logged else None
-        self.col_ops: Optional[List[tuple]] = [] if logged else None
+        self.col_ops: Optional[List[tuple]] = [] if logged is True else None
         self.retired = [False] * self.m
         self.live = list(range(self.m))
         self.pivots: List[Tuple[int, int]] = []
@@ -520,6 +523,7 @@ class _Reducer:
         self.diag[x], self.diag[y] = g, a // g * b
         if self.ops is not None:
             self.ops.append((r1, r2, s, t, -(b // g), a // g))
+        if self.col_ops is not None:
             self.col_ops.append((c1, c2, 1, 1, -t * (b // g), s * (a // g)))
 
 
@@ -679,7 +683,7 @@ def smith_generators(R: SparseIntMatrix) -> Tuple[List[int], SparseIntMatrix, Sp
     the cokernel is finite, its exponent kills every coordinate vector, so
     Q is reduced modulo it.
     """
-    w = _Reducer(R, logged=True)
+    w = _Reducer(R, logged="rows")
     w.reduce()
     kept = [(r, d) for (r, _), d in zip(w.pivots, w.diag) if d != 1]
     kept += [(r, 0) for r in w.row_order[w.rank:]]

@@ -674,6 +674,33 @@ def exact_sequence_reference(complexes, maps, degrees):
 
 
 # ---------------------------------------------------------------------------
+# Hochschild word basis, one cell at a time
+# ---------------------------------------------------------------------------
+
+
+def cell_words_reference(A, s, t):
+    """Words (a_0, ..., a_s) with internal degree t, slots >= 1 unit-free:
+    a depth-first search over slots 1..s by label, run afresh for the one
+    cell, with slot 0 filled last by the labels of the leftover degree."""
+    non_unit = A.non_unit_labels()
+
+    def tails(k, remaining):
+        if k == 0:
+            yield ((), remaining)
+            return
+        for a in non_unit:
+            d = A.degree_of(a)
+            if d <= remaining:
+                for (rest, left) in tails(k - 1, remaining - d):
+                    yield ((a,) + rest, left)
+
+    for (tail, left) in tails(s, t):
+        for a0 in A.labels():
+            if A.degree_of(a0) == left:
+                yield (a0,) + tail
+
+
+# ---------------------------------------------------------------------------
 # truncated polynomial rings
 # ---------------------------------------------------------------------------
 

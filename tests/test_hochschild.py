@@ -28,6 +28,7 @@ from cychom.hochschild import (
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
 from oracles import (
+    cell_words_reference,
     cyclic_operator_reference,
     face_terms_reference,
     internal_terms_reference,
@@ -224,6 +225,32 @@ def test_signs_match_the_slot_by_slot_reference(monkeypatch, name):
 
 def ext2():
     return load_algebra((BENCH_INPUTS / "ext2-a9-b3.alg").read_text())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: koszul_resolution(2),
+        lambda: koszul_resolution(19 ** 3),
+        base_ring,
+        ext2,
+        lambda: truncated_polynomial(3),
+        lambda: truncated_polynomial(3, degree=2),
+    ],
+    ids=["koszul(2)", "koszul(19^3)", "base_ring", "ext2-a9-b3", "x^3 |x|=0", "x^3 |x|=2"],
+)
+def test_word_basis_matches_the_per_cell_reference(build):
+    # a bound-12 build reads cells (s, t) with s + t <= 13; every one must
+    # list the reference's words in the reference's order (the row and
+    # column order of every matrix, and so of every Smith transform, follows
+    # it); degree-0 non-units of Z[x]/(x^3) fill slots without spending t
+    A, window = build(), 13
+    words = hochschild._word_basis(A, window)
+    assert all(s + t <= window and cell for (s, t), cell in words.items())
+    for s in range(window + 1):
+        for t in range(window - s + 1):
+            assert words.get((s, t), []) == list(cell_words_reference(A, s, t)), (s, t)
+    assert HochschildComplex(A, 3)._words == hochschild._word_basis(A, 4)
 
 
 def test_matching_of_ext2_and_its_critical_words():
