@@ -248,11 +248,13 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
                 relative[n] = cyclic.rel_hc_table(F, top)
             if n not in levels:
                 continue
-            # with a map, the tower rows present this total in every degree
-            if F is None:
-                hc = homology_groups(bundle.total, degrees)
-            else:
+            # the tower rows of this level and of the next present this
+            # total in every degree; where neither runs, the invariant
+            # factors alone are cheaper
+            if F is not None or n + 1 in levels:
                 hc = [bundle.total.presentation(i).group for i in degrees]
+            else:
+                hc = homology_groups(bundle.total, degrees)
             tables = [
                 ("hh", homology_groups(bundle.hochschild.total, degrees), ktheory.published_hh),
                 ("hc", hc, ktheory.published_hc),

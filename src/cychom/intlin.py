@@ -55,7 +55,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CompositionNonzero, DimensionMismatch
 
@@ -365,14 +365,15 @@ class _Reducer:
 
     The current matrix is row-major (`rows`) with a column index (`colnz`).
     A retired pivot (r, c) leaves row r as {c: d} and column c as {r: d}.
-    When logged, U is the product of the row operations in `ops` and V^T
-    that of the column operations in `col_ops`, each in log order;
-    logged="rows" keeps `ops` alone.
+    `logged` is None (no log), "rows" or "both": U is the product of the
+    row operations in `ops` and, with "both", V^T that of the column
+    operations in `col_ops`, each in log order.
     """
 
     def __init__(
-        self, M: SparseIntMatrix, logged: Union[bool, str], skip_columns: Iterable[int] = ()
+        self, M: SparseIntMatrix, logged: Optional[str], skip_columns: Iterable[int] = ()
     ):
+        assert logged in (None, "rows", "both"), logged
         self.m = M.rows
         self.n = M.cols
         rows: List[Dict[int, int]] = [dict() for _ in range(self.m)]
@@ -388,7 +389,7 @@ class _Reducer:
         # a*x + b*y, c*x + d*y (determinant 1); (r,): row r <- -row r.
         # col_ops holds the same tuples for columns, without sign changes
         self.ops: Optional[List[tuple]] = [] if logged else None
-        self.col_ops: Optional[List[tuple]] = [] if logged is True else None
+        self.col_ops: Optional[List[tuple]] = [] if logged == "both" else None
         self.retired = [False] * self.m
         self.live = list(range(self.m))
         self.pivots: List[Tuple[int, int]] = []
@@ -629,7 +630,7 @@ class SmithDecomposition:
 
 
 def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
-    w = _Reducer(M, logged=True)
+    w = _Reducer(M, logged="both")
     w.reduce()
     return SmithDecomposition(
         matrix=M,
@@ -653,7 +654,7 @@ def invariant_factors(
     passed as `cleared` receives the rows that may be skipped in the next
     differential down (see the clearing rule in the module docstring).
     """
-    w = _Reducer(M, logged=False, skip_columns=skip_columns)
+    w = _Reducer(M, logged=None, skip_columns=skip_columns)
     w.reduce()
     if cleared is not None:
         cleared.extend(w.cleared)

@@ -250,7 +250,6 @@ def test_word_basis_matches_the_per_cell_reference(build):
     for s in range(window + 1):
         for t in range(window - s + 1):
             assert words.get((s, t), []) == list(cell_words_reference(A, s, t)), (s, t)
-    assert HochschildComplex(A, 3)._words == hochschild._word_basis(A, 4)
 
 
 def test_matching_of_ext2_and_its_critical_words():
