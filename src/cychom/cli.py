@@ -222,6 +222,8 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
     if not p_list or not n_list:
         # a verification over zero cells would pass vacuously
         raise InvalidParams("reproduce-paper needs nonempty --p-list and --n-list")
+    if min(n_list) < 1:
+        raise InvalidParams(f"reproduce-paper needs levels >= 1, got {min(n_list)}")
     lines: List[str] = []
     records: List[Dict[str, str]] = []
 

@@ -55,10 +55,11 @@ from .complexes import (
     universal_coefficients,
 )
 from .dga import DGAlgebra, DGAMorphism, koszul_resolution, reduction_map
-from .errors import BoundTooSmall, CompositionNonzero, InvalidParams
+from .errors import CompositionNonzero, InvalidParams
 from .hochschild import (
     HochschildComplex,
     critical_complex,
+    cyclic_operator,
     first_slot_matching,
     hochschild_complex,
     induced_map,
@@ -69,10 +70,10 @@ from .intlin import AbelianGroup, SparseIntMatrix, is_prime
 
 @dataclass(frozen=True)
 class CyclicComplexBundle:
-    """A DG algebra together with its cyclic bicomplex and total complex."""
+    """A DG algebra's Hochschild complex with its cyclic bicomplex and total
+    complex; the algebra and the bound are `hochschild.algebra` and
+    `hochschild.bound`."""
 
-    algebra: DGAlgebra
-    bound: int
     hochschild: HochschildComplex
     bicomplex: Bicomplex
     total: ChainComplex
@@ -86,6 +87,8 @@ def cyclic_bundle(A: DGAlgebra, bound: int) -> CyclicComplexBundle:
 def _bundle_over(H: HochschildComplex) -> CyclicComplexBundle:
     """The cyclic bicomplex whose columns are the chains of H."""
     window = H.bound + 1
+    # column s >= 1 reads B from Hochschild degrees c <= window - 2
+    B = [cyclic_operator(H, c) for c in range(window - 1)]
     basis: Dict[Tuple[int, int], Tuple] = {}
     vertical: Dict[Tuple[int, int], SparseIntMatrix] = {}
     horizontal: Dict[Tuple[int, int], SparseIntMatrix] = {}
@@ -96,17 +99,11 @@ def _bundle_over(H: HochschildComplex) -> CyclicComplexBundle:
             if not lbls:
                 continue
             basis[(s, t)] = lbls
-            vertical[(s, t)] = H.differential(c)
+            vertical[(s, t)] = H.total.diff(c)
             if s >= 1:
-                horizontal[(s, t)] = H.cyclic_operator(c)
+                horizontal[(s, t)] = B[c]
     bic = Bicomplex(basis, vertical, horizontal)
-    return CyclicComplexBundle(
-        algebra=H.algebra,
-        bound=H.bound,
-        hochschild=H,
-        bicomplex=bic,
-        total=total_complex(bic, 0, window),
-    )
+    return CyclicComplexBundle(hochschild=H, bicomplex=bic, total=total_complex(bic, 0, window))
 
 
 def _chains(A: DGAlgebra, bound: int, cyclic: bool = False) -> ChainComplex:
@@ -122,28 +119,19 @@ def _chains(A: DGAlgebra, bound: int, cyclic: bool = False) -> ChainComplex:
     return hochschild_complex(A, bound).total
 
 
-def _bound(i: int, bound: int = None) -> int:
-    """The bound a degree-i query builds to: i unless given, never below i."""
-    if bound is None:
-        return i
-    if i > bound:
-        raise BoundTooSmall(f"degree {i} exceeds bound {bound}")
-    return bound
-
-
-def hh(A: DGAlgebra, i: int, bound: int = None) -> AbelianGroup:
+def hh(A: DGAlgebra, i: int) -> AbelianGroup:
     """Hochschild homology HH_i(A) over Z in degree i."""
-    return homology(_chains(A, _bound(i, bound)), i)
+    return homology(_chains(A, i), i)
 
 
-def hc(A: DGAlgebra, i: int, bound: int = None) -> AbelianGroup:
+def hc(A: DGAlgebra, i: int) -> AbelianGroup:
     """Cyclic homology HC_i(A) over Z in degree i."""
-    return homology(_chains(A, _bound(i, bound), cyclic=True), i)
+    return homology(_chains(A, i, cyclic=True), i)
 
 
-def hc_mod(A: DGAlgebra, i: int, q: int, bound: int = None) -> AbelianGroup:
+def hc_mod(A: DGAlgebra, i: int, q: int) -> AbelianGroup:
     """Cyclic homology of A with mod-q coefficients in degree i."""
-    return homology_mod(_chains(A, _bound(i, bound), cyclic=True), i, q)
+    return homology_mod(_chains(A, i, cyclic=True), i, q)
 
 
 def induced_cyclic_map(
@@ -171,13 +159,13 @@ def cyclic_map(
     return total_map(src.total, tgt.total, cells)
 
 
-def hc_relative(f: DGAMorphism, i: int, bound: int = None) -> AbelianGroup:
+def hc_relative(f: DGAMorphism, i: int) -> AbelianGroup:
     """Relative cyclic homology of f in degree i (homotopy fiber indexing).
 
     Computed as H_{i+1} of the mapping cone of the induced map of total
     complexes, which is the fiber's homology in degree i.
     """
-    _, _, F = induced_cyclic_map(f, _bound(i, bound) + 1)
+    _, _, F = induced_cyclic_map(f, i + 1)
     return homology(mapping_cone(F), i + 1)
 
 

@@ -543,14 +543,19 @@ class CyclicBarLevel:
     """Z_q(M)(k): the (q+1)-fold filtered tensor with its cyclic structure.
 
     faces[i] maps into the level for simplicial degree q-1 (same k);
-    degeneracies[i] into degree q+1; rotation is an endomorphism.
+    degeneracies[i] into degree q+1; rotation is an endomorphism, formed
+    when first read.
     """
 
     ring: FilteredRing
     simplicial_degree: int
     level: int
     tensor: TensorLevel
-    rotation: SparseIntMatrix
+
+    @functools.cached_property
+    def rotation(self) -> SparseIntMatrix:
+        T = self.tensor
+        return _generator_map(T.columns, T.columns, lambda key: [(_rotated(*key), 1)])
 
     def group(self) -> AbelianGroup:
         return self.tensor.group()
@@ -566,10 +571,7 @@ def cyclic_bar(M: FilteredRing, q: int, k: int) -> CyclicBarLevel:
     if q < 0:
         raise InvalidParams(f"simplicial degree {q} < 0")
     T = multi_tensor([M.group] * (q + 1), k)
-    rotation = _generator_map(T.columns, T.columns, lambda key: [(_rotated(*key), 1)])
-    return CyclicBarLevel(
-        ring=M, simplicial_degree=q, level=k, tensor=T, rotation=rotation
-    )
+    return CyclicBarLevel(ring=M, simplicial_degree=q, level=k, tensor=T)
 
 
 def face_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIntMatrix:

@@ -23,8 +23,9 @@ the first up by one degree; writing m_0 = |a_0| and m_j = |a_j| + 1:
 
 None of these is trusted: the square-zero and anticommutation identities
 of the bicomplex are checked as D^2 = 0 by the ChainComplex constructor of
-its total complex, and check_identities verifies B^2 = 0 and D B + B D = 0
-as matrix equations.
+its total complex, and B^2 = 0 and D B + B D = 0 as blocks of d^2 = 0 by
+the ChainComplex constructor of the cyclic total complex, whose
+horizontal differential is B (cyclic module).
 
 The word basis grows exponentially with the degree (like the Fibonacci
 numbers for an exterior algebra on two generators).  Algebraic discrete
@@ -77,12 +78,12 @@ class HochschildComplex:
     """All normalized Hochschild chain data of a DG algebra up to a bound.
 
     total degrees 0..bound+1 are built, so homology is available through
-    degree `bound` and the cyclic operator through source degree `bound`.
+    degree `bound`.
     The word basis of every cell comes from one enumeration, `_word_basis`,
     which lives for the build.
     """
 
-    __slots__ = ("algebra", "bound", "total", "_words", "_B")
+    __slots__ = ("algebra", "bound", "total", "_words")
 
     def __init__(self, algebra: DGAlgebra, bound: int):
         if bound < 0:
@@ -104,56 +105,22 @@ class HochschildComplex:
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "total", tot)
         object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_B", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("HochschildComplex is immutable")
 
-    def dim(self, n: int) -> int:
-        return self.total.dim(n)
 
-    def differential(self, n: int) -> SparseIntMatrix:
-        """The total (Hochschild) differential C_n -> C_{n-1}."""
-        return self.total.diff(n)
-
-    def cyclic_operator(self, n: int) -> SparseIntMatrix:
-        """The degree-raising operator B: C_n -> C_{n+1}."""
-        if n + 1 > self.bound + 1:
-            raise TruncationTooTight(
-                f"cyclic operator at {n} needs chains in degree {n + 1}"
-            )
-        if n not in self._B:
-            self._B[n] = self._build_B(n)
-        return self._B[n]
-
-    def _build_B(self, n: int) -> SparseIntMatrix:
-        tgt_pos = {lbl: i for i, lbl in enumerate(self.total.labels(n + 1))}
-        rows = defaultdict(dict)
-        for col, (s, t, word) in enumerate(self.total.labels(n)):
-            for out, sign in _cyclic_terms(self.algebra, word):
-                row = rows[tgt_pos[(s + 1, t, out)]]
-                row[col] = row.get(col, 0) + sign
-        return SparseIntMatrix.from_rows(self.total.dim(n + 1), self.total.dim(n), rows)
-
-    def check_identities(self, up_to: int = None) -> Dict[str, bool]:
-        """Matrix checks D^2 = 0, B^2 = 0, D B + B D = 0 through degree up_to."""
-        hi = self.bound if up_to is None else min(up_to, self.bound)
-        ok_d2 = all(
-            (self.differential(n) @ self.differential(n + 1)).is_zero()
-            for n in range(1, hi + 1)
-        )
-        ok_b2 = all(
-            (self.cyclic_operator(n + 1) @ self.cyclic_operator(n)).is_zero()
-            for n in range(hi)
-        )
-        ok_mixed = all(
-            (
-                self.differential(n + 1) @ self.cyclic_operator(n)
-                + self.cyclic_operator(n - 1) @ self.differential(n)
-            ).is_zero()
-            for n in range(1, hi + 1)
-        )
-        return {"D2": ok_d2, "B2": ok_b2, "DB_plus_BD": ok_mixed}
+def cyclic_operator(H: HochschildComplex, n: int) -> SparseIntMatrix:
+    """The degree-raising operator B: C_n -> C_{n+1} of H, for n <= H.bound."""
+    if n > H.bound:
+        raise TruncationTooTight(f"cyclic operator at {n} needs chains in degree {n + 1}")
+    tgt_pos = {lbl: i for i, lbl in enumerate(H.total.labels(n + 1))}
+    rows = defaultdict(dict)
+    for col, (s, t, word) in enumerate(H.total.labels(n)):
+        for out, sign in _cyclic_terms(H.algebra, word):
+            row = rows[tgt_pos[(s + 1, t, out)]]
+            row[col] = row.get(col, 0) + sign
+    return SparseIntMatrix.from_rows(H.total.dim(n + 1), H.total.dim(n), rows)
 
 
 def _word_basis(A: DGAlgebra, window: int) -> Dict[Tuple[int, int], List[Word]]:

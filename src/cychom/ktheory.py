@@ -61,9 +61,7 @@ def goodwillie_range(p: int, m: int) -> RangeCertificate:
     return RangeCertificate(p=p, m=m, iso_below=base - 2, surj_below=base - 1)
 
 
-def relative_k(
-    p: int, n: int, i: int, bound: int = None
-) -> Tuple[AbelianGroup, str]:
+def relative_k(p: int, n: int, i: int) -> Tuple[AbelianGroup, str]:
     """The p-part of relative cyclic homology in degree i-1, with the
     certificate flag saying how it relates to relative K-theory in degree i.
 
@@ -76,7 +74,7 @@ def relative_k(
         raise InvalidParams(f"level n = {n} < 2: no ideal to compare along")
     if i < 1:
         raise InvalidParams(f"degree {i} < 1")
-    group = hc_relative(reduction_map(p ** n, p ** (n - 1)), i - 1, bound)
+    group = hc_relative(reduction_map(p ** n, p ** (n - 1)), i - 1)
     return group.p_part(p), goodwillie_range(p, 2).flag(i)
 
 

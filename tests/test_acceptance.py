@@ -109,9 +109,8 @@ def test_criterion_4_mod_p_control():
     # HC_i(Z/p^n; Z/p) = Z/p for all 0 <= i <= 2p - 1
     for p in PRIMES:
         for n in LEVELS:
-            bound = 2 * p - 1
             for i in range(2 * p):
-                got = hc_mod(koszul_resolution(p ** n), i, p, bound=bound)
+                got = hc_mod(koszul_resolution(p ** n), i, p)
                 assert got == AbelianGroup.cyclic(p), (p, n, i, str(got))
 
 
@@ -150,11 +149,11 @@ def test_criterion_7_graded_comparison():
 
 
 def test_criterion_8_identities_and_random_smith():
-    # chain-level identities through degree 2p + 1 for every prime p <= 7
+    # chain-level identities through Hochschild degree 2p + 1 for every prime
+    # p <= 7, as blocks of d^2 = 0 that the constructor of the cyclic total
+    # through bound 2p + 3 checks (CompositionNonzero on a failure)
     for p in (2, 3, 5, 7):
-        H = hochschild_complex(koszul_resolution(p), 2 * p + 1)
-        checks = H.check_identities()
-        assert all(checks.values()), (p, checks)
+        cyclic_bundle(koszul_resolution(p), 2 * p + 3)
     # 1000 random matrices (dims <= 8, entries in [-20, 20]) against an
     # independently written dense Smith reduction, plus the transform laws
     rng = random.Random(1729)

@@ -233,6 +233,16 @@ def test_reproduce_paper_rejects_empty_lists(capsys):
     assert out == ""
 
 
+def test_reproduce_paper_rejects_levels_below_one(capsys):
+    # refused before any build, with one line naming the level
+    for levels, bad in (("0", "0"), ("2,-1", "-1")):
+        code = cli.main(["reproduce-paper", "--p-list", "3", "--n-list", levels])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_BAD_ARGS
+        assert out == ""
+        assert err == f"error: reproduce-paper needs levels >= 1, got {bad}\n"
+
+
 def test_reproduce_paper_builds_one_map_per_tower(monkeypatch):
     # p = 5, n = 2, 3 reads every row, the K cells included, off the tower
     # Z/125 -> Z/25 -> Z/5: one Hochschild complex per ring, and each

@@ -7,12 +7,15 @@ from cychom.complexes import ChainMap, homology_groups, total_map
 from cychom.cyclic import (
     cyclic_bundle,
     hc,
+    hc_groups,
     hc_mod,
     hc_mod_table,
     hc_relative,
     hc_tower_surjectivity,
     hh,
+    hh_groups,
     induced_cyclic_map,
+    rel_hc_groups,
     rel_hc_table,
     relative_les_check,
     sbi_check,
@@ -20,14 +23,17 @@ from cychom.cyclic import (
 )
 from cychom.dga import DGAMorphism, base_ring, koszul_resolution, load_algebra, reduction_map
 from cychom.errors import BoundTooSmall, InvalidParams, NotAChainMap
-from cychom.hochschild import induced_map
+from cychom.hochschild import cyclic_operator, induced_map
 from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel
 
 from oracles import (
     koszul_hc_relations,
     quotient_invariants,
     tower_cokernel_relations,
+    truncated_polynomial,
 )
+
+BENCH_INPUTS = pathlib.Path(__file__).parent.parent / "bench" / "inputs"
 
 
 def test_hc_of_base_ring():
@@ -50,9 +56,17 @@ def test_hc_of_z_mod_m_small():
 
 
 def test_hc_stabilizes_in_bound():
-    A = koszul_resolution(9)
-    for i in range(5):
-        assert hc(A, i, bound=i) == hc(A, i, bound=i + 2)
+    # the groups through a degree do not depend on where the build stops: a
+    # single-degree query builds to its own degree, a table two above it
+    # (ext2 takes the Morse path, the other two the full build)
+    ext2 = load_algebra((BENCH_INPUTS / "ext2-a9-b3.alg").read_text())
+    for A in (ext2, koszul_resolution(9), truncated_polynomial(3)):
+        for i in range(4):
+            assert hh(A, i) == hh_groups(A, i + 2)[i], i
+            assert hc(A, i) == hc_groups(A, i + 2)[i], i
+    f = reduction_map(27, 9)
+    for i in range(4):
+        assert hc_relative(f, i) == rel_hc_groups(f, i + 2)[i], i
 
 
 def test_hc_mod_p():
@@ -62,8 +76,11 @@ def test_hc_mod_p():
 
 
 def test_bound_errors():
-    with pytest.raises(BoundTooSmall):
-        hc(base_ring(), 3, bound=2)
+    # a negative degree is refused before any build, on either path
+    ext2 = load_algebra((BENCH_INPUTS / "ext2-a9-b3.alg").read_text())
+    for A in (base_ring(), ext2):
+        with pytest.raises(BoundTooSmall):
+            hc(A, -1)
     with pytest.raises(BoundTooSmall):
         cyclic_bundle(base_ring(), -1)
 
@@ -97,7 +114,7 @@ def test_top_odd_degree_matches_connecting_cokernel():
             p + 1, koszul_hc_relations(p ** n, p)
         )
         expected = AbelianGroup(free, tuple(facs))
-        assert hc(koszul_resolution(p ** n), 2 * p, bound=2 * p) == expected
+        assert hc(koszul_resolution(p ** n), 2 * p) == expected
         assert len(expected.invariant_factors) == 2  # non-cyclic
         free, facs = quotient_invariants(
             p + 1, tower_cokernel_relations(p, n, p)
@@ -198,9 +215,9 @@ def test_induced_cyclic_map_checks_the_squares_with_B():
         for n in range(7)
     }
     ChainMap(C, C, F)
-    B = bundle.hochschild.cyclic_operator
+    B = [cyclic_operator(bundle.hochschild, n) for n in range(5)]
     # B fails to commute in a Hochschild degree below 5, which the cyclic total uses
-    assert [n for n in range(5) if B(n) @ F[n] != F[n + 1] @ B(n)] == [3]
+    assert [n for n in range(5) if B[n] @ F[n] != F[n + 1] @ B[n]] == [3]
     cells = {(s, t): F[t - s] for (s, t) in bundle.bicomplex.basis}
     with pytest.raises(NotAChainMap):
         total_map(bundle.total, bundle.total, cells)
@@ -219,8 +236,7 @@ def test_exactness_checks_refuse_a_range_without_nodes():
     # degree 1: below them the sequence has nothing to check, and a check of
     # nothing must not pass (the ext2 algebra takes the Morse path, the
     # Koszul model the full build)
-    ext2 = load_algebra((pathlib.Path(__file__).parent.parent / "bench" / "inputs"
-                         / "ext2-a9-b3.alg").read_text())
+    ext2 = load_algebra((BENCH_INPUTS / "ext2-a9-b3.alg").read_text())
     for A in (ext2, koszul_resolution(4)):
         for bound in (0, 1):
             with pytest.raises(BoundTooSmall):
