@@ -330,12 +330,21 @@ def _int_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, as parser_class, its subparsers) that reports
+    a bad command line as one `error:` line on stderr and exits 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_ARGS)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cychom",
         description="Exact homology tables for small differential graded rings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_ring_options(sp, rel=False):
         sp.add_argument(

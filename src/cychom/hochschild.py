@@ -8,10 +8,14 @@ t the internal degree.  The vertical differential applies the algebra
 differential to one slot, the horizontal differential multiplies adjacent
 slots (wrapping the last slot around to the front).  One enumeration per
 build serves every cell: cell (s, t) is read off the cells of column s - 1
-(see `_word_basis`).
+(see `_word_basis`).  The full build's total differential is assembled word
+by word from D(word), whose internal terms stay in cell (s, t - 1) and whose
+faces land in cell (s - 1, t).
 
 Sign conventions come from the Koszul rule after shifting every slot past
-the first up by one degree; writing m_0 = |a_0| and m_j = |a_j| + 1:
+the first up by one degree.  They live in two one-pass kernels,
+`_word_differential` (D) and `_cyclic_differential` (B), which every build
+and flow reads.  Writing m_0 = |a_0| and m_j = |a_j| + 1:
 
   * multiplying slots i, i+1 carries (-1)^(m_0+...+m_i),
   * the wrap-around face carries -(-1)^(m_s (m_0+...+m_{s-1})),
@@ -22,10 +26,10 @@ the first up by one degree; writing m_0 = |a_0| and m_j = |a_j| + 1:
     block transposition in the shifted degrees.
 
 None of these is trusted: the square-zero and anticommutation identities
-of the bicomplex are checked as D^2 = 0 by the ChainComplex constructor of
-its total complex, and B^2 = 0 and D B + B D = 0 as blocks of d^2 = 0 by
-the ChainComplex constructor of the cyclic total complex, whose
-horizontal differential is B (cyclic module).
+of the bicomplex are the blocks of D^2 = 0 that the ChainComplex
+constructor of the total complex checks, and B^2 = 0 and D B + B D = 0 are
+blocks of d^2 = 0 checked by the ChainComplex constructor of the cyclic
+total complex, whose horizontal differential is B (cyclic module).
 
 The word basis grows exponentially with the degree (like the Fibonacci
 numbers for an exterior algebra on two generators).  Algebraic discrete
@@ -55,23 +59,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import Bicomplex, ChainComplex, ChainMap, total_complex, total_map
+from .complexes import ChainComplex, ChainMap, total_map
 from .dga import DGAlgebra, DGAMorphism
 from .errors import BoundTooSmall, CompositionNonzero, MatchingFailed, TruncationTooTight
 from .intlin import SparseIntMatrix
 
 Word = Tuple[str, ...]
 Cell = Hashable
-
-
-def _slot_prefix(A: DGAlgebra, word: Word) -> List[int]:
-    """prefix[i] = m_0 + ... + m_{i-1} for i = 0, ..., s + 1."""
-    degree = A.degree_of
-    shifted = [degree(word[0])] + [degree(a) + 1 for a in word[1:]]
-    return list(accumulate(shifted, initial=0))
 
 
 class HochschildComplex:
@@ -90,20 +86,25 @@ class HochschildComplex:
             raise BoundTooSmall(f"bound {bound} < 0")
         window = bound + 1
         words = _word_basis(algebra, window)
-        vertical: Dict[Tuple[int, int], SparseIntMatrix] = {}
-        horizontal: Dict[Tuple[int, int], SparseIntMatrix] = {}
-        for (s, t), cell in words.items():
-            vertical[(s, t)] = _matrix_of(
-                algebra, words.get((s, t - 1), []), cell, _internal_terms
-            )
-            horizontal[(s, t)] = _matrix_of(
-                algebra, words.get((s - 1, t), []), cell, _face_terms
-            )
-        # the total complex copies the cells; only the word basis is kept
-        tot = total_complex(Bicomplex(words, vertical, horizontal), 0, window)
+        # labels (s, t, word) by (s, t, position); a word fixes its cell, so
+        # one index gives each word's row in its total degree
+        basis: Dict[int, List[Tuple[int, int, Word]]] = {}
+        at: Dict[Word, int] = {}
+        for (s, t), cell in sorted(words.items()):
+            blk = basis.setdefault(s + t, [])
+            for w in cell:
+                at[w] = len(blk)
+                blk.append((s, t, w))
+        diffs: Dict[int, SparseIntMatrix] = {}
+        for n, labels in basis.items():
+            rows: Dict[int, Dict[int, int]] = defaultdict(dict)
+            for col, (_, _, w) in enumerate(labels):
+                for out, k in _word_differential(algebra, w).items():
+                    rows[at[out]][col] = k
+            diffs[n] = SparseIntMatrix.from_rows(len(basis.get(n - 1, ())), len(labels), rows)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "total", tot)
+        object.__setattr__(self, "total", ChainComplex(basis, diffs, 0, window))
         object.__setattr__(self, "_words", words)
 
     def __setattr__(self, name, value):
@@ -117,9 +118,8 @@ def cyclic_operator(H: HochschildComplex, n: int) -> SparseIntMatrix:
     tgt_pos = {lbl: i for i, lbl in enumerate(H.total.labels(n + 1))}
     rows = defaultdict(dict)
     for col, (s, t, word) in enumerate(H.total.labels(n)):
-        for out, sign in _cyclic_terms(H.algebra, word):
-            row = rows[tgt_pos[(s + 1, t, out)]]
-            row[col] = row.get(col, 0) + sign
+        for out, k in _cyclic_differential(H.algebra, word).items():
+            rows[tgt_pos[(s + 1, t, out)]][col] = k
     return SparseIntMatrix.from_rows(H.total.dim(n + 1), H.total.dim(n), rows)
 
 
@@ -149,66 +149,62 @@ def _word_basis(A: DGAlgebra, window: int) -> Dict[Tuple[int, int], List[Word]]:
     return words
 
 
-def _internal_terms(A: DGAlgebra, word: Word):
-    """Terms of the slotwise algebra differential, normalized."""
+def _word_differential(A: DGAlgebra, word: Word) -> Dict[Word, int]:
+    """D(word): the slotwise algebra differential (same length) plus the
+    faces (one slot shorter), normalized, summed word by word and without
+    zeros, in one walk over the slots keeping the parity of m_0 + ... +
+    m_{i-1} (the signs are in the module docstring)."""
+    degree, diff, mult, unit = A.degree_of, A.diff, A.mult, A.unit
+    out: Dict[Word, int] = {}
     s = len(word) - 1
-    prefix = _slot_prefix(A, word)
-    for i in range(s + 1):
-        combo = A.diff.get(word[i])
-        if not combo:
-            continue
-        if i == 0:
-            sign = 1
-        else:
-            sign = -1 if (1 + prefix[i]) % 2 else 1
-        for lbl, coeff in combo.items():
-            if i >= 1 and lbl == A.unit:
-                continue
-            yield (word[:i] + (lbl,) + word[i + 1 :], sign * coeff)
+    odd = 0
+    for i, a in enumerate(word):
+        combo = diff.get(a)
+        if combo:
+            sign = 1 if i == 0 or odd else -1
+            head, tail = word[:i], word[i + 1 :]
+            for lbl, k in combo.items():
+                if i == 0 or lbl != unit:
+                    w = head + (lbl,) + tail
+                    out[w] = out.get(w, 0) + sign * k
+        m = (degree(a) + (i > 0)) & 1
+        if i < s:
+            combo = mult.get((a, word[i + 1]))
+            if combo:
+                sign = 1 if odd == m else -1
+                head, tail = word[:i], word[i + 2 :]
+                for lbl, k in combo.items():
+                    if i == 0 or lbl != unit:
+                        w = head + (lbl,) + tail
+                        out[w] = out.get(w, 0) + sign * k
+        elif s:
+            combo = mult.get((a, word[0]))
+            if combo:
+                sign = 1 if odd and m else -1
+                body = word[1:s]
+                for lbl, k in combo.items():
+                    w = (lbl,) + body
+                    out[w] = out.get(w, 0) + sign * k
+        odd ^= m
+    return {w: k for w, k in out.items() if k} if 0 in out.values() else out
 
 
-def _face_terms(A: DGAlgebra, word: Word):
-    """Terms of the multiplication (face) differential, normalized."""
-    s = len(word) - 1
-    if s == 0:
-        return
-    prefix = _slot_prefix(A, word)
-    for i in range(s):
-        sign = -1 if prefix[i + 1] % 2 else 1
-        combo = A.mult.get((word[i], word[i + 1]))
-        if not combo:
-            continue
-        for lbl, coeff in combo.items():
-            if i >= 1 and lbl == A.unit:
-                continue
-            yield (word[:i] + (lbl,) + word[i + 2 :], sign * coeff)
-    wrap = (prefix[s + 1] - prefix[s]) * prefix[s]
-    sign = 1 if wrap % 2 else -1
-    combo = A.mult.get((word[s], word[0]))
-    if combo:
-        for lbl, coeff in combo.items():
-            yield ((lbl,) + word[1:s], sign * coeff)
-
-
-def _cyclic_terms(A: DGAlgebra, word: Word):
-    """Terms of B: a unit in front of each rotation of the word (zero when
-    slot 0 holds the unit), signed by the block transposition."""
+def _cyclic_differential(A: DGAlgebra, word: Word) -> Dict[Word, int]:
+    """B(word), summed word by word and without zeros: the rotation by i
+    slots carries (-1)^(h (T - h)), h the shifted degree of its first i
+    slots and T the word's, so -1 exactly when h is odd and T even."""
     if word[0] == A.unit:
-        return
-    heads = list(accumulate((A.degree_of(a) + 1 for a in word), initial=0))
-    total_shift = heads[-1]
-    for i in range(len(word)):
-        head = heads[i]
-        sign = -1 if (head * (total_shift - head)) % 2 else 1
-        yield ((A.unit,) + word[i:] + word[:i], sign)
-
-
-def _collect(terms) -> Dict[Word, int]:
-    """The terms summed word by word, without zeros."""
-    out: Dict[Word, int] = defaultdict(int)
-    for w, k in terms:
-        out[w] += k
-    return {w: k for w, k in out.items() if k}
+        return {}
+    degree = A.degree_of
+    shifted = [(degree(a) + 1) & 1 for a in word]
+    even = not sum(shifted) & 1
+    out: Dict[Word, int] = {}
+    unit, odd = (A.unit,), 0
+    for i, m in enumerate(shifted):
+        w = unit + word[i:] + word[:i]
+        out[w] = out.get(w, 0) + (-1 if odd and even else 1)
+        odd ^= m
+    return {w: k for w, k in out.items() if k} if 0 in out.values() else out
 
 
 def _image_terms(f: DGAMorphism, word: Word):
@@ -301,11 +297,13 @@ class FirstSlotMatching:
 
     def partner(self, word: Word) -> Optional[Tuple[Word, bool]]:
         """(partner, whether it is the longer word), or None when critical."""
-        for i in range(1, len(word)):
-            pair = self.split.get(word[i])
+        split, merge, last = self.split, self.merge, len(word) - 1
+        for i in range(1, last + 1):
+            a = word[i]
+            pair = split.get(a)
             if pair is not None:
                 return word[:i] + pair + word[i + 1 :], True
-            c = self.merge.get(word[i : i + 2])
+            c = merge.get((a, word[i + 1])) if i < last else None
             if c is not None:
                 return word[:i] + (c,) + word[i + 2 :], False
         return None
@@ -391,14 +389,14 @@ def critical_complex(M: FirstSlotMatching, bound: int, cyclic: bool = False) -> 
         s, word = cell
         D = known.get(word) if cyclic else None
         if D is None:
-            D = _collect(chain(_internal_terms(A, word), _face_terms(A, word)))
+            D = _word_differential(A, word)
             if cyclic:
                 known[word] = D
         out = {(s, w): k for w, k in D.items()}
         if s:
             B = known_B.get(word)
             if B is None:
-                B = known_B[word] = _collect(_cyclic_terms(A, word))
+                B = known_B[word] = _cyclic_differential(A, word)
             out.update(((s - 1, w), k) for w, k in B.items())
         return out
 
@@ -443,13 +441,13 @@ def _morse_complex(
 
         def checked_terms(x):
             dx = here[x] = terms(x)
-            ddx: Dict[Cell, int] = defaultdict(int)
+            ddx: Dict[Cell, int] = {}
             for v, k in dx.items():
                 dv = below.get(v)
                 if dv is None:
                     dv = below[v] = terms(v)
                 for y, j in dv.items():
-                    ddx[y] += k * j
+                    ddx[y] = ddx.get(y, 0) + k * j
             if any(ddx.values()):
                 raise CompositionNonzero(f"d(d(x)) != 0 at x = {x}")
             return dx
@@ -467,8 +465,8 @@ def _morse_complex(
                 w = pairs[u][0]
                 if partner(w) != (u, False):
                     raise MatchingFailed(f"the pairing is not an involution at {u}")
-                dw = dict(checked_terms(w))
-                e = dw.pop(u, 0)
+                dw = checked_terms(w)
+                e = dw.get(u, 0)
                 if abs(e) != 1:
                     raise MatchingFailed(f"coefficient {e} on the pair at {u}")
                 lower, crit = {}, []
@@ -478,6 +476,7 @@ def _morse_complex(
                         crit.append((index[v], k))
                     elif found[1]:
                         lower[v] = k
+                del lower[u]  # u is paired upward, with w
                 flows[u] = (e, lower, crit)
             return flows[u]
 

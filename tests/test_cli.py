@@ -287,6 +287,33 @@ def test_bad_argv(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hh", "--ring", "zmod:3^2", "--max-degree", "abc"],
+        ["hh", "--max-degree", "3"],
+        ["hh", "--ring", "zmod:3^2", "--format", "xml"],
+        ["frobenius"],
+    ],
+    ids=["bad-int", "missing-ring", "bad-choice", "unknown-command"],
+)
+def test_bad_command_line_prints_one_error_line(argv, capsys):
+    # argparse's own refusals keep exit 2 but print one line, not the usage
+    assert cli.main(argv) == cli.EXIT_BAD_ARGS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["hh", "-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cychom") and "--max-degree" in captured.out
+    assert captured.err == ""
+
+
 def test_internal_invariant_failure_exits_5(capsys, monkeypatch):
     def broken(A, top):
         raise CompositionNonzero("d_3 @ d_4 != 0")

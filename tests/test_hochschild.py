@@ -157,23 +157,28 @@ def test_sign_errors_fail_the_total_complex_check(monkeypatch):
     # each identity of the Hochschild and cyclic bicomplexes is checked as
     # d^2 = 0 of their total complexes; a single wrong sign must be caught
     A = exterior_two()
-    face_terms, internal_terms = hochschild._face_terms, hochschild._internal_terms
+    word_differential = hochschild._word_differential
 
     def flipped_wrap(A, word):
-        terms = list(face_terms(A, word))
+        # the reference lists the wrap face of a two-slot word after face 0
+        D = dict(word_differential(A, word))
         if len(word) == 2:
             inner = len(A.mult.get((word[0], word[1])) or {})
-            terms[inner:] = [(out, -c) for out, c in terms[inner:]]
-        return iter(terms)
+            for out, c in list(face_terms_reference(A, word))[inner:]:
+                D[out] = D.get(out, 0) - 2 * c
+        return {out: c for out, c in D.items() if c}
 
     def flipped_slot_one(A, word):
-        for out, c in internal_terms(A, word):
-            slot_one = len(word) >= 2 and out[0] == word[0] and out[2:] == word[2:]
-            yield out, -c if slot_one else c
+        # internal terms keep the length; slot one's changes only slot 1
+        return {
+            out: -c if len(out) == len(word) >= 2 and out[0] == word[0] and out[2:] == word[2:]
+            else c
+            for out, c in word_differential(A, word).items()
+        }
 
-    for name, mutant in (("_face_terms", flipped_wrap), ("_internal_terms", flipped_slot_one)):
+    for mutant in (flipped_wrap, flipped_slot_one):
         with monkeypatch.context() as m:
-            m.setattr(hochschild, name, mutant)
+            m.setattr(hochschild, "_word_differential", mutant)
             with pytest.raises(CompositionNonzero):
                 hochschild_complex(A, 5)
 
@@ -194,29 +199,44 @@ def test_sign_errors_fail_the_total_complex_check(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["ext2-a9-b3", "ext2-a3-b9", "ext2-a-3-b9", "koszul(9)", "base_ring"]
+    "name",
+    ["ext2-a9-b3", "ext2-a3-b9", "ext2-a-3-b9", "koszul(9)", "base_ring", "x^3 |x|=0", "x^3 |x|=2"],
 )
-def test_signs_match_the_slot_by_slot_reference(monkeypatch, name):
-    # one prefix array per word gives the signs that adding up each slot's
-    # prefix again gives, matrix for matrix, for D and B in every degree
+def test_signs_match_the_slot_by_slot_reference(name):
+    # the one-pass kernels give, word for word, the terms that adding up each
+    # slot's prefix again gives, for D and B on every word of a bound-8 build,
+    # and the total's differentials place them matrix for matrix
     if name == "koszul(9)":
         A = koszul_resolution(9)
     elif name == "base_ring":
         A = base_ring()
+    elif name.startswith("x^3"):
+        A = truncated_polynomial(3, degree=int(name[-1]))
     else:
         A = load_algebra((BENCH_INPUTS / f"{name}.alg").read_text())
     bound = 8
     H = hochschild_complex(A, bound)
-    with monkeypatch.context() as m:
-        m.setattr(hochschild, "_internal_terms", internal_terms_reference)
-        m.setattr(hochschild, "_face_terms", face_terms_reference)
-        ref = hochschild_complex(A, bound)
-    assert H.total.basis == ref.total.basis
+
+    def reference(word):
+        D = {}
+        for out, c in (*internal_terms_reference(A, word), *face_terms_reference(A, word)):
+            D[out] = D.get(out, 0) + c
+        return {out: c for out, c in D.items() if c}
+
+    for cell in H._words.values():
+        for word in cell:
+            assert hochschild._word_differential(A, word) == reference(word), word
     for n in range(bound + 2):
-        assert H.total.diff(n) == ref.total.diff(n), n
+        row_of = {w: i for i, (_, _, w) in enumerate(H.total.labels(n - 1))}
+        entries = {
+            (row_of[out], col): c
+            for col, (_, _, word) in enumerate(H.total.labels(n))
+            for out, c in reference(word).items()
+        }
+        assert H.total.diff(n).entries == entries, n
     for n in range(bound + 1):
         B = hochschild.cyclic_operator(H, n)
-        assert (B.rows, B.cols, B.entries) == cyclic_operator_reference(ref, n), n
+        assert (B.rows, B.cols, B.entries) == cyclic_operator_reference(H, n), n
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +301,18 @@ def test_no_matching_for_koszul_models_and_truncated_polynomials():
 
 def test_morse_path_raises_on_a_wrong_sign(monkeypatch):
     # the differential on slot 0 negated: D(D(w)) != 0 on a word w a flow reads
-    internal_terms = hochschild._internal_terms
+    word_differential = hochschild._word_differential
 
     def flipped_slot_zero(A, word):
-        for out, c in internal_terms(A, word):
-            yield out, -c if out[0] != word[0] else c
+        # internal terms keep the length; slot zero's changes slot 0
+        return {
+            out: -c if len(out) == len(word) and out[0] != word[0] else c
+            for out, c in word_differential(A, word).items()
+        }
 
     M = first_slot_matching(ext2())
     critical_complex(M, 6)
-    monkeypatch.setattr(hochschild, "_internal_terms", flipped_slot_zero)
+    monkeypatch.setattr(hochschild, "_word_differential", flipped_slot_zero)
     for cyclic in (False, True):
         with pytest.raises(CompositionNonzero):
             critical_complex(M, 6, cyclic=cyclic)
@@ -344,14 +367,17 @@ def test_connes_split_refuses_a_leading_block_that_is_not_a_subcomplex():
 
 def test_morse_sbi_check_raises_on_a_wrong_sign_of_B(monkeypatch):
     # the rotation by one slot negated: (D + B)^2 != 0 on a word a flow reads
-    cyclic_terms = hochschild._cyclic_terms
+    cyclic_differential = hochschild._cyclic_differential
 
     def flipped_rotation(A, word):
-        for i, (out, sign) in enumerate(cyclic_terms(A, word)):
-            yield out, -sign if i == 1 else sign
+        B = dict(cyclic_differential(A, word))
+        rotated = (A.unit,) + word[1:] + word[:1]
+        if len(word) >= 2 and rotated in B:
+            B[rotated] = -B[rotated]
+        return B
 
     assert sbi_check(ext2(), 6)
-    monkeypatch.setattr(hochschild, "_cyclic_terms", flipped_rotation)
+    monkeypatch.setattr(hochschild, "_cyclic_differential", flipped_rotation)
     with pytest.raises(CompositionNonzero):
         sbi_check(ext2(), 6)
 
