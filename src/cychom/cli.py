@@ -303,7 +303,7 @@ def run(spec: JobSpec, out=None) -> int:
     out = out if out is not None else sys.stdout
     handler = _COMMANDS.get(spec.command)
     if handler is None:
-        print(f"unknown command {spec.command!r}", file=sys.stderr)
+        print(f"error: unknown command {spec.command!r}", file=sys.stderr)
         return EXIT_BAD_ARGS
     try:
         return handler(spec, out)
@@ -331,8 +331,8 @@ def _int_list(text: str) -> List[int]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser (and, as parser_class, its subparsers) that reports
-    a bad command line as one `error:` line on stderr and exits 2."""
+    """An argument parser that reports a bad command line as one `error:`
+    line on stderr and exits 2; its subparsers are of the same class."""
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cychom",
         description="Exact homology tables for small differential graded rings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ring_options(sp, rel=False):
         sp.add_argument(

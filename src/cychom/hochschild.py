@@ -222,12 +222,12 @@ def _image_terms(f: DGAMorphism, word: Word):
     return expanded
 
 
-def _matrix_of(A, target: Sequence[Word], source: Sequence[Word], terms):
-    """The matrix of terms(A, word) from the source words to the target words."""
+def _image_matrix(f: DGAMorphism, target: Sequence[Word], source: Sequence[Word]):
+    """The matrix of f, slot by slot, from the source words to the target words."""
     pos = {w: i for i, w in enumerate(target)}
     rows = defaultdict(dict)
     for col, w in enumerate(source):
-        for out, coeff in terms(A, w):
+        for out, coeff in _image_terms(f, w):
             i = pos.get(out)
             if i is None:
                 # normalized away or outside the cell (cannot happen for
@@ -266,7 +266,7 @@ def induced_map_between(
     raises NotAChainMap.
     """
     cells = {
-        st: _matrix_of(f, tgt._words.get(st, ()), words, _image_terms)
+        st: _image_matrix(f, tgt._words.get(st, ()), words)
         for st, words in src._words.items()
     }
     return total_map(src.total, tgt.total, cells)

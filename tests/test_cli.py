@@ -268,7 +268,7 @@ def test_reproduce_paper_builds_one_map_per_tower(monkeypatch):
     assert sorted(presented) == sorted(list(range(10)) * 3)
 
 
-def test_run_with_jobspec_directly():
+def test_run_with_jobspec_directly(capsys):
     spec = cli.JobSpec(
         command="hh", params={"ring": "zmod:3"}, structured=True
     )
@@ -278,6 +278,7 @@ def test_run_with_jobspec_directly():
     assert doc["command"] == "hh"
     spec = cli.JobSpec(command="nope", params={}, structured=False)
     assert cli.run(spec) == cli.EXIT_BAD_ARGS
+    assert capsys.readouterr().err == "error: unknown command 'nope'\n"
 
 
 def test_bad_argv(capsys):
