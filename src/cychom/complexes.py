@@ -6,8 +6,10 @@ ChainMap constructors are the structural checks: d^2 = 0 and commuting
 squares, raising rather than producing a silently broken object.  A
 bicomplex's identities are checked as d^2 = 0 of its total complex.
 
-total_complex alone lays cells out into total degrees, total_map alone cellwise
-maps.  Sign conventions, fixed once for the whole package:
+total_complex lays the cells of a bicomplex out into total degrees, and
+total_map places cellwise maps on them (the full Hochschild build lays out
+its own words, see hochschild).  Sign conventions, fixed once for the whole
+package:
   * tensor product   total complex of the cells C_a (x) D_b, horizontal
                      dC_a (x) 1, vertical (-1)^a 1 (x) dD_b
   * mapping cone     total complex of the source in row 1 and the target in row 0,
@@ -133,16 +135,6 @@ class ChainComplex:
     def __repr__(self):
         dims = {d: self.dim(d) for d in self.degrees()}
         return f"ChainComplex(dims={dims})"
-
-    def shift(self, k: int) -> "ChainComplex":
-        """Degree shift C[k]_n = C_{n-k}; differentials pick up (-1)^k."""
-        sign = -1 if k % 2 else 1
-        return ChainComplex(
-            {d + k: lbls for d, lbls in self.basis.items()},
-            {d + k: M.scale(sign) for d, M in self.differential.items()},
-            self.min_degree + k,
-            self.max_degree + k,
-        )
 
 
 def unit_complex() -> ChainComplex:

@@ -10,7 +10,8 @@ slots (wrapping the last slot around to the front).  One enumeration per
 build serves every cell: cell (s, t) is read off the cells of column s - 1
 (see `_word_basis`).  The full build's total differential is assembled word
 by word from D(word), whose internal terms stay in cell (s, t - 1) and whose
-faces land in cell (s - 1, t).
+faces land in cell (s - 1, t); one index of each word's row in its total
+degree places those terms, and the terms of B and of induced maps.
 
 Sign conventions come from the Koszul rule after shifting every slot past
 the first up by one degree.  They live in two one-pass kernels,
@@ -42,12 +43,13 @@ letter c = +-a*b (split it) or starts the pair (a, b) (merge it).
 where a table-level check proves it an involution with +-1 coefficients
 on every word; `critical_words` enumerates the unpaired words directly,
 and `critical_complex` flows the differential of each through the pairs,
-for the Hochschild complex or the cyclic total complex.  The checks move
-to the flow: the involution and the coefficient are asserted again on
-every pair a flow uses, a cycle of flows or a flow past its step cap
-raises, D(D(w)) = 0 ((D + B)^2 = 0 for the cyclic total) is checked on
-every word w whose differential a flow reads, and the ChainComplex
-constructor checks d^2 = 0 of the result.
+for the Hochschild complex or the cyclic total complex, reading the image
+of every paired word a flow reaches off one memo per degree.  The checks
+move to the flow: the involution and the coefficient are asserted again on
+every pair a flow uses, a cycle of flows or more than MAX_FLOW_STEPS
+flowed words in one degree raises, D(D(w)) = 0 ((D + B)^2 = 0 for the
+cyclic total) is checked on every word w whose differential a flow reads,
+and the ChainComplex constructor checks d^2 = 0 of the result.
 
 This module computes no groups: the cyclic module reads every
 algebra-level Hochschild or cyclic group off the complex its one selector
@@ -61,7 +63,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import ChainComplex, ChainMap, total_map
+from .complexes import ChainComplex, ChainMap
 from .dga import DGAlgebra, DGAMorphism
 from .errors import BoundTooSmall, CompositionNonzero, MatchingFailed, TruncationTooTight
 from .intlin import SparseIntMatrix
@@ -75,11 +77,12 @@ class HochschildComplex:
 
     total degrees 0..bound+1 are built, so homology is available through
     degree `bound`.
-    The word basis of every cell comes from one enumeration, `_word_basis`,
-    which lives for the build.
+    The word basis of every cell comes from one enumeration, `_word_basis`;
+    `_at` gives each word's row in its total degree, where the cyclic
+    operator and induced maps place their terms word by word.
     """
 
-    __slots__ = ("algebra", "bound", "total", "_words")
+    __slots__ = ("algebra", "bound", "total", "_at")
 
     def __init__(self, algebra: DGAlgebra, bound: int):
         if bound < 0:
@@ -105,7 +108,7 @@ class HochschildComplex:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "total", ChainComplex(basis, diffs, 0, window))
-        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_at", at)
 
     def __setattr__(self, name, value):
         raise AttributeError("HochschildComplex is immutable")
@@ -115,11 +118,10 @@ def cyclic_operator(H: HochschildComplex, n: int) -> SparseIntMatrix:
     """The degree-raising operator B: C_n -> C_{n+1} of H, for n <= H.bound."""
     if n > H.bound:
         raise TruncationTooTight(f"cyclic operator at {n} needs chains in degree {n + 1}")
-    tgt_pos = {lbl: i for i, lbl in enumerate(H.total.labels(n + 1))}
-    rows = defaultdict(dict)
-    for col, (s, t, word) in enumerate(H.total.labels(n)):
+    at, rows = H._at, defaultdict(dict)
+    for col, (_, _, word) in enumerate(H.total.labels(n)):
         for out, k in _cyclic_differential(H.algebra, word).items():
-            rows[tgt_pos[(s + 1, t, out)]][col] = k
+            rows[at[out]][col] = k
     return SparseIntMatrix.from_rows(H.total.dim(n + 1), H.total.dim(n), rows)
 
 
@@ -222,22 +224,6 @@ def _image_terms(f: DGAMorphism, word: Word):
     return expanded
 
 
-def _image_matrix(f: DGAMorphism, target: Sequence[Word], source: Sequence[Word]):
-    """The matrix of f, slot by slot, from the source words to the target words."""
-    pos = {w: i for i, w in enumerate(target)}
-    rows = defaultdict(dict)
-    for col, w in enumerate(source):
-        for out, coeff in _image_terms(f, w):
-            i = pos.get(out)
-            if i is None:
-                # normalized away or outside the cell (cannot happen for
-                # degree reasons once the word survives normalization)
-                raise AssertionError(f"word {out} missing from target cell")
-            row = rows[i]
-            row[col] = row.get(col, 0) + coeff
-    return SparseIntMatrix.from_rows(len(target), len(source), rows)
-
-
 def hochschild_complex(A: DGAlgebra, bound: int) -> HochschildComplex:
     return HochschildComplex(A, bound)
 
@@ -265,11 +251,15 @@ def induced_map_between(
     the squares with B are blocks of the cyclic chain map.  Failure
     raises NotAChainMap.
     """
-    cells = {
-        st: _image_matrix(f, tgt._words.get(st, ()), words)
-        for st, words in src._words.items()
-    }
-    return total_map(src.total, tgt.total, cells)
+    at, comps = tgt._at, {}
+    for n in src.total.degrees():
+        rows: Dict[int, Dict[int, int]] = defaultdict(dict)
+        for col, (_, _, word) in enumerate(src.total.labels(n)):
+            for out, k in _image_terms(f, word):
+                row = rows[at[out]]
+                row[col] = row.get(col, 0) + k
+        comps[n] = SparseIntMatrix.from_rows(tgt.total.dim(n), src.total.dim(n), rows)
+    return ChainMap(src.total, tgt.total, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +409,22 @@ def _morse_complex(
     critical[n] lists the critical cells of degree n, terms(cell) is the
     differential of a cell, and partner(cell) is (partner, up) for a
     matched cell, up when the partner sits one degree higher.  The Morse
-    differential of a critical cell c is d(c) flowed through the pairs: a
-    term on a cell u paired with w above is replaced by subtracting
-    (coefficient / [d w : u]) d w, a term on a cell paired below is
-    dropped, and what is left lies on critical cells.  The cells a flow
-    passes through are swept in topological order, so each is flowed once.
+    differential of a critical cell c is crit(d c) + sum [d c : u] phi(u)
+    over the cells u of d c paired upward, where crit keeps the terms on
+    critical cells and, for u paired with w and e = [d w : u],
+
+        phi(u) = -e (crit(d w) + sum over v != u paired upward in d w
+                     of [d w : v] phi(v));
+
+    terms on cells paired downward are dropped.  Each degree memoizes phi
+    of every cell a flow reaches, filled by a depth-first search, so each
+    is flowed once whichever critical cells reach it.
 
     Checked on every cell a flow touches: the pairing is an involution;
-    [d w : u] = +-1; the flows form no cycle and pass through at most
-    MAX_FLOW_STEPS cells each; a cell left unpaired is one of the critical
-    cells; d(d(x)) = 0 for every cell x whose differential is read.  The
+    [d w : u] = +-1; the flows form no cycle (the search meets no cell it
+    entered and has not finished) and flow at most MAX_FLOW_STEPS cells in
+    one degree; a cell left unpaired is one of the critical cells;
+    d(d(x)) = 0 for every cell x whose differential is read.  The
     ChainComplex constructor checks d^2 = 0 of the result.
     """
     diffs: Dict[int, SparseIntMatrix] = {}
@@ -437,7 +433,7 @@ def _morse_complex(
         here: Dict[Cell, Dict[Cell, int]] = {}
         index = {c: i for i, c in enumerate(critical[n - 1])}
         pairs: Dict[Cell, Optional[Tuple[Cell, bool]]] = {}
-        flows: Dict[Cell, Tuple[int, Dict[Cell, int], list]] = {}
+        phi: Dict[Cell, Optional[Dict[int, int]]] = {}  # None while being flowed
 
         def checked_terms(x):
             dx = here[x] = terms(x)
@@ -459,75 +455,64 @@ def _morse_complex(
                     raise MatchingFailed(f"unpaired cell {v} is not among the critical cells")
             return pairs[v]
 
-        def flow_of(u):
-            """(e, lower terms, critical terms) of d w for u's partner w, e = [d w : u]."""
-            if u not in flows:
-                w = pairs[u][0]
-                if partner(w) != (u, False):
-                    raise MatchingFailed(f"the pairing is not an involution at {u}")
-                dw = checked_terms(w)
-                e = dw.get(u, 0)
-                if abs(e) != 1:
-                    raise MatchingFailed(f"coefficient {e} on the pair at {u}")
-                lower, crit = {}, []
-                for v, k in dw.items():
-                    found = pair_of(v)
-                    if found is None:
-                        crit.append((index[v], k))
-                    elif found[1]:
-                        lower[v] = k
-                del lower[u]  # u is paired upward, with w
-                flows[u] = (e, lower, crit)
-            return flows[u]
+        def split(dx, out):
+            """Add dx's terms on critical cells to out; return those paired upward."""
+            up = []
+            for v, k in dx.items():
+                found = pair_of(v)
+                if found is None:
+                    r = index[v]
+                    out[r] = out.get(r, 0) + k
+                elif found[1]:
+                    up.append((v, k))
+            return up
+
+        def enter(u):
+            """The search frame of u, paired upward: (u, e, phi so far, rest)."""
+            if len(phi) >= MAX_FLOW_STEPS:
+                raise MatchingFailed(
+                    f"the flows of degree {n} pass through more than {MAX_FLOW_STEPS} cells"
+                )
+            phi[u] = None
+            w = pairs[u][0]
+            if partner(w) != (u, False):
+                raise MatchingFailed(f"the pairing is not an involution at {u}")
+            dw = checked_terms(w)
+            e = dw.get(u, 0)
+            if abs(e) != 1:
+                raise MatchingFailed(f"coefficient {e} on the pair at {u}")
+            acc: Dict[int, int] = {}
+            up = split(dw, acc)
+            return u, e, acc, [(v, k) for v, k in up if v != u]
+
+        def add_flows(up, out):
+            """Add sum k phi(v) over up to out, flowing each new v once."""
+            stack = [(None, 1, out, up)]
+            while stack:
+                _, _, acc, rest = stack[-1]
+                while rest:
+                    v, k = rest[-1]
+                    image = phi.get(v)
+                    if image is None:
+                        if v in phi:
+                            raise MatchingFailed(f"the flows through {v} form a cycle")
+                        stack.append(enter(v))
+                        break
+                    rest.pop()
+                    for r, j in image.items():
+                        acc[r] = acc.get(r, 0) + k * j
+                else:
+                    u, e, acc, _ = stack.pop()
+                    if stack:
+                        phi[u] = {r: -e * j for r, j in acc.items() if j}
 
         rows: Dict[int, Dict[int, int]] = defaultdict(dict)
         for col, c in enumerate(critical[n]):
-            out: Dict[int, int] = defaultdict(int)
-            coeff: Dict[Cell, int] = {}
-            for v, k in checked_terms(c).items():
-                found = pair_of(v)
-                if found is None:
-                    out[index[v]] += k
-                elif found[1]:
-                    coeff[v] = k
-            for u in _flow_order(coeff, flow_of):
-                lam = coeff.pop(u, 0)
-                if lam:
-                    e, lower, crit = flows[u]
-                    lam *= e  # 1 / e = e
-                    for v, k in lower.items():
-                        coeff[v] = coeff.get(v, 0) - lam * k
-                    for r, k in crit:
-                        out[r] -= lam * k
+            out: Dict[int, int] = {}
+            add_flows(split(checked_terms(c), out), out)
             for r, k in out.items():
                 if k:
                     rows[r][col] = k
         diffs[n] = SparseIntMatrix.from_rows(len(index), len(critical[n]), rows)
         below = here
     return ChainComplex({n: critical[n] for n in range(top + 1)}, diffs, 0, top)
-
-
-def _flow_order(seeds, flow_of) -> List[Cell]:
-    """The cells reachable from seeds through lower terms, each before the
-    cells its flow reaches; raises on a cycle or past MAX_FLOW_STEPS cells."""
-    done: Dict[Cell, bool] = {}  # False while on the search stack
-    post: List[Cell] = []
-    stack = [(None, iter(seeds))]
-    while stack:
-        u, rest = stack[-1]
-        for v in rest:
-            if v not in done:
-                done[v] = False
-                stack.append((v, iter(flow_of(v)[1])))
-                break
-            if not done[v]:
-                raise MatchingFailed(f"the flows through {v} form a cycle")
-        else:
-            stack.pop()
-            if stack:
-                done[u] = True
-                post.append(u)
-            if len(post) > MAX_FLOW_STEPS:
-                raise MatchingFailed(f"a flow passes through more than {MAX_FLOW_STEPS} cells")
-    post.reverse()
-    return post

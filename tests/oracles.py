@@ -3,10 +3,11 @@
 Nothing here imports cychom's reduction code: the Smith form below is a
 plain dense Gaussian-style elimination, determinants use the Bareiss
 fraction-free scheme, and determinantal divisors come straight from gcds
-of minors.  Slow, simple, and written separately on purpose.  The one
+of minors.  Slow, simple, and written separately on purpose.  The
 exceptions are the two references near the end, which keep the package's
 earlier graded comparison and earlier exactness check on the package's own
-reductions, and the Z[x]/(x^n) builder at the end, which returns the
+reductions, the earlier Morse flow sweep, which builds the package's
+ChainComplex, and the Z[x]/(x^n) builder at the end, which returns the
 package's DGAlgebra.
 """
 
@@ -698,6 +699,94 @@ def cell_words_reference(A, s, t):
         for a0 in A.labels():
             if A.degree_of(a0) == left:
                 yield (a0,) + tail
+
+
+# ---------------------------------------------------------------------------
+# The Morse complex by a sweep per critical cell: the cells its flow reaches
+# are put in topological order, and coefficients are pushed down through
+# them, so a cell shared by several flows is walked once per flow.  Builds
+# the package's ChainComplex, whose constructor checks d^2 = 0.
+# ---------------------------------------------------------------------------
+
+
+def morse_complex_reference(critical, terms, partner, top):
+    """The Morse complex of a based complex on its critical cells, degrees
+    0..top, with the arguments of hochschild._morse_complex: a term on a
+    cell u paired with w above is replaced by subtracting (coefficient /
+    [d w : u]) d w, a term on a cell paired below is dropped."""
+    from cychom.complexes import ChainComplex
+    from cychom.errors import MatchingFailed
+    from cychom.intlin import SparseIntMatrix
+
+    diffs = {}
+    for n in range(1, top + 1):
+        index = {c: i for i, c in enumerate(critical[n - 1])}
+        flows = {}
+
+        def flow_of(u):
+            """(e, lower terms, critical terms) of d w for u's partner w."""
+            if u not in flows:
+                w = partner(u)[0]
+                if partner(w) != (u, False):
+                    raise MatchingFailed(f"the pairing is not an involution at {u}")
+                dw = terms(w)
+                lower, crit = {}, []
+                for v, k in dw.items():
+                    found = partner(v)
+                    if found is None:
+                        crit.append((index[v], k))
+                    elif found[1] and v != u:
+                        lower[v] = k
+                flows[u] = (dw[u], lower, crit)
+            return flows[u]
+
+        entries = {}
+        for col, c in enumerate(critical[n]):
+            out, coeff = {}, {}
+            for v, k in terms(c).items():
+                found = partner(v)
+                if found is None:
+                    out[index[v]] = out.get(index[v], 0) + k
+                elif found[1]:
+                    coeff[v] = k
+            for u in _flow_order(coeff, flow_of):
+                lam = coeff.pop(u, 0)
+                if lam:
+                    e, lower, crit = flows[u]
+                    lam *= e  # 1 / e = e
+                    for v, k in lower.items():
+                        coeff[v] = coeff.get(v, 0) - lam * k
+                    for r, k in crit:
+                        out[r] = out.get(r, 0) - lam * k
+            entries.update(((r, col), k) for r, k in out.items() if k)
+        diffs[n] = SparseIntMatrix(len(index), len(critical[n]), entries)
+    return ChainComplex({n: critical[n] for n in range(top + 1)}, diffs, 0, top)
+
+
+def _flow_order(seeds, flow_of):
+    """The cells reachable from seeds through lower terms, each before the
+    cells its flow reaches; raises on a cycle."""
+    from cychom.errors import MatchingFailed
+
+    done = {}  # False while on the search stack
+    post = []
+    stack = [(None, iter(seeds))]
+    while stack:
+        u, rest = stack[-1]
+        for v in rest:
+            if v not in done:
+                done[v] = False
+                stack.append((v, iter(flow_of(v)[1])))
+                break
+            if not done[v]:
+                raise MatchingFailed(f"the flows through {v} form a cycle")
+        else:
+            stack.pop()
+            if stack:
+                done[u] = True
+                post.append(u)
+    post.reverse()
+    return post
 
 
 # ---------------------------------------------------------------------------

@@ -59,14 +59,6 @@ def test_differential_shape_checked():
         ChainComplex({0: ("a",), 1: ("b",)}, {1: SparseIntMatrix.zero(2, 1)})
 
 
-def test_shift_sign_and_degrees():
-    C = two_term_complex(4)
-    S = C.shift(1)
-    assert S.dim(1) == 1 and S.dim(2) == 1
-    assert S.diff(2).to_dense() == [[-4]]
-    assert S.shift(-1) == C
-
-
 def test_tensor_kunneth():
     # Z/2 (x) Z/3 resolutions: H_0 = Z/6... no, H_0(C2 (x) C3) where
     # C_m resolves Z/m: H_0 = Z/gcd = Z/1? Tor says H_0 = Z/2 (x) Z/3 = 0

@@ -31,6 +31,7 @@ from oracles import (
     cyclic_operator_reference,
     face_terms_reference,
     internal_terms_reference,
+    morse_complex_reference,
     truncated_polynomial,
 )
 
@@ -223,9 +224,9 @@ def test_signs_match_the_slot_by_slot_reference(name):
             D[out] = D.get(out, 0) + c
         return {out: c for out, c in D.items() if c}
 
-    for cell in H._words.values():
-        for word in cell:
-            assert hochschild._word_differential(A, word) == reference(word), word
+    assert len(H._at) == sum(H.total.dim(n) for n in H.total.degrees())
+    for word in H._at:
+        assert hochschild._word_differential(A, word) == reference(word), word
     for n in range(bound + 2):
         row_of = {w: i for i, (_, _, w) in enumerate(H.total.labels(n - 1))}
         entries = {
@@ -334,6 +335,32 @@ def test_morse_path_raises_past_its_step_cap(monkeypatch):
     for cyclic in (False, True):
         with pytest.raises(MatchingFailed, match="more than 1 cells"):
             critical_complex(M, 6, cyclic=cyclic)
+
+
+def test_morse_path_refuses_flows_that_form_a_cycle():
+    # u and v sit in degree 1, paired with w and x above; d c = u for the
+    # critical cell c, d w = u + v and d x = u + v, so the flow of u reaches
+    # v and the flow of v reaches u again
+    terms = {"c": {"u": 1}, "w": {"u": 1, "v": 1}, "x": {"u": 1, "v": 1}}
+    pairs = {"u": ("w", True), "w": ("u", False), "v": ("x", True), "x": ("v", False)}
+    critical = {0: [], 1: [], 2: ["c"]}
+    with pytest.raises(MatchingFailed, match="form a cycle"):
+        hochschild._morse_complex(critical, lambda x: terms.get(x, {}), pairs.get, 2)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("name", ["ext2-a9-b3", "ext2-a3-b9", "ext2-a-3-b9"])
+def test_critical_complex_matches_the_flow_sweep_reference(monkeypatch, name, cyclic):
+    # the memoized flow images give, matrix for matrix, the complex that
+    # sweeping each critical cell's flows in topological order gives
+    M = first_slot_matching(load_algebra((BENCH_INPUTS / f"{name}.alg").read_text()))
+    C = critical_complex(M, 10, cyclic)
+    monkeypatch.setattr(hochschild, "_morse_complex", morse_complex_reference)
+    R = critical_complex(M, 10, cyclic)
+    assert C.basis == R.basis
+    for n in C.degrees():
+        assert C.diff(n) == R.diff(n), n
+    assert any(not C.diff(n).is_zero() for n in C.degrees())
 
 
 def test_column_zero_of_the_cyclic_morse_complex_is_the_hochschild_one():
