@@ -6,10 +6,10 @@ ChainMap constructors are the structural checks: d^2 = 0 and commuting
 squares, raising rather than producing a silently broken object.  A
 bicomplex's identities are checked as d^2 = 0 of its total complex.
 
-total_complex lays the cells of a bicomplex out into total degrees, and
-total_map places cellwise maps on them (the full Hochschild build lays out
-its own words, see hochschild).  Sign conventions, fixed once for the whole
-package:
+total_complex lays the cells of a bicomplex out into total degrees, for
+cones and tensor products (the full Hochschild build lays out its own
+words, see hochschild, and the cyclic total its own columns, see cyclic).
+Sign conventions, fixed once for the whole package:
   * tensor product   total complex of the cells C_a (x) D_b, horizontal
                      dC_a (x) 1, vertical (-1)^a 1 (x) dD_b
   * mapping cone     total complex of the source in row 1 and the target in row 0,
@@ -31,7 +31,7 @@ groups come from the integral ones by the universal coefficient theorem.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -278,17 +278,6 @@ class Bicomplex:
         return sorted(self.basis)
 
 
-def _cell_offsets(dims: Mapping[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:
-    """Where each cell starts in degree s + t (dims lists each degree's cells
-    in (s, t) order)."""
-    offsets: Dict[Tuple[int, int], int] = {}
-    size: Dict[int, int] = {}
-    for (s, t), k in dims.items():
-        start = offsets[(s, t)] = size.get(s + t, 0)
-        size[s + t] = start + k
-    return offsets
-
-
 def _place(rows: Dict[int, Dict[int, int]], M: SparseIntMatrix, r0: int, c0: int):
     """Copy M into the rows (a defaultdict) of a larger matrix, corner at (r0, c0)."""
     for r, row in M.by_row.items():
@@ -307,15 +296,14 @@ def total_complex(
     Labels become (s, t, label) triples, ordered by (s, t, position).
     Explicit degree bounds record window edges where all cells are empty.
     """
-    cells = B.cells()
-    at = _cell_offsets({st: len(B.basis[st]) for st in cells})
     basis: Dict[int, List[Label]] = {}
+    at: Dict[Tuple[int, int], int] = {}  # where each cell starts in degree s + t
     diffs: Dict[int, Dict[int, Dict[int, int]]] = {}
-    for st in cells:
+    for st in B.cells():  # in (s, t) order, so the cells a differential hits come first
         s, t = st
         blk = basis.setdefault(s + t, [])
-        for lbl in B.basis[st]:
-            blk.append((s, t, lbl))
+        at[st] = len(blk)
+        blk.extend((s, t, lbl) for lbl in B.basis[st])
         rows = diffs.setdefault(s + t, defaultdict(dict))
         for M, below in ((B.vertical.get(st), (s, t - 1)), (B.horizontal.get(st), (s - 1, t))):
             if M is not None:
@@ -385,41 +373,6 @@ class ChainMap:
     @classmethod
     def identity(cls, C: ChainComplex) -> "ChainMap":
         return cls(C, C, {d: SparseIntMatrix.identity(C.dim(d)) for d in C.degrees()})
-
-    def compose(self, first: "ChainMap") -> "ChainMap":
-        """self o first."""
-        if first.target is not self.source and first.target != self.source:
-            raise DimensionMismatch("composition target/source mismatch")
-        degs = set(first.components) | set(self.components)
-        return ChainMap(
-            first.source,
-            self.target,
-            {d: self.component(d) @ first.component(d) for d in degs},
-        )
-
-
-def total_map(
-    source: ChainComplex,
-    target: ChainComplex,
-    cells: Mapping[Tuple[int, int], SparseIntMatrix],
-) -> ChainMap:
-    """The chain map of total complexes (built by total_complex) with block
-    cells[(s, t)] from cell (s, t) to cell (s, t), and zero elsewhere."""
-    src_dims, tgt_dims = (
-        Counter(lbl[:2] for lbls in C.basis.values() for lbl in lbls) for C in (source, target)
-    )
-    src_at, tgt_at = _cell_offsets(src_dims), _cell_offsets(tgt_dims)
-    comps: Dict[int, Dict[int, Dict[int, int]]] = {}
-    for st, M in cells.items():
-        want = (tgt_dims[st], src_dims[st])
-        if M.shape != want:
-            raise DimensionMismatch(f"cell map at {st}: {M.shape} != {want}")
-        if not M.is_zero():
-            _place(comps.setdefault(st[0] + st[1], defaultdict(dict)), M, tgt_at[st], src_at[st])
-    matrices = {}
-    for n, rows in comps.items():
-        matrices[n] = SparseIntMatrix.from_rows(target.dim(n), source.dim(n), rows)
-    return ChainMap(source, target, matrices)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -500,12 +453,6 @@ def induced_on_homology(
     hp_tgt = f.target.presentation(i)
     image_cycles = f.component(i) @ hp_src.cycles
     return hp_src, hp_tgt, hp_tgt.coords_of_cycles(image_cycles)
-
-
-def induced_map_is_onto(f: ChainMap, i: int) -> bool:
-    """Is H_i(f) surjective?"""
-    _, hp_tgt, A = induced_on_homology(f, i)
-    return hp_tgt.generated_by(A)
 
 
 def _kernel_of_induced(

@@ -1,14 +1,16 @@
-"""Cyclic homology via the mixed bicomplex of Hochschild chains.
+"""Cyclic homology via the cyclic total complex of Hochschild chains.
 
-The bicomplex has cell (s, t) holding the Hochschild chains of degree t - s;
-column s = 0 is the Hochschild complex itself, the vertical differential is
-the total Hochschild differential and the horizontal one is the degree
-raising cyclic operator.  Cyclic homology HC_i is the homology of the total
-complex, relative cyclic homology is homology of the mapping cone of an
-induced map (fiber indexing: the relative group in degree i is H_{i+1} of
-the cone).
+Degree n of the cyclic total is the sum of the columns s = 0..n // 2,
+column s holding the Hochschild chains of degree n - 2s, labelled
+(s, n - s, label); column s = 0 is the Hochschild complex itself.  The
+differential is D, the total Hochschild differential, within each column
+plus the degree raising cyclic operator B from column s into column s - 1
+(Loday, Cyclic Homology, 2.1.7).  Cyclic homology HC_i is the homology of
+this complex, relative cyclic homology is homology of the mapping cone of
+an induced map (fiber indexing: the relative group in degree i is H_{i+1}
+of the cone).
 
-Cells are built for every total degree up to bound + 1; columns beyond
+Total degrees are built up to bound + 1; columns beyond
 s = (bound + 1) // 2 contribute only above that window, so the groups
 through degree `bound` are exact, not truncations.
 
@@ -36,13 +38,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .complexes import (
-    Bicomplex,
     ChainComplex,
     ChainMap,
     ExactnessReport,
+    _place,
     cone_les_check,
     exact_sequence_check,
     homology,
@@ -50,12 +53,10 @@ from .complexes import (
     homology_mod,
     induced_on_homology,
     mapping_cone,
-    total_complex,
-    total_map,
     universal_coefficients,
 )
 from .dga import DGAlgebra, DGAMorphism, koszul_resolution, reduction_map
-from .errors import CompositionNonzero, InvalidParams
+from .errors import CompositionNonzero, DimensionMismatch, InvalidParams
 from .hochschild import (
     HochschildComplex,
     critical_complex,
@@ -70,40 +71,51 @@ from .intlin import AbelianGroup, SparseIntMatrix, is_prime
 
 @dataclass(frozen=True)
 class CyclicComplexBundle:
-    """A DG algebra's Hochschild complex with its cyclic bicomplex and total
-    complex; the algebra and the bound are `hochschild.algebra` and
+    """A DG algebra's Hochschild complex with the cyclic total complex on
+    its columns; the algebra and the bound are `hochschild.algebra` and
     `hochschild.bound`."""
 
     hochschild: HochschildComplex
-    bicomplex: Bicomplex
     total: ChainComplex
 
 
 def cyclic_bundle(A: DGAlgebra, bound: int) -> CyclicComplexBundle:
-    """Build the cyclic bicomplex of A through total degree bound + 1."""
+    """Build the cyclic total complex of A through degree bound + 1."""
     return _bundle_over(hochschild_complex(A, bound))
 
 
+def _column_starts(H: HochschildComplex) -> List[List[int]]:
+    """starts[n][s]: where column s begins in degree n of the cyclic total
+    on H, for n = 0..H.bound + 1; starts[n][-1] is the degree's dimension."""
+    return [
+        list(accumulate((H.total.dim(n - 2 * s) for s in range(n // 2 + 1)), initial=0))
+        for n in range(H.bound + 2)
+    ]
+
+
 def _bundle_over(H: HochschildComplex) -> CyclicComplexBundle:
-    """The cyclic bicomplex whose columns are the chains of H."""
+    """The cyclic total complex whose columns are the chains of H: d_n has
+    D = H.total.diff(n - 2s) on column s and, for s >= 1, B from column s
+    into column s - 1."""
     window = H.bound + 1
     # column s >= 1 reads B from Hochschild degrees c <= window - 2
     B = [cyclic_operator(H, c) for c in range(window - 1)]
-    basis: Dict[Tuple[int, int], Tuple] = {}
-    vertical: Dict[Tuple[int, int], SparseIntMatrix] = {}
-    horizontal: Dict[Tuple[int, int], SparseIntMatrix] = {}
-    for s in range(window // 2 + 1):
-        for c in range(window - 2 * s + 1):
-            t = c + s
-            lbls = H.total.labels(c)
-            if not lbls:
-                continue
-            basis[(s, t)] = lbls
-            vertical[(s, t)] = H.total.diff(c)
-            if s >= 1:
-                horizontal[(s, t)] = B[c]
-    bic = Bicomplex(basis, vertical, horizontal)
-    return CyclicComplexBundle(hochschild=H, bicomplex=bic, total=total_complex(bic, 0, window))
+    starts = _column_starts(H)
+    basis: Dict[int, List[Tuple]] = {}
+    diffs: Dict[int, SparseIntMatrix] = {}
+    for n, at in enumerate(starts):
+        below = starts[n - 1] if n else [0]
+        columns = range(n // 2 + 1)
+        basis[n] = [(s, n - s, lbl) for s in columns for lbl in H.total.labels(n - 2 * s)]
+        rows: Dict[int, Dict[int, int]] = defaultdict(dict)
+        for s in columns:
+            c = n - 2 * s
+            if c:
+                _place(rows, H.total.diff(c), below[s], at[s])
+            if s:
+                _place(rows, B[c], below[s - 1], at[s])
+        diffs[n] = SparseIntMatrix.from_rows(below[-1], at[-1], rows)
+    return CyclicComplexBundle(hochschild=H, total=ChainComplex(basis, diffs, 0, window))
 
 
 def _chains(A: DGAlgebra, bound: int, cyclic: bool = False) -> ChainComplex:
@@ -147,16 +159,25 @@ def induced_cyclic_map(
 def cyclic_map(
     F: ChainMap, src: CyclicComplexBundle, tgt: CyclicComplexBundle
 ) -> ChainMap:
-    """The map of cyclic total complexes whose cell (s, t) block is the
-    degree t - s component of F, a map of the bundles' Hochschild complexes.
+    """The map of cyclic total complexes that copies F, a map of the
+    bundles' Hochschild complexes, onto every column: its column s block in
+    degree n is the degree n - 2s component of F.
 
     The ChainMap constructor checks the squares with the total
-    differential, whose horizontal blocks are B: this is where the map is
+    differential, whose off-diagonal blocks are B: this is where the map is
     verified to intertwine B, in Hochschild degrees 0..bound - 1, the ones
     the cyclic total uses.
     """
-    cells = {(s, t): F.component(t - s) for (s, t) in src.bicomplex.basis}
-    return total_map(src.total, tgt.total, cells)
+    if (F.source, F.target) != (src.hochschild.total, tgt.hochschild.total):
+        raise DimensionMismatch("F is not a map of the bundles' Hochschild complexes")
+    src_at, tgt_at = _column_starts(src.hochschild), _column_starts(tgt.hochschild)
+    comps = {}
+    for n, at in enumerate(src_at):
+        rows: Dict[int, Dict[int, int]] = defaultdict(dict)
+        for s in range(n // 2 + 1):
+            _place(rows, F.component(n - 2 * s), tgt_at[n][s], at[s])
+        comps[n] = SparseIntMatrix.from_rows(tgt_at[n][-1], at[-1], rows)
+    return ChainMap(src.total, tgt.total, comps)
 
 
 def hc_relative(f: DGAMorphism, i: int) -> AbelianGroup:

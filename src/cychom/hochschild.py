@@ -30,7 +30,7 @@ None of these is trusted: the square-zero and anticommutation identities
 of the bicomplex are the blocks of D^2 = 0 that the ChainComplex
 constructor of the total complex checks, and B^2 = 0 and D B + B D = 0 are
 blocks of d^2 = 0 checked by the ChainComplex constructor of the cyclic
-total complex, whose horizontal differential is B (cyclic module).
+total complex, where B maps each column into the one before (cyclic module).
 
 The word basis grows exponentially with the degree (like the Fibonacci
 numbers for an exterior algebra on two generators).  Algebraic discrete

@@ -6,9 +6,10 @@ fraction-free scheme, and determinantal divisors come straight from gcds
 of minors.  Slow, simple, and written separately on purpose.  The
 exceptions are the two references near the end, which keep the package's
 earlier graded comparison and earlier exactness check on the package's own
-reductions, the earlier Morse flow sweep, which builds the package's
-ChainComplex, and the Z[x]/(x^n) builder at the end, which returns the
-package's DGAlgebra.
+reductions, the earlier cyclic total layout, which builds the package's
+Bicomplex and total complex, the earlier Morse flow sweep, which builds the
+package's ChainComplex, and the Z[x]/(x^n) builder at the end, which
+returns the package's DGAlgebra.
 """
 
 from math import gcd
@@ -537,6 +538,71 @@ def cyclic_operator_reference(H, n):
             key = (tgt_pos[(s + 1, t, out)], col)
             entries[key] = entries.get(key, 0) + sign
     return _matrix(H.total.dim(n + 1), H.total.dim(n), entries)
+
+
+# ---------------------------------------------------------------------------
+# The cyclic total complex laid out cell by cell: the total complex of the
+# bicomplex whose cell (s, t) holds the Hochschild chains of degree t - s,
+# with vertical D and horizontal B, and its induced maps placed cell by cell
+# at offsets read back off the labels.  It builds the package's Bicomplex
+# and total complex.
+# ---------------------------------------------------------------------------
+
+
+def cyclic_total_reference(H):
+    """The cyclic total complex of a Hochschild complex H through degree
+    H.bound + 1, through a Bicomplex and total_complex."""
+    from cychom.complexes import Bicomplex, total_complex
+    from cychom.hochschild import cyclic_operator
+
+    window = H.bound + 1
+    B = [cyclic_operator(H, c) for c in range(window - 1)]
+    basis, vertical, horizontal = {}, {}, {}
+    for s in range(window // 2 + 1):
+        for c in range(window - 2 * s + 1):
+            t = c + s
+            lbls = H.total.labels(c)
+            if not lbls:
+                continue
+            basis[(s, t)] = lbls
+            vertical[(s, t)] = H.total.diff(c)
+            if s >= 1:
+                horizontal[(s, t)] = B[c]
+    return total_complex(Bicomplex(basis, vertical, horizontal), 0, window)
+
+
+def cyclic_map_reference(F, source, target):
+    """The chain map of cyclic totals built by cyclic_total_reference whose
+    cell (s, t) block is the degree t - s component of the Hochschild map F,
+    zero elsewhere; each cell's offset is counted off the (s, t) of the
+    labels."""
+    from collections import Counter, defaultdict
+
+    from cychom.complexes import ChainMap
+    from cychom.intlin import SparseIntMatrix
+
+    def layout(C):
+        dims = Counter(lbl[:2] for n in C.degrees() for lbl in C.labels(n))
+        at, size = {}, {}
+        for (s, t), k in dims.items():
+            at[(s, t)] = size.get(s + t, 0)
+            size[s + t] = at[(s, t)] + k
+        return dims, at
+
+    (src_dims, src_at), (tgt_dims, tgt_at) = layout(source), layout(target)
+    comps = {}
+    for (s, t) in src_dims:
+        M = F.component(t - s)
+        assert M.shape == (tgt_dims[(s, t)], src_dims[(s, t)]), (s, t)
+        rows = comps.setdefault(s + t, defaultdict(dict))
+        for r, row in M.by_row.items():
+            for c, v in row.items():
+                rows[tgt_at[(s, t)] + r][src_at[(s, t)] + c] = v
+    matrices = {
+        n: SparseIntMatrix.from_rows(target.dim(n), source.dim(n), rows)
+        for n, rows in comps.items()
+    }
+    return ChainMap(source, target, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from cychom.complexes import ChainMap, homology_groups, total_map
+from cychom.complexes import ChainMap, homology_groups
 from cychom.cyclic import (
     cyclic_bundle,
+    cyclic_map,
     hc,
     hc_groups,
     hc_mod,
@@ -22,7 +23,7 @@ from cychom.cyclic import (
     tower_report,
 )
 from cychom.dga import DGAMorphism, base_ring, koszul_resolution, load_algebra, reduction_map
-from cychom.errors import BoundTooSmall, InvalidParams, NotAChainMap
+from cychom.errors import BoundTooSmall, DimensionMismatch, InvalidParams, NotAChainMap
 from cychom.hochschild import cyclic_operator, induced_map
 from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel
 
@@ -169,8 +170,8 @@ def _cell_ranges(labels):
 
 
 def test_induced_cyclic_map_components_are_block_copies():
-    # cell (s, t) of the cyclic bicomplex holds the Hochschild chains of
-    # degree t - s, and F copies the Hochschild map into it
+    # cell (s, t) of the cyclic total (column s of degree s + t) holds the
+    # Hochschild chains of degree t - s, and F copies the Hochschild map into it
     f = reduction_map(9, 3)
     src, tgt, F = induced_cyclic_map(f, 3)
     hsrc, _, Fh = induced_map(f, 3)
@@ -193,7 +194,11 @@ def test_induced_cyclic_map_components_are_block_copies():
             inside |= {(r, c) for r in rr for c in cr}
             blocks += bool(block)
         assert set(M.entries) <= inside, n
-    assert blocks == len(src.bicomplex.basis) == 9
+    cells = {lbl[:2] for n in src.total.degrees() for lbl in src.total.labels(n)}
+    assert blocks == len(cells) == 9
+    # the Hochschild map must run between the bundles' own complexes
+    with pytest.raises(DimensionMismatch):
+        cyclic_map(Fh, tgt, src)
 
 
 def test_induced_cyclic_map_checks_the_squares_with_B():
@@ -218,9 +223,8 @@ def test_induced_cyclic_map_checks_the_squares_with_B():
     B = [cyclic_operator(bundle.hochschild, n) for n in range(5)]
     # B fails to commute in a Hochschild degree below 5, which the cyclic total uses
     assert [n for n in range(5) if B[n] @ F[n] != F[n + 1] @ B[n]] == [3]
-    cells = {(s, t): F[t - s] for (s, t) in bundle.bicomplex.basis}
     with pytest.raises(NotAChainMap):
-        total_map(bundle.total, bundle.total, cells)
+        cyclic_map(ChainMap(C, C, F), bundle, bundle)
 
 
 def test_sbi_sequence_exact():
