@@ -114,10 +114,12 @@ def _parse_ring(text: str) -> RingDescriptor:
 
 def _read_file(path: str, kind: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {kind} file {path!r}: {e}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{kind} file {path!r} is not UTF-8: {e}")
 
 
 def _degree_plan(ring: RingDescriptor, max_degree, allow_unverified: bool):
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ring_options(sp, rel=False):
+    def add_ring_options(sp):
         sp.add_argument(
             "--ring",
             required=True,

@@ -137,19 +137,6 @@ class ChainComplex:
         return f"ChainComplex(dims={dims})"
 
 
-def unit_complex() -> ChainComplex:
-    """Z concentrated in degree 0, the tensor unit."""
-    return ChainComplex({0: ("1",)}, {})
-
-
-def two_term_complex(m: int, label: str = "e") -> ChainComplex:
-    """0 -> Z --m--> Z -> 0 in degrees 1, 0 (a free resolution of Z/m)."""
-    return ChainComplex(
-        {0: (f"{label}0",), 1: (f"{label}1",)},
-        {1: SparseIntMatrix.from_dense([[m]])},
-    )
-
-
 def _check_degree(C: ChainComplex, i: int):
     if i + 1 > C.max_degree:
         raise TruncationTooTight(

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .complexes import ChainComplex
 from .errors import InvalidModulus, InvalidParams, NotDivisible, ParseError
-from .intlin import SparseIntMatrix
 
 # a linear combination of basis labels
 Combo = Dict[str, int]
@@ -110,9 +108,6 @@ class DGAlgebra:
     def labels(self) -> List[str]:
         return [l for d in sorted(self.basis) for l in self.basis[d]]
 
-    def max_degree(self) -> int:
-        return max(self.basis) if self.basis else 0
-
     def product(self, a: str, b: str) -> Combo:
         return dict(self.mult.get((a, b), {}))
 
@@ -136,28 +131,6 @@ class DGAlgebra:
 
     def non_unit_labels(self) -> List[str]:
         return [l for l in self.labels() if l != self.unit]
-
-    def underlying_complex(self) -> ChainComplex:
-        """The chain complex of the algebra itself (basis and differential)."""
-        index = {}
-        for d, lbls in self.basis.items():
-            for i, l in enumerate(lbls):
-                index[l] = (d, i)
-        diffs: Dict[int, Dict[Tuple[int, int], int]] = {}
-        for a, combo in self.diff.items():
-            d, col = index[a]
-            ent = diffs.setdefault(d, {})
-            for l, c in combo.items():
-                ent[(index[l][1], col)] = c
-        top = self.max_degree()
-        basis = dict(self.basis)
-        differential = {
-            d: SparseIntMatrix(len(basis.get(d - 1, ())), len(basis[d]), ent)
-            for d, ent in diffs.items()
-        }
-        # the algebra is zero above its top degree, so declare one more
-        # (empty) degree; homology is then defined through degree `top`
-        return ChainComplex(basis, differential, 0, top + 1)
 
     def __eq__(self, other):
         return (

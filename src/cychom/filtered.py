@@ -471,13 +471,6 @@ def filtered_tensor(
     return multi_tensor([X, Y], k)
 
 
-def tensor_transition(src: TensorLevel, tgt: TensorLevel) -> SparseIntMatrix:
-    """The canonical map from level k-1 into level k (`tgt.incoming`)."""
-    if tgt.level != src.level + 1 or tgt.factors != src.factors:
-        raise InvalidParams("tensor_transition wants consecutive levels")
-    return tgt.incoming
-
-
 # ---------------------------------------------------------------------------
 # associated graded
 # ---------------------------------------------------------------------------
@@ -540,11 +533,12 @@ def graded(M: FilteredRing) -> FilteredRing:
 
 @dataclass(frozen=True)
 class CyclicBarLevel:
-    """Z_q(M)(k): the (q+1)-fold filtered tensor with its cyclic structure.
+    """Z_q(M)(k): the (q+1)-fold filtered tensor with its rotation, an
+    endomorphism formed when first read.
 
-    faces[i] maps into the level for simplicial degree q-1 (same k);
-    degeneracies[i] into degree q+1; rotation is an endomorphism, formed
-    when first read.
+    The graded comparison reads only the levels and the rotation, so the
+    faces and degeneracies are not formed here; `tests/oracles.py` builds
+    them to check the simplicial and cyclic identities.
     """
 
     ring: FilteredRing
@@ -572,48 +566,6 @@ def cyclic_bar(M: FilteredRing, q: int, k: int) -> CyclicBarLevel:
         raise InvalidParams(f"simplicial degree {q} < 0")
     T = multi_tensor([M.group] * (q + 1), k)
     return CyclicBarLevel(ring=M, simplicial_degree=q, level=k, tensor=T)
-
-
-def face_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIntMatrix:
-    """d_i: multiply slots i, i+1 (slot q into slot 0 for i = q)."""
-    q = src.simplicial_degree
-    if tgt.simplicial_degree != q - 1 or tgt.level != src.level:
-        raise InvalidParams("face target must drop the simplicial degree by one")
-    if not 0 <= i <= q:
-        raise InvalidParams(f"face index {i} outside 0..{q}")
-    M = src.ring
-
-    def images(key):
-        j = i
-        if i == q:  # d_q is d_0 after the rotation
-            key, j = _rotated(*key), 0
-        spot, gens = key
-        a, b = spot[j], spot[j + 1]
-        new_spot = spot[:j] + (a + b,) + spot[j + 2 :]
-        pair = gens[j] * M.piece(b).num_generators + gens[j + 1]
-        return [
-            ((new_spot, gens[:j] + (r,) + gens[j + 2 :]), v)
-            for r, v in M.product(a, b).column(pair).items()
-        ]
-
-    return _generator_map(src.tensor.columns, tgt.tensor.columns, images)
-
-
-def degeneracy_map(src: CyclicBarLevel, tgt: CyclicBarLevel, i: int) -> SparseIntMatrix:
-    """s_i: insert the unit after slot i (at filtration index 0)."""
-    q = src.simplicial_degree
-    if tgt.simplicial_degree != q + 1 or tgt.level != src.level:
-        raise InvalidParams("degeneracy target must raise the simplicial degree")
-    if not 0 <= i <= q:
-        raise InvalidParams(f"degeneracy index {i} outside 0..{q}")
-    unit = list(src.ring.unit.column(0).items())
-
-    def images(key):
-        spot, gens = key
-        new_spot = spot[: i + 1] + (0,) + spot[i + 1 :]
-        return [((new_spot, gens[: i + 1] + (r,) + gens[i + 1 :]), v) for r, v in unit]
-
-    return _generator_map(src.tensor.columns, tgt.tensor.columns, images)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import CompositionNonzero, DimensionMismatch
+from .errors import CompositionNonzero, DimensionMismatch, InvalidModulus
 
 
 Entries = Mapping[Tuple[int, int], int]
@@ -159,13 +159,6 @@ class SparseIntMatrix:
 
     def is_diagonal(self) -> bool:
         return all(len(row) == 1 and i in row for i, row in self.by_row.items())
-
-    def to_dense(self) -> List[List[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for i, row in self.by_row.items():
-            for j, v in row.items():
-                dense[i][j] = v
-        return dense
 
     def diagonal_entries(self) -> List[int]:
         return [self[k, k] for k in range(min(self.rows, self.cols))]
@@ -283,7 +276,7 @@ class AbelianGroup:
     def cyclic(cls, m: int) -> "AbelianGroup":
         if m == 0:
             return cls(1, ())
-        return cls(0, (m,)) if m > 1 else cls(0, ())
+        return cls.from_diagonal([m])
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
@@ -299,6 +292,8 @@ class AbelianGroup:
 
     def p_part(self, p: int) -> "AbelianGroup":
         """The p-primary component (free part discarded)."""
+        if p < 2:
+            raise InvalidModulus(f"prime {p} < 2")
         facs = []
         for d in self.invariant_factors:
             q = 1

@@ -8,8 +8,10 @@ exceptions are the two references near the end, which keep the package's
 earlier graded comparison and earlier exactness check on the package's own
 reductions, the earlier cyclic total layout, which builds the package's
 Bicomplex and total complex, the earlier Morse flow sweep, which builds the
-package's ChainComplex, and the Z[x]/(x^n) builder at the end, which
-returns the package's DGAlgebra.
+package's ChainComplex, the Z[x]/(x^n) builder, which returns the
+package's DGAlgebra, and the small builders at the end (two-term and unit
+complexes, a DG algebra's own chain complex), which return the package's
+ChainComplex.
 """
 
 from math import gcd
@@ -878,3 +880,62 @@ def truncated_polynomial(n, degree=0):
     for k, lbl in enumerate(labels):
         basis.setdefault(degree * k, []).append(lbl)
     return DGAlgebra(basis, mult, {}, "1")
+
+
+# ---------------------------------------------------------------------------
+# Small builders on the package's types: chain complexes of a few terms,
+# the chain complex of a DG algebra, and a matrix as a dense list of rows.
+# ---------------------------------------------------------------------------
+
+
+def unit_complex():
+    """Z concentrated in degree 0, the tensor unit."""
+    from cychom.complexes import ChainComplex
+
+    return ChainComplex({0: ("1",)}, {})
+
+
+def two_term_complex(m, label="e"):
+    """0 -> Z --m--> Z -> 0 in degrees 1, 0 (a free resolution of Z/m)."""
+    from cychom.complexes import ChainComplex
+    from cychom.intlin import SparseIntMatrix
+
+    return ChainComplex(
+        {0: (f"{label}0",), 1: (f"{label}1",)},
+        {1: SparseIntMatrix.from_dense([[m]])},
+    )
+
+
+def to_dense(M):
+    """The rows of a SparseIntMatrix as lists of ints."""
+    dense = [[0] * M.cols for _ in range(M.rows)]
+    for i, row in M.by_row.items():
+        for j, v in row.items():
+            dense[i][j] = v
+    return dense
+
+
+def underlying_complex(A):
+    """The chain complex of a DG algebra itself (basis and differential)."""
+    from cychom.complexes import ChainComplex
+    from cychom.intlin import SparseIntMatrix
+
+    index = {}
+    for d, lbls in A.basis.items():
+        for i, l in enumerate(lbls):
+            index[l] = (d, i)
+    diffs = {}
+    for a, combo in A.diff.items():
+        d, col = index[a]
+        ent = diffs.setdefault(d, {})
+        for l, c in combo.items():
+            ent[(index[l][1], col)] = c
+    top = max(A.basis) if A.basis else 0
+    basis = dict(A.basis)
+    differential = {
+        d: SparseIntMatrix(len(basis.get(d - 1, ())), len(basis[d]), ent)
+        for d, ent in diffs.items()
+    }
+    # the algebra is zero above its top degree, so declare one more
+    # (empty) degree; homology is then defined through degree `top`
+    return ChainComplex(basis, differential, 0, top + 1)

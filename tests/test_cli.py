@@ -113,6 +113,20 @@ def test_file_ring_parse_error(tmp_path, capsys):
     assert run_cli(["hh", "--ring", str(path)], capsys)[0] == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "command", [["hh", "--max-degree", "3"], ["gr-check"]], ids=["hh", "gr-check"]
+)
+def test_ring_file_not_utf8_is_a_parse_error(command, tmp_path, capsys):
+    path = tmp_path / "ring"
+    path.write_bytes(b"\xff\xfe[basis]\n")
+    code = cli.main([*command, "--ring", str(path)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and "is not UTF-8" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_k_groups_command(capsys):
     code, out = run_cli(["k-groups", "--p", "7", "--n", "2"], capsys)
     assert code == 0

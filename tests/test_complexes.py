@@ -17,8 +17,6 @@ from cychom.complexes import (
     mapping_cone,
     tensor,
     total_complex,
-    two_term_complex,
-    unit_complex,
 )
 from cychom.errors import (
     BoundTooSmall,
@@ -29,6 +27,8 @@ from cychom.errors import (
     TruncationTooTight,
 )
 from cychom.intlin import AbelianGroup, SparseIntMatrix
+
+from oracles import to_dense, two_term_complex, unit_complex
 
 
 def test_two_term_complex_homology():
@@ -190,7 +190,7 @@ def test_coords_of_a_non_cycle_raise():
     )
     hp = homology_presentation(C, 0)
     assert hp.group == AbelianGroup.cyclic(3)
-    assert hp.coords_of_cycles(SparseIntMatrix.from_dense([[0], [4]])).to_dense() == [[1]]
+    assert to_dense(hp.coords_of_cycles(SparseIntMatrix.from_dense([[0], [4]]))) == [[1]]
     with pytest.raises(CompositionNonzero):
         hp.coords_of_cycles(SparseIntMatrix.from_dense([[1], [0]]))
 

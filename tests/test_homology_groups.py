@@ -43,7 +43,12 @@ from cychom.errors import TruncationTooTight
 from cychom.hochschild import hochschild_complex
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
-from oracles import dense_smith_diagonal, exact_sequence_reference, quotient_invariants
+from oracles import (
+    dense_smith_diagonal,
+    exact_sequence_reference,
+    quotient_invariants,
+    to_dense,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +126,7 @@ def test_homology_tiers_find_the_planted_groups(case):
         assert homology_presentation(C, i).group == planted[i]
     # the dense oracle sees the planted Smith diagonals through the
     # conjugation, and the rank formula on its diagonals gives the groups
-    oracle = [dense_smith_diagonal(C.diff(i).to_dense()) for i in range(top + 2)]
+    oracle = [dense_smith_diagonal(to_dense(C.diff(i))) for i in range(top + 2)]
     assert oracle[1 : top + 1] == [chains[i] for i in range(1, top + 1)]
     for i in range(top + 1):
         free = C.dim(i) - len(oracle[i]) - len(oracle[i + 1])
@@ -379,7 +384,7 @@ def hidden_unit_complexes(draw):
     diffs = {}
     for n in C.differential:
         rows, cols = C.dim(n - 1), C.dim(n)
-        d_n = _matmul(_matmul(Q[n - 1], C.diff(n).to_dense(), rows, cols), Qinv[n], rows, cols)
+        d_n = _matmul(_matmul(Q[n - 1], to_dense(C.diff(n)), rows, cols), Qinv[n], rows, cols)
         diffs[n] = SparseIntMatrix.from_dense(d_n, cols=cols)
     return ChainComplex(C.basis, diffs, C.min_degree, C.max_degree), planted, chains
 
@@ -390,7 +395,7 @@ def _groups_reducing_alone(C, degrees):
     factors = {}
     for d in sorted({d for i in degrees for d in (i, i + 1)}):
         factors[d] = intlin.invariant_factors(C.diff(d))
-        assert factors[d] == dense_smith_diagonal(C.diff(d).to_dense()), d
+        assert factors[d] == dense_smith_diagonal(to_dense(C.diff(d))), d
     return [
         AbelianGroup.from_diagonal(factors[i + 1], C.dim(i) - len(factors[i]) - len(factors[i + 1]))
         for i in degrees

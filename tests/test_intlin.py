@@ -6,7 +6,7 @@ import pytest
 
 from cychom.cyclic import cyclic_bundle
 from cychom.dga import load_algebra
-from cychom.errors import CompositionNonzero, DimensionMismatch
+from cychom.errors import CompositionNonzero, DimensionMismatch, InvalidModulus
 from cychom.intlin import (
     AbelianGroup,
     SparseIntMatrix,
@@ -25,11 +25,8 @@ from oracles import (
     determinant,
     invariant_factors_via_divisors,
     quotient_invariants,
+    to_dense,
 )
-
-
-def dense(M):
-    return M.to_dense()
 
 
 def random_matrix(rng):
@@ -57,8 +54,8 @@ def check_decomposition(M):
         assert b % a == 0
     # the defining identity and unimodularity of the transforms
     assert dec.u @ M @ dec.v == dec.d
-    assert determinant(dense(dec.u)) in (1, -1)
-    assert determinant(dense(dec.v)) in (1, -1)
+    assert determinant(to_dense(dec.u)) in (1, -1)
+    assert determinant(to_dense(dec.v)) in (1, -1)
     assert dec.kernel_coords(dec.kernel_basis()) == SparseIntMatrix.identity(M.cols - dec.rank)
     return nonzero
 
@@ -73,7 +70,7 @@ def test_smith_against_independent_oracles():
     for trial in range(1000):
         M = random_matrix(rng)
         got = check_decomposition(M)
-        assert got == dense_smith_diagonal(dense(M)), f"trial {trial}"
+        assert got == dense_smith_diagonal(to_dense(M)), f"trial {trial}"
     # determinantal divisors on a smaller sample (minors are expensive)
     rng = random.Random(7)
     for _ in range(50):
@@ -81,7 +78,7 @@ def test_smith_against_independent_oracles():
         if min(M.shape) == 0:
             continue
         got = [d for d in smith_decomposition(M).diagonal if d]
-        assert got == invariant_factors_via_divisors(dense(M))
+        assert got == invariant_factors_via_divisors(to_dense(M))
 
 
 UNIT_HEAVY_VALUES = (1, -1, 3, -3, 9, 27, 2, 5)
@@ -105,7 +102,7 @@ def unit_heavy_matrix(rng):
 def oracle_contains(M, y):
     """Column y lies in the column lattice of M iff appending it leaves the
     Smith diagonal unchanged (a surjection of isomorphic f.g. groups)."""
-    return dense_smith_diagonal(dense(M.hstack(y))) == dense_smith_diagonal(dense(M))
+    return dense_smith_diagonal(to_dense(M.hstack(y))) == dense_smith_diagonal(to_dense(M))
 
 
 def test_unit_heavy_matrices():
@@ -115,7 +112,7 @@ def test_unit_heavy_matrices():
         M = unit_heavy_matrix(rng)
         nonzero = check_decomposition(M)
         assert invariant_factors(M) == nonzero, f"trial {trial}"
-        assert nonzero == dense_smith_diagonal(dense(M)), f"trial {trial}"
+        assert nonzero == dense_smith_diagonal(to_dense(M)), f"trial {trial}"
         X = SparseIntMatrix.from_dense(
             [[rng.randint(-3, 3) for _ in range(3)] for _ in range(M.cols)]
         )
@@ -255,6 +252,11 @@ def test_abelian_group_canonical_form():
     assert AbelianGroup.from_diagonal([1, 1, 6, 0]) == AbelianGroup(0, (6,))
     assert AbelianGroup.cyclic(1).is_trivial()
     assert AbelianGroup.cyclic(0) == AbelianGroup.free(1)
+    # Z/m and Z/-m are the same group
+    for m in range(-6, 7):
+        if m:
+            assert AbelianGroup.cyclic(m) == AbelianGroup.from_diagonal([m]), m
+            assert AbelianGroup.cyclic(m) == AbelianGroup.cyclic(-m), m
     with pytest.raises(ValueError):
         AbelianGroup(0, (4, 6))  # 6 not divisible by 4
 
@@ -265,6 +267,9 @@ def test_abelian_group_queries():
     assert G.p_part(2) == AbelianGroup(0, (2, 4))
     assert G.p_part(3) == AbelianGroup(0, (3,))
     assert G.p_part(5).is_trivial()
+    for p in (1, 0, -1, -2):
+        with pytest.raises(InvalidModulus):
+            G.p_part(p)
     assert str(G) == "Z/2 + Z/12"
     with pytest.raises(ValueError):
         AbelianGroup.free(1).order()
@@ -278,7 +283,7 @@ def test_is_prime():
 def test_matrix_arithmetic_basics():
     A = SparseIntMatrix.from_dense([[1, 2], [3, 4]])
     B = SparseIntMatrix.from_dense([[0, 1], [1, 0]])
-    assert (A @ B).to_dense() == [[2, 1], [4, 3]]
+    assert to_dense(A @ B) == [[2, 1], [4, 3]]
     assert (A + B - B) == A
     assert A.transpose().transpose() == A
     assert A.hstack(B).shape == (2, 4)
@@ -295,7 +300,7 @@ def test_matrix_arithmetic_basics():
 
     def check(M, shape, expected):
         assert M.shape == shape
-        assert M.to_dense() == expected
+        assert to_dense(M) == expected
         # only nonempty rows of nonzero entries are stored
         assert all(row and all(row.values()) for row in M.by_row.values())
 
@@ -304,7 +309,7 @@ def test_matrix_arithmetic_basics():
     for trial, (m, n) in enumerate(shapes):
         k = rng.randint(0, 5)
         A, B, C, D = sparse(m, n), sparse(m, n), sparse(n, k), sparse(m, k)
-        a, b, c, d = A.to_dense(), B.to_dense(), C.to_dense(), D.to_dense()
+        a, b, c, d = map(to_dense, (A, B, C, D))
         assert SparseIntMatrix(m, n, A.entries) == A, f"trial {trial}"
         product = [[sum(a[i][p] * c[p][j] for p in range(n)) for j in range(k)] for i in range(m)]
         check(A @ C, (m, k), product)
