@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -87,42 +88,51 @@ class PresentedGroup:
 
 def _tensor_presentation(parts: Sequence[PresentedGroup]) -> PresentedGroup:
     """Tensor product of presented groups: product generators, relations
-    from each factor tensored with identities on the others, in Kronecker
-    order: factor r's column (a, c, b) has R_r[i, c] in row (a, i, b)."""
-    dims = [P.num_generators for P in parts]
-    gens = math.prod(dims)
+    from each factor tensored with identities on the others, laid out by
+    `_write_tensor_relations`."""
+    gens = math.prod(P.num_generators for P in parts)
     rows = defaultdict(dict)
-    col = 0
-    for r, P in enumerate(parts):
-        outer, inner = math.prod(dims[:r]), math.prod(dims[r + 1 :])
+    cols = _write_tensor_relations(parts, rows, 0, 0)
+    return PresentedGroup(gens, SparseIntMatrix.from_rows(gens, cols, rows))
+
+
+def _write_tensor_relations(parts, rows, row0: int, col0: int) -> int:
+    """Write the relations of the tensor of `parts` into the row dicts
+    `rows` (a defaultdict) from row row0 and column col0 on, and return how
+    many columns they fill.  Kronecker order: factor r's column (a, c, b)
+    has R_r[i, c] in row (a, i, b), a and b running over the generators of
+    the factors before and after r, and the factors' blocks side by side."""
+    dims = [P.num_generators for P in parts]
+    inners = list(itertools.accumulate(reversed(dims[1:]), operator.mul, initial=1))
+    col, outer = col0, 1
+    for P, d, inner in zip(parts, dims, reversed(inners)):
         R = P.relations
         for i, rel in R.by_row.items():
             for a in range(outer):
+                row = row0 + (a * d + i) * inner
                 for c, v in rel.items():
                     first = col + (a * R.cols + c) * inner
                     for b in range(inner):
-                        rows[(a * dims[r] + i) * inner + b][first + b] = v
+                        rows[row + b][first + b] = v
         col += outer * R.cols * inner
-    return PresentedGroup(gens, SparseIntMatrix.from_rows(gens, col, rows))
+        outer *= d
+    return col - col0
 
 
 def _spot_sum(spots, parts_of):
     """The direct sum of the tensor spots, spot s being the tensor of the
     groups parts_of(s): the generator index (spot, gens) -> column, in spot
-    order and row-major within a spot, and the block-diagonal presentation.
-    """
+    order and row-major within a spot, and the block-diagonal presentation,
+    each spot's relations written in place at the spot's offsets."""
     columns: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    rows: Dict[int, Dict[int, int]] = {}
+    rows = defaultdict(dict)
     rel_col = 0
     for spot in spots:
         parts = parts_of(spot)
-        R = _tensor_presentation(parts).relations
         base = len(columns)
         gens = itertools.product(*[range(P.num_generators) for P in parts])
         columns.update({(spot, g): base + j for j, g in enumerate(gens)})
-        for r, row in R.by_row.items():
-            rows[base + r] = {rel_col + c: v for c, v in row.items()}
-        rel_col += R.cols
+        rel_col += _write_tensor_relations(parts, rows, base, rel_col)
     n = len(columns)
     return columns, PresentedGroup(n, SparseIntMatrix.from_rows(n, rel_col, rows))
 

@@ -29,11 +29,14 @@ re-keying stale entries when popped; a unit's row is dropped once its
 column is clear, since the column operations that clear it change nothing
 else.  The core phase pivots on an active entry of least absolute value,
 with nearest-integer quotients, so that remainders are centered and
-transforms stay small.  The pivots are then sorted by absolute value, and
-pairs that break the divisibility chain become gcd and lcm.  The reducer
-copies the rows in ascending order, each sorted by column, so the
-transforms depend on the matrix only, not on the order its rows and
-entries were built in.
+transforms stay small.  Each row keeps its least |entry|, refreshed only on
+the rows a pivot step touched since the last search, so a search reads one
+number per active row; ties go, as in a full scan, to the first row in
+ascending order and the first entry in its dict order.  The pivots are
+then sorted by absolute value, and pairs that break the divisibility chain
+become gcd and lcm.  The reducer copies the rows in ascending order, each
+sorted by column, so the transforms depend on the matrix only, not on the
+order its rows and entries were built in.
 
 Clearing (the "twist" of Chen-Kerber 2011, as in Bauer's Ripser): for
 d_n d_{n+1} = 0, the rows of the unit pivots that reducing d_{n+1} retires
@@ -291,9 +294,9 @@ class AbelianGroup:
         return n
 
     def p_part(self, p: int) -> "AbelianGroup":
-        """The p-primary component (free part discarded)."""
-        if p < 2:
-            raise InvalidModulus(f"prime {p} < 2")
+        """The p-primary component (free part discarded); p must be prime."""
+        if not is_prime(p):
+            raise InvalidModulus(f"{p} is not a prime")
         facs = []
         for d in self.invariant_factors:
             q = 1
@@ -387,6 +390,8 @@ class _Reducer:
         self.col_ops: Optional[List[tuple]] = [] if logged == "both" else None
         self.retired = [False] * self.m
         self.live = list(range(self.m))
+        # each row's least |entry|, up to date but for the rows in `touched`
+        self.least, self.touched = [0] * self.m, set(self.live)
         self.pivots: List[Tuple[int, int]] = []
         # rows of the pivots that retired before the first core step
         self.cleared: Optional[List[int]] = None
@@ -433,15 +438,23 @@ class _Reducer:
         return None
 
     def _least_pivot(self) -> Optional[Tuple[int, int]]:
-        """An active entry of least absolute value."""
+        """An active entry of least absolute value, first in `live` and row order."""
+        rows, least = self.rows, self.least
         # an empty active row stays empty, so it is dropped for good
-        self.live = [i for i in self.live if self.rows[i] and not self.retired[i]]
-        best = None
-        for i in self.live:
-            for j, v in self.rows[i].items():
-                if best is None or abs(v) < best[0]:
-                    best = (abs(v), i, j)
-        return best and best[1:]
+        self.live = [i for i in self.live if rows[i] and not self.retired[i]]
+        for i in self.touched:
+            a = 0  # a loop: min() costs more on rows of a few entries
+            for v in rows[i].values():
+                if not a or abs(v) < a:
+                    a = abs(v)
+            least[i] = a
+        self.touched.clear()
+        if not self.live:
+            return None
+        i = min(self.live, key=least.__getitem__)
+        for j, v in rows[i].items():
+            if abs(v) == least[i]:
+                return i, j
 
     def _eliminate(self, r: int, c: int):
         """Clear column c, then row r, with centered remainders.
@@ -451,6 +464,7 @@ class _Reducer:
         """
         row = self.rows[r]
         p = row[c]
+        self.touched.update(self.colnz[c])  # the rows this step may change
         for i in list(self.colnz[c]):
             if i != r:
                 self.add_row(i, r, -_nearest(self.rows[i][c], p))

@@ -6,7 +6,8 @@ fraction-free scheme, and determinantal divisors come straight from gcds
 of minors.  Slow, simple, and written separately on purpose.  The
 exceptions are the two references near the end, which keep the package's
 earlier graded comparison and earlier exactness check on the package's own
-reductions, the earlier cyclic total layout, which builds the package's
+reductions, the earlier full-scan core pivot search, which reads the state
+of the package's reducer, the earlier cyclic total layout, which builds the package's
 Bicomplex and total complex, the earlier Morse flow sweep, which builds the
 package's ChainComplex, the Z[x]/(x^n) builder, which returns the
 package's DGAlgebra, and the small builders at the end (two-term and unit
@@ -672,6 +673,20 @@ def graded_comparison_reference(M, q, k):
 # package's smith_decomposition; lattice membership is decided here, from
 # dense Smith diagonals.
 # ---------------------------------------------------------------------------
+
+
+def least_pivot_reference(reducer):
+    """The core pivot of an `intlin._Reducer` by a full scan of its active
+    rows, as the reducer chose it before it kept each row's least entry:
+    the first row in `live` order holding an entry of least absolute value,
+    and the first such entry in that row's dict order."""
+    reducer.live = [i for i in reducer.live if reducer.rows[i] and not reducer.retired[i]]
+    best = None
+    for i in reducer.live:
+        for j, v in reducer.rows[i].items():
+            if best is None or abs(v) < best[0]:
+                best = (abs(v), i, j)
+    return best and best[1:]
 
 
 def lattice_contains_reference(M, X):

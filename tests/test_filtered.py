@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import os
 import random
 import sys
@@ -67,21 +68,23 @@ def test_presented_group_basics():
     assert P.homs_equal(three, SparseIntMatrix.from_dense([[9]]), P)
 
 
+def random_presented_group(rng):
+    """0-3 generators and 0-3 relation columns, zero columns included."""
+    gens, cols = rng.randint(0, 3), rng.randint(0, 3)
+    entries = {
+        (i, j): rng.choice((-3, -2, -1, 1, 2, 3))
+        for i in range(gens)
+        for j in range(cols)
+        if rng.random() < 0.5
+    }
+    return PresentedGroup(gens, SparseIntMatrix(gens, cols, entries))
+
+
 def test_tensor_presentation_matches_kronecker_reference():
-    # 1-4 factors of 0-3 generators and 0-3 relation columns, zero columns
-    # included: index arithmetic must give the Kronecker matrix exactly
+    # 1-4 factors: index arithmetic must give the Kronecker matrix exactly
     rng = random.Random(0)
     for _ in range(200):
-        parts = []
-        for _ in range(rng.randint(1, 4)):
-            gens, cols = rng.randint(0, 3), rng.randint(0, 3)
-            entries = {
-                (i, j): rng.choice((-3, -2, -1, 1, 2, 3))
-                for i in range(gens)
-                for j in range(cols)
-                if rng.random() < 0.5
-            }
-            parts.append(PresentedGroup(gens, SparseIntMatrix(gens, cols, entries)))
+        parts = [random_presented_group(rng) for _ in range(rng.randint(1, 4))]
         gens, cols, entries = kron_tensor_presentation(parts)
         pres = filtered._tensor_presentation(parts)
         assert pres.num_generators == gens
@@ -582,6 +585,32 @@ def test_spot_sum_blocks_match_kronecker_reference():
     for factors, levels in cases:
         for k in levels:
             check_spot_sum_blocks(factors, k)
+
+
+def test_spot_sum_of_random_parts_matches_kronecker_reference():
+    # parts of several generators, of none, and with relations off the
+    # diagonal: the strides above 1 that the adic rings' one-generator
+    # pieces never reach
+    rng = random.Random(27)
+    strided = 0
+    for trial in range(100):
+        spots = [(trial, s) for s in range(rng.randint(1, 4))]
+        parts = {s: [random_presented_group(rng) for _ in range(rng.randint(1, 3))] for s in spots}
+        columns, pres = filtered._spot_sum(spots, parts.__getitem__)
+        want_columns, want_entries = {}, {}
+        row = col = 0
+        for spot in spots:
+            gens, cols, entries = kron_tensor_presentation(parts[spot])
+            sizes = [range(P.num_generators) for P in parts[spot]]
+            for k, g in enumerate(itertools.product(*sizes)):
+                want_columns[(spot, g)] = row + k
+            want_entries.update({(row + r, col + c): v for (r, c), v in entries.items()})
+            row, col = row + gens, col + cols
+            strided += any(P.num_generators > 1 for P in parts[spot][1:])
+        assert columns == want_columns, trial
+        assert pres.num_generators == row, trial
+        assert pres.relations == SparseIntMatrix(row, col, want_entries), trial
+    assert strided > 50, strided
 
 
 def test_later_levels_leave_earlier_presentations_unchanged():

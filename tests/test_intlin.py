@@ -7,7 +7,9 @@ import pytest
 from cychom.cyclic import cyclic_bundle
 from cychom.dga import load_algebra
 from cychom.errors import CompositionNonzero, DimensionMismatch, InvalidModulus
+from cychom.filtered import adic_filtration, cyclic_bar
 from cychom.intlin import (
+    _Reducer,
     AbelianGroup,
     SparseIntMatrix,
     cokernel,
@@ -24,6 +26,7 @@ from oracles import (
     dense_smith_diagonal,
     determinant,
     invariant_factors_via_divisors,
+    least_pivot_reference,
     quotient_invariants,
     to_dense,
 )
@@ -270,6 +273,10 @@ def test_abelian_group_queries():
     for p in (1, 0, -1, -2):
         with pytest.raises(InvalidModulus):
             G.p_part(p)
+    # a composite p names no primary component: Z/8 has no "4-part" Z/4
+    for p, group in ((4, AbelianGroup(0, (8,))), (6, AbelianGroup(0, (6,))), (6, G)):
+        with pytest.raises(InvalidModulus):
+            group.p_part(p)
     assert str(G) == "Z/2 + Z/12"
     with pytest.raises(ValueError):
         AbelianGroup.free(1).order()
@@ -409,3 +416,69 @@ def test_transforms_of_ext2_cyclic_differentials_match_the_recorded_digest():
         lines.append(f"{invariant_factors(C.diff(n), skip, cleared)}|{cleared}")
         skip = cleared
     assert _digest(lines) == "432effecb135d4f3f2f2e0c954ea1eeb1a8474538efb4b3dc51efd6d8d860d42"
+
+
+# ---------------------------------------------------------------------------
+# the core pivot search: per-row minima against the full scan
+# ---------------------------------------------------------------------------
+
+
+class FullScanReducer(_Reducer):
+    """The reducer with the full-scan core pivot search, counting the
+    searches whose least |entry| occurs more than once and the unit pivots
+    taken after the first core step."""
+
+    ties = late_units = 0
+
+    def _least_pivot(self):
+        pos = least_pivot_reference(self)
+        if pos is not None:
+            least = abs(self.rows[pos[0]][pos[1]])
+            values = [v for i in self.live for v in self.rows[i].values()]
+            self.ties += sum(abs(v) == least for v in values) > 1
+        return pos
+
+    def _unit_pivot(self):
+        pos = super()._unit_pivot()
+        self.late_units += pos is not None and self.cleared is not None
+        return pos
+
+
+def core_matrix(rng):
+    """Shaped like a gr-check core: powers of 3 with repeated absolute
+    values, and values such as 2, 8 and 10 whose centered remainders against
+    3 and 9 are units, so that unit pivots appear after core steps."""
+    m, n = rng.randint(1, 16), rng.randint(1, 20)
+    values = (3, -3, 9, -9, 27, -27, 2, -2, 8, -8, 10) + (1, -1) * (rng.random() < 0.5)
+    density = rng.uniform(0.15, 0.5)
+    entries = {
+        (i, j): rng.choice(values)
+        for i in range(m)
+        for j in range(n)
+        if rng.random() < density
+    }
+    return SparseIntMatrix(m, n, entries)
+
+
+def test_core_pivots_match_the_full_scan():
+    rng = random.Random(20261019)
+    matrices = [core_matrix(rng) for _ in range(150)]
+    # the comparison's own relation matrices on Z/27 at q = 2 and 3
+    for q in (2, 3):
+        for k in range(-3 * (q + 1), 1):
+            T = cyclic_bar(adic_filtration(3, 3), q, k).tensor
+            matrices.append(T.presentation.relations.hstack(T.incoming))
+    ties = late_units = 0
+    for t, M in enumerate(matrices):
+        for logged in (None, "rows", "both"):
+            w, ref = _Reducer(M, logged), FullScanReducer(M, logged)
+            w.reduce()
+            ref.reduce()
+            assert w.pivots == ref.pivots, (t, logged)
+            assert (w.ops, w.col_ops) == (ref.ops, ref.col_ops), (t, logged)
+            assert (w.diag, w.cleared) == (ref.diag, ref.cleared), (t, logged)
+            assert (w.row_order, w.col_order) == (ref.row_order, ref.col_order), (t, logged)
+        ties += ref.ties
+        late_units += ref.late_units
+    # the cases the tie rule and the touched-row refresh exist for do occur
+    assert ties > 100 and late_units > 100, (ties, late_units)
