@@ -96,7 +96,7 @@ def _tensor_presentation(parts: Sequence[PresentedGroup]) -> PresentedGroup:
     return PresentedGroup(gens, SparseIntMatrix.from_rows(gens, cols, rows))
 
 
-def _write_tensor_relations(parts, rows, row0: int, col0: int) -> int:
+def _write_tensor_relations(parts, rows, row0, col0) -> int:
     """Write the relations of the tensor of `parts` into the row dicts
     `rows` (a defaultdict) from row row0 and column col0 on, and return how
     many columns they fill.  Kronecker order: factor r's column (a, c, b)

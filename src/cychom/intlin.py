@@ -390,8 +390,8 @@ class _Reducer:
         self.col_ops: Optional[List[tuple]] = [] if logged == "both" else None
         self.retired = [False] * self.m
         self.live = list(range(self.m))
-        # each row's least |entry|, up to date but for the rows in `touched`
-        self.least, self.touched = [0] * self.m, set(self.live)
+        # each row's least |entry|, stale on the rows in `touched` (None: all)
+        self.least, self.touched = [0] * self.m, None
         self.pivots: List[Tuple[int, int]] = []
         # rows of the pivots that retired before the first core step
         self.cleared: Optional[List[int]] = None
@@ -442,13 +442,13 @@ class _Reducer:
         rows, least = self.rows, self.least
         # an empty active row stays empty, so it is dropped for good
         self.live = [i for i in self.live if rows[i] and not self.retired[i]]
-        for i in self.touched:
+        for i in self.live if self.touched is None else self.touched:
             a = 0  # a loop: min() costs more on rows of a few entries
             for v in rows[i].values():
                 if not a or abs(v) < a:
                     a = abs(v)
             least[i] = a
-        self.touched.clear()
+        self.touched = set()
         if not self.live:
             return None
         i = min(self.live, key=least.__getitem__)
@@ -464,7 +464,8 @@ class _Reducer:
         """
         row = self.rows[r]
         p = row[c]
-        self.touched.update(self.colnz[c])  # the rows this step may change
+        if self.touched is not None:
+            self.touched.update(self.colnz[c])  # the rows this step may change
         for i in list(self.colnz[c]):
             if i != r:
                 self.add_row(i, r, -_nearest(self.rows[i][c], p))
