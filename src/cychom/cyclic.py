@@ -264,38 +264,38 @@ def hc_mod_table(hc: List[AbelianGroup], q: int) -> List[AbelianGroup]:
     return [universal_coefficients(h, b, q) for h, b in zip(hc, below)]
 
 
-def rel_hc_table(F: ChainMap, top: int) -> List[AbelianGroup]:
-    """Relative HC of the map F induces, in fiber indexing (see hc_relative)."""
+def rel_hc_table(F: ChainMap) -> List[AbelianGroup]:
+    """Relative HC of the map F induces, in fiber indexing (see
+    hc_relative), in every degree its cone answers exactly: 0..top for
+    top = min(source max_degree - 1, target max_degree - 2), which is
+    bound - 1 for bundles built through bound.  The cone's own max_degree
+    is one above its last complete degree."""
+    top = min(F.source.max_degree - 1, F.target.max_degree - 2)
     return homology_groups(mapping_cone(F), range(1, top + 2))
 
 
 def rel_hc_groups(f: DGAMorphism, top: int) -> List[AbelianGroup]:
     """Relative HC of f in degrees 0..top, from one induced cyclic map."""
     _, _, F = induced_cyclic_map(f, top + 1)
-    return rel_hc_table(F, top)
+    return rel_hc_table(F)
 
 
 def reduction_tower(
-    p: int, n: int, bound: int, first: int = 1
+    p: int, n: int, bound: int
 ) -> Iterator[Tuple[int, CyclicComplexBundle, Optional[ChainMap]]]:
-    """(k, bundle, F) for the levels k = first..n of the tower of Z/p^n:
-    the cyclic bundle of Z/p^k through `bound` and, for k >= 2, the
-    induced cyclic map F of Z/p^k -> Z/p^{k-1} onto the previous level's
-    bundle (None for k = 1).
+    """(k, bundle, F) for the levels k = 1..n of the tower of Z/p^n: the
+    cyclic bundle of Z/p^k through `bound` and, for k >= 2, the induced
+    cyclic map F of Z/p^k -> Z/p^{k-1} onto the previous level's bundle
+    (None for k = 1).
 
     Each ring's Hochschild complex and cyclic bundle is built once and
     shared by the two reductions it meets, as their source and as their
-    target.  Level first - 1 is built as the target of level first and not
-    yielded.  The generator holds two bundles at a time, the current
+    target.  The generator holds two bundles at a time, the current
     level's and the previous one's.
     """
-
-    def bundle_of(k: int) -> CyclicComplexBundle:
-        return cyclic_bundle(koszul_resolution(p ** k), bound)
-
-    previous = bundle_of(first - 1) if 1 < first <= n else None
-    for k in range(first, n + 1):
-        bundle = bundle_of(k)
+    previous = None
+    for k in range(1, n + 1):
+        bundle = cyclic_bundle(koszul_resolution(p ** k), bound)
         F = None
         if previous is not None:
             f = reduction_map(p ** k, p ** (k - 1))

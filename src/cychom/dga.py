@@ -147,11 +147,9 @@ class DGAlgebra:
 
 
 def validate(A: DGAlgebra) -> ValidationReport:
-    """Exhaustive basis-level check of the DG algebra axioms.
-
-    Reports the first few counterexamples instead of raising, so broken
-    hand-built tables can be inspected.
-    """
+    """Exhaustive basis-level check of the DG algebra axioms.  The
+    DGAlgebra constructor runs it and raises InvalidParams with the first
+    three problems, so every constructed algebra validates."""
     problems: List[str] = []
     labels = A.labels()
     unit = A.unit

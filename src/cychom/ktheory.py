@@ -123,19 +123,11 @@ def published_k(p: int, n: int, i: int) -> AbelianGroup:
     return AbelianGroup.cyclic(p ** (j * (n - 1)) * (p ** j - 1))
 
 
-def k_group(p: int, n: int, i: int, cross_check: bool = False) -> AbelianGroup:
-    """K_i(Z/p^n) for 1 <= i <= p-3, the closed form of published_k.
-
-    With cross_check the closed form must equal k_table's group, which is
-    assembled from the relative groups computed from scratch.
-    """
+def k_group(p: int, n: int, i: int) -> AbelianGroup:
+    """K_i(Z/p^n) for 1 <= i <= p-3, the closed form of published_k;
+    k_table assembles the same groups from relative groups it computes."""
     _check_range(p, n, i)
-    group = published_k(p, n, i)
-    if cross_check:
-        derived = k_table(p, n)[i].group
-        if derived != group:
-            raise CychomError(f"k_table gives {derived}, closed form {group}")
-    return group
+    return published_k(p, n, i)
 
 
 @dataclass(frozen=True)
@@ -150,8 +142,8 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
 
     The relative groups come from the reduction tower of Z/p^n through the
     bound relative_k uses for the top odd degree p-4: each ring's complexes
-    are built once, and each level's relative groups are read off one
-    induced cyclic map.
+    are built once, and each level k >= 2 reads its relative groups in
+    degrees 0..p-5 off its one induced cyclic map.
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
@@ -159,7 +151,7 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
         raise InvalidParams(f"level n = {n} < 1")
     if p <= 3:
         raise RangeEmpty(f"range 1 <= i <= p-3 is empty for p = {p}")
-    relative = {k: rel_hc_table(F, p - 5) for k, _, F in reduction_tower(p, n, p - 4, first=2)}
+    relative = {k: rel_hc_table(F) for k, _, F in reduction_tower(p, n, p - 4) if F is not None}
     return k_entries(p, n, relative)
 
 

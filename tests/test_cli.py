@@ -257,11 +257,26 @@ def test_reproduce_paper_rejects_levels_below_one(capsys):
         assert err == f"error: reproduce-paper needs levels >= 1, got {bad}\n"
 
 
-def test_reproduce_paper_builds_one_map_per_tower(monkeypatch):
-    # p = 5, n = 2, 3 reads every row, the K cells included, off the tower
-    # Z/125 -> Z/25 -> Z/5: one Hochschild complex per ring, and each
-    # ring's cyclic homology presented once in each degree 0..9, although
-    # Z/25 is the target of one reduction and the source of the other
+@pytest.mark.parametrize(
+    "p, levels, code, built, presented_rings",
+    [
+        # every row, the K cells included, off the tower Z/125 -> Z/25 -> Z/5:
+        # each ring presented in degrees 0..9, although Z/25 is the target of
+        # one reduction and the source of the other
+        (5, [2, 3], cli.EXIT_CHECK_FAILED, [5, 25, 125], 3),
+        # the tower starts at Z/3; the level-3 rows present Z/27 and
+        # Z/9 in degrees 0..5, and no row presents Z/3
+        (3, [3], cli.EXIT_CHECK_FAILED, [3, 9, 27], 2),
+        # a lone level 1: its hc row presents Z/5 in degrees 0..9
+        (5, [1], cli.EXIT_OK, [5], 1),
+    ],
+    ids=["p5-n2-3", "p3-n3", "p5-n1"],
+)
+def test_reproduce_paper_builds_one_map_per_tower(
+    p, levels, code, built, presented_rings, monkeypatch
+):
+    # one Hochschild complex per ring of the tower, and each presented ring's
+    # cyclic homology presented once in each degree 0..2p - 1
     builds, presented = [], []
     init = hochschild.HochschildComplex.__init__
     present = complexes.homology_presentation
@@ -276,10 +291,10 @@ def test_reproduce_paper_builds_one_map_per_tower(monkeypatch):
 
     monkeypatch.setattr(hochschild.HochschildComplex, "__init__", counting_init)
     monkeypatch.setattr(complexes, "homology_presentation", counting_present)
-    spec = cli.JobSpec("reproduce-paper", {"p_list": [5], "n_list": [2, 3]}, False)
-    assert cli.run(spec, out=io.StringIO()) == cli.EXIT_CHECK_FAILED
-    assert sorted(builds) == [5, 25, 125]
-    assert sorted(presented) == sorted(list(range(10)) * 3)
+    spec = cli.JobSpec("reproduce-paper", {"p_list": [p], "n_list": levels}, False)
+    assert cli.run(spec, out=io.StringIO()) == code
+    assert builds == built
+    assert sorted(presented) == sorted(list(range(2 * p)) * presented_rings)
 
 
 def test_run_with_jobspec_directly(capsys):

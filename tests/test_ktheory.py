@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cychom import cli, cyclic, hochschild, ktheory
-from cychom.errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
+from cychom.errors import InvalidParams, OutOfRange, RangeEmpty
 from cychom.intlin import AbelianGroup
 from cychom.ktheory import (
     ISO,
@@ -66,11 +66,15 @@ def test_k_group_unit_group_oracle():
 
 
 def test_k_group_cross_check():
+    # k_table assembles its groups from the relative groups it computes;
+    # they must equal the closed form
     for n in (1, 2, 3):
+        table = k_table(7, n)
         for i in (1, 3):
-            assert k_group(7, n, i, cross_check=True) == k_group(7, n, i)
+            assert table[i].group == k_group(7, n, i)
     # i = 5 means j = 3: order p^{3(n-1)} (p^3 - 1)
-    assert k_group(11, 2, 5, cross_check=True).order() == 11 ** 3 * (11 ** 3 - 1)
+    assert k_table(11, 2)[5].group == k_group(11, 2, 5)
+    assert k_group(11, 2, 5).order() == 11 ** 3 * (11 ** 3 - 1)
 
 
 def test_k_group_range_errors():
@@ -80,6 +84,10 @@ def test_k_group_range_errors():
         k_group(7, 2, 0)
     with pytest.raises(InvalidParams):
         k_group(9, 2, 1)
+    # degree 3 is outside 1 <= i <= p - 3 for p = 5, in k_table too
+    with pytest.raises(OutOfRange):
+        k_group(5, 2, 3)
+    assert 3 not in k_table(5, 2)
 
 
 def test_k_table_provenance():
@@ -130,26 +138,19 @@ def test_k_table_empty_range():
         k_table(10, 1)
 
 
-def test_cross_check_failure_is_loud():
-    # degree p - 3 = 4 is fine, but a degree outside the iso range at some
-    # level must refuse to cross-check rather than silently agree
-    with pytest.raises((CychomError, OutOfRange)):
-        k_group(5, 2, 3, cross_check=True)
-
-
 def test_k_groups_are_read_from_the_relative_groups(monkeypatch, capsys):
-    # with a wrong relative group the K cells must fail and the cross-check
-    # must raise, so neither compares the closed form with itself
-    # reproduce-paper passes its rel-hc rows on, k_table computes its own
+    # with a wrong relative group the K cells must fail and k_table must
+    # differ from the closed form, so neither compares the closed form with
+    # itself; reproduce-paper passes its rel-hc rows on, k_table computes its own
+    real = cyclic.rel_hc_table
     for module in (cyclic, ktheory):
         monkeypatch.setattr(
-            module, "rel_hc_table", lambda F, top: [AbelianGroup.trivial()] * (top + 1)
+            module, "rel_hc_table", lambda F: [AbelianGroup.trivial()] * len(real(F))
         )
     assert cli.main(["reproduce-paper", "--p-list", "7", "--n-list", "2"]) == 1
     out = capsys.readouterr().out
     assert "FAIL k p=7 n=2 i=1 (got Z/6, want Z/42)" in out
     assert "FAIL k p=7 n=2 i=3 (got Z/48, want Z/2352)" in out
-    with pytest.raises(CychomError):
-        k_group(7, 2, 1, cross_check=True)
+    assert k_table(7, 2)[1].group == AbelianGroup.cyclic(6) != k_group(7, 2, 1)
     # level 1 takes no relative input, so it still agrees
-    assert k_group(7, 1, 1, cross_check=True) == AbelianGroup.cyclic(6)
+    assert k_table(7, 1)[1].group == k_group(7, 1, 1) == AbelianGroup.cyclic(6)
