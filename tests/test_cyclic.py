@@ -161,7 +161,6 @@ def test_one_build_answers_every_degree():
             assert tower_report(p, n, F, i) == hc_tower_surjectivity(p, n, i), (p, n, i)
 
 
-
 @pytest.mark.parametrize("source, target", [(8, 4), (9, 3), (27, 9), (25, 5)])
 def test_rel_hc_table_reads_every_exact_degree(source, target):
     # built through b, the cone answers degrees 0..b - 1 exactly; degree b
@@ -174,6 +173,7 @@ def test_rel_hc_table_reads_every_exact_degree(source, target):
         table = rel_hc_table(F)
         assert len(table) == b
         assert table == rel_hc_groups(f, b - 1) == groups[:b], b
+
 
 def _cell_ranges(labels):
     """(s, t) -> the index range of that cell's labels in a total degree."""
