@@ -84,10 +84,6 @@ def test_k_group_range_errors():
         k_group(7, 2, 0)
     with pytest.raises(InvalidParams):
         k_group(9, 2, 1)
-    # degree 3 is outside 1 <= i <= p - 3 for p = 5, in k_table too
-    with pytest.raises(OutOfRange):
-        k_group(5, 2, 3)
-    assert 3 not in k_table(5, 2)
 
 
 def test_k_table_provenance():
@@ -136,6 +132,15 @@ def test_k_table_empty_range():
         k_table(2, 1)
     with pytest.raises(InvalidParams):
         k_table(10, 1)
+
+
+def test_cross_check_failure_is_loud():
+    # degree p - 3 = 2 is fine, but degree 3 is outside the iso range for
+    # p = 5: the closed form refuses it and k_table, which the closed form is
+    # checked against, leaves it out rather than silently agree
+    with pytest.raises(OutOfRange):
+        k_group(5, 2, 3)
+    assert 3 not in k_table(5, 2)
 
 
 def test_k_groups_are_read_from_the_relative_groups(monkeypatch, capsys):
