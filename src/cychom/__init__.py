@@ -32,11 +32,9 @@ from .filtered import (
     FilteredRing,
     adic_filtration,
     cyclic_bar,
-    filtered_tensor,
     fixed_points_check,
     graded,
     graded_comparison,
-    graded_comparisons,
     load_filtered_ring,
 )
 from .hochschild import HochschildComplex, hochschild_complex
@@ -58,12 +56,10 @@ __all__ = [
     "base_ring",
     "cyclic_bar",
     "cyclic_bundle",
-    "filtered_tensor",
     "fixed_points_check",
     "goodwillie_range",
     "graded",
     "graded_comparison",
-    "graded_comparisons",
     "hc",
     "hc_mod",
     "hc_relative",

@@ -22,7 +22,7 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidParams,
@@ -368,14 +368,15 @@ def adic_filtration(p: int, n: int, exponent: int = 1) -> FilteredRing:
 
 @dataclass(frozen=True)
 class TensorLevel:
-    """The colimit presentation of (X_0 (x) ... (x) X_q)(k).
+    """The colimit presentation of (X_0 (x) ... (x) X_q)(k); with q + 1
+    copies of one ring's group it is the cyclic bar group Z_q(M)(k).
 
     Generators are indexed by (tuple, generator multi-index) pairs over the
     box antidiagonal {b : -depth_r <= b_r <= 0, sum b = min(k, 0)};
-    `columns` maps such a pair to its generator index, and `column_of`
-    takes box keys only.  `incoming` is the canonical map from level k-1
-    (bump the first negative coordinate; the identity for k > 0): its
-    columns follow the generator order of level k-1.
+    `columns` maps such a pair to its generator index.  `incoming` is the
+    canonical map from level k-1 (bump the first negative coordinate; the
+    identity for k > 0): its columns follow the generator order of level
+    k-1.
     """
 
     factors: Tuple[FilteredAbelianGroup, ...]
@@ -387,9 +388,6 @@ class TensorLevel:
 
     def group(self) -> AbelianGroup:
         return self.presentation.group()
-
-    def column_of(self, spot: Tuple[int, ...], gens: Tuple[int, ...]) -> int:
-        return self.columns[(spot, gens)]
 
 
 def _antidiagonal(factors, total: int) -> List[Tuple[int, ...]]:
@@ -473,14 +471,6 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
     )
 
 
-def filtered_tensor(
-    X: FilteredAbelianGroup, Y: FilteredAbelianGroup, k: int
-) -> TensorLevel:
-    """(X (x) Y)(k) as a presented group over the box antidiagonal
-    i + j = min(k, 0)."""
-    return multi_tensor([X, Y], k)
-
-
 # ---------------------------------------------------------------------------
 # associated graded
 # ---------------------------------------------------------------------------
@@ -541,41 +531,28 @@ def graded(M: FilteredRing) -> FilteredRing:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicBarLevel:
-    """Z_q(M)(k): the (q+1)-fold filtered tensor with its rotation, an
-    endomorphism formed when first read.
+def cyclic_bar(M: FilteredRing, q: int, k: int) -> TensorLevel:
+    """Z_q(M)(k), the degree-q cyclic bar group of M at filtration level k:
+    the (q+1)-fold filtered tensor of M's group.
 
-    The graded comparison reads only the levels and the rotation, so the
-    faces and degeneracies are not formed here; `tests/oracles.py` builds
-    them to check the simplicial and cyclic identities.
+    The graded comparison reads only the level; `rotation` forms the cyclic
+    operator on request, and `tests/oracles.py` builds the faces and
+    degeneracies to check the simplicial and cyclic identities.
     """
+    if q < 0:
+        raise InvalidParams(f"simplicial degree {q} < 0")
+    return multi_tensor([M.group] * (q + 1), k)
 
-    ring: FilteredRing
-    simplicial_degree: int
-    level: int
-    tensor: TensorLevel
 
-    @functools.cached_property
-    def rotation(self) -> SparseIntMatrix:
-        T = self.tensor
-        return _generator_map(T.columns, T.columns, lambda key: [(_rotated(*key), 1)])
-
-    def group(self) -> AbelianGroup:
-        return self.tensor.group()
+def rotation(T: TensorLevel) -> SparseIntMatrix:
+    """The cyclic operator of the cyclic bar level T: each generator goes to
+    the generator of the same key with its last slot moved to the front."""
+    return _generator_map(T.columns, T.columns, lambda key: [(_rotated(*key), 1)])
 
 
 def _rotated(spot: Tuple[int, ...], gens: Tuple[int, ...]):
     """The key (spot, gens) with its last slot moved to the front."""
     return (spot[-1],) + spot[:-1], (gens[-1],) + gens[:-1]
-
-
-def cyclic_bar(M: FilteredRing, q: int, k: int) -> CyclicBarLevel:
-    """The degree-q cyclic bar group of M at filtration level k."""
-    if q < 0:
-        raise InvalidParams(f"simplicial degree {q} < 0")
-    T = multi_tensor([M.group] * (q + 1), k)
-    return CyclicBarLevel(ring=M, simplicial_degree=q, level=k, tensor=T)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +597,7 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
     """
     m = M.depth()
     slices = {i: graded_piece(M, i) for i in range(-m, 1)}
-    T = cyclic_bar(M, q, k).tensor
+    T = cyclic_bar(M, q, k)
     lhs_relations = T.presentation.relations.hstack(T.incoming)
     spots = [s for s in T.tuples if sum(s) == k]
     rhs_columns, rhs_pres = _spot_sum(spots, lambda spot: [slices[i] for i in spot])
@@ -640,14 +617,6 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
         map_is_iso=well_defined and invariants_match,
         rotation_compatible=same_index,
     )
-
-
-def graded_comparisons(
-    M: FilteredRing, q: int, levels: Iterable[int]
-) -> Iterator[GradedComparisonReport]:
-    """graded_comparison(M, q, k) for each k in levels, in order: one
-    cyclic bar build per level."""
-    return (graded_comparison(M, q, k) for k in levels)
 
 
 # ---------------------------------------------------------------------------
@@ -698,22 +667,18 @@ def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsRe
     # b (x) ... (x) b pushed onto the antidiagonal along the transitions
     found: List[int] = []  # the generators that carry a fixed class
     lvl = top // q
+    rem = top - q * lvl  # in [0, q): bump each of the first rem coordinates once
     base = Y.piece(lvl)
     for b in range(base.num_generators):
-        spot = tuple([lvl] * q)
-        gens = tuple([b] * q)
-        # distribute the remainder top - q*lvl by bumping leading coordinates
-        rem = top - q * lvl
-        cur_spot, cur_gens = list(spot), list(gens)
+        spot, gens = [lvl] * q, [b] * q
         for r in range(rem):
-            idx = r % q
-            img = list(Y.transition(cur_spot[idx]).column(cur_gens[idx]))
-            cur_spot[idx] += 1
-            cur_gens[idx] = img[0] if img else 0
-        key = (tuple(cur_spot), tuple(cur_gens))
-        col = T.column_of(*key)
+            # a split free transition column holds exactly one basis element
+            (gens[r],) = Y.transition(spot[r]).column(gens[r])
+            spot[r] += 1
+        key = (tuple(spot), tuple(gens))
+        col = T.columns[key]
         # fixed under rotation?
-        image = T.column_of(*_rotated(*key))
+        image = T.columns[_rotated(*key)]
         diff = {} if image == col else {(col, 0): 1, (image, 0): -1}
         diff_mat = SparseIntMatrix(pres.num_generators, 1, diff)
         if lattice_contains(pres.relations, diff_mat):

@@ -143,7 +143,8 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
     The relative groups come from the reduction tower of Z/p^n through the
     bound relative_k uses for the top odd degree p-4: each ring's complexes
     are built once, and each level k >= 2 reads its relative groups in
-    degrees 0..p-5 off its one induced cyclic map.
+    degrees 0..p-5 off its one induced cyclic map.  Z/p alone (n = 1)
+    reads no relative group, so it walks no tower.
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
@@ -151,7 +152,8 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
         raise InvalidParams(f"level n = {n} < 1")
     if p <= 3:
         raise RangeEmpty(f"range 1 <= i <= p-3 is empty for p = {p}")
-    relative = {k: rel_hc_table(F) for k, _, F in reduction_tower(p, n, p - 4) if F is not None}
+    tower = reduction_tower(p, n, p - 4) if n >= 2 else ()
+    relative = {k: rel_hc_table(F) for k, _, F in tower if F is not None}
     return k_entries(p, n, relative)
 
 

@@ -223,10 +223,10 @@ def kron_tensor_presentation(parts):
 # ---------------------------------------------------------------------------
 # Generator-by-generator constructions of the filtered layer's maps, in the
 # form they had before one generator-map function made them all.  Each returns
-# (rows, cols, entries) with zero entries dropped; the arguments are the
-# package's own tensor levels, cyclic bar levels and filtered rings, of
-# which only the generator indexes, pieces, transitions and products are
-# read.
+# (rows, cols, entries) with zero entries dropped; the arguments are tensor
+# levels (the package's, among them its cyclic bar levels, or the full-poset
+# ones below) and filtered rings, of which only the generator indexes,
+# pieces, transitions, products and unit are read.
 # ---------------------------------------------------------------------------
 
 
@@ -241,17 +241,17 @@ def tensor_transition_reference(src, tgt):
     for (spot, gens), col in src.columns.items():
         bumped = (spot[0] + 1,) + spot[1:]
         for row, v in X.transition(spot[0]).column(gens[0]).items():
-            entries[(tgt.column_of(bumped, (row,) + gens[1:]), col)] = v
+            entries[(tgt.columns[(bumped, (row,) + gens[1:])], col)] = v
     return _matrix(len(tgt.columns), len(src.columns), entries)
 
 
-def face_map_reference(src, tgt, i):
-    """d_i: multiply slots i, i+1, with a separate branch for slot q into
-    slot 0 at i = q."""
-    q = src.simplicial_degree
-    M = src.ring
+def face_map_reference(M, src, tgt, i):
+    """d_i from the cyclic bar level src of M to tgt, one degree lower:
+    multiply slots i, i+1, with a separate branch for slot q into slot 0 at
+    i = q."""
+    q = len(src.factors) - 1
     entries = {}
-    for (spot, gens), col in src.tensor.columns.items():
+    for (spot, gens), col in src.columns.items():
         if i < q:
             a, b = spot[i], spot[i + 1]
             new_spot = spot[:i] + (a + b,) + spot[i + 2 :]
@@ -263,21 +263,22 @@ def face_map_reference(src, tgt, i):
             pair = gens[q] * M.piece(b).num_generators + gens[0]
             rest = lambda r: (r,) + gens[1:q]
         for r, v in M.product(a, b).column(pair).items():
-            key = (tgt.tensor.column_of(new_spot, rest(r)), col)
+            key = (tgt.columns[(new_spot, rest(r))], col)
             entries[key] = entries.get(key, 0) + v
-    return _matrix(len(tgt.tensor.columns), len(src.tensor.columns), entries)
+    return _matrix(len(tgt.columns), len(src.columns), entries)
 
 
-def degeneracy_map_reference(src, tgt, i):
-    """s_i: insert the unit after slot i, at filtration index 0."""
+def degeneracy_map_reference(M, src, tgt, i):
+    """s_i from the cyclic bar level src of M to tgt, one degree higher:
+    insert the unit after slot i, at filtration index 0."""
     entries = {}
-    for (spot, gens), col in src.tensor.columns.items():
+    for (spot, gens), col in src.columns.items():
         new_spot = spot[: i + 1] + (0,) + spot[i + 1 :]
-        for (r, _), v in src.ring.unit.entries.items():
+        for (r, _), v in M.unit.entries.items():
             new_gens = gens[: i + 1] + (r,) + gens[i + 1 :]
-            key = (tgt.tensor.column_of(new_spot, new_gens), col)
+            key = (tgt.columns[(new_spot, new_gens)], col)
             entries[key] = entries.get(key, 0) + v
-    return _matrix(len(tgt.tensor.columns), len(src.tensor.columns), entries)
+    return _matrix(len(tgt.columns), len(src.columns), entries)
 
 
 def graded_reference(M):
@@ -434,9 +435,6 @@ class FullTensorLevel:
         self.num_generators = len(self.columns)
         self.relations = (self.num_generators, cols, entries)
 
-    def column_of(self, spot, gens):
-        return self.columns[(spot, gens)]
-
 
 def clip_map(full, box):
     """The map from a full level onto the package's box level k: a
@@ -458,7 +456,7 @@ def clip_map(full, box):
                     pushed[h] = pushed.get(h, 0) + v * w
             spot, vec = spot[:r] + (spot[r] + 1,) + spot[r + 1 :], pushed
         for g, v in vec.items():
-            at = (box.column_of(spot, g), col)
+            at = (box.columns[(spot, g)], col)
             entries[at] = entries.get(at, 0) + v
     return _matrix(len(box.columns), len(full.columns), entries)
 
@@ -611,11 +609,11 @@ def cyclic_map_reference(F, source, target):
 # ---------------------------------------------------------------------------
 # The graded comparison through an explicit comparison map: phi sends each
 # generator of level k to the graded generator of the same key, and the
-# report checks that phi is well defined, onto, and intertwines the level's
-# rotation with a rotation built again on the graded index.  Unlike the rest
-# of this file it runs on the package's own presentations and reductions:
-# it pins what the package's shared-index shortcut reports, not the
-# arithmetic underneath.
+# report checks that phi is well defined, onto, and intertwines the package's
+# `rotation` of the level with a rotation built again on the graded index.
+# Unlike the rest of this file it runs on the package's own presentations
+# and reductions: it pins what the package's shared-index shortcut reports,
+# not the arithmetic underneath.
 # ---------------------------------------------------------------------------
 
 
@@ -628,13 +626,13 @@ def graded_comparison_reference(M, q, k):
         _spot_sum,
         cyclic_bar,
         graded_piece,
+        rotation,
     )
     from cychom.intlin import cokernel
 
     m = M.depth()
     slices = {i: graded_piece(M, i) for i in range(-m, 1)}
-    lhs_level = cyclic_bar(M, q, k)
-    T = lhs_level.tensor
+    T = cyclic_bar(M, q, k)
     lhs_pres = PresentedGroup(
         T.presentation.num_generators, T.presentation.relations.hstack(T.incoming)
     )
@@ -652,7 +650,7 @@ def graded_comparison_reference(M, q, k):
         rhs_columns, rhs_columns, lambda key: [(_rotated(*key), 1)]
     )
     rotation_compatible = lhs_pres.homs_equal(
-        phi @ lhs_level.rotation, rhs_rotation @ phi, rhs_pres
+        phi @ rotation(T), rhs_rotation @ phi, rhs_pres
     )
     return GradedComparisonReport(
         simplicial_degree=q,

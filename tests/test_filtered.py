@@ -19,14 +19,13 @@ from cychom.filtered import (
     PresentedGroup,
     adic_filtration,
     cyclic_bar,
-    filtered_tensor,
     fixed_points_check,
     graded,
     graded_comparison,
-    graded_comparisons,
     graded_piece,
     load_filtered_ring,
     multi_tensor,
+    rotation,
 )
 from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel, lattice_contains
 
@@ -151,14 +150,14 @@ def test_filtered_tensor_small_orders():
     # (Z/p^2, p-adic) tensor itself: level 0 gives Z/p^2, level -1 the
     # pushout of p Z/p^2 (x) Z/p^2 <- pZ (x) pZ -> Z/p^2 (x) p Z/p^2
     X = adic_filtration(3, 2).group
-    assert group_of(filtered_tensor(X, X, 0)) == AbelianGroup.cyclic(9)
-    assert group_of(filtered_tensor(X, X, -1)) == AbelianGroup(0, (3, 3))
+    assert group_of(multi_tensor([X, X], 0)) == AbelianGroup.cyclic(9)
+    assert group_of(multi_tensor([X, X], -1)) == AbelianGroup(0, (3, 3))
     # level -2 is the single spot (-1, -1): Z/3 (x) Z/3
-    assert group_of(filtered_tensor(X, X, -2)) == AbelianGroup.cyclic(3)
+    assert group_of(multi_tensor([X, X], -2)) == AbelianGroup.cyclic(3)
     # every deeper spot touches the trivial piece
-    assert group_of(filtered_tensor(X, X, -3)).is_trivial()
+    assert group_of(multi_tensor([X, X], -3)).is_trivial()
     # constancy above 0
-    assert group_of(filtered_tensor(X, X, 2)) == AbelianGroup.cyclic(9)
+    assert group_of(multi_tensor([X, X], 2)) == AbelianGroup.cyclic(9)
 
 
 def test_tensor_transition_iso_above_zero():
@@ -202,17 +201,17 @@ def check_cyclic_bar_identities(M):
     Z2 = cyclic_bar(M, q, k)
     Z1 = cyclic_bar(M, q - 1, k)
     Z0 = cyclic_bar(M, q - 2, k)
-    rel1 = Z1.tensor.presentation.relations
-    rel0 = Z0.tensor.presentation.relations
+    rel1 = Z1.presentation.relations
+    rel0 = Z0.presentation.relations
 
     def eq(A, B, rel):
         return lattice_contains(rel, A + B.scale(-1))
 
     def face_map(src, tgt, i):
-        return SparseIntMatrix(*face_map_reference(src, tgt, i))
+        return SparseIntMatrix(*face_map_reference(M, src, tgt, i))
 
     def degeneracy_map(src, tgt, i):
-        return SparseIntMatrix(*degeneracy_map_reference(src, tgt, i))
+        return SparseIntMatrix(*degeneracy_map_reference(M, src, tgt, i))
 
     d = {i: face_map(Z2, Z1, i) for i in range(q + 1)}
     dd = {i: face_map(Z1, Z0, i) for i in range(q)}
@@ -234,17 +233,16 @@ def check_cyclic_bar_identities(M):
                 rhs = ss[j] @ dd[i - 1]
             assert eq(lhs, rhs, rel1), (i, j)
     # rotation: d_i t = t d_{i-1} for 0 < i <= q, and t^(q+1) = id
-    t2, t1 = Z2.rotation, Z1.rotation
+    t2, t1 = rotation(Z2), rotation(Z1)
     for i in range(1, q + 1):
         assert eq(d[i] @ t2, t1 @ d[i - 1], rel1), i
     power = SparseIntMatrix.identity(t2.rows)
     for _ in range(q + 1):
         power = t2 @ power
-    assert eq(power, SparseIntMatrix.identity(t2.rows),
-              Z2.tensor.presentation.relations)
+    assert eq(power, SparseIntMatrix.identity(t2.rows), Z2.presentation.relations)
     # degeneracy against rotation: s_i t = t s_{i-1} for i >= 1
     for i in range(1, q):
-        assert eq(s[i] @ t1, t2 @ s[i - 1], Z2.tensor.presentation.relations)
+        assert eq(s[i] @ t1, t2 @ s[i - 1], Z2.presentation.relations)
 
 
 def test_cyclic_bar_refuses_negative_degree():
@@ -443,6 +441,17 @@ def test_load_filtered_ring():
             assert cyclic_bar(M, q, k).group() == cyclic_bar(N, q, k).group()
 
 
+def test_gr_check_on_ring_file_prints_the_zmod_rows(tmp_path, capsys):
+    # RING_TEXT is the 3-adic filtration of Z/9, so gr-check reads it row for
+    # row as zmod:3^2
+    path = tmp_path / "z9.ring"
+    path.write_text(RING_TEXT)
+    code = cli.main(["gr-check", "--ring", str(path), "--max-q", "4"])
+    golden = os.path.join(os.path.dirname(__file__), "data", "gr-check", "zmod-3-2-q4.txt")
+    with open(golden) as fh:
+        assert (code, capsys.readouterr().out) == (cli.EXIT_OK, fh.read())
+
+
 def test_load_filtered_ring_errors():
     with pytest.raises(ParseError):
         load_filtered_ring("[piece]\nindex 0\n")  # truncated header
@@ -480,7 +489,7 @@ BAD_RING_TEXTS = [
 
 
 # ---------------------------------------------------------------------------
-# sweeps: graded_comparisons builds each requested cyclic bar level once
+# sweeps: gr-check builds each printed level's cyclic bar once
 # ---------------------------------------------------------------------------
 
 
@@ -493,11 +502,18 @@ def count_cyclic_bars(monkeypatch):
     original = filtered.cyclic_bar
 
     def counting(M, q, k):
-        built.append(k)
+        built.append((q, k))
         return original(M, q, k)
 
     monkeypatch.setattr(filtered, "cyclic_bar", counting)
     return built
+
+
+def row_text(rep):
+    """The gr-check text row of a comparison report."""
+    status = "PASS" if rep else "FAIL"
+    flags = "" if rep else " [FAIL]"
+    return f"q={rep.simplicial_degree},k={rep.level}:{status}: {rep.lhs}{flags}"
 
 
 @pytest.mark.parametrize(
@@ -512,33 +528,45 @@ def count_cyclic_bars(monkeypatch):
     ],
     ids=["2^2", "3^2", "2^3", "graded-3^2", "3^3", "5^2"],
 )
-def test_sweep_matches_per_level_comparisons(ring, max_q, monkeypatch):
-    M = graded(adic_filtration(3, 2)) if ring == "graded" else adic_filtration(*ring)
+def test_sweep_matches_per_level_comparisons(ring, max_q, monkeypatch, tmp_path, capsys):
+    if ring == "graded":
+        # the text format holds diagonal relations only, so the graded ring
+        # reaches gr-check through its loader
+        M = graded(adic_filtration(3, 2))
+        path = tmp_path / "graded.ring"
+        path.write_text(RING_TEXT)
+        monkeypatch.setattr(filtered, "load_filtered_ring", lambda text: M)
+        spec = str(path)
+    else:
+        M = adic_filtration(*ring)
+        spec = "zmod:{}^{}".format(*ring)
     built = count_cyclic_bars(monkeypatch)
-    for q in range(max_q + 1):
-        ks = sweep_levels(M, q)
-        built.clear()
-        swept = list(graded_comparisons(M, q, ks))
-        # one build per requested level, swept or not
-        assert built == ks
-        built.clear()
-        single = [graded_comparison(M, q, k) for k in ks]
-        assert built == ks
-        assert [dataclasses.asdict(r) for r in swept] == [
-            dataclasses.asdict(r) for r in single
-        ]
+    code = cli.main(["gr-check", "--ring", spec, "--max-q", str(max_q)])
+    lines = capsys.readouterr().out.splitlines()
+    levels = [(q, k) for q in range(max_q + 1) for k in sweep_levels(M, q)]
+    # one cyclic bar build per printed row, in row order
+    assert built == levels
+    assert len(lines) == len(levels)
+    built.clear()
+    reports = [graded_comparison(M, q, k) for q, k in levels]
+    assert built == levels
+    assert lines == [row_text(r) for r in reports]
+    assert code == (cli.EXIT_OK if all(reports) else cli.EXIT_CHECK_FAILED)
 
 
-def test_sweep_with_gaps_builds_each_requested_level_once(monkeypatch):
+def test_sweep_with_gaps_builds_each_requested_level_once(monkeypatch, capsys):
     M = adic_filtration(3, 2)
     ks = [-4, -3, -1, 0, 0, 2]
     built = count_cyclic_bars(monkeypatch)
-    swept = list(graded_comparisons(M, 2, ks))
+    reports = [graded_comparison(M, 2, k) for k in ks]
     # a gap or a repeated level needs no level k-1: it comes with level k
-    assert built == ks
-    assert [r.level for r in swept] == ks
-    assert swept == [graded_comparison(M, 2, k) for k in ks]
-    assert list(graded_comparisons(M, 2, [])) == []
+    assert built == [(2, k) for k in ks]
+    assert [r.level for r in reports] == ks
+    # each reads as gr-check's row for its level; level 2 is level 1
+    assert cli.main(["gr-check", "--ring", "zmod:3^2", "--max-q", "2"]) == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert all(row_text(r) in rows for r in reports[:-1])
+    assert dataclasses.replace(reports[-1], level=1) == graded_comparison(M, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +649,7 @@ def test_later_levels_leave_earlier_presentations_unchanged():
         multi_tensor([G] * 3, k)
     # a second spot sum over the same spots, then a whole sweep
     filtered._spot_sum(first.tuples, lambda spot: [G.piece(i) for i in spot])
-    list(graded_comparisons(graded(adic_filtration(3, 2)), 2, range(-4, 1)))
+    [graded_comparison(graded(adic_filtration(3, 2)), 2, k) for k in range(-4, 1)]
     assert first.presentation.relations.entries == entries
 
 

@@ -125,6 +125,23 @@ def test_k_table_builds_one_map_per_level(monkeypatch):
     assert table[5].group == AbelianGroup.cyclic(11 ** 6 * (11 ** 3 - 1))
 
 
+def test_k_table_walks_no_tower_for_z_mod_p(monkeypatch):
+    # Z/p reads no relative group, so it builds nothing; its entries are the
+    # ones its level-1 tower gives
+    want = {
+        p: ktheory.k_entries(
+            p, 1, {k: cyclic.rel_hc_table(F) for k, _, F in
+                   cyclic.reduction_tower(p, 1, p - 4) if F is not None}
+        )
+        for p in (5, 7, 11, 101)
+    }
+    walked = []
+    monkeypatch.setattr(ktheory, "reduction_tower", lambda *args: walked.append(args))
+    for p, entries in want.items():
+        assert k_table(p, 1) == entries, p
+    assert walked == []
+
+
 def test_k_table_empty_range():
     with pytest.raises(RangeEmpty):
         k_table(3, 2)

@@ -1,8 +1,10 @@
 """The README's library tour runs as written and prints the groups its
-comments name."""
+comments name, and every name the package exports for it resolves."""
 
 import os
 import re
+
+import cychom
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -28,3 +30,7 @@ def test_library_tour_groups():
             assert str(eval(expr, namespace)) == want.group(1), line
             checked.append(want.group(1))
     assert checked == ["Z/9", "Z/729", "Z/9", "Z/42"]
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in cychom.__all__ if not hasattr(cychom, name)] == []
