@@ -37,7 +37,7 @@ from .filtered import (
     graded_comparison,
     load_filtered_ring,
 )
-from .hochschild import HochschildComplex, hochschild_complex
+from .hochschild import HochschildComplex
 from .intlin import AbelianGroup, SparseIntMatrix, smith_decomposition
 from .ktheory import goodwillie_range, k_group, k_table, relative_k
 
@@ -65,7 +65,6 @@ __all__ = [
     "hc_relative",
     "hc_tower_surjectivity",
     "hh",
-    "hochschild_complex",
     "k_group",
     "k_table",
     "koszul_resolution",

@@ -50,9 +50,9 @@ class JobSpec:
 class ResultRow:
     degree: int
     group: AbelianGroup
-    flags: Tuple[str, ...] = ()
-    provenance: Tuple[str, ...] = ()
-    label: str = ""
+    flags: Tuple[str, ...]
+    provenance: Tuple[str, ...]
+    label: str
 
 
 def _row_json(row: ResultRow) -> Dict[str, object]:
@@ -81,7 +81,7 @@ def _emit(spec: JobSpec, rows: List[ResultRow], out) -> None:
     else:
         for r in rows:
             flags = (" [" + ",".join(sorted(r.flags)) + "]") if r.flags else ""
-            out.write(f"{r.label or r.degree}: {r.group}{flags}\n")
+            out.write(f"{r.label}: {r.group}{flags}\n")
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,25 @@ class RingDescriptor:
         return self.p is not None
 
 
+def _zmod_level(text: str) -> Tuple[int, int]:
+    """(p, n) of the builtin descriptor zmod:p^n (zmod:p is level 1)."""
+    body = text[len("zmod:") :]
+    if "^" in body:
+        p_s, n_s = body.split("^", 1)
+    else:
+        p_s, n_s = body, "1"
+    try:
+        p, n = int(p_s), int(n_s)
+    except ValueError:
+        raise InvalidParams(f"bad ring descriptor {text!r}")
+    if not is_prime(p) or n < 1:
+        raise InvalidParams(f"descriptor {text!r} needs a prime and level >= 1")
+    return p, n
+
+
 def _parse_ring(text: str) -> RingDescriptor:
     if text.startswith("zmod:"):
-        body = text[len("zmod:") :]
-        if "^" in body:
-            p_s, n_s = body.split("^", 1)
-        else:
-            p_s, n_s = body, "1"
-        try:
-            p, n = int(p_s), int(n_s)
-        except ValueError:
-            raise InvalidParams(f"bad ring descriptor {text!r}")
-        if not is_prime(p) or n < 1:
-            raise InvalidParams(f"descriptor {text!r} needs a prime and level >= 1")
+        p, n = _zmod_level(text)
         return RingDescriptor(p, n, dga.koszul_resolution(p ** n))
     return RingDescriptor(None, None, dga.load_algebra(_read_file(text, "ring")))
 
@@ -191,8 +197,7 @@ def _cmd_gr_check(spec: JobSpec, out) -> int:
         raise InvalidParams(f"--max-q must be >= 0, got {max_q}")
     text = spec.params["ring"]
     if text.startswith("zmod:"):
-        desc = _parse_ring(text)
-        M = filtered.adic_filtration(desc.p, desc.n)
+        M = filtered.adic_filtration(*_zmod_level(text))
     else:
         M = filtered.load_filtered_ring(_read_file(text, "filtered ring"))
     m = M.depth()

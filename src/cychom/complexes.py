@@ -602,6 +602,8 @@ def loads(text: str) -> ChainComplex:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("format") != "cychom-chain-complex":
             raise ParseError("not a chain complex document")
+        if type(doc.get("version")) is not int or doc["version"] != 1:
+            raise ParseError(f"unsupported chain complex document version {doc.get('version')!r}")
         fields = [doc["min_degree"], doc["max_degree"]] + [b["degree"] for b in doc["degrees"]]
         fields += [x for b in doc["degrees"] for e in b["differential"] for x in e[:2]]
         bad = [x for x in fields if type(x) is not int]  # a bool is not an int here
@@ -611,10 +613,19 @@ def loads(text: str) -> ChainComplex:
         diffs = {}
         for blk in doc["degrees"]:
             d = blk["degree"]
+            if d in basis:
+                raise ParseError(f"degree {d} has more than one block")
             basis[d] = tuple(_label_from_json(l) for l in blk["basis"])
         for blk in doc["degrees"]:
             d = blk["degree"]
-            ent = {(r, c): int(v) for r, c, v in blk["differential"]}
+            ent = {}
+            for r, c, v in blk["differential"]:
+                # dumps writes each value as a decimal string, so a JSON number is malformed
+                if type(v) is not str or str(int(v)) != v:
+                    raise ParseError(f"entry value {v!r} of d_{d} is not a decimal integer string")
+                if (r, c) in ent:
+                    raise ParseError(f"entry ({r}, {c}) of d_{d} is given twice")
+                ent[r, c] = int(v)
             diffs[d] = SparseIntMatrix(len(basis.get(d - 1, ())), len(basis[d]), ent)
         return ChainComplex(basis, diffs, doc["min_degree"], doc["max_degree"])
     except (KeyError, TypeError, ValueError) as e:

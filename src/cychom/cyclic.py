@@ -62,9 +62,7 @@ from .hochschild import (
     critical_complex,
     cyclic_operator,
     first_slot_matching,
-    hochschild_complex,
     induced_map,
-    induced_map_between,
 )
 from .intlin import AbelianGroup, SparseIntMatrix, is_prime
 
@@ -79,11 +77,6 @@ class CyclicComplexBundle:
     total: ChainComplex
 
 
-def cyclic_bundle(A: DGAlgebra, bound: int) -> CyclicComplexBundle:
-    """Build the cyclic total complex of A through degree bound + 1."""
-    return _bundle_over(hochschild_complex(A, bound))
-
-
 def _column_starts(H: HochschildComplex) -> List[List[int]]:
     """starts[n][s]: where column s begins in degree n of the cyclic total
     on H, for n = 0..H.bound + 1; starts[n][-1] is the degree's dimension."""
@@ -93,11 +86,12 @@ def _column_starts(H: HochschildComplex) -> List[List[int]]:
     ]
 
 
-def _bundle_over(H: HochschildComplex) -> CyclicComplexBundle:
-    """The cyclic total complex whose columns are the chains of H: d_n has
-    D = H.total.diff(n - 2s) on column s and, for s >= 1, B from column s
-    into column s - 1."""
-    window = H.bound + 1
+def cyclic_bundle(A: DGAlgebra, bound: int) -> CyclicComplexBundle:
+    """The cyclic total complex of A through degree bound + 1, on the
+    columns of A's Hochschild complex H: d_n has D = H.total.diff(n - 2s)
+    on column s and, for s >= 1, B from column s into column s - 1."""
+    H = HochschildComplex(A, bound)
+    window = bound + 1
     # column s >= 1 reads B from Hochschild degrees c <= window - 2
     B = [cyclic_operator(H, c) for c in range(window - 1)]
     starts = _column_starts(H)
@@ -128,7 +122,7 @@ def _chains(A: DGAlgebra, bound: int, cyclic: bool = False) -> ChainComplex:
         return critical_complex(M, bound, cyclic)
     if cyclic:
         return cyclic_bundle(A, bound).total
-    return hochschild_complex(A, bound).total
+    return HochschildComplex(A, bound).total
 
 
 def hh(A: DGAlgebra, i: int) -> AbelianGroup:
@@ -146,14 +140,11 @@ def hc_mod(A: DGAlgebra, i: int, q: int) -> AbelianGroup:
     return homology_mod(_chains(A, i, cyclic=True), i, q)
 
 
-def induced_cyclic_map(
-    f: DGAMorphism, bound: int
-) -> Tuple[CyclicComplexBundle, CyclicComplexBundle, ChainMap]:
-    """The map of cyclic total complexes induced by an algebra map, with
-    the two bundles it is built over (see cyclic_map)."""
-    hsrc, htgt, F = induced_map(f, bound)
-    src, tgt = _bundle_over(hsrc), _bundle_over(htgt)
-    return src, tgt, cyclic_map(F, src, tgt)
+def induced_cyclic_map(f: DGAMorphism, bound: int) -> ChainMap:
+    """The map of cyclic total complexes induced by an algebra map, between
+    the bundles of its source and target through bound (see cyclic_map)."""
+    src, tgt = cyclic_bundle(f.source, bound), cyclic_bundle(f.target, bound)
+    return cyclic_map(induced_map(f, src.hochschild, tgt.hochschild), src, tgt)
 
 
 def cyclic_map(
@@ -186,13 +177,13 @@ def hc_relative(f: DGAMorphism, i: int) -> AbelianGroup:
     Computed as H_{i+1} of the mapping cone of the induced map of total
     complexes, which is the fiber's homology in degree i.
     """
-    _, _, F = induced_cyclic_map(f, i + 1)
+    F = induced_cyclic_map(f, i + 1)
     return homology(mapping_cone(F), i + 1)
 
 
 def relative_les_check(f: DGAMorphism, bound: int) -> ExactnessReport:
     """Exactness of HC_n(src) -> HC_n(tgt) -> H_n(cone) -> HC_{n-1}(src) -> ..."""
-    _, _, F = induced_cyclic_map(f, bound + 1)
+    F = induced_cyclic_map(f, bound + 1)
     return cone_les_check(F, range(1, bound + 2))
 
 
@@ -222,7 +213,7 @@ def hc_tower_surjectivity(p: int, n: int, i: int) -> TowerSurjectivityReport:
         raise InvalidParams(f"tower level n = {n} < 2")
     if i < 0:
         raise InvalidParams(f"negative degree {i}")
-    _, _, F = induced_cyclic_map(reduction_map(p ** n, p ** (n - 1)), i + 1)
+    F = induced_cyclic_map(reduction_map(p ** n, p ** (n - 1)), i + 1)
     return tower_report(p, n, F, i)
 
 
@@ -276,7 +267,7 @@ def rel_hc_table(F: ChainMap) -> List[AbelianGroup]:
 
 def rel_hc_groups(f: DGAMorphism, top: int) -> List[AbelianGroup]:
     """Relative HC of f in degrees 0..top, from one induced cyclic map."""
-    _, _, F = induced_cyclic_map(f, top + 1)
+    F = induced_cyclic_map(f, top + 1)
     return rel_hc_table(F)
 
 
@@ -288,10 +279,11 @@ def reduction_tower(
     cyclic map F of Z/p^k -> Z/p^{k-1} onto the previous level's bundle
     (None for k = 1).
 
-    Each ring's Hochschild complex and cyclic bundle is built once and
-    shared by the two reductions it meets, as their source and as their
-    target.  The generator holds two bundles at a time, the current
-    level's and the previous one's.
+    The route is induced_cyclic_map's, cyclic_bundle for each ring and
+    induced_map and cyclic_map for each reduction, but each ring's bundle
+    is built once and shared by the two reductions it meets, as their
+    source and as their target.  The generator holds two bundles at a
+    time, the current level's and the previous one's.
     """
     previous = None
     for k in range(1, n + 1):
@@ -299,7 +291,7 @@ def reduction_tower(
         F = None
         if previous is not None:
             f = reduction_map(p ** k, p ** (k - 1))
-            hmap = induced_map_between(f, bundle.hochschild, previous.hochschild)
+            hmap = induced_map(f, bundle.hochschild, previous.hochschild)
             F = cyclic_map(hmap, bundle, previous)
         yield k, bundle, F
         previous = bundle

@@ -224,25 +224,11 @@ def _image_terms(f: DGAMorphism, word: Word):
     return expanded
 
 
-def hochschild_complex(A: DGAlgebra, bound: int) -> HochschildComplex:
-    return HochschildComplex(A, bound)
-
-
-def induced_map(
-    f: DGAMorphism, bound: int
-) -> Tuple[HochschildComplex, HochschildComplex, ChainMap]:
-    """The chain map of Hochschild complexes induced by an algebra map,
-    with the two complexes it is built over (see induced_map_between)."""
-    src = hochschild_complex(f.source, bound)
-    tgt = hochschild_complex(f.target, bound)
-    return src, tgt, induced_map_between(f, src, tgt)
-
-
-def induced_map_between(
-    f: DGAMorphism, src: HochschildComplex, tgt: HochschildComplex
-) -> ChainMap:
+def induced_map(f: DGAMorphism, src: HochschildComplex, tgt: HochschildComplex) -> ChainMap:
     """The chain map src -> tgt induced by f, for Hochschild complexes of
-    f's source and target built through the same bound.
+    f's source and target built through the same bound: the only builder
+    of an induced map, which the cyclic module calls on the Hochschild
+    complexes of the bundles it maps between.
 
     Acts word by word, expanding multilinearly and dropping the terms a
     normalized slot turns into a unit.  Compatibility with the total

@@ -23,7 +23,7 @@ from cychom.cyclic import (
 from cychom.complexes import homology
 from cychom.dga import koszul_resolution, reduction_map
 from cychom.filtered import adic_filtration, graded_comparison
-from cychom.hochschild import hochschild_complex
+from cychom.hochschild import HochschildComplex
 from cychom.intlin import AbelianGroup, SparseIntMatrix, smith_decomposition
 from cychom.ktheory import k_group, k_table
 
@@ -97,7 +97,7 @@ def test_criterion_3_hochschild_table():
     # HH_i(Z/p^n) = Z/p^n for even i < 2p, 0 for odd
     for p in PRIMES:
         for n in LEVELS:
-            H = hochschild_complex(koszul_resolution(p ** n), 2 * p - 1)
+            H = HochschildComplex(koszul_resolution(p ** n), 2 * p - 1)
             for i in range(2 * p):
                 want = (
                     AbelianGroup.cyclic(p ** n) if i % 2 == 0

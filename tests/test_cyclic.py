@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cychom import cyclic
 from cychom.complexes import ChainMap, homology_groups
 from cychom.cyclic import (
     cyclic_bundle,
@@ -131,6 +132,31 @@ def test_relative_les_exact():
     assert relative_les_check(reduction_map(8, 2), 4)
 
 
+@pytest.mark.parametrize(
+    "query, bound", [(relative_les_check, 4), (rel_hc_groups, 3)], ids=["les", "rel-hc"]
+)
+def test_relative_queries_build_both_bundles_through_cyclic_bundle(monkeypatch, query, bound):
+    # the source's and the target's bundle, each through cyclic_bundle with
+    # positional (algebra, bound), and no CyclicComplexBundle made elsewhere
+    calls, bundles = [], []
+    build, make = cyclic.cyclic_bundle, cyclic.CyclicComplexBundle
+
+    def counting_build(*args, **kwargs):
+        calls.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    def counting_make(*args, **kwargs):
+        bundles.append(args or kwargs)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(cyclic, "cyclic_bundle", counting_build)
+    monkeypatch.setattr(cyclic, "CyclicComplexBundle", counting_make)
+    f = reduction_map(9, 3)
+    assert query(f, bound)
+    assert calls == [((f.source, bound + 1), {}), ((f.target, bound + 1), {})]
+    assert len(bundles) == 2
+
+
 def test_tower_surjectivity():
     for i in range(6):
         rep = hc_tower_surjectivity(3, 2, i)
@@ -148,12 +174,13 @@ def test_one_build_answers_every_degree():
     # build at bound 2p gives the per-degree builds' groups and reports
     for p, n in ((3, 3), (5, 2)):
         f = reduction_map(p ** n, p ** (n - 1))
-        src, _, F = induced_cyclic_map(f, 2 * p)
+        F = induced_cyclic_map(f, 2 * p)
         top = 2 * p - 1
         degrees = range(top + 1)
         A = koszul_resolution(p ** n)
-        assert homology_groups(src.hochschild.total, degrees) == [hh(A, i) for i in degrees]
-        groups = homology_groups(src.total, degrees)
+        H = cyclic_bundle(A, 2 * p).hochschild.total
+        assert homology_groups(H, degrees) == [hh(A, i) for i in degrees]
+        groups = homology_groups(F.source, degrees)
         assert groups == [hc(A, i) for i in degrees]
         assert hc_mod_table(groups, p) == [hc_mod(A, i, p) for i in degrees]
         assert rel_hc_table(F) == [hc_relative(f, i) for i in degrees]
@@ -169,7 +196,7 @@ def test_rel_hc_table_reads_every_exact_degree(source, target):
     f = reduction_map(source, target)
     groups = [hc_relative(f, i) for i in range(8)]
     for b in range(1, 9):
-        _, _, F = induced_cyclic_map(f, b)
+        F = induced_cyclic_map(f, b)
         table = rel_hc_table(F)
         assert len(table) == b
         assert table == rel_hc_groups(f, b - 1) == groups[:b], b
@@ -187,8 +214,11 @@ def test_induced_cyclic_map_components_are_block_copies():
     # cell (s, t) of the cyclic total (column s of degree s + t) holds the
     # Hochschild chains of degree t - s, and F copies the Hochschild map into it
     f = reduction_map(9, 3)
-    src, tgt, F = induced_cyclic_map(f, 3)
-    hsrc, _, Fh = induced_map(f, 3)
+    F = induced_cyclic_map(f, 3)
+    src, tgt = cyclic_bundle(f.source, 3), cyclic_bundle(f.target, 3)
+    hsrc = src.hochschild
+    Fh = induced_map(f, hsrc, tgt.hochschild)
+    assert (F.source, F.target) == (src.total, tgt.total)
     blocks = 0
     for n in src.total.degrees():
         M = F.component(n)

@@ -28,7 +28,7 @@ from cychom.dga import (
     validate,
 )
 from cychom.errors import InvalidModulus, InvalidParams, NotDivisible, ParseError
-from cychom.hochschild import critical_complex, first_slot_matching, hochschild_complex
+from cychom.hochschild import HochschildComplex, critical_complex, first_slot_matching
 from cychom.intlin import AbelianGroup
 
 from oracles import two_term_complex, underlying_complex
@@ -178,7 +178,7 @@ def test_morse_tables_match_the_full_build_on_ext2(a, b):
     A = load_algebra(ext2_text(a, b))
     assert first_slot_matching(A) is not None
     degrees = range(11)
-    assert hh_groups(A, 10) == homology_groups(hochschild_complex(A, 10).total, degrees)
+    assert hh_groups(A, 10) == homology_groups(HochschildComplex(A, 10).total, degrees)
     assert hc_groups(A, 10) == homology_groups(cyclic_bundle(A, 10).total, degrees)
 
 
@@ -206,7 +206,7 @@ def test_universal_coefficients_match_the_tensor_complex(A, q):
     # with Z --q--> Z is the independent oracle, on the full builds of every
     # algebra and on the Morse complexes of the ext2 family
     bound = 6
-    chains = [hochschild_complex(A, bound).total, cyclic_bundle(A, bound).total]
+    chains = [HochschildComplex(A, bound).total, cyclic_bundle(A, bound).total]
     M = first_slot_matching(A)
     if M is not None:
         chains += [critical_complex(M, bound), critical_complex(M, bound, cyclic=True)]

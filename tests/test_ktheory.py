@@ -107,18 +107,18 @@ def test_k_table_builds_one_map_per_level(monkeypatch):
     # built over the shared Hochschild complexes of Z/11, Z/11^2 and Z/11^3
     builds, maps = [], []
     init = hochschild.HochschildComplex.__init__
-    between = cyclic.induced_map_between
+    induced = cyclic.induced_map
 
     def counting_init(self, A, bound):
         builds.append(bound)
         init(self, A, bound)
 
-    def counting_between(*args):
+    def counting_induced(*args):
         maps.append(args)
-        return between(*args)
+        return induced(*args)
 
     monkeypatch.setattr(hochschild.HochschildComplex, "__init__", counting_init)
-    monkeypatch.setattr(cyclic, "induced_map_between", counting_between)
+    monkeypatch.setattr(cyclic, "induced_map", counting_induced)
     table = k_table(11, 3)
     assert builds == [11 - 4] * 3
     assert len(maps) == 2
