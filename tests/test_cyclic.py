@@ -146,7 +146,7 @@ def test_relative_queries_build_both_bundles_through_cyclic_bundle(monkeypatch, 
         return build(*args, **kwargs)
 
     def counting_make(*args, **kwargs):
-        bundles.append(args or kwargs)
+        bundles.append((args, kwargs))
         return make(*args, **kwargs)
 
     monkeypatch.setattr(cyclic, "cyclic_bundle", counting_build)
