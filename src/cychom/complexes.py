@@ -24,8 +24,19 @@ factors, and `homology_presentation` presents H_i on Smith-form generators
 that induced maps and the exactness checks work on matrices the size of
 the group.  A complex is immutable, so `ChainComplex.presentation` keeps
 each degree's presentation on the complex: every induced map and
-exactness check that reads H_i of the same complex shares one.  Mod-q
-groups come from the integral ones by the universal coefficient theorem.
+exactness check that reads H_i of the same complex shares one.
+
+A presentation takes one reduction per degree.  Let K_i be a basis of the
+saturated lattice ker d_i and R_i the coordinates of d_{i+1} in it, so
+that d_{i+1} = K_i R_i and H_i = coker R_i.  K_i is injective, so
+ker R_i = ker d_{i+1}: one Smith decomposition of R_i, with both
+transforms logged, gives degree i's generators from its row log and
+degree i + 1's kernel basis and kernel coordinates from its column log.
+The complex keeps these decompositions per degree, built upward from
+min_degree, where d itself is decomposed.
+
+Mod-q groups come from the integral ones by the universal coefficient
+theorem.
 """
 
 from __future__ import annotations
@@ -55,7 +66,6 @@ from .intlin import (
     kron,
     lattice_contains,
     smith_decomposition,
-    smith_generators,
 )
 
 Label = Any
@@ -64,7 +74,7 @@ Label = Any
 class ChainComplex:
     """A bounded complex ... -> C_d -> C_{d-1} -> ... of free Z-modules."""
 
-    __slots__ = ("basis", "differential", "min_degree", "max_degree", "_presentations")
+    __slots__ = ("basis", "differential", "min_degree", "max_degree", "_presentations", "_kernels")
 
     def __init__(
         self,
@@ -99,6 +109,7 @@ class ChainComplex:
         object.__setattr__(self, "min_degree", min_degree)
         object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "_presentations", {})
+        object.__setattr__(self, "_kernels", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -124,6 +135,20 @@ class ChainComplex:
         if hp is None:
             hp = self._presentations[i] = homology_presentation(self, i)
         return hp
+
+    def _kernel_decomposition(self, j: int) -> SmithDecomposition:
+        """A Smith decomposition whose kernel is ker d_j: of d_j at
+        min_degree, of R_{j-1} above it (module docstring), kept per degree
+        and built upward.  A column outside ker d_j is one that R_{j-1}
+        does not kill, so kernel_coords still rejects it."""
+        decs = self._kernels
+        for k in range(self.min_degree, j + 1):
+            if k not in decs:
+                M = self.diff(k)
+                if k > self.min_degree:
+                    M = decs[k - 1].kernel_coords(M)
+                decs[k] = smith_decomposition(M)
+        return decs[j]
 
     def __eq__(self, other) -> bool:
         return (
@@ -390,18 +415,21 @@ class HomologyPresentation:
     cycles: chain-degree matrix whose s columns are cycle representatives
     of the generators.
     relations: the s x s diagonal of the d_j, with 0 for a free generator.
+    Coordinates on ker d_i are read off the column log of degree i - 1's
+    relation decomposition (of d_i itself at min_degree): d_i =
+    K_{i-1} R_{i-1} with K_{i-1} injective, so ker R_{i-1} = ker d_i.
     """
 
     degree: int
     cycles: SparseIntMatrix
     relations: SparseIntMatrix
     group: AbelianGroup
-    _decomposition: SmithDecomposition  # of d_i, for coordinates on ker d_i
+    _kernel: SmithDecomposition  # kernel ker d_i, for coordinates on it
     _to_generators: SparseIntMatrix  # s x dim ker d_i
 
     def coords_of_cycles(self, X: SparseIntMatrix) -> SparseIntMatrix:
         """Express cycle columns of X in the generators, torsion ones mod d_j."""
-        Y = self._to_generators @ self._decomposition.kernel_coords(X)
+        Y = self._to_generators @ self._kernel.kernel_coords(X)
         rows = dict(Y.by_row)
         for i, d in self.relations.by_row.items():
             if i in rows:
@@ -414,20 +442,30 @@ class HomologyPresentation:
 
 
 def homology_presentation(C: ChainComplex, i: int) -> HomologyPresentation:
-    """H_i on Smith-form generators.  d_i is decomposed for a kernel basis
-    and kernel coordinates; the boundaries' coordinates R are then
-    diagonalized once, and the generators and the group are read from that
-    diagonal."""
+    """H_i on Smith-form generators, with one reduction per degree.
+
+    With K_i a basis of ker d_i, the boundaries' coordinates R_i satisfy
+    d_{i+1} = K_i R_i, and H_i is the cokernel of R_i.  The complex
+    decomposes R_i once, with both logs (ChainComplex._kernel_decomposition):
+    the row log gives degree i's generators and group, and the column log,
+    since ker R_i = ker d_{i+1}, degree i + 1's kernel basis and kernel
+    coordinates.  So degree i's own kernel is read off degree i - 1's
+    decomposition, and only min_degree decomposes its own differential.
+    A request for one degree reduces every degree below it once; the
+    complex keeps those decompositions for the next request.  Torsion lifts
+    are reduced modulo the exponent of H_i in kernel coordinates, before
+    K_i maps them into chains.
+    """
     _check_degree(C, i)
-    dec = smith_decomposition(C.diff(i))
-    factors, to_generators, generators = smith_generators(dec.kernel_coords(C.diff(i + 1)))
+    kernel, relations = C._kernel_decomposition(i), C._kernel_decomposition(i + 1)
+    factors, to_generators, generators = relations.generators()
     s = len(factors)
     return HomologyPresentation(
         degree=i,
-        cycles=dec.kernel_basis() @ generators,
+        cycles=kernel.kernel_basis() @ generators,
         relations=SparseIntMatrix(s, s, {(j, j): d for j, d in enumerate(factors)}),
         group=AbelianGroup.from_diagonal(factors, factors.count(0)),
-        _decomposition=dec,
+        _kernel=kernel,
         _to_generators=to_generators,
     )
 

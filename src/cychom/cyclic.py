@@ -205,7 +205,11 @@ def hc_tower_surjectivity(p: int, n: int, i: int) -> TowerSurjectivityReport:
     """Is HC_i of the reduction Z/p^n -> Z/p^{n-1} surjective?
 
     Degrees outside 0 <= i <= 2p-1 are still computed but flagged as
-    outside the verified range.
+    outside the verified range.  Presenting HC_i reduces every degree
+    below i once (see homology_presentation), so one high degree costs
+    about what the table of degrees 0..i does: (19, 3, 37) takes about
+    13 ms on a 2-vCPU Xeon, against about 7 ms when each degree reduced
+    its own differential and then its boundaries' coordinates.
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")

@@ -8,9 +8,13 @@ shortcut.  A matrix stores its nonempty rows as {column: value} dicts, and
 One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
 without transforms: the rank and the Smith diagonal are all a homology
 group or a cokernel needs.  The other tier logs the transforms of
-U*M*V = D: `smith_decomposition` for kernel bases and kernel coordinates,
-`lattice_contains` and `smith_generators` (a cokernel on Smith-form
-generators, one per invariant factor d > 1 plus the free part) for U.
+U*M*V = D.  `smith_decomposition` logs both, for kernel bases and kernel
+coordinates from V and, through `SmithDecomposition.generators`, a
+cokernel on Smith-form generators (one per invariant factor d > 1 plus the
+free part) from U: one decomposition of a homology presentation's
+relations serves that degree's generators and the next degree's kernel
+(see complexes).  `smith_generators` and `lattice_contains` need U alone
+and log rows only; both routes read generators through one extraction.
 Neither U nor V is updated during the elimination: row operations and
 column operations go to two logs of the same form.  Rows of U come from
 replaying the row log backwards, at a cost that grows with how many are
@@ -31,8 +35,10 @@ else.  The core phase pivots on an active entry of least absolute value,
 with nearest-integer quotients, so that remainders are centered and
 transforms stay small.  Each row keeps its least |entry|, refreshed only on
 the rows a pivot step touched since the last search, so a search reads one
-number per active row; ties go, as in a full scan, to the first row in
-ascending order and the first entry in its dict order.  The pivots are
+number per active row.  The active rows are kept in ascending order, and a
+row leaves them when it retires or empties, so no search rebuilds that
+list; ties go, as in a full scan, to the first row in ascending order and
+the first entry in its dict order.  The pivots are
 then sorted by absolute value, and pairs that break the divisibility chain
 become gcd and lcm.  The reducer copies the rows in ascending order, each
 sorted by column, so the transforms depend on the matrix only, not on the
@@ -389,7 +395,10 @@ class _Reducer:
         self.ops: Optional[List[tuple]] = [] if logged else None
         self.col_ops: Optional[List[tuple]] = [] if logged == "both" else None
         self.retired = [False] * self.m
-        self.live = list(range(self.m))
+        # the active nonempty rows, ascending: a dict as an ordered set, from
+        # which a row is dropped when it retires or empties (an empty active
+        # row stays empty, and a retired row never returns)
+        self.live = dict.fromkeys(i for i, row in enumerate(rows) if row)
         # each row's least |entry|, stale on the rows in `touched` (None: all)
         self.least, self.touched = [0] * self.m, None
         self.pivots: List[Tuple[int, int]] = []
@@ -419,6 +428,8 @@ class _Reducer:
             else:
                 del ra[j]
                 self.colnz[j].discard(a)
+        if not ra:
+            self.live.pop(a, None)
         if self.ops is not None:
             self.ops.append((a, b, c))
 
@@ -440,8 +451,6 @@ class _Reducer:
     def _least_pivot(self) -> Optional[Tuple[int, int]]:
         """An active entry of least absolute value, first in `live` and row order."""
         rows, least = self.rows, self.least
-        # an empty active row stays empty, so it is dropped for good
-        self.live = [i for i in self.live if rows[i] and not self.retired[i]]
         for i in self.live if self.touched is None else self.touched:
             a = 0  # a loop: min() costs more on rows of a few entries
             for v in rows[i].values():
@@ -494,6 +503,7 @@ class _Reducer:
             if len(rest) > 1:
                 return
         self.retired[r] = True
+        del self.live[r]
         self.pivots.append((r, c))
 
     def reduce(self):
@@ -610,6 +620,13 @@ class SmithDecomposition:
     def diagonal(self) -> List[int]:
         return self.d.diagonal_entries()
 
+    def generators(self) -> Tuple[List[int], SparseIntMatrix, SparseIntMatrix]:
+        """smith_generators(self.matrix), read off the row log: the column
+        log does not steer the elimination, so the row log is the one a
+        rows-only reduction keeps."""
+        diagonal = self.diagonal[: self.rank]
+        return _generators(self.matrix.rows, diagonal, self._row_ops, self._row_order)
+
     def kernel_basis(self) -> SparseIntMatrix:
         """Columns form a basis of the (saturated) integer kernel lattice."""
         return self._v_columns(self._col_order[self.rank :])
@@ -686,6 +703,20 @@ def smith_generators(R: SparseIntMatrix) -> Tuple[List[int], SparseIntMatrix, Sp
     coordinates, and the columns of Q (k x s) are the generators: row j of
     P Q - I is divisible by d_j (zero for a free generator).
 
+    R is reduced with the row log alone; `SmithDecomposition.generators`
+    reads the same triple off a decomposition that is already there.
+    """
+    w = _Reducer(R, logged="rows")
+    w.reduce()
+    return _generators(w.m, w.diag, w.ops, w.row_order)
+
+
+def _generators(
+    m: int, diag: List[int], row_ops: List[tuple], row_order: List[int]
+) -> Tuple[List[int], SparseIntMatrix, SparseIntMatrix]:
+    """smith_generators' triple from a reduction of an m-row matrix: its
+    nonzero Smith diagonal, its row log and its row order.
+
     With U R V = D, the coordinates y = U x see the relations D: a row
     of U at a unit factor is zero in the cokernel and is left out, and a
     row past the rank is a free generator.  Only the kept rows of U and the
@@ -694,21 +725,20 @@ def smith_generators(R: SparseIntMatrix) -> Tuple[List[int], SparseIntMatrix, Sp
     the cokernel is finite, its exponent kills every coordinate vector, so
     Q is reduced modulo it.
     """
-    w = _Reducer(R, logged="rows")
-    w.reduce()
-    kept = [(r, d) for (r, _), d in zip(w.pivots, w.diag) if d != 1]
-    kept += [(r, 0) for r in w.row_order[w.rank:]]
+    rank = len(diag)
+    kept = [(r, d) for r, d in zip(row_order, diag) if d != 1]
+    kept += [(r, 0) for r in row_order[rank:]]
     factors = [d for _, d in kept]
     rows = [r for r, _ in kept]
-    P = _u_rows(reversed(w.ops), rows)
-    Q = _u_rows(map(_inverse_transposed, reversed(w.ops)), rows)
+    P = _u_rows(reversed(row_ops), rows)
+    Q = _u_rows(map(_inverse_transposed, reversed(row_ops)), rows)
     if factors and factors[-1]:
         e = factors[-1]
         for i, row in Q.items():
             Q[i] = {t: v - e * _nearest(v, e) for t, v in row.items() if v % e}
     s = len(factors)
-    P_T = SparseIntMatrix.from_rows(w.m, s, P)
-    return factors, P_T.transpose(), SparseIntMatrix.from_rows(w.m, s, Q)
+    P_T = SparseIntMatrix.from_rows(m, s, P)
+    return factors, P_T.transpose(), SparseIntMatrix.from_rows(m, s, Q)
 
 
 def kernel_basis(M: SparseIntMatrix) -> SparseIntMatrix:

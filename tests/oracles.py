@@ -4,10 +4,11 @@ Nothing here imports cychom's reduction code: the Smith form below is a
 plain dense Gaussian-style elimination, determinants use the Bareiss
 fraction-free scheme, and determinantal divisors come straight from gcds
 of minors.  Slow, simple, and written separately on purpose.  The
-exceptions are the two references near the end, which keep the package's
-earlier graded comparison and earlier exactness check on the package's own
-reductions, the earlier full-scan core pivot search, which reads the state
-of the package's reducer, the earlier cyclic total layout, which builds the package's
+exceptions are the three references near the end, which keep the package's
+earlier graded comparison, earlier exactness check and earlier per-degree
+homology presentation on the package's own reductions, the earlier
+full-scan core pivot search, which reads the state of the package's
+reducer, the earlier cyclic total layout, which builds the package's
 Bicomplex and total complex, the earlier Morse flow sweep, which builds the
 package's ChainComplex, the Z[x]/(x^n) builder, which returns the
 package's DGAlgebra, and the small builders at the end (two-term and unit
@@ -677,10 +678,11 @@ def least_pivot_reference(reducer):
     """The core pivot of an `intlin._Reducer` by a full scan of its active
     rows, as the reducer chose it before it kept each row's least entry:
     the first row in `live` order holding an entry of least absolute value,
-    and the first such entry in that row's dict order."""
-    reducer.live = [i for i in reducer.live if reducer.rows[i] and not reducer.retired[i]]
+    and the first such entry in that row's dict order.  The rows are
+    filtered here, not read as the reducer keeps `live`."""
+    live = [i for i in reducer.live if reducer.rows[i] and not reducer.retired[i]]
     best = None
-    for i in reducer.live:
+    for i in live:
         for j, v in reducer.rows[i].items():
             if best is None or abs(v) < best[0]:
                 best = (abs(v), i, j)
@@ -705,6 +707,27 @@ def presentation_reference(C, i):
         raise TruncationTooTight(f"H_{i} outside the complex")
     dec = smith_decomposition(C.diff(i))
     return dec.kernel_basis(), dec.kernel_coords(C.diff(i + 1)), dec
+
+
+def homology_presentation_reference(C, i):
+    """H_i presented degree by degree, as homology_presentation did before
+    the complex kept its kernel decompositions: d_i is decomposed for the
+    kernel basis and kernel coordinates, and smith_generators reduces the
+    boundaries' coordinates R a second time, rows only."""
+    from cychom.complexes import HomologyPresentation
+    from cychom.intlin import AbelianGroup, SparseIntMatrix, smith_generators
+
+    K, R, dec = presentation_reference(C, i)
+    factors, to_generators, generators = smith_generators(R)
+    s = len(factors)
+    return HomologyPresentation(
+        degree=i,
+        cycles=K @ generators,
+        relations=SparseIntMatrix(s, s, {(j, j): d for j, d in enumerate(factors)}),
+        group=AbelianGroup.from_diagonal(factors, factors.count(0)),
+        _kernel=dec,
+        _to_generators=to_generators,
+    )
 
 
 def exact_at_reference(mid_relations, incoming, outgoing, out_relations):

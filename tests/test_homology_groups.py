@@ -5,7 +5,10 @@ construction, and two counting tests pin down that a table reduces each
 differential once, without transforms, and checks its degrees first.
 Exactness checks on Smith-form presentations are compared node by node
 with the full-kernel-basis reference on planted cone sequences, exact
-ones and ones with a scaled map.
+ones and ones with a scaled map.  The presentations themselves are
+compared degree by degree with the per-degree reference, whose two
+reductions per degree the complex's relation decompositions replace by
+one, and a counting test holds them to that one.
 Clearing is checked against reducing each differential alone and against
 the dense oracle, on planted complexes whose unit pivots appear only by
 fill-in after a core step and on the cone of Z/19^3 -> Z/19^2.  The
@@ -37,15 +40,16 @@ from cychom.complexes import (
     mapping_cone,
     tensor,
 )
-from cychom.cyclic import cyclic_bundle, induced_cyclic_map
+from cychom.cyclic import cyclic_bundle, induced_cyclic_map, reduction_tower
 from cychom.dga import DGAlgebra, reduction_map
-from cychom.errors import TruncationTooTight
-from cychom.hochschild import HochschildComplex
+from cychom.errors import CompositionNonzero, TruncationTooTight
+from cychom.hochschild import HochschildComplex, critical_complex, first_slot_matching
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
 from oracles import (
     dense_smith_diagonal,
     exact_sequence_reference,
+    homology_presentation_reference,
     quotient_invariants,
     to_dense,
 )
@@ -312,16 +316,18 @@ def ext2(a=9, b=3):
 @pytest.fixture
 def reductions(monkeypatch):
     """Count the reductions `complexes` makes, by the names it looks up,
-    forwarding every argument."""
-    calls = {"invariant_factors": 0, "smith_decomposition": 0}
+    forwarding every argument.  `complexes` no longer binds
+    smith_generators; the name is set there all the same, so that a call
+    through it would count."""
+    calls = {"invariant_factors": 0, "smith_decomposition": 0, "smith_generators": 0}
     for name in calls:
-        original = getattr(complexes, name)
+        original = getattr(intlin, name)
 
         def counted(M, *args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(M, *args, **kwargs)
 
-        monkeypatch.setattr(complexes, name, counted)
+        monkeypatch.setattr(complexes, name, counted, raising=False)
     return calls
 
 
@@ -350,7 +356,90 @@ def test_homology_groups_checks_degrees_before_reducing(reductions):
     for bad in ([0, 1, 2], [-1, 0]):
         with pytest.raises(TruncationTooTight):
             homology_groups(C, bad)
-    assert reductions == {"invariant_factors": 0, "smith_decomposition": 0}
+    assert set(reductions.values()) == {0}
+
+
+def test_presentations_reduce_each_degree_once(reductions):
+    # degree i's kernel is read off degree i - 1's relation decomposition,
+    # so degrees 0..12 take d_0 and R_0..R_12; the per-degree reference
+    # makes two reductions in each degree
+    C = cyclic_bundle(ext2(), 13).total
+    groups = [C.presentation(i).group for i in range(13)]
+    assert groups == homology_groups(C, range(13))
+    assert reductions["smith_decomposition"] + reductions["smith_generators"] <= 13 + 1
+
+
+# ---------------------------------------------------------------------------
+# presentations against the per-degree reference
+# ---------------------------------------------------------------------------
+
+
+def _check_presentations(C, degrees):
+    """Each degree's presentation against the per-degree reference: the
+    same group and relations, cycles with unit coordinates, and the
+    reference's cycles generate it.  Returns the largest lift entry's bits."""
+    bits = 0
+    for i in degrees:
+        hp, ref = homology_presentation(C, i), homology_presentation_reference(C, i)
+        assert (hp.group, hp.relations) == (ref.group, ref.relations), i
+        s = hp.relations.rows
+        assert hp.coords_of_cycles(hp.cycles) == SparseIntMatrix.identity(s), i
+        assert hp.generated_by(hp.coords_of_cycles(ref.cycles)), i
+        assert ref.generated_by(ref.coords_of_cycles(hp.cycles)), i
+        bits = max([bits] + [abs(v).bit_length() for v in hp.cycles.entries.values()])
+    return bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_complexes())
+def test_presentations_match_the_per_degree_reference(case):
+    C, planted, _ = case
+    _check_presentations(C, range(len(planted)))
+
+
+def test_tower_presentations_match_the_reference_without_growing_lifts():
+    # the cycle lifts' largest entries, as read when each degree reduced d_i
+    # and then its boundaries' coordinates: 242 bits on the towers of
+    # Z/17^3 and Z/19^3, 346 on the complexes of Z/19^3 -> Z/19^2
+    for p in (17, 19):
+        bits = max(
+            _check_presentations(bundle.total, range(2 * p))
+            for _, bundle, _ in reduction_tower(p, 3, 2 * p)
+        )
+        assert bits <= 242, p
+    F = induced_cyclic_map(reduction_map(19 ** 3, 19 ** 2), 38)
+    bits = max(
+        _check_presentations(C, range(C.min_degree, C.max_degree))
+        for C in (F.source, F.target, mapping_cone(F))
+    )
+    assert bits <= 347
+
+
+def test_morse_cyclic_presentations_match_the_reference():
+    A = ext2()
+    _check_presentations(critical_complex(first_slot_matching(A), 13, cyclic=True), range(14))
+
+
+def test_a_non_cycle_two_degrees_up_is_rejected():
+    # b -> 2a, e -> 3c, g -> 5f: H_2 = <f> / <5f>, read on a kernel that
+    # comes from d_0 through R_0 and R_1, and e is not a cycle
+    C = ChainComplex(
+        {0: ("a",), 1: ("b", "c"), 2: ("e", "f"), 3: ("g",)},
+        {
+            1: SparseIntMatrix.from_dense([[2, 0]]),
+            2: SparseIntMatrix.from_dense([[0, 0], [3, 0]]),
+            3: SparseIntMatrix.from_dense([[0], [5]]),
+        },
+        0,
+        4,
+    )
+    hp = homology_presentation(C, 2)
+    assert hp.group == AbelianGroup.cyclic(5)
+    f = SparseIntMatrix.from_dense([[0], [1]])
+    unit = hp.coords_of_cycles(f)[0, 0]
+    assert unit in (1, 4) and hp.coords_of_cycles(f.scale(7))[0, 0] == 7 * unit % 5
+    with pytest.raises(CompositionNonzero):
+        hp.coords_of_cycles(SparseIntMatrix.from_dense([[1], [0]]))
 
 
 # ---------------------------------------------------------------------------
