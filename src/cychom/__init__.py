@@ -11,9 +11,7 @@ from .cyclic import (
     CyclicComplexBundle,
     cyclic_bundle,
     hc,
-    hc_mod,
     hc_relative,
-    hc_tower_surjectivity,
     hh,
     relative_les_check,
     sbi_check,
@@ -21,7 +19,6 @@ from .cyclic import (
 from .dga import (
     DGAlgebra,
     DGAMorphism,
-    base_ring,
     koszul_resolution,
     load_algebra,
     reduction_map,
@@ -32,14 +29,12 @@ from .filtered import (
     FilteredRing,
     adic_filtration,
     cyclic_bar,
-    fixed_points_check,
-    graded,
     graded_comparison,
     load_filtered_ring,
 )
 from .hochschild import HochschildComplex
 from .intlin import AbelianGroup, SparseIntMatrix, smith_decomposition
-from .ktheory import goodwillie_range, k_group, k_table, relative_k
+from .ktheory import goodwillie_range, k_table, relative_k
 
 __version__ = "0.1.0"
 
@@ -53,19 +48,13 @@ __all__ = [
     "HochschildComplex",
     "SparseIntMatrix",
     "adic_filtration",
-    "base_ring",
     "cyclic_bar",
     "cyclic_bundle",
-    "fixed_points_check",
     "goodwillie_range",
-    "graded",
     "graded_comparison",
     "hc",
-    "hc_mod",
     "hc_relative",
-    "hc_tower_surjectivity",
     "hh",
-    "k_group",
     "k_table",
     "koszul_resolution",
     "load_algebra",

@@ -131,7 +131,7 @@ def _read_file(path: str, kind: str) -> str:
 def _degree_plan(ring: RingDescriptor, max_degree, allow_unverified: bool):
     """Resolve the degree range and which degrees get UNVERIFIED flags."""
     if ring.builtin:
-        verified_top = 2 * ring.p - 1
+        verified_top = cyclic.verified_top(ring.p)
         if max_degree is None:
             max_degree = verified_top
         if max_degree > verified_top and not allow_unverified:
@@ -245,7 +245,7 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
 
     levels = sorted(set(n_list))
     for p in sorted(set(p_list)):
-        top = 2 * p - 1
+        top = cyclic.verified_top(p)
         degrees = range(top + 1)
         # the K cells of level n read the rel-hc rows of levels 2..n
         relative = {}

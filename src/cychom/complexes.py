@@ -36,7 +36,8 @@ The complex keeps these decompositions per degree, built upward from
 min_degree, where d itself is decomposed.
 
 Mod-q groups come from the integral ones by the universal coefficient
-theorem.
+theorem: `universal_coefficients` reads H_i(C; Z/q) off H_i(C) and
+H_{i-1}(C).
 """
 
 from __future__ import annotations
@@ -209,19 +210,6 @@ def homology_groups(C: ChainComplex, degrees: Iterable[int]) -> List[AbelianGrou
 def homology(C: ChainComplex, i: int) -> AbelianGroup:
     """H_i(C) = ker d_i / im d_{i+1}."""
     return homology_groups(C, [i])[0]
-
-
-def homology_mod(C: ChainComplex, i: int, q: int) -> AbelianGroup:
-    """H_i(C (x) Z/q), from one homology_groups call (see
-    universal_coefficients; H_{i-1} = 0 below min_degree).  It needs
-    H_i(C), so it raises TruncationTooTight wherever homology(C, i) does."""
-    if q < 2:
-        raise InvalidModulus(f"modulus {q} < 2")
-    if i > C.min_degree:
-        H, below = homology_groups(C, [i, i - 1])
-    else:
-        H, below = homology(C, i), AbelianGroup.trivial()
-    return universal_coefficients(H, below, q)
 
 
 def universal_coefficients(H: AbelianGroup, below: AbelianGroup, q: int) -> AbelianGroup:

@@ -7,15 +7,16 @@ differential is D, the total Hochschild differential, within each column
 plus the degree raising cyclic operator B from column s into column s - 1
 (Loday, Cyclic Homology, 2.1.7).  Cyclic homology HC_i is the homology of
 this complex, relative cyclic homology is homology of the mapping cone of
-an induced map (fiber indexing: the relative group in degree i is H_{i+1}
-of the cone).
+an induced map, read in fiber indexing by `rel_hc_table` alone (the
+relative group in degree i is H_{i+1} of the cone; `hc_relative` is the
+last row of a table).
 
 Total degrees are built up to bound + 1; columns beyond
 s = (bound + 1) // 2 contribute only above that window, so the groups
 through degree `bound` are exact, not truncations.
 
-Every algebra-level Hochschild or cyclic group (`hh`, `hc`, `hc_mod`,
-`hh_groups`, `hc_groups`) and the Connes check `sbi_check` is read off the
+Every algebra-level Hochschild or cyclic group (`hh`, `hc`, `hh_groups`,
+`hc_groups`) and the Connes check `sbi_check` is read off the
 complex one private selector, `_chains`, returns: the critical cells of
 the first-slot matching (hochschild module) when the algebra's table
 passes its check, else the full build.  In the cyclic total complex the
@@ -30,8 +31,8 @@ Along the tower Z/p^n -> Z/p^{n-1} -> ... -> Z/p, `reduction_tower`
 builds each ring's bundle once and each reduction's induced cyclic map
 between those shared bundles, so a ring that is the source of one
 reduction and the target of the next is built, checked and presented
-once.  Mod-q groups (`hc_mod`, `hc_mod_table`) come from the integral
-groups by the universal coefficient theorem; no tensor complex is built.
+once.  Mod-q groups come from the integral groups by the universal
+coefficient theorem (`hc_mod_table`); no tensor complex is built.
 """
 
 from __future__ import annotations
@@ -50,13 +51,12 @@ from .complexes import (
     exact_sequence_check,
     homology,
     homology_groups,
-    homology_mod,
     induced_on_homology,
     mapping_cone,
     universal_coefficients,
 )
 from .dga import DGAlgebra, DGAMorphism, koszul_resolution, reduction_map
-from .errors import CompositionNonzero, DimensionMismatch, InvalidParams
+from .errors import CompositionNonzero, DimensionMismatch
 from .hochschild import (
     HochschildComplex,
     critical_complex,
@@ -64,7 +64,7 @@ from .hochschild import (
     first_slot_matching,
     induced_map,
 )
-from .intlin import AbelianGroup, SparseIntMatrix, is_prime
+from .intlin import AbelianGroup, SparseIntMatrix
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,6 @@ def hc(A: DGAlgebra, i: int) -> AbelianGroup:
     return homology(_chains(A, i, cyclic=True), i)
 
 
-def hc_mod(A: DGAlgebra, i: int, q: int) -> AbelianGroup:
-    """Cyclic homology of A with mod-q coefficients in degree i."""
-    return homology_mod(_chains(A, i, cyclic=True), i, q)
-
-
 def induced_cyclic_map(f: DGAMorphism, bound: int) -> ChainMap:
     """The map of cyclic total complexes induced by an algebra map, between
     the bundles of its source and target through bound (see cyclic_map)."""
@@ -172,13 +167,9 @@ def cyclic_map(
 
 
 def hc_relative(f: DGAMorphism, i: int) -> AbelianGroup:
-    """Relative cyclic homology of f in degree i (homotopy fiber indexing).
-
-    Computed as H_{i+1} of the mapping cone of the induced map of total
-    complexes, which is the fiber's homology in degree i.
-    """
-    F = induced_cyclic_map(f, i + 1)
-    return homology(mapping_cone(F), i + 1)
+    """Relative cyclic homology of f in degree i (homotopy fiber indexing),
+    the last row of rel_hc_groups(f, i)."""
+    return rel_hc_groups(f, i)[i]
 
 
 def relative_les_check(f: DGAMorphism, bound: int) -> ExactnessReport:
@@ -201,36 +192,17 @@ class TowerSurjectivityReport:
         return self.surjective
 
 
-def hc_tower_surjectivity(p: int, n: int, i: int) -> TowerSurjectivityReport:
-    """Is HC_i of the reduction Z/p^n -> Z/p^{n-1} surjective?
-
-    Degrees outside 0 <= i <= 2p-1 are still computed but flagged as
-    outside the verified range.  Presenting HC_i reduces every degree
-    below i once (see homology_presentation), so one high degree costs
-    about what the table of degrees 0..i does: (19, 3, 37) takes about
-    13 ms on a 2-vCPU Xeon, against about 7 ms when each degree reduced
-    its own differential and then its boundaries' coordinates.
-    """
-    if not is_prime(p):
-        raise InvalidParams(f"{p} is not prime")
-    if n < 2:
-        raise InvalidParams(f"tower level n = {n} < 2")
-    if i < 0:
-        raise InvalidParams(f"negative degree {i}")
-    F = induced_cyclic_map(reduction_map(p ** n, p ** (n - 1)), i + 1)
-    return tower_report(p, n, F, i)
-
-
 def tower_report(p: int, n: int, F: ChainMap, i: int) -> TowerSurjectivityReport:
-    """The degree-i report of hc_tower_surjectivity, read off the induced
-    cyclic map F of Z/p^n -> Z/p^{n-1} built through degree i + 1 or more."""
+    """Is HC_i of the reduction Z/p^n -> Z/p^{n-1} surjective?  Read off
+    its induced cyclic map F, built through degree i + 1 or more; degrees
+    outside 0..verified_top(p) are still answered but flagged."""
     src, tgt, image = induced_on_homology(F, i)
     return TowerSurjectivityReport(
         p=p,
         n=n,
         degree=i,
         surjective=tgt.generated_by(image),
-        in_verified_range=0 <= i <= 2 * p - 1,
+        in_verified_range=0 <= i <= verified_top(p),
         source_group=src.group,
         target_group=tgt.group,
     )
@@ -260,11 +232,12 @@ def hc_mod_table(hc: List[AbelianGroup], q: int) -> List[AbelianGroup]:
 
 
 def rel_hc_table(F: ChainMap) -> List[AbelianGroup]:
-    """Relative HC of the map F induces, in fiber indexing (see
-    hc_relative), in every degree its cone answers exactly: 0..top for
-    top = min(source max_degree - 1, target max_degree - 2), which is
-    bound - 1 for bundles built through bound.  The cone's own max_degree
-    is one above its last complete degree."""
+    """Relative HC of the map F induces, in fiber indexing: the relative
+    group in degree i is H_{i+1} of F's mapping cone, the homology of the
+    homotopy fiber in degree i.  It reads every degree the cone answers
+    exactly: 0..top for top = min(source max_degree - 1, target
+    max_degree - 2), which is bound - 1 for bundles built through bound.
+    The cone's own max_degree is one above its last complete degree."""
     top = min(F.source.max_degree - 1, F.target.max_degree - 2)
     return homology_groups(mapping_cone(F), range(1, top + 2))
 
@@ -273,6 +246,12 @@ def rel_hc_groups(f: DGAMorphism, top: int) -> List[AbelianGroup]:
     """Relative HC of f in degrees 0..top, from one induced cyclic map."""
     F = induced_cyclic_map(f, top + 1)
     return rel_hc_table(F)
+
+
+def verified_top(p: int) -> int:
+    """The top degree, 2p - 1, of the window where the groups of Z/p^n are
+    checked against the published tables; the CLI flags degrees above it."""
+    return 2 * p - 1
 
 
 def reduction_tower(

@@ -225,16 +225,6 @@ class DGAMorphism:
                 out[m] = out.get(m, 0) + c * d
         return _clean(out)
 
-    def compose(self, first: "DGAMorphism") -> "DGAMorphism":
-        """self o first."""
-        if first.target != self.source:
-            raise InvalidParams("composition source/target mismatch")
-        return DGAMorphism(
-            source=first.source,
-            target=self.target,
-            action={l: self.apply(first.apply({l: 1})) for l in first.source.labels()},
-        )
-
     @classmethod
     def identity(cls, A: DGAlgebra) -> "DGAMorphism":
         return cls(A, A, {l: {l: 1} for l in A.labels()})
@@ -258,11 +248,6 @@ def koszul_resolution(m: int) -> DGAlgebra:
         diff={"t": {"1": m}},
         unit="1",
     )
-
-
-def base_ring() -> DGAlgebra:
-    """The integers as a DG algebra concentrated in degree 0."""
-    return DGAlgebra(basis={0: ("1",)}, mult={("1", "1"): {"1": 1}}, diff={}, unit="1")
 
 
 def reduction_map(m: int, m_prime: int) -> DGAMorphism:

@@ -43,12 +43,8 @@ class BoundTooSmall(CychomError):
     """A degree bound is too small for the requested computation."""
 
 
-class UnsupportedFiltration(CychomError):
-    """A filtered group does not have the split free structure an operation needs."""
-
-
 class OutOfRange(CychomError):
-    """A degree outside the range the K-group formula covers."""
+    """A degree above the verified window, requested without allowing it."""
 
 
 class RangeEmpty(CychomError):

@@ -12,23 +12,23 @@ sum <= k}.  Transitions are identities above index 0, so the colimit may
 be taken over the nonpositive box: level k <= 0 is presented by the
 generators on the box antidiagonal sum = k with gluing relations from the
 box antidiagonal sum = k-1, and level k > 0 is level 0.
+
+What the package builds on these levels is what `gr-check` reads: the
+cyclic bar group and its graded comparison.  The associated graded ring,
+the rotation and the rotation fixed points are test references
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (
-    InvalidParams,
-    ParseError,
-    UnsupportedFiltration,
-)
+from .errors import InvalidParams, ParseError
 from .intlin import (
     AbelianGroup,
     SparseIntMatrix,
@@ -86,16 +86,6 @@ class PresentedGroup:
         return lattice_contains(target.relations, A + B.scale(-1))
 
 
-def _tensor_presentation(parts: Sequence[PresentedGroup]) -> PresentedGroup:
-    """Tensor product of presented groups: product generators, relations
-    from each factor tensored with identities on the others, laid out by
-    `_write_tensor_relations`."""
-    gens = math.prod(P.num_generators for P in parts)
-    rows = defaultdict(dict)
-    cols = _write_tensor_relations(parts, rows, 0, 0)
-    return PresentedGroup(gens, SparseIntMatrix.from_rows(gens, cols, rows))
-
-
 def _write_tensor_relations(parts, rows, row0, col0) -> int:
     """Write the relations of the tensor of `parts` into the row dicts
     `rows` (a defaultdict) from row row0 and column col0 on, and return how
@@ -135,18 +125,6 @@ def _spot_sum(spots, parts_of):
         rel_col += _write_tensor_relations(parts, rows, base, rel_col)
     n = len(columns)
     return columns, PresentedGroup(n, SparseIntMatrix.from_rows(n, rel_col, rows))
-
-
-def _generator_map(src_columns, tgt_columns, images) -> SparseIntMatrix:
-    """The matrix between two generator indexes (see _spot_sum) sending the
-    generator `key` of the source to the sum of v * tgt over images(key),
-    an iterable of (tgt key, v) pairs."""
-    rows = defaultdict(dict)
-    for key, col in src_columns.items():
-        for tgt, v in images(key):
-            row = rows[tgt_columns[tgt]]
-            row[col] = row.get(col, 0) + v
-    return SparseIntMatrix.from_rows(len(tgt_columns), len(src_columns), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +218,9 @@ class FilteredRing:
                 M = products.get((i, j))
                 if M is None:
                     raise InvalidParams(f"missing product at {(i, j)}")
-                src = _tensor_presentation([group.piece(i), group.piece(j)])
+                # piece(i) (x) piece(j), presented as a sum of one spot
+                parts = [group.piece(i), group.piece(j)]
+                src = _spot_sum([()], lambda _: parts)[1]
                 if not src.admits_hom(M, group.piece(i + j)):
                     raise InvalidParams(f"product at {(i, j)} not a homomorphism")
                 prods[(i, j)] = M
@@ -486,46 +466,6 @@ def graded_piece(M: FilteredRing, i: int) -> PresentedGroup:
     )
 
 
-def graded(M: FilteredRing) -> FilteredRing:
-    """The associated graded ring, with piece(k) the sum of the graded
-    slices at indices <= k (the spot sum over one-slot spots (i,), i <= k)
-    and products induced slotwise."""
-    m = M.depth()
-    slices = {i: graded_piece(M, i) for i in range(-m, 1)}
-    columns, pieces = {}, {}
-    for k in range(-m, 1):
-        columns[k], pieces[k] = _spot_sum(
-            [(i,) for i in range(-m, k + 1)], lambda spot: [slices[spot[0]]]
-        )
-    transitions = {
-        k: _generator_map(columns[k], columns[k + 1], lambda key: [(key, 1)])
-        for k in range(-m, 0)
-    }
-    group = FilteredAbelianGroup(pieces, transitions)
-
-    def product_images(pair):
-        ((i,), (gi,)), ((j,), (gj,)) = pair
-        if i + j < -m:
-            return ()  # graded slice below depth is zero
-        col = gi * M.piece(j).num_generators + gj
-        return [(((i + j,), (r,)), v) for r, v in M.product(i, j).column(col).items()]
-
-    products = {}
-    for a in range(-m, 1):
-        for b in range(-m, 1):
-            nb = pieces[b].num_generators
-            pairs = {
-                (x, y): cx * nb + cy
-                for x, cx in columns[a].items()
-                for y, cy in columns[b].items()
-            }
-            # below the depth the target piece is trivial
-            products[(a, b)] = _generator_map(pairs, columns.get(a + b, {}), product_images)
-    unit_rows = {columns[0][((0,), (r,))]: row for r, row in M.unit.by_row.items()}
-    unit = SparseIntMatrix.from_rows(pieces[0].num_generators, 1, unit_rows)
-    return FilteredRing(group, products, unit)
-
-
 # ---------------------------------------------------------------------------
 # the cyclic bar construction
 # ---------------------------------------------------------------------------
@@ -535,24 +475,13 @@ def cyclic_bar(M: FilteredRing, q: int, k: int) -> TensorLevel:
     """Z_q(M)(k), the degree-q cyclic bar group of M at filtration level k:
     the (q+1)-fold filtered tensor of M's group.
 
-    The graded comparison reads only the level; `rotation` forms the cyclic
-    operator on request, and `tests/oracles.py` builds the faces and
-    degeneracies to check the simplicial and cyclic identities.
+    The graded comparison reads only the level, so the package forms no
+    cyclic operator, faces or degeneracies; `tests/oracles.py` builds them
+    to check the simplicial and cyclic identities.
     """
     if q < 0:
         raise InvalidParams(f"simplicial degree {q} < 0")
     return multi_tensor([M.group] * (q + 1), k)
-
-
-def rotation(T: TensorLevel) -> SparseIntMatrix:
-    """The cyclic operator of the cyclic bar level T: each generator goes to
-    the generator of the same key with its last slot moved to the front."""
-    return _generator_map(T.columns, T.columns, lambda key: [(_rotated(*key), 1)])
-
-
-def _rotated(spot: Tuple[int, ...], gens: Tuple[int, ...]):
-    """The key (spot, gens) with its last slot moved to the front."""
-    return (spot[-1],) + spot[:-1], (gens[-1],) + gens[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -616,88 +545,6 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
         invariants_match=invariants_match,
         map_is_iso=well_defined and invariants_match,
         rotation_compatible=same_index,
-    )
-
-
-# ---------------------------------------------------------------------------
-# rotation fixed points for split free filtrations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedPointsReport:
-    power: int
-    level: int
-    expected_rank: int
-    found: int
-    independent: bool
-
-    def __bool__(self):
-        return self.found == self.expected_rank and self.independent
-
-
-def _require_split_free(Y: FilteredAbelianGroup):
-    for s in range(-Y.depth, 1):
-        if Y.piece(s).relations.cols != 0:
-            raise UnsupportedFiltration(f"piece {s} is not free")
-    for s in range(-Y.depth, 0):
-        seen = set()
-        for col in Y.transition(s).columns():
-            if len(col) != 1 or 1 not in col.values() or col.keys() & seen:
-                raise UnsupportedFiltration(
-                    f"transition at {s} does not embed basis into basis"
-                )
-            seen |= col.keys()
-
-
-def fixed_points_check(Y: FilteredAbelianGroup, q: int, s: int) -> FixedPointsReport:
-    """Rotation-fixed diagonal basis tensors of the q-fold tensor at level s
-    come exactly from the basis at level floor(s/q).
-
-    Restricted to filtrations whose pieces are free with transitions that
-    send basis elements to distinct basis elements.
-    """
-    if q < 1:
-        raise InvalidParams(f"power {q} < 1")
-    _require_split_free(Y)
-    top = min(s, 0)  # level s > 0 is level 0
-    T = multi_tensor([Y] * q, top)
-    pres = T.presentation
-    # a diagonal class for basis element b of piece(j): the tensor
-    # b (x) ... (x) b pushed onto the antidiagonal along the transitions
-    found: List[int] = []  # the generators that carry a fixed class
-    lvl = top // q
-    rem = top - q * lvl  # in [0, q): bump each of the first rem coordinates once
-    base = Y.piece(lvl)
-    for b in range(base.num_generators):
-        spot, gens = [lvl] * q, [b] * q
-        for r in range(rem):
-            # a split free transition column holds exactly one basis element
-            (gens[r],) = Y.transition(spot[r]).column(gens[r])
-            spot[r] += 1
-        key = (tuple(spot), tuple(gens))
-        col = T.columns[key]
-        # fixed under rotation?
-        image = T.columns[_rotated(*key)]
-        diff = {} if image == col else {(col, 0): 1, (image, 0): -1}
-        diff_mat = SparseIntMatrix(pres.num_generators, 1, diff)
-        if lattice_contains(pres.relations, diff_mat):
-            found.append(col)
-    # independence: the classes span a rank-`found` direct summand
-    classes = {(r, c): 1 for c, r in enumerate(found)}
-    span = SparseIntMatrix(pres.num_generators, len(found), classes)
-    quotient = cokernel(span.hstack(pres.relations))
-    full = pres.group()
-    independent = (
-        full.free_rank - quotient.free_rank == len(found)
-        and not quotient.invariant_factors
-    )
-    return FixedPointsReport(
-        power=q,
-        level=s,
-        expected_rank=base.num_generators,
-        found=len(found),
-        independent=independent,
     )
 
 

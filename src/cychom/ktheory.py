@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .cyclic import hc_relative, reduction_tower, rel_hc_table
 from .dga import reduction_map
-from .errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
+from .errors import CychomError, InvalidParams, RangeEmpty
 from .intlin import AbelianGroup, is_prime
 
 ISO = "ISO"
@@ -78,15 +78,6 @@ def relative_k(p: int, n: int, i: int) -> Tuple[AbelianGroup, str]:
     return group.p_part(p), goodwillie_range(p, 2).flag(i)
 
 
-def _check_range(p: int, n: int, i: int):
-    if not is_prime(p):
-        raise InvalidParams(f"{p} is not prime")
-    if n < 1:
-        raise InvalidParams(f"level n = {n} < 1")
-    if i < 1 or i > p - 3:
-        raise OutOfRange(f"degree {i} outside 1 <= i <= {p - 3} for p = {p}")
-
-
 # The paper's published tables for Z/p^n, the values reproduce-paper checks
 # the computed groups against.
 
@@ -121,13 +112,6 @@ def published_k(p: int, n: int, i: int) -> AbelianGroup:
         return AbelianGroup.trivial()
     j = (i + 1) // 2
     return AbelianGroup.cyclic(p ** (j * (n - 1)) * (p ** j - 1))
-
-
-def k_group(p: int, n: int, i: int) -> AbelianGroup:
-    """K_i(Z/p^n) for 1 <= i <= p-3, the closed form of published_k;
-    k_table assembles the same groups from relative groups it computes."""
-    _check_range(p, n, i)
-    return published_k(p, n, i)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ earlier graded comparison, earlier exactness check and earlier per-degree
 homology presentation on the package's own reductions, the earlier
 full-scan core pivot search, which reads the state of the package's
 reducer, the earlier cyclic total layout, which builds the package's
-Bicomplex and total complex, the earlier Morse flow sweep, which builds the
-package's ChainComplex, the Z[x]/(x^n) builder, which returns the
-package's DGAlgebra, and the small builders at the end (two-term and unit
-complexes, a DG algebra's own chain complex), which return the package's
-ChainComplex.
+Bicomplex and total complex, the filtered constructions the package does
+not need (generator maps, the rotation, the associated graded ring, the
+rotation fixed points), which build the package's rings and tensor levels,
+the earlier Morse flow sweep, which builds the package's ChainComplex, the
+Z[x]/(x^n) builder, which returns the package's DGAlgebra, and the small
+builders at the end (two-term and unit complexes, a DG algebra's own chain
+complex, the DG algebra Z, the composite of two DG algebra maps), which
+return the package's types.
 """
 
+from dataclasses import dataclass
 from math import gcd
 
 
@@ -608,9 +612,161 @@ def cyclic_map_reference(F, source, target):
 
 
 # ---------------------------------------------------------------------------
+# The filtered layer's constructions that the package does not need: the
+# matrix between two generator indexes, the rotation of a cyclic bar level,
+# the associated graded ring, and the rotation fixed points of a split free
+# filtration.  They build the package's matrices, rings and tensor levels.
+# ---------------------------------------------------------------------------
+
+
+def _generator_map(src_columns, tgt_columns, images):
+    """The matrix between two generator indexes (see filtered._spot_sum)
+    sending the generator `key` of the source to the sum of v * tgt over
+    images(key), an iterable of (tgt key, v) pairs."""
+    from collections import defaultdict
+
+    from cychom.intlin import SparseIntMatrix
+
+    rows = defaultdict(dict)
+    for key, col in src_columns.items():
+        for tgt, v in images(key):
+            row = rows[tgt_columns[tgt]]
+            row[col] = row.get(col, 0) + v
+    return SparseIntMatrix.from_rows(len(tgt_columns), len(src_columns), rows)
+
+
+def _rotated(spot, gens):
+    """The key (spot, gens) with its last slot moved to the front."""
+    return (spot[-1],) + spot[:-1], (gens[-1],) + gens[:-1]
+
+
+def rotation(columns):
+    """The cyclic operator on a cyclic bar generator index (a level's
+    `columns`): each generator goes to the generator of the same key with
+    its last slot moved to the front."""
+    return _generator_map(columns, columns, lambda key: [(_rotated(*key), 1)])
+
+
+def graded(M):
+    """The associated graded ring, with piece(k) the sum of the graded
+    slices at indices <= k (the spot sum over one-slot spots (i,), i <= k)
+    and products induced slotwise."""
+    from cychom.filtered import FilteredAbelianGroup, FilteredRing, _spot_sum, graded_piece
+    from cychom.intlin import SparseIntMatrix
+
+    m = M.depth()
+    slices = {i: graded_piece(M, i) for i in range(-m, 1)}
+    columns, pieces = {}, {}
+    for k in range(-m, 1):
+        columns[k], pieces[k] = _spot_sum(
+            [(i,) for i in range(-m, k + 1)], lambda spot: [slices[spot[0]]]
+        )
+    transitions = {
+        k: _generator_map(columns[k], columns[k + 1], lambda key: [(key, 1)])
+        for k in range(-m, 0)
+    }
+    group = FilteredAbelianGroup(pieces, transitions)
+
+    def product_images(pair):
+        ((i,), (gi,)), ((j,), (gj,)) = pair
+        if i + j < -m:
+            return ()  # graded slice below depth is zero
+        col = gi * M.piece(j).num_generators + gj
+        return [(((i + j,), (r,)), v) for r, v in M.product(i, j).column(col).items()]
+
+    products = {}
+    for a in range(-m, 1):
+        for b in range(-m, 1):
+            nb = pieces[b].num_generators
+            pairs = {
+                (x, y): cx * nb + cy
+                for x, cx in columns[a].items()
+                for y, cy in columns[b].items()
+            }
+            # below the depth the target piece is trivial
+            products[(a, b)] = _generator_map(pairs, columns.get(a + b, {}), product_images)
+    unit_rows = {columns[0][((0,), (r,))]: row for r, row in M.unit.by_row.items()}
+    unit = SparseIntMatrix.from_rows(pieces[0].num_generators, 1, unit_rows)
+    return FilteredRing(group, products, unit)
+
+
+@dataclass(frozen=True)
+class FixedPointsReport:
+    power: int
+    level: int
+    expected_rank: int
+    found: int
+    independent: bool
+
+    def __bool__(self):
+        return self.found == self.expected_rank and self.independent
+
+
+def fixed_points_check(Y, q, s):
+    """Rotation-fixed diagonal basis tensors of the q-fold tensor at level s
+    come exactly from the basis at level floor(s/q).
+
+    Restricted to filtrations whose pieces are free with transitions that
+    send basis elements to distinct basis elements; raises ValueError on
+    any other filtration and for q < 1.
+    """
+    from cychom.filtered import multi_tensor
+    from cychom.intlin import SparseIntMatrix, cokernel, lattice_contains
+
+    if q < 1:
+        raise ValueError(f"power {q} < 1")
+    for j in range(-Y.depth, 1):
+        if Y.piece(j).relations.cols != 0:
+            raise ValueError(f"piece {j} is not free")
+    for j in range(-Y.depth, 0):
+        seen = set()
+        for col in Y.transition(j).columns():
+            if len(col) != 1 or 1 not in col.values() or col.keys() & seen:
+                raise ValueError(f"transition at {j} does not embed basis into basis")
+            seen |= col.keys()
+    top = min(s, 0)  # level s > 0 is level 0
+    T = multi_tensor([Y] * q, top)
+    pres = T.presentation
+    # a diagonal class for basis element b of piece(j): the tensor
+    # b (x) ... (x) b pushed onto the antidiagonal along the transitions
+    found = []  # the generators that carry a fixed class
+    lvl = top // q
+    rem = top - q * lvl  # in [0, q): bump each of the first rem coordinates once
+    base = Y.piece(lvl)
+    for b in range(base.num_generators):
+        spot, gens = [lvl] * q, [b] * q
+        for r in range(rem):
+            # a split free transition column holds exactly one basis element
+            (gens[r],) = Y.transition(spot[r]).column(gens[r])
+            spot[r] += 1
+        key = (tuple(spot), tuple(gens))
+        col = T.columns[key]
+        # fixed under rotation?
+        image = T.columns[_rotated(*key)]
+        diff = {} if image == col else {(col, 0): 1, (image, 0): -1}
+        if lattice_contains(pres.relations, SparseIntMatrix(pres.num_generators, 1, diff)):
+            found.append(col)
+    # independence: the classes span a rank-`found` direct summand
+    classes = {(r, c): 1 for c, r in enumerate(found)}
+    span = SparseIntMatrix(pres.num_generators, len(found), classes)
+    quotient = cokernel(span.hstack(pres.relations))
+    independent = (
+        pres.group().free_rank - quotient.free_rank == len(found)
+        and not quotient.invariant_factors
+    )
+    return FixedPointsReport(
+        power=q,
+        level=s,
+        expected_rank=base.num_generators,
+        found=len(found),
+        independent=independent,
+    )
+
+
+# ---------------------------------------------------------------------------
 # The graded comparison through an explicit comparison map: phi sends each
 # generator of level k to the graded generator of the same key, and the
-# report checks that phi is well defined, onto, and intertwines the package's
+# report checks that phi is well defined, onto, and intertwines the
 # `rotation` of the level with a rotation built again on the graded index.
 # Unlike the rest of this file it runs on the package's own presentations
 # and reductions: it pins what the package's shared-index shortcut reports,
@@ -622,12 +778,9 @@ def graded_comparison_reference(M, q, k):
     from cychom.filtered import (
         GradedComparisonReport,
         PresentedGroup,
-        _generator_map,
-        _rotated,
         _spot_sum,
         cyclic_bar,
         graded_piece,
-        rotation,
     )
     from cychom.intlin import cokernel
 
@@ -647,11 +800,8 @@ def graded_comparison_reference(M, q, k):
     invariants_match = lhs_group == rhs_group
     # a surjection between groups with equal invariants is an isomorphism
     iso = well_defined and onto and invariants_match
-    rhs_rotation = _generator_map(
-        rhs_columns, rhs_columns, lambda key: [(_rotated(*key), 1)]
-    )
     rotation_compatible = lhs_pres.homs_equal(
-        phi @ rotation(T), rhs_rotation @ phi, rhs_pres
+        phi @ rotation(T.columns), rotation(rhs_columns) @ phi, rhs_pres
     )
     return GradedComparisonReport(
         simplicial_degree=q,
@@ -920,7 +1070,8 @@ def truncated_polynomial(n, degree=0):
 
 # ---------------------------------------------------------------------------
 # Small builders on the package's types: chain complexes of a few terms,
-# the chain complex of a DG algebra, and a matrix as a dense list of rows.
+# the chain complex of a DG algebra, the DG algebra Z, the composite of two
+# DG algebra maps, and a matrix as a dense list of rows.
 # ---------------------------------------------------------------------------
 
 
@@ -975,3 +1126,21 @@ def underlying_complex(A):
     # the algebra is zero above its top degree, so declare one more
     # (empty) degree; homology is then defined through degree `top`
     return ChainComplex(basis, differential, 0, top + 1)
+
+
+def base_ring():
+    """The integers as a DG algebra concentrated in degree 0."""
+    from cychom.dga import DGAlgebra
+
+    return DGAlgebra(basis={0: ("1",)}, mult={("1", "1"): {"1": 1}}, diff={}, unit="1")
+
+
+def compose(g, f):
+    """The DG algebra map g o f, for f's target g's source."""
+    from cychom.dga import DGAMorphism
+
+    return DGAMorphism(
+        source=f.source,
+        target=g.target,
+        action={l: g.apply(f.apply({l: 1})) for l in f.source.labels()},
+    )

@@ -14,18 +14,20 @@ import time
 
 from cychom.cyclic import (
     cyclic_bundle,
-    hc_mod,
+    hc_groups,
+    hc_mod_table,
     hc_relative,
-    hc_tower_surjectivity,
+    induced_cyclic_map,
     relative_les_check,
     sbi_check,
+    tower_report,
 )
 from cychom.complexes import homology
 from cychom.dga import koszul_resolution, reduction_map
 from cychom.filtered import adic_filtration, graded_comparison
 from cychom.hochschild import HochschildComplex
 from cychom.intlin import AbelianGroup, SparseIntMatrix, smith_decomposition
-from cychom.ktheory import k_group, k_table
+from cychom.ktheory import k_table, published_k
 
 from oracles import (
     dense_smith_diagonal,
@@ -110,8 +112,8 @@ def test_criterion_4_mod_p_control():
     # HC_i(Z/p^n; Z/p) = Z/p for all 0 <= i <= 2p - 1
     for p in PRIMES:
         for n in LEVELS:
-            for i in range(2 * p):
-                got = hc_mod(koszul_resolution(p ** n), i, p)
+            groups = hc_mod_table(hc_groups(koszul_resolution(p ** n), 2 * p - 1), p)
+            for i, got in enumerate(groups):
                 assert got == AbelianGroup.cyclic(p), (p, n, i, str(got))
 
 
@@ -119,8 +121,9 @@ def test_criterion_5_tower_surjectivity():
     # HC_i(Z/p^n) -> HC_i(Z/p^{n-1}) onto for 0 <= i <= 2p - 1
     for p in (3, 5):
         for n in (2, 3):
+            f = reduction_map(p ** n, p ** (n - 1))
             for i in range(2 * p):
-                rep = hc_tower_surjectivity(p, n, i)
+                rep = tower_report(p, n, induced_cyclic_map(f, i + 1), i)
                 assert rep.surjective and rep.in_verified_range, (p, n, i)
 
 
@@ -130,7 +133,7 @@ def test_criterion_6_k_theory_table():
     for n in LEVELS:
         table = k_table(7, n)
         for i in range(1, 5):
-            assert table[i].group == k_group(7, n, i), (n, i)
+            assert table[i].group == published_k(7, n, i), (n, i)
     phi49 = sum(1 for a in range(1, 49) if a % 7 != 0)
     assert phi49 == 42
     assert k_table(7, 2)[1].group == AbelianGroup.cyclic(42)

@@ -10,10 +10,8 @@ from cychom.cyclic import (
     cyclic_map,
     hc,
     hc_groups,
-    hc_mod,
     hc_mod_table,
     hc_relative,
-    hc_tower_surjectivity,
     hh,
     hh_groups,
     induced_cyclic_map,
@@ -23,12 +21,13 @@ from cychom.cyclic import (
     sbi_check,
     tower_report,
 )
-from cychom.dga import DGAMorphism, base_ring, koszul_resolution, load_algebra, reduction_map
-from cychom.errors import BoundTooSmall, DimensionMismatch, InvalidParams, NotAChainMap
+from cychom.dga import DGAMorphism, koszul_resolution, load_algebra, reduction_map
+from cychom.errors import BoundTooSmall, DimensionMismatch, NotAChainMap
 from cychom.hochschild import cyclic_operator, induced_map
-from cychom.intlin import AbelianGroup, SparseIntMatrix, cokernel
+from cychom.intlin import AbelianGroup, SparseIntMatrix
 
 from oracles import (
+    base_ring,
     koszul_hc_relations,
     quotient_invariants,
     tower_cokernel_relations,
@@ -73,8 +72,7 @@ def test_hc_stabilizes_in_bound():
 
 def test_hc_mod_p():
     A = koszul_resolution(27)
-    for i in range(6):
-        assert hc_mod(A, i, 3) == AbelianGroup.cyclic(3)
+    assert hc_mod_table(hc_groups(A, 5), 3) == [AbelianGroup.cyclic(3)] * 6
 
 
 def test_bound_errors():
@@ -158,15 +156,11 @@ def test_relative_queries_build_both_bundles_through_cyclic_bundle(monkeypatch, 
 
 
 def test_tower_surjectivity():
+    F = induced_cyclic_map(reduction_map(9, 3), 8)
     for i in range(6):
-        rep = hc_tower_surjectivity(3, 2, i)
+        rep = tower_report(3, 2, F, i)
         assert rep.surjective and rep.in_verified_range
-    rep = hc_tower_surjectivity(3, 2, 7)
-    assert not rep.in_verified_range
-    with pytest.raises(InvalidParams):
-        hc_tower_surjectivity(4, 2, 0)
-    with pytest.raises(InvalidParams):
-        hc_tower_surjectivity(3, 1, 0)
+    assert not tower_report(3, 2, F, 7).in_verified_range
 
 
 def test_one_build_answers_every_degree():
@@ -182,10 +176,11 @@ def test_one_build_answers_every_degree():
         assert homology_groups(H, degrees) == [hh(A, i) for i in degrees]
         groups = homology_groups(F.source, degrees)
         assert groups == [hc(A, i) for i in degrees]
-        assert hc_mod_table(groups, p) == [hc_mod(A, i, p) for i in degrees]
+        assert hc_mod_table(groups, p) == [hc_mod_table(hc_groups(A, i), p)[i] for i in degrees]
         assert rel_hc_table(F) == [hc_relative(f, i) for i in degrees]
         for i in degrees:
-            assert tower_report(p, n, F, i) == hc_tower_surjectivity(p, n, i), (p, n, i)
+            own = induced_cyclic_map(f, i + 1)
+            assert tower_report(p, n, F, i) == tower_report(p, n, own, i), (p, n, i)
 
 
 @pytest.mark.parametrize("source, target", [(8, 4), (9, 3), (27, 9), (25, 5)])

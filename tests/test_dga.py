@@ -10,17 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cychom import cli
-from cychom.complexes import (
-    homology,
-    homology_groups,
-    homology_mod,
-    tensor,
+from cychom.complexes import homology, homology_groups, tensor
+from cychom.cyclic import (
+    _connes_sequence,
+    cyclic_bundle,
+    hc_groups,
+    hc_mod_table,
+    hh_groups,
+    sbi_check,
 )
-from cychom.cyclic import _connes_sequence, cyclic_bundle, hc_groups, hh_groups, sbi_check
 from cychom.dga import (
     DGAlgebra,
     DGAMorphism,
-    base_ring,
     dump_algebra,
     koszul_resolution,
     load_algebra,
@@ -31,7 +32,7 @@ from cychom.errors import InvalidModulus, InvalidParams, NotDivisible, ParseErro
 from cychom.hochschild import HochschildComplex, critical_complex, first_slot_matching
 from cychom.intlin import AbelianGroup
 
-from oracles import two_term_complex, underlying_complex
+from oracles import base_ring, compose, two_term_complex, underlying_complex
 
 
 def test_koszul_resolution_structure():
@@ -124,11 +125,11 @@ def test_morphism_checks():
 def test_morphism_compose_and_identity():
     f = reduction_map(8, 4)
     g = reduction_map(4, 2)
-    h = g.compose(f)
+    h = compose(g, f)
     assert h.apply({"t": 1}) == {"t": 4}
     assert h.action == reduction_map(8, 2).action
     ident = DGAMorphism.identity(koszul_resolution(8))
-    assert f.compose(ident).action == f.action
+    assert compose(f, ident).action == f.action
 
 
 def ext2_text(a, b):
@@ -202,9 +203,11 @@ def test_morse_sbi_report_matches_the_full_build_on_ext2(a, b, bound):
 @example(load_algebra(ext2_text(9, 3)), 12)
 @example(koszul_resolution(12), 6)
 def test_universal_coefficients_match_the_tensor_complex(A, q):
-    # mod-q groups are read off the integral ones; the homology of C tensored
-    # with Z --q--> Z is the independent oracle, on the full builds of every
-    # algebra and on the Morse complexes of the ext2 family
+    # mod-q groups are read off the integral ones (hc_mod_table applies
+    # universal coefficients to any complex starting in degree 0); the
+    # homology of C tensored with Z --q--> Z is the independent oracle, on
+    # the full builds of every algebra and on the Morse complexes of the
+    # ext2 family
     bound = 6
     chains = [HochschildComplex(A, bound).total, cyclic_bundle(A, bound).total]
     M = first_slot_matching(A)
@@ -213,7 +216,7 @@ def test_universal_coefficients_match_the_tensor_complex(A, q):
     degrees = range(bound + 1)
     for C in chains:
         want = homology_groups(tensor(C, two_term_complex(q)), degrees)
-        assert [homology_mod(C, i, q) for i in degrees] == want
+        assert hc_mod_table(homology_groups(C, degrees), q) == want
 
 
 def test_text_format_errors():

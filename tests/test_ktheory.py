@@ -3,15 +3,15 @@ from fractions import Fraction
 import pytest
 
 from cychom import cli, cyclic, hochschild, ktheory
-from cychom.errors import InvalidParams, OutOfRange, RangeEmpty
+from cychom.errors import InvalidParams, RangeEmpty
 from cychom.intlin import AbelianGroup
 from cychom.ktheory import (
     ISO,
     SURJECTION,
     UNVERIFIED,
     goodwillie_range,
-    k_group,
     k_table,
+    published_k,
     relative_k,
 )
 
@@ -51,18 +51,18 @@ def test_relative_k_values():
 
 def test_k_group_closed_form():
     # K_{2j-1}(Z/p^n) cyclic of order p^{j(n-1)} (p^j - 1) for 2j-1 <= p-3
-    assert k_group(7, 1, 1) == AbelianGroup.cyclic(6)
-    assert k_group(7, 2, 1) == AbelianGroup.cyclic(42)
-    assert k_group(7, 2, 3) == AbelianGroup.cyclic(49 * 48)
-    assert k_group(7, 3, 1) == AbelianGroup.cyclic(49 * 6)
-    assert k_group(7, 2, 2).is_trivial()
+    assert published_k(7, 1, 1) == AbelianGroup.cyclic(6)
+    assert published_k(7, 2, 1) == AbelianGroup.cyclic(42)
+    assert published_k(7, 2, 3) == AbelianGroup.cyclic(49 * 48)
+    assert published_k(7, 3, 1) == AbelianGroup.cyclic(49 * 6)
+    assert published_k(7, 2, 2).is_trivial()
 
 
 def test_k_group_unit_group_oracle():
     # K_1(Z/m) is the unit group, of order phi(m); phi(49) = 42
     phi = len([a for a in range(1, 49) if __import__("math").gcd(a, 49) == 1])
     assert phi == 42
-    assert k_group(7, 2, 1).order() == phi
+    assert published_k(7, 2, 1).order() == phi
 
 
 def test_k_group_cross_check():
@@ -71,19 +71,10 @@ def test_k_group_cross_check():
     for n in (1, 2, 3):
         table = k_table(7, n)
         for i in (1, 3):
-            assert table[i].group == k_group(7, n, i)
+            assert table[i].group == published_k(7, n, i)
     # i = 5 means j = 3: order p^{3(n-1)} (p^3 - 1)
-    assert k_table(11, 2)[5].group == k_group(11, 2, 5)
-    assert k_group(11, 2, 5).order() == 11 ** 3 * (11 ** 3 - 1)
-
-
-def test_k_group_range_errors():
-    with pytest.raises(OutOfRange):
-        k_group(7, 2, 5)  # 5 > p - 3
-    with pytest.raises(OutOfRange):
-        k_group(7, 2, 0)
-    with pytest.raises(InvalidParams):
-        k_group(9, 2, 1)
+    assert k_table(11, 2)[5].group == published_k(11, 2, 5)
+    assert published_k(11, 2, 5).order() == 11 ** 3 * (11 ** 3 - 1)
 
 
 def test_k_table_provenance():
@@ -153,10 +144,8 @@ def test_k_table_empty_range():
 
 def test_cross_check_failure_is_loud():
     # degree p - 3 = 2 is fine, but degree 3 is outside the iso range for
-    # p = 5: the closed form refuses it and k_table, which the closed form is
-    # checked against, leaves it out rather than silently agree
-    with pytest.raises(OutOfRange):
-        k_group(5, 2, 3)
+    # p = 5: k_table, which the closed form is checked against, leaves it
+    # out rather than silently agree
     assert 3 not in k_table(5, 2)
 
 
@@ -173,6 +162,6 @@ def test_k_groups_are_read_from_the_relative_groups(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL k p=7 n=2 i=1 (got Z/6, want Z/42)" in out
     assert "FAIL k p=7 n=2 i=3 (got Z/48, want Z/2352)" in out
-    assert k_table(7, 2)[1].group == AbelianGroup.cyclic(6) != k_group(7, 2, 1)
+    assert k_table(7, 2)[1].group == AbelianGroup.cyclic(6) != published_k(7, 2, 1)
     # level 1 takes no relative input, so it still agrees
-    assert k_table(7, 1)[1].group == k_group(7, 1, 1) == AbelianGroup.cyclic(6)
+    assert k_table(7, 1)[1].group == published_k(7, 1, 1) == AbelianGroup.cyclic(6)
