@@ -63,7 +63,6 @@ from .intlin import (
     SmithDecomposition,
     cokernel,
     invariant_factors,
-    kernel_basis,
     kron,
     lattice_contains,
     smith_decomposition,
@@ -473,7 +472,7 @@ def _kernel_of_induced(
 ) -> SparseIntMatrix:
     """Generators of {x : A x lies in the target relation lattice}."""
     stacked = A.hstack(target_relations.scale(-1))
-    K = kernel_basis(stacked)
+    K = smith_decomposition(stacked).kernel_basis()
     x_block = {i: row for i, row in K.by_row.items() if i < A.cols}
     return SparseIntMatrix.from_rows(A.cols, K.cols, x_block)
 

@@ -7,14 +7,14 @@ shortcut.  A matrix stores its nonempty rows as {column: value} dicts, and
 
 One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
 without transforms: the rank and the Smith diagonal are all a homology
-group or a cokernel needs.  The other tier logs the transforms of
-U*M*V = D.  `smith_decomposition` logs both, for kernel bases and kernel
-coordinates from V and, through `SmithDecomposition.generators`, a
-cokernel on Smith-form generators (one per invariant factor d > 1 plus the
-free part) from U: one decomposition of a homology presentation's
-relations serves that degree's generators and the next degree's kernel
-(see complexes).  `smith_generators` and `lattice_contains` need U alone
-and log rows only; both routes read generators through one extraction.
+group or a cokernel needs.  `smith_decomposition` logs the transforms of
+U*M*V = D, and every other answer is read off a decomposition: kernel
+bases and kernel coordinates from V and, through
+`SmithDecomposition.generators`, a cokernel on Smith-form generators (one
+per invariant factor d > 1 plus the free part) from U.  One decomposition
+of a homology presentation's relations serves that degree's generators and
+the next degree's kernel (see complexes), and `lattice_contains` tests a
+non-diagonal lattice on the same generators.
 Neither U nor V is updated during the elimination: row operations and
 column operations go to two logs of the same form.  Rows of U come from
 replaying the row log backwards, at a cost that grows with how many are
@@ -369,15 +369,11 @@ class _Reducer:
 
     The current matrix is row-major (`rows`) with a column index (`colnz`).
     A retired pivot (r, c) leaves row r as {c: d} and column c as {r: d}.
-    `logged` is None (no log), "rows" or "both": U is the product of the
-    row operations in `ops` and, with "both", V^T that of the column
-    operations in `col_ops`, each in log order.
+    With `logged`, U is the product of the row operations in `ops` and V^T
+    that of the column operations in `col_ops`, each in log order.
     """
 
-    def __init__(
-        self, M: SparseIntMatrix, logged: Optional[str], skip_columns: Iterable[int] = ()
-    ):
-        assert logged in (None, "rows", "both"), logged
+    def __init__(self, M: SparseIntMatrix, logged: bool, skip_columns: Iterable[int] = ()):
         self.m = M.rows
         self.n = M.cols
         rows: List[Dict[int, int]] = [dict() for _ in range(self.m)]
@@ -393,7 +389,7 @@ class _Reducer:
         # a*x + b*y, c*x + d*y (determinant 1); (r,): row r <- -row r.
         # col_ops holds the same tuples for columns, without sign changes
         self.ops: Optional[List[tuple]] = [] if logged else None
-        self.col_ops: Optional[List[tuple]] = [] if logged == "both" else None
+        self.col_ops: Optional[List[tuple]] = [] if logged else None
         self.retired = [False] * self.m
         # the active nonempty rows, ascending: a dict as an ordered set, from
         # which a row is dropped when it retires or empties (an empty active
@@ -544,7 +540,6 @@ class _Reducer:
         self.diag[x], self.diag[y] = g, a // g * b
         if self.ops is not None:
             self.ops.append((r1, r2, s, t, -(b // g), a // g))
-        if self.col_ops is not None:
             self.col_ops.append((c1, c2, 1, 1, -t * (b // g), s * (a // g)))
 
 
@@ -621,11 +616,37 @@ class SmithDecomposition:
         return self.d.diagonal_entries()
 
     def generators(self) -> Tuple[List[int], SparseIntMatrix, SparseIntMatrix]:
-        """smith_generators(self.matrix), read off the row log: the column
-        log does not steer the elimination, so the row log is the one a
-        rows-only reduction keeps."""
-        diagonal = self.diagonal[: self.rank]
-        return _generators(self.matrix.rows, diagonal, self._row_ops, self._row_order)
+        """Smith-form generators of the cokernel Z^k / (column lattice of M),
+        k = M.rows, for the decomposed matrix M.
+
+        Returns (d, P, Q): the cokernel is the sum of Z/d_j over s generators,
+        the invariant factors d_j > 1 in divisibility order, then d_j = 0 for
+        each free generator.  P (s x k) maps coordinates to generator
+        coordinates, and the columns of Q (k x s) are the generators: row j of
+        P Q - I is divisible by d_j (zero for a free generator).
+
+        The coordinates y = U x see the relations D: a row of U at a unit
+        factor is zero in the cokernel and is left out, and a row past the
+        rank is a free generator.  Only the kept rows of U and the matching
+        columns of U^-1 are built, from the row log.  Columns of U^-1 grow
+        along the elimination's remainder sequences; when the cokernel is
+        finite, its exponent kills every coordinate vector, so Q is reduced
+        modulo it.
+        """
+        order = self._row_order
+        kept = [(r, d) for r, d in zip(order, self.diagonal[: self.rank]) if d != 1]
+        kept += [(r, 0) for r in order[self.rank :]]
+        factors = [d for _, d in kept]
+        rows = [r for r, _ in kept]
+        P = _u_rows(reversed(self._row_ops), rows)
+        Q = _u_rows(map(_inverse_transposed, reversed(self._row_ops)), rows)
+        if factors and factors[-1]:
+            e = factors[-1]
+            for i, row in Q.items():
+                Q[i] = {t: v - e * _nearest(v, e) for t, v in row.items() if v % e}
+        m, s = self.matrix.rows, len(factors)
+        P_T = SparseIntMatrix.from_rows(m, s, P)
+        return factors, P_T.transpose(), SparseIntMatrix.from_rows(m, s, Q)
 
     def kernel_basis(self) -> SparseIntMatrix:
         """Columns form a basis of the (saturated) integer kernel lattice."""
@@ -657,7 +678,7 @@ class SmithDecomposition:
 
 
 def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
-    w = _Reducer(M, logged="both")
+    w = _Reducer(M, logged=True)
     w.reduce()
     return SmithDecomposition(
         matrix=M,
@@ -681,7 +702,7 @@ def invariant_factors(
     passed as `cleared` receives the rows that may be skipped in the next
     differential down (see the clearing rule in the module docstring).
     """
-    w = _Reducer(M, logged=None, skip_columns=skip_columns)
+    w = _Reducer(M, logged=False, skip_columns=skip_columns)
     w.reduce()
     if cleared is not None:
         cleared.extend(w.cleared)
@@ -692,57 +713,6 @@ def cokernel(M: SparseIntMatrix) -> AbelianGroup:
     """Z^rows / (column lattice of M) in invariant-factor form."""
     facs = invariant_factors(M)
     return AbelianGroup.from_diagonal(facs, free_rank=M.rows - len(facs))
-
-
-def smith_generators(R: SparseIntMatrix) -> Tuple[List[int], SparseIntMatrix, SparseIntMatrix]:
-    """Smith-form generators of the cokernel Z^k / (column lattice of R), k = R.rows.
-
-    Returns (d, P, Q): the cokernel is the sum of Z/d_j over s generators,
-    the invariant factors d_j > 1 in divisibility order, then d_j = 0 for
-    each free generator.  P (s x k) maps coordinates to generator
-    coordinates, and the columns of Q (k x s) are the generators: row j of
-    P Q - I is divisible by d_j (zero for a free generator).
-
-    R is reduced with the row log alone; `SmithDecomposition.generators`
-    reads the same triple off a decomposition that is already there.
-    """
-    w = _Reducer(R, logged="rows")
-    w.reduce()
-    return _generators(w.m, w.diag, w.ops, w.row_order)
-
-
-def _generators(
-    m: int, diag: List[int], row_ops: List[tuple], row_order: List[int]
-) -> Tuple[List[int], SparseIntMatrix, SparseIntMatrix]:
-    """smith_generators' triple from a reduction of an m-row matrix: its
-    nonzero Smith diagonal, its row log and its row order.
-
-    With U R V = D, the coordinates y = U x see the relations D: a row
-    of U at a unit factor is zero in the cokernel and is left out, and a
-    row past the rank is a free generator.  Only the kept rows of U and the
-    matching columns of U^-1 are built, from the logged row operations.
-    Columns of U^-1 grow along the elimination's remainder sequences; when
-    the cokernel is finite, its exponent kills every coordinate vector, so
-    Q is reduced modulo it.
-    """
-    rank = len(diag)
-    kept = [(r, d) for r, d in zip(row_order, diag) if d != 1]
-    kept += [(r, 0) for r in row_order[rank:]]
-    factors = [d for _, d in kept]
-    rows = [r for r, _ in kept]
-    P = _u_rows(reversed(row_ops), rows)
-    Q = _u_rows(map(_inverse_transposed, reversed(row_ops)), rows)
-    if factors and factors[-1]:
-        e = factors[-1]
-        for i, row in Q.items():
-            Q[i] = {t: v - e * _nearest(v, e) for t, v in row.items() if v % e}
-    s = len(factors)
-    P_T = SparseIntMatrix.from_rows(m, s, P)
-    return factors, P_T.transpose(), SparseIntMatrix.from_rows(m, s, Q)
-
-
-def kernel_basis(M: SparseIntMatrix) -> SparseIntMatrix:
-    return smith_decomposition(M).kernel_basis()
 
 
 def lattice_contains(M: SparseIntMatrix, X: SparseIntMatrix) -> bool:
@@ -757,7 +727,7 @@ def lattice_contains(M: SparseIntMatrix, X: SparseIntMatrix) -> bool:
     if M.is_diagonal():
         factors, Y = [M[i, i] for i in range(M.rows)], X
     else:
-        factors, P, _ = smith_generators(M)
+        factors, P, _ = smith_decomposition(M).generators()
         Y = P @ X
     return all(factors[i] and v % factors[i] == 0 for i, r in Y.by_row.items() for v in r.values())
 

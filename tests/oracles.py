@@ -286,72 +286,6 @@ def degeneracy_map_reference(M, src, tgt, i):
     return _matrix(len(tgt.columns), len(src.columns), entries)
 
 
-def graded_reference(M):
-    """The associated graded ring of M from hand-kept offset tables:
-    {"pieces": {k: relation matrix}, "transitions": {k: ...},
-    "products": {(a, b): ...}, "unit": ...}, every matrix as
-    (rows, cols, entries).  Graded slice i is piece(i) modulo the image of
-    piece(i-1), on the generators of piece(i)."""
-    m = M.depth()
-    slices = {}
-    for i in range(-m, 1):
-        P = M.piece(i)
-        T = M.group.transition(i - 1)
-        rel = dict(P.relations.entries)
-        rel.update({(r, P.relations.cols + c): v for (r, c), v in T.entries.items()})
-        slices[i] = (P.num_generators, P.relations.cols + T.cols, rel)
-    offsets, pieces = {}, {}
-    for k in range(-m, 1):
-        off, total, col, entries = {}, 0, 0, {}
-        for i in range(-m, k + 1):
-            off[i] = total
-            gens, cols, rel = slices[i]
-            for (r, c), v in rel.items():
-                entries[(total + r, col + c)] = v
-            total += gens
-            col += cols
-        offsets[k] = off
-        pieces[k] = _matrix(total, col, entries)
-    transitions = {
-        k: _matrix(
-            pieces[k + 1][0],
-            pieces[k][0],
-            {
-                (offsets[k + 1][i] + r, offsets[k][i] + r): 1
-                for i in range(-m, k + 1)
-                for r in range(slices[i][0])
-            },
-        )
-        for k in range(-m, 0)
-    }
-    products = {}
-    for a in range(-m, 1):
-        for b in range(-m, 1):
-            na, nb = pieces[a][0], pieces[b][0]
-            if a + b < -m:
-                products[(a, b)] = _matrix(0, na * nb, {})
-                continue
-            entries = {}
-            for i in range(-m, a + 1):
-                for j in range(-m, b + 1):
-                    if i + j < -m:
-                        continue  # graded slice below depth is zero
-                    nj = M.piece(j).num_generators
-                    for (r, c), v in M.product(i, j).entries.items():
-                        gi, gj = divmod(c, nj)
-                        col = (offsets[a][i] + gi) * nb + (offsets[b][j] + gj)
-                        key = (offsets[a + b][i + j] + r, col)
-                        entries[key] = entries.get(key, 0) + v
-            products[(a, b)] = _matrix(pieces[a + b][0], na * nb, entries)
-    unit = {(offsets[0][0] + r, 0): v for (r, _), v in M.unit.entries.items()}
-    return {
-        "pieces": pieces,
-        "transitions": transitions,
-        "products": products,
-        "unit": _matrix(pieces[0][0], 1, unit),
-    }
-
-
 # ---------------------------------------------------------------------------
 # The filtered tensor as the colimit over the whole poset {i : sum i <= k}:
 # generators on the full antidiagonal sum = k, positive coordinates
@@ -862,13 +796,13 @@ def presentation_reference(C, i):
 def homology_presentation_reference(C, i):
     """H_i presented degree by degree, as homology_presentation did before
     the complex kept its kernel decompositions: d_i is decomposed for the
-    kernel basis and kernel coordinates, and smith_generators reduces the
-    boundaries' coordinates R a second time, rows only."""
+    kernel basis and kernel coordinates, and the boundaries' coordinates R
+    are decomposed for the generators."""
     from cychom.complexes import HomologyPresentation
-    from cychom.intlin import AbelianGroup, SparseIntMatrix, smith_generators
+    from cychom.intlin import AbelianGroup, SparseIntMatrix, smith_decomposition
 
     K, R, dec = presentation_reference(C, i)
-    factors, to_generators, generators = smith_generators(R)
+    factors, to_generators, generators = smith_decomposition(R).generators()
     s = len(factors)
     return HomologyPresentation(
         degree=i,
@@ -883,12 +817,12 @@ def homology_presentation_reference(C, i):
 def exact_at_reference(mid_relations, incoming, outgoing, out_relations):
     """Exactness at a group Z^k / mid_relations of the maps `incoming` into
     it and `outgoing` out of it into Z^l / out_relations."""
-    from cychom.intlin import SparseIntMatrix, kernel_basis
+    from cychom.intlin import SparseIntMatrix, smith_decomposition
 
     image = incoming.hstack(mid_relations)
     if not lattice_contains_reference(out_relations, outgoing @ incoming):
         return False
-    K = kernel_basis(outgoing.hstack(out_relations.scale(-1)))
+    K = smith_decomposition(outgoing.hstack(out_relations.scale(-1))).kernel_basis()
     preimage = SparseIntMatrix(
         outgoing.cols, K.cols, {(i, j): v for (i, j), v in K.entries.items() if i < outgoing.cols}
     )
