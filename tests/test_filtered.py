@@ -78,6 +78,18 @@ def random_presented_group(rng):
     return PresentedGroup(gens, SparseIntMatrix(gens, cols, entries))
 
 
+def test_tensor_presentation_matches_kronecker_reference():
+    # 1-4 factors in a sum of one spot: index arithmetic must give the
+    # Kronecker matrix exactly
+    rng = random.Random(0)
+    for _ in range(200):
+        parts = [random_presented_group(rng) for _ in range(rng.randint(1, 4))]
+        gens, cols, entries = kron_tensor_presentation(parts)
+        pres = filtered._spot_sum([()], lambda _: parts)[1]
+        assert pres.num_generators == gens
+        assert pres.relations == SparseIntMatrix(gens, cols, entries)
+
+
 def test_adic_filtration_shape():
     M = adic_filtration(3, 3)
     assert M.depth() == 3
