@@ -510,28 +510,28 @@ class ExactnessReport:
 
 
 def exact_sequence_check(
-    complexes: Sequence[ChainComplex],
+    presentations: Sequence[Callable[[int], HomologyPresentation]],
     maps: Sequence[Callable[[int], SparseIntMatrix]],
     names: Sequence[str],
     degrees: Sequence[int],
 ) -> ExactnessReport:
     """Exactness of ... -> H_n(X0) -> H_n(X1) -> H_n(X2) -> H_{n-1}(X0) -> ...
 
-    complexes is (X0, X1, X2), each presented once per degree
-    (ChainComplex.presentation).  maps[k](n) is the
-    chain-level matrix that induces the arrow out of H_n(X_k): X0_n -> X1_n,
-    X1_n -> X2_n and X2_n -> X0_{n-1}.  Each degree n checks the nodes
-    H_n(X1), H_n(X2) and H_{n-1}(X0), named by names[k]; a degree whose
+    presentations[k](n) presents H_n(X_k): X.presentation for a complex X,
+    or a complex read at a shifted degree.  maps[k](n) is the chain-level
+    matrix that induces the arrow out of H_n(X_k): X0_n -> X1_n, X1_n ->
+    X2_n and X2_n -> X0_{n-1}.  Each degree n checks the nodes H_n(X1),
+    H_n(X2) and H_{n-1}(X0), named by names[k]; a degree whose
     presentations fall outside the complexes is skipped, and BoundTooSmall
     is raised when every degree is, rather than passing on no node.
     """
     checked: List[Tuple[str, int]] = []
     failures: List[Tuple[str, int]] = []
-    X0, X1, X2 = complexes
+    X0, X1, X2 = presentations
     for n in degrees:
         try:
-            x0, x1, x2 = X0.presentation(n), X1.presentation(n), X2.presentation(n)
-            y0, y1 = X0.presentation(n - 1), X1.presentation(n - 1)
+            x0, x1, x2 = X0(n), X1(n), X2(n)
+            y0, y1 = X0(n - 1), X1(n - 1)
         except TruncationTooTight:
             continue
         a_n = x1.coords_of_cycles(maps[0](n) @ x0.cycles)
@@ -572,7 +572,7 @@ def cone_les_check(f: ChainMap, degrees: Sequence[int]) -> ExactnessReport:
         return SparseIntMatrix(k, cone.dim(n), {(i, i): -1 for i in range(k)})
 
     return exact_sequence_check(
-        (src, tgt, cone),
+        (src.presentation, tgt.presentation, cone.presentation),
         (f.component, incl_matrix, proj_matrix),
         ("src", "tgt", "cone"),
         degrees,

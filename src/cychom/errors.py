@@ -44,7 +44,8 @@ class BoundTooSmall(CychomError):
 
 
 class OutOfRange(CychomError):
-    """A degree above the verified window, requested without allowing it."""
+    """A degree above the verified window, requested without allowing it,
+    or a K-table whose orders have more digits than Python prints."""
 
 
 class RangeEmpty(CychomError):

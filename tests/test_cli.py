@@ -137,6 +137,19 @@ def test_k_groups_command(capsys):
     assert code == cli.EXIT_BAD_ARGS
 
 
+def test_k_groups_refuses_orders_the_interpreter_cannot_print(capsys):
+    # K_2527 of Z/2531 has order 2531^1264 - 1, of 4302 decimal digits, more
+    # than the interpreter's default limit of 4300 for printing an integer;
+    # K_2517 of Z/2521, of 4283 digits, still prints
+    assert cli.main(["k-groups", "--p", "2531", "--n", "1"]) == cli.EXIT_RANGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    code, out = run_cli(["k-groups", "--p", "2521", "--n", "1"], capsys)
+    assert code == 0 and out.startswith("K_1: Z/2520\n")
+
+
 def test_k_groups_structured_provenance(capsys):
     code, out = run_cli(
         ["k-groups", "--p", "7", "--n", "2", "--format", "structured"], capsys
@@ -324,8 +337,17 @@ def test_bad_argv(capsys):
         ["hh", "--max-degree", "3"],
         ["hh", "--ring", "zmod:3^2", "--format", "xml"],
         ["frobenius"],
+        ["hh", "--ring", "zmod:3", "--max-degree", "-1"],
+        ["reproduce-paper", "--p-list", "3,x"],
     ],
-    ids=["bad-int", "missing-ring", "bad-choice", "unknown-command"],
+    ids=[
+        "bad-int",
+        "missing-ring",
+        "bad-choice",
+        "unknown-command",
+        "negative-max-degree",
+        "bad-int-list",
+    ],
 )
 def test_bad_command_line_prints_one_error_line(argv, capsys):
     # argparse's own refusals keep exit 2 but print one line, not the usage

@@ -120,6 +120,18 @@ def test_morphism_checks():
         # t -> 2t is not a chain map from koszul(4) to koszul(4)
         DGAMorphism(koszul_resolution(4), koszul_resolution(4),
                     {"1": {"1": 1}, "t": {"t": 2}})
+    with pytest.raises(InvalidParams, match="not degree-preserving"):
+        # t has degree 1 and the unit degree 0
+        DGAMorphism(koszul_resolution(4), koszul_resolution(4),
+                    {"1": {"1": 1}, "t": {"1": 1}})
+    with pytest.raises(InvalidParams, match="does not preserve the unit"):
+        DGAMorphism(koszul_resolution(4), koszul_resolution(4),
+                    {"1": {"1": 2}, "t": {"t": 1}})
+    with pytest.raises(InvalidParams, match="not multiplicative"):
+        # x, y -> x and xy -> xy on the exterior algebra with d = 0: x * y
+        # goes to xy, but x * x = 0
+        A = load_algebra(ext2_text(0, 0))
+        DGAMorphism(A, A, {"1": {"1": 1}, "x": {"x": 1}, "y": {"x": 1}, "xy": {"xy": 1}})
 
 
 def test_morphism_compose_and_identity():

@@ -386,6 +386,27 @@ def test_morse_path_refuses_flows_that_form_a_cycle():
         hochschild._morse_complex(critical, lambda x: terms.get(x, {}), pairs.get, 2)
 
 
+@pytest.mark.parametrize(
+    "terms, pairs, match",
+    [
+        # u is paired with w above, where d w = 2 u: the flow would divide by 2
+        (
+            {"c": {"u": 1}, "w": {"u": 2}},
+            {"u": ("w", True), "w": ("u", False)},
+            "coefficient 2 on the pair",
+        ),
+        # u is neither paired nor critical
+        ({"c": {"u": 1}}, {}, "unpaired cell u is not among the critical cells"),
+    ],
+    ids=["coefficient-2", "unpaired-noncritical"],
+)
+def test_morse_path_refuses_a_bad_pair_or_an_unpaired_cell(terms, pairs, match):
+    # d c = u for the critical cell c of degree 2
+    critical = {0: [], 1: [], 2: ["c"]}
+    with pytest.raises(MatchingFailed, match=match):
+        hochschild._morse_complex(critical, lambda x: terms.get(x, {}), pairs.get, 2)
+
+
 @pytest.mark.parametrize("cyclic", [False, True])
 @pytest.mark.parametrize("name", ["ext2-a9-b3", "ext2-a3-b9", "ext2-a-3-b9"])
 def test_critical_complex_matches_the_flow_sweep_reference(monkeypatch, name, cyclic):
@@ -428,6 +449,19 @@ def test_connes_split_refuses_a_leading_block_that_is_not_a_subcomplex():
     C = ChainComplex({0: ((0, "a"), (0, "b")), 1: ((0, "c"),), 2: ((1, "e"),)}, d)
     with pytest.raises(BoundTooSmall):  # split, but degree 2 has no node
         _connes_sequence(C, 2)
+
+
+def test_connes_split_reports_a_trailing_block_that_is_not_d_two_degrees_down():
+    # d b = 2 a in column 0 and d b' = 3 a' in column 1: d^2 = 0 and the
+    # split is a subcomplex, but the trailing block of d_3 is [3] where d_1
+    # is [2].  The report is falsy on periodicity_ok; its `exact` reads the
+    # quotient's node in degree 2 off C's H_0 = Z/2, where the projection
+    # from HC_2 = Z/3 kills only 2Z, not the image of HH_2 = 0
+    d = {1: SparseIntMatrix.from_dense([[2]]), 3: SparseIntMatrix.from_dense([[3]])}
+    C = ChainComplex({0: ((0, "a"),), 1: ((0, "b"),), 2: ((1, "a'"),), 3: ((1, "b'"),)}, d, 0, 4)
+    report = _connes_sequence(C, 3)
+    assert not report and not report.periodicity_ok
+    assert report.failures == (("hc", 2),) and len(report.checked_nodes) == 6
 
 
 def test_morse_sbi_check_raises_on_a_wrong_sign_of_B(monkeypatch):

@@ -221,7 +221,7 @@ def planted_sequences(draw):
 
 
 def _check_against_reference(complexes_, maps, degrees):
-    report = exact_sequence_check(complexes_, maps, NAMES, degrees)
+    report = exact_sequence_check([X.presentation for X in complexes_], maps, NAMES, degrees)
     want = tuple((NAMES[k], n) for k, n in exact_sequence_reference(complexes_, maps, degrees))
     assert report.failures == want
     assert report.exact == (not want)
