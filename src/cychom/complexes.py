@@ -42,7 +42,6 @@ H_{i-1}(C).
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
@@ -54,7 +53,6 @@ from .errors import (
     DimensionMismatch,
     InvalidModulus,
     NotAChainMap,
-    ParseError,
     TruncationTooTight,
 )
 from .intlin import (
@@ -577,83 +575,3 @@ def cone_les_check(f: ChainMap, degrees: Sequence[int]) -> ExactnessReport:
         ("src", "tgt", "cone"),
         degrees,
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _label_to_json(lbl: Label):
-    if isinstance(lbl, tuple):
-        return {"t": [_label_to_json(x) for x in lbl]}
-    if isinstance(lbl, (str, int)):
-        return lbl
-    raise TypeError(f"unserializable label {lbl!r}")
-
-
-def _label_from_json(obj) -> Label:
-    if isinstance(obj, dict) and obj.keys() == {"t"} and isinstance(obj["t"], list):
-        return tuple(_label_from_json(x) for x in obj["t"])
-    if isinstance(obj, (str, int)):
-        return obj
-    raise TypeError(f"unserializable label {obj!r}")
-
-
-def dumps(C: ChainComplex) -> str:
-    """Serialize to a canonical JSON document (bit-exact round trip)."""
-    doc = {
-        "format": "cychom-chain-complex",
-        "version": 1,
-        "min_degree": C.min_degree,
-        "max_degree": C.max_degree,
-        "degrees": [
-            {
-                "degree": d,
-                "basis": [_label_to_json(l) for l in C.labels(d)],
-                "differential": sorted(
-                    [r, c, str(v)] for r, row in C.diff(d).by_row.items() for c, v in row.items()
-                ),
-            }
-            for d in C.degrees()
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def loads(text: str) -> ChainComplex:
-    """Parse a dumps document; every malformed or invalid one raises ParseError."""
-    try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("format") != "cychom-chain-complex":
-            raise ParseError("not a chain complex document")
-        if type(doc.get("version")) is not int or doc["version"] != 1:
-            raise ParseError(f"unsupported chain complex document version {doc.get('version')!r}")
-        fields = [doc["min_degree"], doc["max_degree"]] + [b["degree"] for b in doc["degrees"]]
-        fields += [x for b in doc["degrees"] for e in b["differential"] for x in e[:2]]
-        bad = [x for x in fields if type(x) is not int]  # a bool is not an int here
-        if bad:
-            raise ParseError(f"a degree, row or column is not an integer: {bad[0]!r}")
-        basis = {}
-        diffs = {}
-        for blk in doc["degrees"]:
-            d = blk["degree"]
-            if d in basis:
-                raise ParseError(f"degree {d} has more than one block")
-            basis[d] = tuple(_label_from_json(l) for l in blk["basis"])
-        for blk in doc["degrees"]:
-            d = blk["degree"]
-            ent = {}
-            for r, c, v in blk["differential"]:
-                # dumps writes each value as a decimal string, so a JSON number is malformed
-                if type(v) is not str or str(int(v)) != v:
-                    raise ParseError(f"entry value {v!r} of d_{d} is not a decimal integer string")
-                if (r, c) in ent:
-                    raise ParseError(f"entry ({r}, {c}) of d_{d} is given twice")
-                ent[r, c] = int(v)
-            diffs[d] = SparseIntMatrix(len(basis.get(d - 1, ())), len(basis[d]), ent)
-        return ChainComplex(basis, diffs, doc["min_degree"], doc["max_degree"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad chain complex document: {e}") from e
-    except (CompositionNonzero, DimensionMismatch, TruncationTooTight) as e:
-        raise ParseError(f"chain complex document fails validation: {e}") from e

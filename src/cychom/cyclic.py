@@ -57,7 +57,7 @@ from .complexes import (
     universal_coefficients,
 )
 from .dga import DGAlgebra, DGAMorphism, koszul_resolution, reduction_map
-from .errors import CompositionNonzero, DimensionMismatch
+from .errors import BoundTooSmall, CompositionNonzero, DimensionMismatch
 from .hochschild import (
     HochschildComplex,
     critical_complex,
@@ -231,6 +231,8 @@ def rel_hc_table(F: ChainMap) -> List[AbelianGroup]:
 
 def rel_hc_groups(f: DGAMorphism, top: int) -> List[AbelianGroup]:
     """Relative HC of f in degrees 0..top, from one induced cyclic map."""
+    if top < 0:
+        raise BoundTooSmall(f"top {top} < 0")
     F = induced_cyclic_map(f, top + 1)
     return rel_hc_table(F)
 
@@ -275,7 +277,10 @@ class SBIReport:
     the quotient, read as HC_{n-2}, and the connecting map lifts a quotient
     cycle and applies the total differential.  periodicity_ok: the trailing
     block of d_n is d_{n-2}, as a matrix, in every degree the sequence
-    reads; where it is not, `exact` still reads the quotient as HC_{n-2}.
+    reads; where it is not, `exact` still reads the quotient as HC_{n-2},
+    unless a trailing block of d_n in a degree n whose nodes the sequence
+    reads has another shape than d_{n-2}: then no node is read, `exact` is
+    False and checked_nodes and failures are empty.
     """
 
     exact: bool
@@ -313,6 +318,10 @@ def _connes_sequence(C: ChainComplex, bound: int) -> SBIReport:
         connecting[n] = SparseIntMatrix.from_rows(j, trail, blocks[False, True])
         incl[n] = SparseIntMatrix(C.dim(n), k, {(i, i): 1 for i in range(k)})
         proj[n] = SparseIntMatrix(trail, C.dim(n), {(r, k + r): 1 for r in range(trail)})
+    # degree n's nodes lie within C for lo <= n - 2 and n + 1 <= hi
+    nodes = range(max(2, lo + 2), min(bound, hi - 1) + 1)
+    if any(trailing[n].shape != C.diff(n - 2).shape for n in nodes):
+        return SBIReport(exact=False, periodicity_ok=False, checked_nodes=(), failures=())
     H = ChainComplex({n: C.labels(n)[: lead[n]] for n in C.degrees()}, h, lo, hi)
     report = exact_sequence_check(
         (H.presentation, C.presentation, lambda n: C.presentation(n - 2)),

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from cychom.complexes import (
@@ -7,13 +5,11 @@ from cychom.complexes import (
     ChainComplex,
     ChainMap,
     cone_les_check,
-    dumps,
     exact_at,
     homology,
     homology_groups,
     homology_presentation,
     induced_on_homology,
-    loads,
     mapping_cone,
     tensor,
     total_complex,
@@ -24,7 +20,6 @@ from cychom.errors import (
     CompositionNonzero,
     DimensionMismatch,
     NotAChainMap,
-    ParseError,
     TruncationTooTight,
 )
 from cychom.intlin import AbelianGroup, SparseIntMatrix
@@ -278,70 +273,3 @@ def test_total_complex_explicit_bounds():
     T = total_complex(B, 0, 3)
     assert T.max_degree == 3
     assert homology(T, 2).is_trivial()
-
-
-def test_serialization_round_trip():
-    C = tensor(two_term_complex(4), two_term_complex(6))
-    text = dumps(C)
-    D = loads(text)
-    assert D == C
-    assert dumps(D) == text  # byte-identical
-    with pytest.raises(ParseError):
-        loads("{}")
-    with pytest.raises(ParseError):
-        loads("not json")
-
-
-def _document(degrees, min_degree=0, max_degree=None, version=1):
-    """A chain complex document: degrees lists blocks (d, basis, [[row, col,
-    value]]), an int value written as dumps writes it, any other as given."""
-    return json.dumps({
-        "format": "cychom-chain-complex",
-        "version": version,
-        "min_degree": min_degree,
-        "max_degree": max(d for d, _, _ in degrees) if max_degree is None else max_degree,
-        "degrees": [
-            {
-                "degree": d,
-                "basis": basis,
-                "differential": [[r, c, str(v) if type(v) is int else v] for r, c, v in diff],
-            }
-            for d, basis, diff in degrees
-        ],
-    })
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[]",
-        # entry (5, 0) outside the 1 x 1 differential
-        _document([(0, ["a"], []), (1, ["b"], [[5, 0, 2]])]),
-        # d_1 d_2 = 1
-        _document([(0, ["a"], []), (1, ["b"], [[0, 0, 1]]), (2, ["c"], [[0, 0, 1]])]),
-        _document([(0, ["a"], [])], min_degree=3, max_degree=1),
-        # dumps cannot write a float label
-        _document([(0, [1.5], [])]),
-        # a float row index: the entry [0.5, 0, "2"] of d_1
-        _document([(0, ["a"], []), (1, ["b"], [[0.5, 0, 2]])]),
-        # a block whose degree is the JSON boolean true
-        _document([(0, ["a"], []), (True, ["b"], [])], max_degree=1),
-        # entry values that are JSON numbers, not the decimal strings dumps writes
-        _document([(0, ["a"], []), (1, ["b"], [[0, 0, 2.7]])]),
-        _document([(0, ["a"], []), (1, ["b"], [[0, 0, True]])]),
-        _document([(0, ["a"], []), (1, ["b"], [[0, 0, 2]])]).replace('"2"', "2"),
-        # the entry (0, 0) of d_1 given twice
-        _document([(0, ["a"], []), (1, ["b"], [[0, 0, 2], [0, 0, 3]])]),
-        # two blocks of degree 1
-        _document([(0, ["a"], []), (1, ["b"], [[0, 0, 2]]), (1, ["c"], [])]),
-        _document([(0, ["a"], [])], version=99),
-    ],
-    ids=[
-        "not-an-object", "entry-outside-shape", "d-squared", "empty-range", "float-label",
-        "float-row", "bool-degree", "float-value", "bool-value", "number-value",
-        "repeated-entry", "repeated-degree", "unknown-version",
-    ],
-)
-def test_loads_rejects_malformed_documents(text):
-    with pytest.raises(ParseError):
-        loads(text)

@@ -83,6 +83,8 @@ def test_bound_errors():
             hc(A, -1)
     with pytest.raises(BoundTooSmall):
         cyclic_bundle(base_ring(), -1)
+    with pytest.raises(BoundTooSmall):
+        hc_relative(reduction_map(9, 3), -1)
 
 
 def test_relative_of_identity_vanishes():

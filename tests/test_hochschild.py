@@ -464,6 +464,16 @@ def test_connes_split_reports_a_trailing_block_that_is_not_d_two_degrees_down():
     assert report.failures == (("hc", 2),) and len(report.checked_nodes) == 6
 
 
+def test_connes_split_reports_a_trailing_block_of_another_size_than_c_two_degrees_down():
+    # with d = 0, the trailing block of d_2 has two columns (x, y) where C_0
+    # has one cell, so the quotient's node in degree 2 cannot be read off
+    # H_0(C): the report is falsy and reads no node
+    basis = {0: ((0, "a"),), 1: ((0, "b"),), 2: ((1, "x"), (1, "y")), 3: ((1, "z"),)}
+    report = _connes_sequence(ChainComplex(basis, {}), 3)
+    assert not report and not report.periodicity_ok and not report.exact
+    assert report.checked_nodes == () and report.failures == ()
+
+
 def test_morse_sbi_check_raises_on_a_wrong_sign_of_B(monkeypatch):
     # the rotation by one slot negated: (D + B)^2 != 0 on a word a flow reads
     cyclic_differential = hochschild._cyclic_differential

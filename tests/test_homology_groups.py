@@ -14,8 +14,7 @@ the dense oracle, on planted complexes whose unit pivots appear only by
 fill-in after a core step and on the cone of Z/19^3 -> Z/19^2.  The
 planted complexes also drive property tests of the two total-complex
 constructions, `tensor` (the Kunneth formula) and `mapping_cone` (the cone
-of an identity is acyclic, with an exact long exact sequence), and of the
-`dumps`/`loads` round trip on their nested labels.
+of an identity is acyclic, with an exact long exact sequence).
 """
 
 from itertools import accumulate
@@ -31,12 +30,10 @@ from cychom.complexes import (
     ChainComplex,
     ChainMap,
     cone_les_check,
-    dumps,
     exact_sequence_check,
     homology,
     homology_groups,
     homology_presentation,
-    loads,
     mapping_cone,
     tensor,
 )
@@ -258,18 +255,6 @@ def test_scaled_cone_sequences_fail_where_the_reference_fails():
     double = ChainMap(C, C, {n: SparseIntMatrix.identity(C.dim(n)).scale(2) for n in C.degrees()})
     assert _check_against_reference(*_cone_sequence(double, (1, 1, 1)), range(1, 3)).exact
     assert not _check_against_reference(*_cone_sequence(double, (1, 1, 0)), range(1, 3)).exact
-
-
-@settings(max_examples=40, deadline=None)
-@given(planted_complexes(), planted_complexes())
-def test_tensor_and_cone_documents_round_trip(c_case, d_case):
-    # labels (a, b, (x, y)) in the tensor, (s, t, (a, b, (x, y))) in its cone
-    T = tensor(c_case[0], d_case[0])
-    for X in (T, mapping_cone(ChainMap.identity(T))):
-        text = dumps(X)
-        Y = loads(text)
-        assert Y == X
-        assert dumps(Y) == text
 
 
 def test_homology_groups_keeps_the_requested_order():

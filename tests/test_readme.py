@@ -1,6 +1,6 @@
 """The README's library tour runs as written and prints the groups its
-comments name, and every name the package exports resolves and has a
-consumer outside the tests."""
+comments name, every name the package exports resolves, and every public
+function and class of src/cychom has a consumer outside the tests."""
 
 import ast
 import glob
@@ -42,22 +42,53 @@ def test_every_exported_name_resolves():
     assert [name for name in cychom.__all__ if not hasattr(cychom, name)] == []
 
 
+def imported_modules(tree, modules):
+    """The names tree binds to cychom modules (`from . import m` or `from
+    cychom import m`)."""
+    return {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "cychom")
+        for a in node.names
+        if a.name in modules
+    }
+
+
+def module_reads(node, bound):
+    """The names `m.name` reads within node, for m in bound."""
+    return {
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in bound
+    }
+
+
 def test_every_exported_name_has_a_program_consumer():
-    # a CLI command or another src function (a name or attribute read
-    # outside __init__ and outside the name's own top-level definition), a
-    # benchmark file (a word match), or the library tour
+    # every public module-level function and class of src/cychom (which
+    # covers __all__) is read by a CLI command or another src function (a
+    # name, or `module.name`, read outside __init__ and outside the name's
+    # own top-level definition), a benchmark file (`module.name` on a
+    # cychom module, or the name as a string literal, which is how the
+    # tracer rebinds), or the library tour
+    trees = {}
+    for path in glob.glob(SRC + "/*.py"):
+        with open(path) as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read())
     consumers = set(re.findall(r"\w+", tour_lines()))
     for path in glob.glob(BENCH + "/*.py"):
         with open(path) as fh:
-            consumers.update(re.findall(r"\w+", fh.read()))
-    for path in glob.glob(SRC + "/*.py"):
-        if path.endswith("__init__.py"):
-            continue
-        with open(path) as fh:
             tree = ast.parse(fh.read())
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        consumers |= module_reads(tree, imported_modules(tree, trees)) | strings
+    public = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        bound = imported_modules(tree, trees)
         for top in tree.body:
-            for node in ast.walk(top):
-                name = getattr(node, "id", None) or getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and name != getattr(top, "name", None):
-                    consumers.add(name)
-    assert [name for name in cychom.__all__ if name not in consumers] == []
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                public.append(f"{module}.{own}")
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            consumers |= (names | module_reads(top, bound)) - {own}
+    assert sorted(name for name in public if name.split(".")[1] not in consumers) == []
