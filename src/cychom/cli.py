@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cyclic, dga, filtered, ktheory
-from .complexes import homology_groups
+from .complexes import homology_groups, induced_on_homology
 from .errors import (
     BoundTooSmall,
     CychomError,
@@ -271,7 +271,8 @@ def _cmd_reproduce_paper(spec: JobSpec, out) -> int:
                     cell(f"{name} p={p} n={n} i={i}", got == want, got, want)
             if F is not None:
                 for i in degrees:
-                    onto = bool(cyclic.tower_report(p, n, F, i))
+                    _, tgt, image = induced_on_homology(F, i)
+                    onto = tgt.generated_by(image)
                     got = "surjective" if onto else "not surjective"
                     cell(f"tower p={p} n={n} i={i}", onto, got, "surjective", detail=False)
         # K cells cover 1 <= i <= p - 3, so p = 3 has none

@@ -223,7 +223,7 @@ def universal_coefficients(H: AbelianGroup, below: AbelianGroup, q: int) -> Abel
     torsion = H.invariant_factors + below.invariant_factors
     diagonal = [q] * H.free_rank + [gcd(d, q) for d in torsion]
     k = len(diagonal)
-    return cokernel(SparseIntMatrix(k, k, {(j, j): d for j, d in enumerate(diagonal)}))
+    return cokernel(SparseIntMatrix(k, k, {j: {j: d} for j, d in enumerate(diagonal)}))
 
 
 class Bicomplex:
@@ -306,7 +306,7 @@ def total_complex(
             if M is not None:
                 _place(rows, M, at[below], at[st])
     differential = {
-        n: SparseIntMatrix.from_rows(len(basis.get(n - 1, ())), len(basis[n]), rows)
+        n: SparseIntMatrix(len(basis.get(n - 1, ())), len(basis[n]), rows)
         for n, rows in diffs.items()
     }
     return ChainComplex(basis, differential, min_degree, max_degree)
@@ -419,7 +419,7 @@ class HomologyPresentation:
         for i, d in self.relations.by_row.items():
             if i in rows:
                 rows[i] = {j: v % d[i] for j, v in rows[i].items()}
-        return SparseIntMatrix.from_rows(Y.rows, Y.cols, rows)
+        return SparseIntMatrix(Y.rows, Y.cols, rows)
 
     def generated_by(self, A: SparseIntMatrix) -> bool:
         """Do the classes with generator coordinates A span the group?"""
@@ -448,7 +448,7 @@ def homology_presentation(C: ChainComplex, i: int) -> HomologyPresentation:
     return HomologyPresentation(
         degree=i,
         cycles=kernel.kernel_basis() @ generators,
-        relations=SparseIntMatrix(s, s, {(j, j): d for j, d in enumerate(factors)}),
+        relations=SparseIntMatrix(s, s, {j: {j: d} for j, d in enumerate(factors)}),
         group=AbelianGroup.from_diagonal(factors, factors.count(0)),
         _kernel=kernel,
         _to_generators=to_generators,
@@ -472,7 +472,7 @@ def _kernel_of_induced(
     stacked = A.hstack(target_relations.scale(-1))
     K = smith_decomposition(stacked).kernel_basis()
     x_block = {i: row for i, row in K.by_row.items() if i < A.cols}
-    return SparseIntMatrix.from_rows(A.cols, K.cols, x_block)
+    return SparseIntMatrix(A.cols, K.cols, x_block)
 
 
 def exact_at(
@@ -563,11 +563,11 @@ def cone_les_check(f: ChainMap, degrees: Sequence[int]) -> ExactnessReport:
 
     def incl_matrix(n):
         k, m = src.dim(n - 1), tgt.dim(n)
-        return SparseIntMatrix(cone.dim(n), m, {(k + j, j): 1 for j in range(m)})
+        return SparseIntMatrix(cone.dim(n), m, {k + j: {j: 1} for j in range(m)})
 
     def proj_matrix(n):
         k = src.dim(n - 1)
-        return SparseIntMatrix(k, cone.dim(n), {(i, i): -1 for i in range(k)})
+        return SparseIntMatrix(k, cone.dim(n), {i: {i: -1} for i in range(k)})
 
     return exact_sequence_check(
         (src.presentation, tgt.presentation, cone.presentation),

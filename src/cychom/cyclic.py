@@ -52,7 +52,6 @@ from .complexes import (
     exact_sequence_check,
     homology,
     homology_groups,
-    induced_on_homology,
     mapping_cone,
     universal_coefficients,
 )
@@ -95,7 +94,7 @@ def cyclic_bundle(A: DGAlgebra, bound: int) -> CyclicComplexBundle:
         if n >= 2:
             _place(rows, cyclic_operator(H, n - 2), 0, k)
             _place(rows, diffs[n - 2], j, k)
-        diffs[n] = SparseIntMatrix.from_rows(j + len(basis.get(n - 3, ())), len(basis[n]), rows)
+        diffs[n] = SparseIntMatrix(j + len(basis.get(n - 3, ())), len(basis[n]), rows)
     return CyclicComplexBundle(hochschild=H, total=ChainComplex(basis, diffs, 0, bound + 1))
 
 
@@ -149,7 +148,7 @@ def cyclic_map(
         _place(rows, F.component(n), 0, 0)
         if n >= 2:
             _place(rows, comps[n - 2], tgt.hochschild.total.dim(n), src.hochschild.total.dim(n))
-        comps[n] = SparseIntMatrix.from_rows(tgt.total.dim(n), src.total.dim(n), rows)
+        comps[n] = SparseIntMatrix(tgt.total.dim(n), src.total.dim(n), rows)
     return ChainMap(src.total, tgt.total, comps)
 
 
@@ -163,36 +162,6 @@ def relative_les_check(f: DGAMorphism, bound: int) -> ExactnessReport:
     """Exactness of HC_n(src) -> HC_n(tgt) -> H_n(cone) -> HC_{n-1}(src) -> ..."""
     F = induced_cyclic_map(f, bound + 1)
     return cone_les_check(F, range(1, bound + 2))
-
-
-@dataclass(frozen=True)
-class TowerSurjectivityReport:
-    p: int
-    n: int
-    degree: int
-    surjective: bool
-    in_verified_range: bool
-    source_group: AbelianGroup
-    target_group: AbelianGroup
-
-    def __bool__(self):
-        return self.surjective
-
-
-def tower_report(p: int, n: int, F: ChainMap, i: int) -> TowerSurjectivityReport:
-    """Is HC_i of the reduction Z/p^n -> Z/p^{n-1} surjective?  Read off
-    its induced cyclic map F, built through degree i + 1 or more; degrees
-    outside 0..verified_top(p) are still answered but flagged."""
-    src, tgt, image = induced_on_homology(F, i)
-    return TowerSurjectivityReport(
-        p=p,
-        n=n,
-        degree=i,
-        surjective=tgt.generated_by(image),
-        in_verified_range=0 <= i <= verified_top(p),
-        source_group=src.group,
-        target_group=tgt.group,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +282,11 @@ def _connes_sequence(C: ChainComplex, bound: int) -> SBIReport:
                 blocks[r >= j, c >= k][r - j if r >= j else r][c - k if c >= k else c] = v
         if blocks[True, False]:
             raise CompositionNonzero(f"d_{n} maps a leading cell off the leading block")
-        h[n] = SparseIntMatrix.from_rows(j, k, blocks[False, False])
-        trailing[n] = SparseIntMatrix.from_rows(C.dim(n - 1) - j, trail, blocks[True, True])
-        connecting[n] = SparseIntMatrix.from_rows(j, trail, blocks[False, True])
-        incl[n] = SparseIntMatrix(C.dim(n), k, {(i, i): 1 for i in range(k)})
-        proj[n] = SparseIntMatrix(trail, C.dim(n), {(r, k + r): 1 for r in range(trail)})
+        h[n] = SparseIntMatrix(j, k, blocks[False, False])
+        trailing[n] = SparseIntMatrix(C.dim(n - 1) - j, trail, blocks[True, True])
+        connecting[n] = SparseIntMatrix(j, trail, blocks[False, True])
+        incl[n] = SparseIntMatrix(C.dim(n), k, {i: {i: 1} for i in range(k)})
+        proj[n] = SparseIntMatrix(trail, C.dim(n), {r: {k + r: 1} for r in range(trail)})
     # degree n's nodes lie within C for lo <= n - 2 and n + 1 <= hi
     nodes = range(max(2, lo + 2), min(bound, hi - 1) + 1)
     if any(trailing[n].shape != C.diff(n - 2).shape for n in nodes):

@@ -124,7 +124,7 @@ def _spot_sum(spots, parts_of):
         columns.update({(spot, g): base + j for j, g in enumerate(gens)})
         rel_col += _write_tensor_relations(parts, rows, base, rel_col)
     n = len(columns)
-    return columns, PresentedGroup(n, SparseIntMatrix.from_rows(n, rel_col, rows))
+    return columns, PresentedGroup(n, SparseIntMatrix(n, rel_col, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,7 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
                         glue[key][num_glue] = v
                     num_glue += 1
     num_gens = len(columns)
-    gluing = SparseIntMatrix.from_rows(num_gens, num_glue, glue)
+    gluing = SparseIntMatrix(num_gens, num_glue, glue)
     return TensorLevel(
         factors=factors,
         level=k,
@@ -444,7 +444,7 @@ def multi_tensor(factors: Sequence[FilteredAbelianGroup], k: int) -> TensorLevel
         columns=columns,
         presentation=PresentedGroup(num_gens, internal.relations.hstack(gluing)),
         incoming=(
-            SparseIntMatrix.from_rows(num_gens, num_incoming, incoming)
+            SparseIntMatrix(num_gens, num_incoming, incoming)
             if k <= 0
             else SparseIntMatrix.identity(num_gens)
         ),
@@ -567,18 +567,15 @@ def graded_comparison(M: FilteredRing, q: int, k: int) -> GradedComparisonReport
 
 
 def _parse_matrix(lines: List[str], rows: int, cols: int, where: str) -> SparseIntMatrix:
-    entries = {}
+    by_row = {}
     if cols and len(lines) != rows:
         raise ParseError(f"{where}: expected {rows} matrix rows, got {len(lines)}")
     for r, line in enumerate(lines):
         vals = line.split()
         if len(vals) != cols:
             raise ParseError(f"{where}: row {r} has {len(vals)} entries, want {cols}")
-        for c, v in enumerate(vals):
-            x = _int(v, where)
-            if x:
-                entries[(r, c)] = x
-    return SparseIntMatrix(rows, cols, entries)
+        by_row[r] = {c: _int(v, where) for c, v in enumerate(vals)}
+    return SparseIntMatrix(rows, cols, by_row)
 
 
 def load_filtered_ring(text: str) -> FilteredRing:
@@ -612,10 +609,8 @@ def load_filtered_ring(text: str) -> FilteredRing:
             if len(lines) != 3 + rel_count:
                 raise ParseError(f"piece {idx}: expected {rel_count} relation lines")
             facs = [_int(x, f"piece {idx}") for x in lines[3:]]
-            entries = {(i, i): f for i, f in enumerate(facs)}
-            pieces[idx] = PresentedGroup(
-                gens, SparseIntMatrix(gens, rel_count, entries)
-            )
+            relations = {i: {i: f} for i, f in enumerate(facs)}
+            pieces[idx] = PresentedGroup(gens, SparseIntMatrix(gens, rel_count, relations))
         elif kind == "[transition]":
             idx = dict(_header(lines[:1], ("index",)))["index"]
             _require_new(idx, transition_blocks, "transition")

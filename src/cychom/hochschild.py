@@ -104,7 +104,7 @@ class HochschildComplex:
             for col, (_, _, w) in enumerate(labels):
                 for out, k in _word_differential(algebra, w).items():
                     rows[at[out]][col] = k
-            diffs[n] = SparseIntMatrix.from_rows(len(basis.get(n - 1, ())), len(labels), rows)
+            diffs[n] = SparseIntMatrix(len(basis.get(n - 1, ())), len(labels), rows)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "total", ChainComplex(basis, diffs, 0, window))
@@ -122,7 +122,7 @@ def cyclic_operator(H: HochschildComplex, n: int) -> SparseIntMatrix:
     for col, (_, _, word) in enumerate(H.total.labels(n)):
         for out, k in _cyclic_differential(H.algebra, word).items():
             rows[at[out]][col] = k
-    return SparseIntMatrix.from_rows(H.total.dim(n + 1), H.total.dim(n), rows)
+    return SparseIntMatrix(H.total.dim(n + 1), H.total.dim(n), rows)
 
 
 def _word_basis(A: DGAlgebra, window: int) -> Dict[Tuple[int, int], List[Word]]:
@@ -244,7 +244,7 @@ def induced_map(f: DGAMorphism, src: HochschildComplex, tgt: HochschildComplex) 
             for out, k in _image_terms(f, word):
                 row = rows[at[out]]
                 row[col] = row.get(col, 0) + k
-        comps[n] = SparseIntMatrix.from_rows(tgt.total.dim(n), src.total.dim(n), rows)
+        comps[n] = SparseIntMatrix(tgt.total.dim(n), src.total.dim(n), rows)
     return ChainMap(src.total, tgt.total, comps)
 
 
@@ -499,6 +499,6 @@ def _morse_complex(
             for r, k in out.items():
                 if k:
                     rows[r][col] = k
-        diffs[n] = SparseIntMatrix.from_rows(len(index), len(critical[n]), rows)
+        diffs[n] = SparseIntMatrix(len(index), len(critical[n]), rows)
         below = here
     return ChainComplex({n: critical[n] for n in range(top + 1)}, diffs, 0, top)

@@ -2,8 +2,9 @@
 
 Smith normal form, cokernels, kernel bases and lattice membership over
 Python's arbitrary-precision integers: no floating point, no modular
-shortcut.  A matrix stores its nonempty rows as {column: value} dicts, and
-`.entries`, the (row, column) -> value map, is a view built on request.
+shortcut.  A matrix stores its nonempty rows as {column: value} dicts, is
+built from such rows by its one constructor, and `.entries`, the
+(row, column) -> value map, is a view built on request.
 
 One elimination (`_Reducer`) serves two tiers.  `invariant_factors` runs it
 without transforms: the rank and the Smith diagonal are all a homology
@@ -64,44 +65,28 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CompositionNonzero, DimensionMismatch, InvalidModulus
 
 
-Entries = Mapping[Tuple[int, int], int]
 Rows = Dict[int, Dict[int, int]]
 
 
 class SparseIntMatrix:
     """Immutable sparse integer matrix, stored by rows: `by_row` maps each
-    nonempty row index to that row's {col: nonzero value}."""
+    nonempty row index to that row's {col: nonzero value}.
+
+    `SparseIntMatrix(rows, cols, by_row)` is the one constructor: it drops
+    zeros and empty rows, checks the shape and every index once, and takes
+    the row dicts over, so they must not change afterwards."""
 
     __slots__ = ("rows", "cols", "by_row")
 
-    def __init__(self, rows: int, cols: int, entries: Optional[Entries] = None):
+    def __init__(self, rows: int, cols: int, by_row: Optional[Rows] = None):
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"negative shape ({rows}, {cols})")
-        by_row: Rows = {}
-        for (i, j), v in (entries or {}).items():
-            if v:
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise DimensionMismatch(f"entry ({i}, {j}) outside shape ({rows}, {cols})")
-                by_row.setdefault(i, {})[j] = int(v)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "by_row", by_row)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseIntMatrix is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: int, cols: int, by_row: Rows) -> "SparseIntMatrix":
-        """The matrix whose row i is by_row[i] ({col: value}), without zeros or
-        empty rows; the other row dicts are taken over, and must not change."""
-        M = cls(rows, cols)
+        by_row = by_row or {}
         if 0 in chain.from_iterable(map(dict.values, by_row.values())):
             by_row = {i: {j: v for j, v in row.items() if v} for i, row in by_row.items()}
         if not all(by_row.values()):
@@ -110,8 +95,14 @@ class SparseIntMatrix:
             used = set().union(*by_row.values())
             if min(by_row) < 0 or max(by_row) >= rows or min(used) < 0 or max(used) >= cols:
                 raise DimensionMismatch(f"an index lies outside shape ({rows}, {cols})")
-            object.__setattr__(M, "by_row", dict(by_row))
-        return M
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "by_row", dict(by_row))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseIntMatrix is immutable")
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -121,21 +112,16 @@ class SparseIntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SparseIntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def from_dense(cls, dense: Sequence[Sequence[int]], cols: Optional[int] = None) -> "SparseIntMatrix":
         rows = len(dense)
         if cols is None:
             cols = len(dense[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(dense):
-            if len(row) != cols:
-                raise DimensionMismatch("ragged dense matrix")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        if any(len(row) != cols for row in dense):
+            raise DimensionMismatch("ragged dense matrix")
+        return cls(rows, cols, {i: dict(enumerate(row)) for i, row in enumerate(dense)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -192,7 +178,7 @@ class SparseIntMatrix:
             mine = out.setdefault(i, {})
             for j, v in row.items():
                 mine[j] = mine.get(j, 0) + v
-        return SparseIntMatrix.from_rows(self.rows, self.cols, out)
+        return SparseIntMatrix(self.rows, self.cols, out)
 
     def __neg__(self) -> "SparseIntMatrix":
         return self.scale(-1)
@@ -202,7 +188,7 @@ class SparseIntMatrix:
 
     def scale(self, c: int) -> "SparseIntMatrix":
         rows = {i: {j: c * v for j, v in row.items()} for i, row in self.by_row.items()}
-        return SparseIntMatrix.from_rows(self.rows, self.cols, rows)
+        return SparseIntMatrix(self.rows, self.cols, rows)
 
     def __matmul__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
@@ -218,10 +204,10 @@ class SparseIntMatrix:
                         acc[j] = acc.get(j, 0) + a * b
             if any(acc.values()):
                 out[i] = acc
-        return SparseIntMatrix.from_rows(self.rows, other.cols, out)
+        return SparseIntMatrix(self.rows, other.cols, out)
 
     def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix.from_rows(self.cols, self.rows, dict(enumerate(self.columns())))
+        return SparseIntMatrix(self.cols, self.rows, dict(enumerate(self.columns())))
 
     def hstack(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.rows != other.rows:
@@ -229,7 +215,7 @@ class SparseIntMatrix:
         out = dict(self.by_row)
         for i, row in other.by_row.items():
             out[i] = {**out.get(i, {}), **{j + self.cols: v for j, v in row.items()}}
-        return SparseIntMatrix.from_rows(self.rows, self.cols + other.cols, out)
+        return SparseIntMatrix(self.rows, self.cols + other.cols, out)
 
 
 def kron(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
@@ -241,7 +227,7 @@ def kron(A: SparseIntMatrix, B: SparseIntMatrix) -> SparseIntMatrix:
             for k, a in ra.items():
                 for l, b in rb.items():
                     row[k * B.cols + l] = a * b
-    return SparseIntMatrix.from_rows(A.rows * B.rows, A.cols * B.cols, rows)
+    return SparseIntMatrix(A.rows * B.rows, A.cols * B.cols, rows)
 
 
 @dataclass(frozen=True)
@@ -390,7 +376,6 @@ class _Reducer:
         # col_ops holds the same tuples for columns, without sign changes
         self.ops: Optional[List[tuple]] = [] if logged else None
         self.col_ops: Optional[List[tuple]] = [] if logged else None
-        self.retired = [False] * self.m
         # the active nonempty rows, ascending: a dict as an ordered set, from
         # which a row is dropped when it retires or empties (an empty active
         # row stays empty, and a retired row never returns)
@@ -435,7 +420,7 @@ class _Reducer:
         while heap:
             cost, i, j = heapq.heappop(heap)
             row = self.rows[i]
-            if self.retired[i] or row.get(j) not in (1, -1):
+            if i not in self.live or row.get(j) not in (1, -1):
                 continue
             now = (len(row) - 1) * (len(self.colnz[j]) - 1)
             if now > cost:
@@ -498,7 +483,6 @@ class _Reducer:
                     self.colnz[j].discard(r)
             if len(rest) > 1:
                 return
-        self.retired[r] = True
         del self.live[r]
         self.pivots.append((r, c))
 
@@ -600,7 +584,7 @@ class SmithDecomposition:
     def u(self) -> SparseIntMatrix:
         m = self.matrix.rows
         U = _u_rows(reversed(self._row_ops), self._row_order)
-        return SparseIntMatrix.from_rows(m, m, U).transpose()
+        return SparseIntMatrix(m, m, U).transpose()
 
     @cached_property
     def v(self) -> SparseIntMatrix:
@@ -609,7 +593,7 @@ class SmithDecomposition:
     def _v_columns(self, kept: Sequence[int]) -> SparseIntMatrix:
         """The columns kept[t] of V, replayed from the column log."""
         V = _u_rows(reversed(self._col_ops), kept)
-        return SparseIntMatrix.from_rows(self.matrix.cols, len(kept), V)
+        return SparseIntMatrix(self.matrix.cols, len(kept), V)
 
     @property
     def diagonal(self) -> List[int]:
@@ -645,8 +629,8 @@ class SmithDecomposition:
             for i, row in Q.items():
                 Q[i] = {t: v - e * _nearest(v, e) for t, v in row.items() if v % e}
         m, s = self.matrix.rows, len(factors)
-        P_T = SparseIntMatrix.from_rows(m, s, P)
-        return factors, P_T.transpose(), SparseIntMatrix.from_rows(m, s, Q)
+        P_T = SparseIntMatrix(m, s, P)
+        return factors, P_T.transpose(), SparseIntMatrix(m, s, Q)
 
     def kernel_basis(self) -> SparseIntMatrix:
         """Columns form a basis of the (saturated) integer kernel lattice."""
@@ -674,7 +658,7 @@ class SmithDecomposition:
             raise CompositionNonzero("column not in the kernel")
         rest = self._col_order[self.rank :]
         coords = {t: rows[j] for t, j in enumerate(rest)}
-        return SparseIntMatrix.from_rows(len(rest), X.cols, coords)
+        return SparseIntMatrix(len(rest), X.cols, coords)
 
 
 def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
@@ -682,7 +666,7 @@ def smith_decomposition(M: SparseIntMatrix) -> SmithDecomposition:
     w.reduce()
     return SmithDecomposition(
         matrix=M,
-        d=SparseIntMatrix(w.m, w.n, {(k, k): v for k, v in enumerate(w.diag)}),
+        d=SparseIntMatrix(w.m, w.n, {k: {k: v} for k, v in enumerate(w.diag)}),
         rank=w.rank,
         _row_ops=w.ops,
         _row_order=w.row_order,

@@ -13,10 +13,11 @@ Bicomplex and total complex, the filtered constructions the package does
 not need (generator maps, the rotation, the associated graded ring, the
 rotation fixed points), which build the package's rings and tensor levels,
 the earlier Morse flow sweep, which builds the package's ChainComplex, the
-Z[x]/(x^n) builder, which returns the package's DGAlgebra, and the small
-builders at the end (two-term and unit complexes, a DG algebra's own chain
-complex, the DG algebra Z, the composite of two DG algebra maps), which
-return the package's types.
+Z[x]/(x^n) and Z[x]/(f) builders, which return the package's DGAlgebra,
+and the small builders at the end (two-term and unit complexes, a matrix
+from its (row, col) entries, a DG algebra's own chain complex, the DG
+algebra Z, the composite of two DG algebra maps), which return the
+package's types.
 """
 
 from dataclasses import dataclass
@@ -539,7 +540,7 @@ def cyclic_map_reference(F, source, target):
             for c, v in row.items():
                 rows[tgt_at[(s, t)] + r][src_at[(s, t)] + c] = v
     matrices = {
-        n: SparseIntMatrix.from_rows(target.dim(n), source.dim(n), rows)
+        n: SparseIntMatrix(target.dim(n), source.dim(n), rows)
         for n, rows in comps.items()
     }
     return ChainMap(source, target, matrices)
@@ -566,7 +567,7 @@ def _generator_map(src_columns, tgt_columns, images):
         for tgt, v in images(key):
             row = rows[tgt_columns[tgt]]
             row[col] = row.get(col, 0) + v
-    return SparseIntMatrix.from_rows(len(tgt_columns), len(src_columns), rows)
+    return SparseIntMatrix(len(tgt_columns), len(src_columns), rows)
 
 
 def _rotated(spot, gens):
@@ -620,7 +621,7 @@ def graded(M):
             # below the depth the target piece is trivial
             products[(a, b)] = _generator_map(pairs, columns.get(a + b, {}), product_images)
     unit_rows = {columns[0][((0,), (r,))]: row for r, row in M.unit.by_row.items()}
-    unit = SparseIntMatrix.from_rows(pieces[0].num_generators, 1, unit_rows)
+    unit = SparseIntMatrix(pieces[0].num_generators, 1, unit_rows)
     return FilteredRing(group, products, unit)
 
 
@@ -677,12 +678,12 @@ def fixed_points_check(Y, q, s):
         col = T.columns[key]
         # fixed under rotation?
         image = T.columns[_rotated(*key)]
-        diff = {} if image == col else {(col, 0): 1, (image, 0): -1}
+        diff = {} if image == col else {col: {0: 1}, image: {0: -1}}
         if lattice_contains(pres.relations, SparseIntMatrix(pres.num_generators, 1, diff)):
             found.append(col)
     # independence: the classes span a rank-`found` direct summand
     classes = {(r, c): 1 for c, r in enumerate(found)}
-    span = SparseIntMatrix(pres.num_generators, len(found), classes)
+    span = matrix_of_entries(pres.num_generators, len(found), classes)
     quotient = cokernel(span.hstack(pres.relations))
     independent = (
         pres.group().free_rank - quotient.free_rank == len(found)
@@ -764,7 +765,7 @@ def least_pivot_reference(reducer):
     the first row in `live` order holding an entry of least absolute value,
     and the first such entry in that row's dict order.  The rows are
     filtered here, not read as the reducer keeps `live`."""
-    live = [i for i in reducer.live if reducer.rows[i] and not reducer.retired[i]]
+    live = [i for i in reducer.live if reducer.rows[i]]
     best = None
     for i in live:
         for j, v in reducer.rows[i].items():
@@ -807,7 +808,7 @@ def homology_presentation_reference(C, i):
     return HomologyPresentation(
         degree=i,
         cycles=K @ generators,
-        relations=SparseIntMatrix(s, s, {(j, j): d for j, d in enumerate(factors)}),
+        relations=SparseIntMatrix(s, s, {j: {j: d} for j, d in enumerate(factors)}),
         group=AbelianGroup.from_diagonal(factors, factors.count(0)),
         _kernel=dec,
         _to_generators=to_generators,
@@ -824,7 +825,7 @@ def exact_at_reference(mid_relations, incoming, outgoing, out_relations):
         return False
     K = smith_decomposition(outgoing.hstack(out_relations.scale(-1))).kernel_basis()
     preimage = SparseIntMatrix(
-        outgoing.cols, K.cols, {(i, j): v for (i, j), v in K.entries.items() if i < outgoing.cols}
+        outgoing.cols, K.cols, {i: row for i, row in K.by_row.items() if i < outgoing.cols}
     )
     kernel = preimage.hstack(mid_relations)
     return lattice_contains_reference(image, kernel) and lattice_contains_reference(kernel, image)
@@ -904,7 +905,6 @@ def morse_complex_reference(critical, terms, partner, top):
     [d w : u]) d w, a term on a cell paired below is dropped."""
     from cychom.complexes import ChainComplex
     from cychom.errors import MatchingFailed
-    from cychom.intlin import SparseIntMatrix
 
     diffs = {}
     for n in range(1, top + 1):
@@ -947,7 +947,7 @@ def morse_complex_reference(critical, terms, partner, top):
                     for r, k in crit:
                         out[r] = out.get(r, 0) - lam * k
             entries.update(((r, col), k) for r, k in out.items() if k)
-        diffs[n] = SparseIntMatrix(len(index), len(critical[n]), entries)
+        diffs[n] = matrix_of_entries(len(index), len(critical[n]), entries)
     return ChainComplex({n: critical[n] for n in range(top + 1)}, diffs, 0, top)
 
 
@@ -978,7 +978,7 @@ def _flow_order(seeds, flow_of):
 
 
 # ---------------------------------------------------------------------------
-# truncated polynomial rings
+# truncated and monic polynomial rings in one variable
 # ---------------------------------------------------------------------------
 
 
@@ -1002,10 +1002,60 @@ def truncated_polynomial(n, degree=0):
     return DGAlgebra(basis, mult, {}, "1")
 
 
+def _powers_mod(coeffs, top):
+    """x^0, ..., x^top in Z[x]/(f), f = sum coeffs[k] x^k monic of degree
+    d, each as its d coordinates on 1, x, ..., x^(d-1)."""
+    d = len(coeffs) - 1
+    powers = [[int(k == 0) for k in range(d)]]
+    for _ in range(top):
+        shifted = [0] + powers[-1]  # x * x^k, with x^d in the last slot
+        top_coeff = shifted.pop()
+        powers.append([v - top_coeff * c for v, c in zip(shifted, coeffs)])
+    return powers
+
+
+def monic_polynomial(coeffs):
+    """Z[x]/(f) in degree 0, f = coeffs[0] + coeffs[1] x + ... + x^d with
+    the leading 1 listed: basis 1, x, x2, ..., x{d-1}, and x^i x^j reduced
+    modulo f.  A list whose last coefficient is not 1 is refused."""
+    from cychom.dga import DGAlgebra
+
+    if len(coeffs) < 2 or coeffs[-1] != 1:
+        raise ValueError(f"not a monic polynomial of degree >= 1: {coeffs}")
+    d = len(coeffs) - 1
+    labels = ["1", "x"][:d] + [f"x{k}" for k in range(2, d)]
+    powers = _powers_mod(coeffs, 2 * d - 2)
+    mult = {
+        (labels[i], labels[j]): {labels[t]: v for t, v in enumerate(powers[i + j]) if v}
+        for i in range(d)
+        for j in range(d)
+    }
+    return DGAlgebra({0: labels}, mult, {}, "1")
+
+
+def monic_polynomial_hh(coeffs, top):
+    """HH_0..HH_top of Z[x]/(f) for monic f of degree d, as (free rank,
+    invariant factors) pairs, from the closed form (Buenos Aires Cyclic
+    Homology Group, Adv. Math. 95 (1992)): HH_0 = Z^d, HH_{2i-1} =
+    coker(f'.) and HH_{2i} = Z^(d - rank(f'.)), where f'. is
+    multiplication by f' on the basis 1, x, ..., x^(d-1)."""
+    d = len(coeffs) - 1
+    powers = _powers_mod(coeffs, 2 * d - 2)
+    derivative = [k * c for k, c in enumerate(coeffs)][1:]  # f' = sum derivative[k] x^k
+    columns = [
+        [sum(c * powers[k + j][t] for k, c in enumerate(derivative)) for t in range(d)]
+        for j in range(d)
+    ]
+    free, torsion = quotient_invariants(d, columns)
+    odd, even = (free, tuple(torsion)), (free, ())
+    return [(d, ())] + [odd if i % 2 else even for i in range(1, top + 1)]
+
+
 # ---------------------------------------------------------------------------
 # Small builders on the package's types: chain complexes of a few terms,
 # the chain complex of a DG algebra, the DG algebra Z, the composite of two
-# DG algebra maps, and a matrix as a dense list of rows.
+# DG algebra maps, and a matrix from its (row, col) entries or as a dense
+# list of rows.
 # ---------------------------------------------------------------------------
 
 
@@ -1025,6 +1075,16 @@ def two_term_complex(m, label="e"):
         {0: (f"{label}0",), 1: (f"{label}1",)},
         {1: SparseIntMatrix.from_dense([[m]])},
     )
+
+
+def matrix_of_entries(rows, cols, entries):
+    """The SparseIntMatrix with the given (row, col) -> value entries."""
+    from cychom.intlin import SparseIntMatrix
+
+    by_row = {}
+    for (i, j), v in entries.items():
+        by_row.setdefault(i, {})[j] = v
+    return SparseIntMatrix(rows, cols, by_row)
 
 
 def to_dense(M):
@@ -1050,7 +1110,7 @@ def underlying_complex(A):
         d, col = index[a]
         ent = diffs.setdefault(d, {})
         for l, c in combo.items():
-            ent[(index[l][1], col)] = c
+            ent.setdefault(index[l][1], {})[col] = c
     top = max(A.basis) if A.basis else 0
     basis = dict(A.basis)
     differential = {

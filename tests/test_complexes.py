@@ -167,7 +167,7 @@ def test_presentation_on_smith_form_generators(d_1, group):
     assert hp.group == group
     # one generator per nontrivial invariant factor, then the free part
     factors = list(group.invariant_factors) + [0] * group.free_rank
-    assert hp.relations == SparseIntMatrix(s, s, {(j, j): d for j, d in enumerate(factors) if d})
+    assert hp.relations == SparseIntMatrix(s, s, {j: {j: d} for j, d in enumerate(factors) if d})
     # each generator's cycle maps to its unit coordinate vector
     assert hp.coords_of_cycles(hp.cycles) == SparseIntMatrix.identity(s)
     # torsion coordinates are reduced into [0, d_j); free ones are exact

@@ -35,6 +35,7 @@ from oracles import (
     graded,
     graded_comparison_reference,
     kron_tensor_presentation,
+    matrix_of_entries,
     quotient_invariants,
     rotation,
     tensor_transition_reference,
@@ -69,13 +70,11 @@ def test_presented_group_basics():
 def random_presented_group(rng):
     """0-3 generators and 0-3 relation columns, zero columns included."""
     gens, cols = rng.randint(0, 3), rng.randint(0, 3)
-    entries = {
-        (i, j): rng.choice((-3, -2, -1, 1, 2, 3))
+    rows = {
+        i: {j: rng.choice((-3, -2, -1, 1, 2, 3)) for j in range(cols) if rng.random() < 0.5}
         for i in range(gens)
-        for j in range(cols)
-        if rng.random() < 0.5
     }
-    return PresentedGroup(gens, SparseIntMatrix(gens, cols, entries))
+    return PresentedGroup(gens, SparseIntMatrix(gens, cols, rows))
 
 
 def test_tensor_presentation_matches_kronecker_reference():
@@ -87,7 +86,7 @@ def test_tensor_presentation_matches_kronecker_reference():
         gens, cols, entries = kron_tensor_presentation(parts)
         pres = filtered._spot_sum([()], lambda _: parts)[1]
         assert pres.num_generators == gens
-        assert pres.relations == SparseIntMatrix(gens, cols, entries)
+        assert pres.relations == matrix_of_entries(gens, cols, entries)
 
 
 def test_adic_filtration_shape():
@@ -211,10 +210,10 @@ def check_cyclic_bar_identities(M):
         return lattice_contains(rel, A + B.scale(-1))
 
     def face_map(src, tgt, i):
-        return SparseIntMatrix(*face_map_reference(M, src, tgt, i))
+        return matrix_of_entries(*face_map_reference(M, src, tgt, i))
 
     def degeneracy_map(src, tgt, i):
-        return SparseIntMatrix(*degeneracy_map_reference(M, src, tgt, i))
+        return matrix_of_entries(*degeneracy_map_reference(M, src, tgt, i))
 
     d = {i: face_map(Z2, Z1, i) for i in range(q + 1)}
     dd = {i: face_map(Z1, Z0, i) for i in range(q)}
@@ -317,8 +316,8 @@ def test_graded_comparison_checks_the_lattice_not_only_the_groups(monkeypatch):
     def reversed_slice(M, i):
         P = true_piece(M, i)
         n = P.num_generators
-        entries = {(n - 1 - r, c): v for (r, c), v in P.relations.entries.items()}
-        return PresentedGroup(n, SparseIntMatrix(n, P.relations.cols, entries))
+        rows = {n - 1 - r: row for r, row in P.relations.by_row.items()}
+        return PresentedGroup(n, SparseIntMatrix(n, P.relations.cols, rows))
 
     monkeypatch.setattr(filtered, "graded_piece", reversed_slice)
     reports = [graded_comparison(M, q, k) for q in range(2) for k in sweep_levels(M, q)]
@@ -642,7 +641,7 @@ def test_spot_sum_of_random_parts_matches_kronecker_reference():
             wide += len(parts[spot]) == 4
         assert columns == want_columns, trial
         assert pres.num_generators == row, trial
-        assert pres.relations == SparseIntMatrix(row, col, want_entries), trial
+        assert pres.relations == matrix_of_entries(row, col, want_entries), trial
     assert strided > 150 and wide > 100, (strided, wide)
 
 
@@ -664,11 +663,11 @@ def test_later_levels_leave_earlier_presentations_unchanged():
 
 
 def full_presentation(full):
-    return PresentedGroup(full.num_generators, SparseIntMatrix(*full.relations))
+    return PresentedGroup(full.num_generators, matrix_of_entries(*full.relations))
 
 
 def clip(full, box):
-    return SparseIntMatrix(*clip_map(full, box))
+    return matrix_of_entries(*clip_map(full, box))
 
 
 def check_clip_iso(factors, k):
@@ -742,7 +741,7 @@ def test_tensor_transition_matches_reference():
             box = {k: multi_tensor([X] * n, k) for k in full}
             for k in levels:
                 src = full_presentation(full[k - 1])
-                bump = SparseIntMatrix(*tensor_transition_reference(full[k - 1], full[k]))
+                bump = matrix_of_entries(*tensor_transition_reference(full[k - 1], full[k]))
                 got = box[k].incoming @ clip(full[k - 1], box[k - 1])
                 want = clip(full[k], box[k]) @ bump
                 assert src.homs_equal(got, want, box[k].presentation), (name, n, k)

@@ -225,10 +225,10 @@ def test_sign_errors_fail_the_total_complex_check(monkeypatch):
         M = hochschild.cyclic_operator(H, n)
         if n != 1:
             return M
-        entries = dict(M.entries)
-        key = min(entries)
-        entries[key] = -entries[key]
-        return SparseIntMatrix(M.rows, M.cols, entries)
+        rows = {i: dict(row) for i, row in M.by_row.items()}
+        i = min(rows)
+        rows[i][min(rows[i])] *= -1
+        return SparseIntMatrix(M.rows, M.cols, rows)
 
     HochschildComplex(A, 5)
     cyclic_bundle(A, 5)

@@ -193,11 +193,11 @@ def _cone_sequence(f, scales):
 
     def incl(n):
         k, m = src.dim(n - 1), tgt.dim(n)
-        return SparseIntMatrix(cone.dim(n), m, {(k + j, j): 1 for j in range(m)})
+        return SparseIntMatrix(cone.dim(n), m, {k + j: {j: 1} for j in range(m)})
 
     def proj(n):
         k = src.dim(n - 1)
-        return SparseIntMatrix(k, cone.dim(n), {(i, i): -1 for i in range(k)})
+        return SparseIntMatrix(k, cone.dim(n), {i: {i: -1} for i in range(k)})
 
     maps = [
         lambda n, g=g, a=a: g(n).scale(a) for g, a in zip((f.component, incl, proj), scales)

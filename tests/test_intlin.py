@@ -26,6 +26,7 @@ from oracles import (
     determinant,
     invariant_factors_via_divisors,
     least_pivot_reference,
+    matrix_of_entries,
     quotient_invariants,
     to_dense,
 )
@@ -34,14 +35,14 @@ from oracles import (
 def random_matrix(rng):
     m = rng.randint(0, 8)
     n = rng.randint(0, 8)
-    entries = {}
+    rows = {}
     for i in range(m):
         for j in range(n):
             if rng.random() < 0.6:
                 v = rng.randint(-20, 20)
                 if v:
-                    entries[(i, j)] = v
-    return SparseIntMatrix(m, n, entries)
+                    rows.setdefault(i, {})[j] = v
+    return SparseIntMatrix(m, n, rows)
 
 
 def check_decomposition(M):
@@ -92,13 +93,11 @@ def unit_heavy_matrix(rng):
     m = rng.randint(1, 18)
     n = rng.randint(1, 24)
     density = rng.uniform(0.1, 0.5)
-    entries = {
-        (i, j): rng.choice(UNIT_HEAVY_VALUES)
+    rows = {
+        i: {j: rng.choice(UNIT_HEAVY_VALUES) for j in range(n) if rng.random() < density}
         for i in range(m)
-        for j in range(n)
-        if rng.random() < density
     }
-    return SparseIntMatrix(m, n, entries)
+    return SparseIntMatrix(m, n, rows)
 
 
 def elementary_product(rng, n):
@@ -107,7 +106,7 @@ def elementary_product(rng, n):
     for _ in range(rng.randint(1, 4)):
         a, b = rng.sample(range(n), 2)
         c = rng.choice((-3, -2, -1, 1, 2, 3))
-        U = (SparseIntMatrix.identity(n) + SparseIntMatrix(n, n, {(a, b): c})) @ U
+        U = (SparseIntMatrix.identity(n) + SparseIntMatrix(n, n, {a: {b: c}})) @ U
     return U
 
 
@@ -119,7 +118,7 @@ def mixing_matrix(rng):
     a = rng.randint(2, 12)
     b = rng.choice([x for x in range(a + 1, 40) if x % a])
     n = 2 + rng.randint(0, 2)
-    M = SparseIntMatrix(n, n, {(0, 1): a, (1, 0): b, **{(k, k): 1 for k in range(2, n)}})
+    M = SparseIntMatrix(n, n, {0: {1: a}, 1: {0: b}, **{k: {k: 1} for k in range(2, n)}})
     return elementary_product(rng, n) @ M @ elementary_product(rng, n)
 
 
@@ -148,7 +147,7 @@ def test_unit_heavy_matrices():
         assert lattice_contains(M, M @ X), f"trial {trial}"
         # a lattice vector plus a unit vector: inside iff the unit vector is
         x = SparseIntMatrix.from_dense([[rng.randint(-3, 3)] for _ in range(M.cols)])
-        y = M @ x + SparseIntMatrix(M.rows, 1, {(rng.randrange(M.rows), 0): 1})
+        y = M @ x + SparseIntMatrix(M.rows, 1, {rng.randrange(M.rows): {0: 1}})
         expected = oracle_contains(M, y)
         assert lattice_contains(M, y) == expected, f"trial {trial}"
         if not expected:
@@ -163,8 +162,8 @@ def test_transforms_do_not_depend_on_entry_order():
         M = unit_heavy_matrix(rng)
         items = list(M.entries.items())
         rng.shuffle(items)
-        shuffled = SparseIntMatrix(M.rows, M.cols, dict(items))
-        # the same rows, given to from_rows with rows and keys in shuffled order
+        shuffled = matrix_of_entries(M.rows, M.cols, dict(items))
+        # the same rows, given to the constructor with rows and keys in shuffled order
         rows = list(M.by_row.items())
         rng.shuffle(rows)
         by_row = {}
@@ -172,7 +171,7 @@ def test_transforms_do_not_depend_on_entry_order():
             keys = list(row)
             rng.shuffle(keys)
             by_row[i] = {j: row[j] for j in keys}
-        reordered = SparseIntMatrix.from_rows(M.rows, M.cols, by_row)
+        reordered = SparseIntMatrix(M.rows, M.cols, by_row)
         a = smith_decomposition(M)
         for N in (shuffled, reordered):
             b = smith_decomposition(N)
@@ -213,7 +212,7 @@ def test_lattice_contains_a_diagonal_lattice():
     rng = random.Random(3)
     for trial in range(200):
         rows, cols = rng.randint(1, 5), rng.randint(0, 5)
-        diagonal = {(k, k): rng.choice((0, 1, 2, -3, 6)) for k in range(min(rows, cols))}
+        diagonal = {k: {k: rng.choice((0, 1, 2, -3, 6))} for k in range(min(rows, cols))}
         M = SparseIntMatrix(rows, cols, diagonal)
         assert M.is_diagonal()
         X = SparseIntMatrix.from_dense([[rng.randint(-7, 7)] for _ in range(rows)])
@@ -259,7 +258,7 @@ def test_kernel_coords_rejects_non_kernel_columns():
         assert Y == Z and K @ Y == X, f"trial {trial}"
         j = next(j for j in range(M.cols) if M.column(j))
         with pytest.raises(CompositionNonzero):
-            dec.kernel_coords(X.hstack(SparseIntMatrix(M.cols, 1, {(j, 0): 1})))
+            dec.kernel_coords(X.hstack(SparseIntMatrix(M.cols, 1, {j: {0: 1}})))
     assert checked >= 50
 
 
@@ -332,8 +331,8 @@ def test_matrix_arithmetic_basics():
     def sparse(m, n):
         # about half the rows empty, so that the row maps have gaps
         live = [i for i in range(m) if rng.random() < 0.5]
-        entries = {(i, j): rng.randint(-4, 4) for i in live for j in range(n) if rng.random() < 0.5}
-        return SparseIntMatrix(m, n, entries)
+        rows = {i: {j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.5} for i in live}
+        return SparseIntMatrix(m, n, rows)
 
     def check(M, shape, expected):
         assert M.shape == shape
@@ -347,7 +346,9 @@ def test_matrix_arithmetic_basics():
         k = rng.randint(0, 5)
         A, B, C, D = sparse(m, n), sparse(m, n), sparse(n, k), sparse(m, k)
         a, b, c, d = map(to_dense, (A, B, C, D))
-        assert SparseIntMatrix(m, n, A.entries) == A, f"trial {trial}"
+        assert SparseIntMatrix(m, n, A.by_row) == A, f"trial {trial}"
+        want = {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if v}
+        assert A.entries == want, f"trial {trial}"
         product = [[sum(a[i][p] * c[p][j] for p in range(n)) for j in range(k)] for i in range(m)]
         check(A @ C, (m, k), product)
         check(A + B, (m, n), [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
@@ -369,12 +370,17 @@ def test_matrix_arithmetic_basics():
         # a sum that cancels equals the zero matrix, which stores no rows
         assert A + (-A) == SparseIntMatrix.zero(m, n), f"trial {trial}"
         assert (A - A).by_row == {}, f"trial {trial}"
-    # from_rows drops zeros and empty rows, and checks the bounds like the constructor
-    M = SparseIntMatrix.from_rows(3, 3, {0: {0: 0}, 1: {2: 5, 0: 0}, 2: {}})
-    assert M.by_row == {1: {2: 5}} and M == SparseIntMatrix(3, 3, {(1, 2): 5})
+    # the constructor drops zeros and empty rows, and checks the shape and every index
+    M = SparseIntMatrix(3, 3, {0: {0: 0}, 1: {2: 5, 0: 0}, 2: {}})
+    assert M.by_row == {1: {2: 5}} and M == SparseIntMatrix.from_dense([[0, 0, 0], [0, 0, 5], [0, 0, 0]])
+    for shape in ((-1, 3), (3, -1)):
+        with pytest.raises(DimensionMismatch):
+            SparseIntMatrix(*shape)
+        with pytest.raises(DimensionMismatch):
+            SparseIntMatrix(*shape, {})
     for rows in ({2: {0: 1}}, {-1: {0: 1}}, {0: {3: 1}}, {0: {-1: 1}}):
         with pytest.raises(DimensionMismatch):
-            SparseIntMatrix.from_rows(2, 3, rows)
+            SparseIntMatrix(2, 3, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +487,11 @@ def core_matrix(rng):
     m, n = rng.randint(1, 16), rng.randint(1, 20)
     values = (3, -3, 9, -9, 27, -27, 2, -2, 8, -8, 10) + (1, -1) * (rng.random() < 0.5)
     density = rng.uniform(0.15, 0.5)
-    entries = {
-        (i, j): rng.choice(values)
+    rows = {
+        i: {j: rng.choice(values) for j in range(n) if rng.random() < density}
         for i in range(m)
-        for j in range(n)
-        if rng.random() < density
     }
-    return SparseIntMatrix(m, n, entries)
+    return SparseIntMatrix(m, n, rows)
 
 
 def test_core_pivots_match_the_full_scan():
