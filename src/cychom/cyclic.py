@@ -11,7 +11,14 @@ maps are built, and the Connes sequence read, degree n over n - 2.
 Cyclic homology HC_i is the homology of this complex, relative cyclic
 homology is homology of the mapping cone of an induced map, read in
 fiber indexing by `rel_hc_table` alone (the relative group in degree i
-is H_{i+1} of the cone; `hc_relative` is the last row of a table).
+is H_{i+1} of the cone; `hc_relative` is the last row of a table).  A
+cyclic map is F_n over its own degree n - 2, so the cone is periodic too:
+its degree n is the source's column 0 of degree n - 1 and the target's of
+degree n over degree n - 2 of the cone, and `homology_groups` reduces it
+bottom-up, each degree as a residual of a few cells over the pivots of
+degree n - 2 (complexes' module docstring), where its cells grow
+linearly with the degree; the full builds of algebras with geometrically
+growing word bases keep the top-down route.
 
 Total degrees are built up to bound + 1; columns beyond
 s = (bound + 1) // 2 contribute only above that window, so the groups

@@ -636,6 +636,29 @@ class SmithDecomposition:
         """Columns form a basis of the (saturated) integer kernel lattice."""
         return self._v_columns(self._col_order[self.rank :])
 
+    def times_v(self, X: SparseIntMatrix) -> SparseIntMatrix:
+        """X @ V, with the column operations applied to X's columns in log
+        order, so V is never formed; its cost grows with X, not with V."""
+        if X.cols != self.matrix.cols:
+            raise DimensionMismatch(f"times_v: {X.cols} columns, {self.matrix.cols} rows")
+        cols: Rows = defaultdict(dict)
+        for i, row in X.by_row.items():
+            for j, v in row.items():
+                cols[j][i] = v
+        for op in self._col_ops:
+            if len(op) == 3:
+                # col a += c * col b
+                a, b, c = op
+                if cols.get(b):
+                    _add_into(cols[a], cols[b], c)
+            else:
+                _mix(cols, *op)
+        rows: Rows = defaultdict(dict)
+        for t, j in enumerate(self._col_order):
+            for i, v in cols.get(j, {}).items():
+                rows[i][t] = v
+        return SparseIntMatrix(X.rows, X.cols, rows)
+
     def kernel_coords(self, X: SparseIntMatrix) -> SparseIntMatrix:
         """Coordinates of the columns of X in the kernel basis.
 

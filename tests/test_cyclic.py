@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cychom import cyclic
+from cychom import complexes, cyclic
 from cychom.complexes import ChainMap, homology_groups, induced_on_homology
 from cychom.cyclic import (
     cyclic_bundle,
@@ -23,7 +23,7 @@ from cychom.cyclic import (
     sbi_check,
 )
 from cychom.dga import DGAMorphism, koszul_resolution, load_algebra, reduction_map
-from cychom.errors import BoundTooSmall, DimensionMismatch, NotAChainMap
+from cychom.errors import BoundTooSmall, CompositionNonzero, DimensionMismatch, NotAChainMap
 from cychom.hochschild import cyclic_operator, induced_map
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
@@ -312,6 +312,40 @@ def test_induced_cyclic_map_checks_the_squares_with_B():
     assert [n for n in range(5) if B[n] @ F[n] != F[n + 1] @ B[n]] == [3]
     with pytest.raises(NotAChainMap):
         cyclic_map(ChainMap(C, C, F), bundle, bundle)
+
+
+def test_leading_rows_carry_the_checks_and_catch_a_broken_leading_block(monkeypatch):
+    # degree n of a cyclic total is column 0 over degree n - 2, and a cyclic
+    # map is F_n over its own degree n - 2, so d^2 and the squares are formed
+    # on the leading rows, the trailing ones being degree n - 2's
+    leading = []
+    original = complexes._leading_rows
+
+    def spy(M, j):
+        leading.append(j)
+        return original(M, j)
+
+    monkeypatch.setattr(complexes, "_leading_rows", spy)
+    A = truncated_polynomial(3)
+    cyclic_bundle(A, 6)
+    assert leading
+    leading.clear()
+    f = reduction_map(27, 9)
+    src, tgt = cyclic_bundle(f.source, 8), cyclic_bundle(f.target, 8)
+    F = cyclic_map(induced_map(f, src.hochschild, tgt.hochschild), src, tgt)
+    assert leading
+    # a wrong entry in F_6's leading block keeps the block form
+    comps = dict(F.components)
+    rows = {i: dict(row) for i, row in comps[6].by_row.items()}
+    rows[0][min(rows[0])] += 1
+    comps[6] = SparseIntMatrix(comps[6].rows, comps[6].cols, rows)
+    with pytest.raises(NotAChainMap):
+        ChainMap(src.total, tgt.total, comps)
+    # a wrong sign of B_4, which sits in the leading rows of d_6
+    flipped = lambda H, n: cyclic_operator(H, n).scale(-1 if n == 4 else 1)  # noqa: E731
+    monkeypatch.setattr(cyclic, "cyclic_operator", flipped)
+    with pytest.raises(CompositionNonzero):
+        cyclic_bundle(A, 6)
 
 
 def test_sbi_sequence_exact():

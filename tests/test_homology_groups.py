@@ -12,11 +12,16 @@ one, and a counting test holds them to that one.
 Clearing is checked against reducing each differential alone and against
 the dense oracle, on planted complexes whose unit pivots appear only by
 fill-in after a core step and on the cone of Z/19^3 -> Z/19^2.  The
-planted complexes also drive property tests of the two total-complex
+bottom-up route for periodic complexes is checked the same way, on random
+periodic complexes, the tower cones and the ext2 Morse cyclic complex,
+and two hand-built complexes hold its entry test: one whose leading rows
+reach past degree n - 2's leading columns, one whose trailing block is not
+d_{n-2}.  The planted complexes also drive property tests of the two total-complex
 constructions, `tensor` (the Kunneth formula) and `mapping_cone` (the cone
 of an identity is acyclic, with an exact long exact sequence).
 """
 
+import random
 from itertools import accumulate
 from math import gcd
 from operator import mul
@@ -27,6 +32,7 @@ from hypothesis import strategies as st
 
 from cychom import complexes, intlin
 from cychom.complexes import (
+    Bicomplex,
     ChainComplex,
     ChainMap,
     cone_les_check,
@@ -36,6 +42,7 @@ from cychom.complexes import (
     homology_presentation,
     mapping_cone,
     tensor,
+    total_complex,
 )
 from cychom.cyclic import cyclic_bundle, induced_cyclic_map, reduction_tower
 from cychom.dga import DGAlgebra, reduction_map
@@ -191,13 +198,16 @@ def _cone_sequence(f, scales):
     usually not exact."""
     src, tgt, cone = f.source, f.target, mapping_cone(f)
 
+    def cells(n, side):  # label (degree, 1, x) for a source cell, (n, 0, y) for a target cell
+        return [i for i, (_, row, _) in enumerate(cone.labels(n)) if row == side]
+
     def incl(n):
-        k, m = src.dim(n - 1), tgt.dim(n)
-        return SparseIntMatrix(cone.dim(n), m, {k + j: {j: 1} for j in range(m)})
+        rows = {i: {j: 1} for j, i in enumerate(cells(n, 0))}
+        return SparseIntMatrix(cone.dim(n), tgt.dim(n), rows)
 
     def proj(n):
-        k = src.dim(n - 1)
-        return SparseIntMatrix(k, cone.dim(n), {i: {i: -1} for i in range(k)})
+        rows = {j: {i: -1} for j, i in enumerate(cells(n, 1))}
+        return SparseIntMatrix(src.dim(n - 1), cone.dim(n), rows)
 
     maps = [
         lambda n, g=g, a=a: g(n).scale(a) for g, a in zip((f.component, incl, proj), scales)
@@ -498,14 +508,31 @@ def test_units_made_by_fill_in_are_not_cleared():
         assert homology_groups(C, [0, 1, 2]) == [AbelianGroup.trivial()] * 3
 
 
+def _cone_by_blocks(f):
+    """f's cone laid out as the total complex of the source in row 1 and the
+    target in row 0: each degree lists the source block, then the target
+    block, so the trailing block of d_n is not d_{n-2} and homology_groups
+    reduces it top-down, with clearing."""
+    src, tgt = f.source, f.target
+    basis = {(n, 1): src.labels(n) for n in src.degrees()}
+    basis.update({(n, 0): tgt.labels(n) for n in tgt.degrees()})
+    horizontal = {(n, 1): -M for n, M in src.differential.items()}
+    horizontal.update({(n, 0): M for n, M in tgt.differential.items()})
+    vertical = {(n, 1): M for n, M in f.components.items()}
+    bounds = (min(src.min_degree + 1, tgt.min_degree), max(src.max_degree + 1, tgt.max_degree))
+    return total_complex(Bicomplex(basis, vertical, horizontal), *bounds)
+
+
 def test_clearing_on_the_cone_of_a_reduction():
-    # the cone of Z/19^3 -> Z/19^2 through degree 38: most unit pivots come
-    # after a core step, and leaving out every pivot row of d_38 gives d_37
-    # rank 18 instead of 19
+    # the cone of Z/19^3 -> Z/19^2 through degree 38, source block first in
+    # each degree: most unit pivots come after a core step, and leaving out
+    # every pivot row of d_38 gives d_37 rank 18 instead of 19
     F = induced_cyclic_map(reduction_map(19 ** 3, 19 ** 2), 38)
-    cone = mapping_cone(F)
+    cone = _cone_by_blocks(F)
     degrees = range(39)
+    assert not complexes._reduces_bottom_up(cone, list(range(40)))
     assert homology_groups(cone, degrees) == _groups_reducing_alone(cone, degrees)
+    assert homology_groups(mapping_cone(F), degrees) == homology_groups(cone, degrees)
 
 
 def test_hochschild_table_clears_columns(monkeypatch):
@@ -520,3 +547,184 @@ def test_hochschild_table_clears_columns(monkeypatch):
     H = HochschildComplex(ext2(), 9)
     assert homology_groups(H.total, range(10)) == _groups_reducing_alone(H.total, range(10))
     assert sum(skipped) > 0
+
+
+# ---------------------------------------------------------------------------
+# bottom-up: a periodic complex reduced degree n over degree n - 2
+# ---------------------------------------------------------------------------
+
+
+def _block_diagonal(A, B, a_cols, b_cols):
+    return [row + [0] * b_cols for row in A] + [[0] * a_cols + row for row in B]
+
+
+def _periodic_complex(L, top, rng):
+    """(C, H_0..H_{top-1}) for C_n = L_n (+) C_{n-2} through degree top.
+
+    C starts as the sum of the shifted copies L[2t], d_n = a_n (+) d_{n-2}
+    for a_n the differential of L, and is then conjugated by Q_n = [[P_n,
+    Y_n], [0, Q_{n-2}]], P_n unimodular and Y_n random: Q_{n-1} d_n Q_n^-1
+    still has d_{n-2}'s conjugate as its trailing block, and Y_n lets its
+    top-right block X reach columns past the leading ones of degree n - 2.
+    H_i(C) is the sum of H_{i-2t}(L) over t >= 0.
+    """
+    lead = {n: L.dim(n) for n in range(-3, top + 1)}
+    dim = {n: 0 for n in range(-3, 0)}
+    D, Q, Qinv = {}, {-2: [], -1: []}, {-2: [], -1: []}
+    for n in range(top + 1):
+        dim[n] = lead[n] + dim[n - 2]
+        a = to_dense(L.diff(n)) if lead[n - 1] else []
+        D[n] = _block_diagonal(a, D.get(n - 2, []), lead[n], dim[n - 2])
+        ops = [(rng.randrange(9), rng.randrange(9), rng.choice((-2, -1, 1, 2))) for _ in range(4)]
+        P, Pinv = _unimodular(lead[n], ops) if lead[n] else ([], [])
+        Y = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(dim[n - 2])] for _ in range(lead[n])]
+        corner = _matmul(_matmul(Pinv, Y, lead[n], dim[n - 2]), Qinv[n - 2], lead[n], dim[n - 2])
+        Q[n] = [p + y for p, y in zip(P, Y)] + [[0] * lead[n] + row for row in Q[n - 2]]
+        Qinv[n] = [p + [-v for v in c] for p, c in zip(Pinv, corner)]
+        Qinv[n] += [[0] * lead[n] + row for row in Qinv[n - 2]]
+    diffs = {
+        n: SparseIntMatrix.from_dense(
+            _matmul(_matmul(Q[n - 1], D[n], dim[n - 1], dim[n]), Qinv[n], dim[n - 1], dim[n]),
+            cols=dim[n],
+        )
+        for n in range(1, top + 1)
+    }
+    basis = {n: [f"c{n}_{k}" for k in range(dim[n])] for n in range(top + 1)}
+    C = ChainComplex(basis, diffs, 0, top)
+    top_L = max(L.degrees(), default=-1)
+
+    def H(i):
+        orders = [_cyclic_orders(L_groups[j]) for j in range(i, -1, -2) if j <= top_L]
+        return _direct_sum([d for o in orders for d in o])
+
+    L_groups = homology_groups(L, range(top_L + 1)) if top_L >= 0 else []
+    return C, [H(i) for i in range(top)]
+
+
+@st.composite
+def periodic_complexes(draw):
+    """(C, planted H_0..H_{top-1}): a periodic complex over a planted one."""
+    L, _, _ = draw(planted_complexes())
+    top = draw(st.integers(2, 14))
+    return _periodic_complex(L, top, draw(st.randoms(use_true_random=False)))
+
+
+def _bottom_up(C, degrees):
+    """(homology_groups(C, degrees) with rule (c) lifted, whether the
+    bottom-up route ran): rules (a) and (b) alone decide the route."""
+    ran = []
+    original = complexes._bottom_up_factors
+
+    def spy(C, read):
+        ran.append(read)
+        return original(C, read)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(complexes, "BOTTOM_UP_SHARE", float("inf"))
+        m.setattr(complexes, "_bottom_up_factors", spy)
+        groups = homology_groups(C, degrees)
+    return groups, bool(ran)
+
+
+def _takes_bottom_up(C, degrees):
+    """Does homology_groups(C, degrees) take the bottom-up route as it stands?"""
+    return complexes._reduces_bottom_up(C, sorted({d for i in degrees for d in (i, i + 1)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_complexes())
+def test_bottom_up_matches_each_differential_reduced_alone(case):
+    C, planted = case
+    degrees = range(len(planted))
+    groups, ran = _bottom_up(C, degrees)
+    assert ran or not C.basis
+    assert groups == _groups_reducing_alone(C, degrees) == planted
+    assert homology_groups(C, degrees) == planted
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_tower_cones_reduce_bottom_up(p):
+    # the cones of Z/p^n -> Z/p^{n-1}, n = 2, 3, as reproduce-paper builds them
+    for n, _, F in reduction_tower(p, 3, 2 * p):
+        if F is None:
+            continue
+        cone = mapping_cone(F)
+        degrees = range(1, min(F.source.max_degree - 1, F.target.max_degree - 2) + 2)
+        groups, ran = _bottom_up(cone, degrees)
+        assert ran, n
+        assert groups == _groups_reducing_alone(cone, degrees) == homology_groups(cone, degrees)
+
+
+def test_morse_cyclic_complex_reduces_bottom_up():
+    # flows can run from column 2 into column 0, so X reaches past the leading
+    # columns of degree n - 2
+    C = critical_complex(first_slot_matching(ext2()), 14, cyclic=True)
+    degrees = range(15)
+    groups, ran = _bottom_up(C, degrees)
+    assert ran
+    reference = [intlin.invariant_factors(C.diff(n)) for n in range(16)]
+    assert groups == [
+        AbelianGroup.from_diagonal(
+            reference[i + 1], C.dim(i) - len(reference[i]) - len(reference[i + 1])
+        )
+        for i in degrees
+    ]
+    assert homology_groups(C, degrees) == groups
+
+
+def _small_periodic(seed):
+    """A periodic complex through degree 20 over L_n = (x, y), y -> m_n x
+    in degrees 0..20: the leading cells are a sixth of the complex."""
+    factors = (2, 3, 0, 4, 6, 1)
+    L = ChainComplex(
+        {n: ("x", "y") for n in range(21)},
+        {n: SparseIntMatrix(2, 2, {0: {1: factors[n % 6]}}) for n in range(1, 21)},
+        0,
+        21,
+    )
+    return _periodic_complex(L, 20, random.Random(seed))
+
+
+def test_x_reaching_a_trailing_column_of_degree_n_minus_2():
+    C, planted = _small_periodic(7)
+    degrees = range(len(planted))
+    # somewhere d_n's leading rows hit a column of C_{n-2} past its leading cells
+    reach = [
+        n
+        for n in range(4, 21)
+        for r, row in C.diff(n).by_row.items()
+        if r < C.dim(n - 1) - C.dim(n - 3)
+        for c in row
+        if c >= C._split(n) + C._split(n - 2)
+    ]
+    assert reach
+    assert _takes_bottom_up(C, degrees)
+    assert homology_groups(C, degrees) == _groups_reducing_alone(C, degrees) == planted
+
+
+@pytest.mark.parametrize("change", ["reverse", "negate"])
+def test_a_trailing_block_other_than_d_n_minus_2_keeps_the_top_down_route(change):
+    C, planted = _small_periodic(11)
+    degrees = range(len(planted))
+    assert _takes_bottom_up(C, degrees)
+    # change the basis of the trailing cells of degree 9, so the groups stay
+    # but d_9's trailing block is no longer d_7 (and d_11's is d_9 as it
+    # was): reverse them, or negate one whose column meets d_9's trailing
+    # rows, which keeps every entry in its place and changes only a sign
+    m, k = 9, C._split(9)
+    d_m, d_up = to_dense(C.diff(m)), to_dense(C.diff(m + 1))
+    order, signs = list(range(C.dim(m))), [1] * C.dim(m)
+    if change == "reverse":
+        order[k:] = reversed(order[k:])
+    else:
+        j = C.dim(m - 1) - C.dim(m - 3)
+        signs[next(c for c in range(k, C.dim(m)) if any(row[c] for row in d_m[j:]))] = -1
+    diffs = dict(C.differential)
+    diffs[m] = SparseIntMatrix.from_dense([[row[c] * signs[c] for c in order] for row in d_m])
+    diffs[m + 1] = SparseIntMatrix.from_dense([[v * signs[r] for v in d_up[r]] for r in order])
+    basis = dict(C.basis)
+    basis[m] = [C.labels(m)[c] for c in order]
+    P = ChainComplex(basis, diffs, C.min_degree, C.max_degree)
+    assert P._split(m) is None
+    assert not _takes_bottom_up(P, degrees)
+    assert homology_groups(P, degrees) == _groups_reducing_alone(P, degrees) == planted
