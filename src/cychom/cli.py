@@ -27,7 +27,7 @@ from .errors import (
     RangeEmpty,
     TruncationTooTight,
 )
-from .intlin import AbelianGroup, is_prime
+from .intlin import AbelianGroup, is_prime, printable
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +59,7 @@ def _row_json(row: ResultRow) -> Dict[str, object]:
     return {
         "degree": row.degree,
         "free_rank": row.group.free_rank,
-        "invariant_factors": [str(d) for d in row.group.invariant_factors],
+        "invariant_factors": [str(printable(d)) for d in row.group.invariant_factors],
         "flags": sorted(row.flags),
         "provenance": list(row.provenance),
     }
@@ -76,12 +76,16 @@ def _write_document(spec: JobSpec, results: List[Dict[str, object]], out) -> Non
 
 
 def _emit(spec: JobSpec, rows: List[ResultRow], out) -> None:
+    """Write the rows, every one formatted before the first is written, so
+    that an order too long to print (OutOfRange) leaves stdout empty."""
     if spec.structured:
         _write_document(spec, [_row_json(r) for r in rows], out)
     else:
+        lines = []
         for r in rows:
             flags = (" [" + ",".join(sorted(r.flags)) + "]") if r.flags else ""
-            out.write(f"{r.label}: {r.group}{flags}\n")
+            lines.append(f"{r.label}: {r.group}{flags}\n")
+        out.write("".join(lines))
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ are C_{n-2}, cell for cell, so that d_n = [[A, X], [0, d_{n-2}]].  The
 split is read off the dimensions and tested on the matrices, once per
 degree (`ChainComplex._split`), never declared: the cyclic total and the
 cyclic maps of a tower are built that way, and the cone of such a map is
-laid out that way, but a complex of the same dimensions need not be.
-Where the split holds, the constructors form d_{n-1} d_n and the squares
-of a chain map on the leading rows only, because the trailing rows are
-degree n - 2's identity, checked there; a map is read as F'_n (+) F_{n-2}
-only where it tests so.
+laid out that way, but a complex of the same dimensions need not be.  No
+constructor tests it: d^2 and the squares of a chain map are formed in
+full.  Three readers do, each when it first needs a degree's split:
+`homology_groups`, to choose its route and to reduce bottom-up;
+`mapping_cone`, to lay degree n over its degree n - 2; and the Connes
+sequence (cyclic), for its periodicity.
 
 `homology_groups` reduces a periodic complex bottom-up (see
 `_bottom_up_factors`): degree n becomes a residual the size of its
@@ -115,12 +116,6 @@ def _trails(rows: Rows, below: Rows, j: int, k: int) -> bool:
     return len(rows) == len(below) + sum(r in rows for r in range(j))
 
 
-def _leading_rows(M: SparseIntMatrix, j: int) -> SparseIntMatrix:
-    """The first j rows of M."""
-    rows = M.by_row
-    return SparseIntMatrix(j, M.cols, {r: rows[r] for r in range(j) if r in rows})
-
-
 class ChainComplex:
     """A bounded complex ... -> C_d -> C_{d-1} -> ... of free Z-modules."""
 
@@ -152,6 +147,10 @@ class ChainComplex:
                 )
             if not M.is_zero():
                 diffs[d] = M
+        for d in list(diffs):
+            upper = diffs.get(d + 1)
+            if upper is not None and not (diffs[d] @ upper).is_zero():
+                raise CompositionNonzero(f"d_{d} @ d_{d + 1} != 0")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "differential", diffs)
         object.__setattr__(self, "min_degree", min_degree)
@@ -159,15 +158,6 @@ class ChainComplex:
         object.__setattr__(self, "_leads", {})
         object.__setattr__(self, "_presentations", {})
         object.__setattr__(self, "_kernels", {})
-        for d in list(diffs):
-            upper, lower = diffs.get(d + 1), diffs[d]
-            if upper is None:
-                continue
-            if self._split(d) is not None and self._split(d + 1) is not None:
-                # the trailing rows of d_d d_{d+1} are d_{d-2} d_{d-1}, checked there
-                lower = _leading_rows(lower, self.dim(d - 1) - self.dim(d - 3))
-            if not (lower @ upper).is_zero():
-                raise CompositionNonzero(f"d_{d} @ d_{d + 1} != 0")
 
     def __setattr__(self, name, value):
         raise AttributeError("ChainComplex is immutable")
@@ -187,17 +177,17 @@ class ChainComplex:
     def degrees(self) -> List[int]:
         return sorted(self.basis)
 
-    def _split(self, n: int) -> Optional[int]:
-        """lead_n = dim C_n - dim C_{n-2} when d_n = [[A, X], [0, d_{n-2}]],
-        its first lead_n columns and first dim C_{n-1} - dim C_{n-3} rows
-        leading, else None: tested on the matrices once per degree, when
-        first asked."""
+    def _split(self, n: int) -> Optional[Tuple[int, int]]:
+        """The corner (k, j) = (dim C_n - dim C_{n-2}, dim C_{n-1} -
+        dim C_{n-3}) when d_n = [[A, X], [0, d_{n-2}]], its first k columns
+        and first j rows leading, else None: tested on the matrices once per
+        degree, when first asked."""
         leads = self._leads
         if n not in leads:
             k, j = self.dim(n) - self.dim(n - 2), self.dim(n - 1) - self.dim(n - 3)
             below = self.diff(n - 2).by_row
             trails = k >= 0 and j >= 0 and _trails(self.diff(n).by_row, below, j, k)
-            leads[n] = k if trails else None
+            leads[n] = (k, j) if trails else None
         return leads[n]
 
     def presentation(self, i: int) -> "HomologyPresentation":
@@ -300,11 +290,10 @@ def _reduces_bottom_up(C: ChainComplex, read: List[int]) -> bool:
     if not C.basis or not read:
         return False
     lo, top = C.degrees()[0], read[-1]
-    leads = [C._split(n) for n in range(lo, top + 1)]
-    if None in leads:
+    splits = [C._split(n) for n in range(lo, top + 1)]
+    if None in splits:
         return False
-    leading = sum(leads)
-    return leading <= BOTTOM_UP_SHARE * sum(C.dim(n) for n in read)
+    return sum(k for k, _ in splits) <= BOTTOM_UP_SHARE * sum(C.dim(n) for n in read)
 
 
 def _bottom_up_factors(C: ChainComplex, read: List[int]) -> Dict[int, List[int]]:
@@ -322,14 +311,10 @@ def _bottom_up_factors(C: ChainComplex, read: List[int]) -> Dict[int, List[int]]
     past the leading cells is V_{n-2}'s row there times R's V).
     """
     lo, top = min(C.degrees()[0], read[0]), read[-1]
-
-    def corner(n):  # (leading columns of d_n, leading rows of d_n)
-        return C.dim(n) - C.dim(n - 2), C.dim(n - 1) - C.dim(n - 3)
-
     # reach[n]: the columns of C_n whose rows of V' degree n + 2 reads
     reach: Dict[int, set] = defaultdict(set)
     for n in range(top, lo + 1, -1):
-        k, j = corner(n)
+        k, j = C._split(n)
         below = reach[n - 2]
         below.update(c - k for c in reach[n] if c >= k)
         for r, row in C.diff(n).by_row.items():
@@ -340,7 +325,7 @@ def _bottom_up_factors(C: ChainComplex, read: List[int]) -> Dict[int, List[int]]
     carried: Dict[int, Tuple[int, List[int], int, Dict[int, Dict[int, int]]]] = {}
     for n in range(lo, top + 1):
         units, pivots, width, vrows = carried.pop(n - 2, (0, [], 0, {}))
-        k, j = corner(n)
+        k, j = C._split(n)
         rows: Rows = {}
         for r, row in C.diff(n).by_row.items():
             if r < j:
@@ -524,34 +509,12 @@ class ChainMap:
         def comp(d):
             return comps.get(d, SparseIntMatrix.zero(target.dim(d), source.dim(d)))
 
-        splits: Dict[int, bool] = {}
-
-        def split(d):
-            """Is F_d = F'_d (+) F_{d-2}, blocks on the leading cells of
-            source and target over the trailing ones?"""
-            if d not in splits:
-                k, j = source.dim(d) - source.dim(d - 2), target.dim(d) - target.dim(d - 2)
-                M = comp(d).by_row
-                splits[d] = (
-                    k >= 0 and j >= 0 and _trails(M, comp(d - 2).by_row, j, k)
-                    and all(c < k for r in range(j) for c in M.get(r, ()))
-                )
-            return splits[d]
-
         lo = max(source.min_degree, target.min_degree)
         hi = min(source.max_degree, target.max_degree)
         for d in range(lo + 1, hi + 1):
             if d not in source.differential and d not in target.differential:
                 continue  # both sides of the square are zero
-            f_below, d_target = comp(d - 1), target.diff(d)
-            if (
-                d - 2 > lo and source._split(d) is not None and target._split(d) is not None
-                and split(d) and split(d - 1)
-            ):
-                # the trailing rows of the square are the square at d - 2
-                j = target.dim(d - 1) - target.dim(d - 3)
-                f_below, d_target = _leading_rows(f_below, j), _leading_rows(d_target, j)
-            if f_below @ source.diff(d) != d_target @ comp(d):
+            if comp(d - 1) @ source.diff(d) != target.diff(d) @ comp(d):
                 raise NotAChainMap(f"square at degree {d} does not commute")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -566,10 +529,6 @@ class ChainMap:
             return SparseIntMatrix.zero(self.target.dim(d), self.source.dim(d))
         return M
 
-    @classmethod
-    def identity(cls, C: ChainComplex) -> "ChainMap":
-        return cls(C, C, {d: SparseIntMatrix.identity(C.dim(d)) for d in C.degrees()})
-
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
     """Cone(f)_n = source_{n-1} (+) target_n, d(x, y) = (-dx, f(x) + dy),
@@ -577,12 +536,14 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     cells, as the total complex of the source in row 1 and the target in
     row 0 would have them.
 
-    Where source_{n-1} and target_n both trail (ChainComplex._split),
-    degree n lists the source's leading cells, then the target's, over
-    degree n - 2 of the cone, whose cells are their trailing ones; else the
-    source block, then the target block.  So each side's cells keep their
-    order, and the cone of a map between periodic complexes that respects
-    the split, such as a map of cyclic totals, is periodic itself."""
+    Degree n lists the source's leading cells, then the target's, over
+    degree n - 2 of the cone, whose cells are their trailing ones.  A side
+    that does not trail (ChainComplex._split) leads with all its cells, and
+    so then does the other, since degree n - 2 of the cone is no longer a
+    block of degree n: the source block, then the target block.  So each
+    side's cells keep their order, and the cone of a map between periodic
+    complexes that respects the split, such as a map of cyclic totals, is
+    periodic itself."""
     src, tgt = f.source, f.target
     # at[n] = (cone positions of source_{n-1}'s cells, of target_n's cells)
     at: Dict[int, Tuple[List[int], List[int]]] = {}
@@ -591,13 +552,11 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     cells = [n + 1 for n in src.degrees()] + tgt.degrees()
     for n in range(min(cells), max(cells) + 1) if cells else ():
         s, t = src.dim(n - 1), tgt.dim(n)
-        below_s, below_t = at.get(n - 2, ((), ()))
-        if src._split(n - 1) is not None and tgt._split(n) is not None:
-            ls, lt = s - len(below_s), t - len(below_t)
-            at_s = list(range(ls)) + [ls + lt + i for i in below_s]
-            at_t = list(range(ls, ls + lt)) + [ls + lt + i for i in below_t]
-        else:
-            at_s, at_t = list(range(s)), list(range(s, s + t))
+        trails = src._split(n - 1) is not None and tgt._split(n) is not None
+        below_s, below_t = at.get(n - 2, ((), ())) if trails else ((), ())
+        ls, lt = s - len(below_s), t - len(below_t)
+        at_s = list(range(ls)) + [ls + lt + i for i in below_s]
+        at_t = list(range(ls, ls + lt)) + [ls + lt + i for i in below_t]
         at[n] = at_s, at_t
         labels: List[Label] = [None] * (s + t)
         for i, x in zip(at_s, src.labels(n - 1)):

@@ -280,23 +280,24 @@ def _connes_sequence(C: ChainComplex, bound: int) -> SBIReport:
     """
     lo, hi = C.min_degree, C.max_degree
     lead = defaultdict(int, {n: sum(cell[0] == 0 for cell in C.labels(n)) for n in C.degrees()})
-    h, trailing, incl, proj, connecting = {}, {}, {}, {}, {}
+    h, incl, proj, connecting = {}, {}, {}, {}
     for n in range(lo, hi + 1):
         k, j, trail = lead[n], lead[n - 1], C.dim(n) - lead[n]
-        blocks = defaultdict(lambda: defaultdict(dict))  # (trailing row, trailing column)
+        blocks = (defaultdict(dict), defaultdict(dict))  # leading rows: (leading, trailing) columns
         for r, row in C.diff(n).by_row.items():
-            for c, v in row.items():
-                blocks[r >= j, c >= k][r - j if r >= j else r][c - k if c >= k else c] = v
-        if blocks[True, False]:
-            raise CompositionNonzero(f"d_{n} maps a leading cell off the leading block")
-        h[n] = SparseIntMatrix(j, k, blocks[False, False])
-        trailing[n] = SparseIntMatrix(C.dim(n - 1) - j, trail, blocks[True, True])
-        connecting[n] = SparseIntMatrix(j, trail, blocks[False, True])
+            if r < j:
+                for c, v in row.items():
+                    blocks[c >= k][r][c - k if c >= k else c] = v
+            elif min(row) < k:
+                raise CompositionNonzero(f"d_{n} maps a leading cell off the leading block")
+        h[n] = SparseIntMatrix(j, k, blocks[0])
+        connecting[n] = SparseIntMatrix(j, trail, blocks[1])
         incl[n] = SparseIntMatrix(C.dim(n), k, {i: {i: 1} for i in range(k)})
         proj[n] = SparseIntMatrix(trail, C.dim(n), {r: {k + r: 1} for r in range(trail)})
-    # degree n's nodes lie within C for lo <= n - 2 and n + 1 <= hi
+    # degree n's nodes lie within C for lo <= n - 2 and n + 1 <= hi; each reads
+    # C_{n-2} and C_{n-3} as the trailing cells of C_n and C_{n-1}
     nodes = range(max(2, lo + 2), min(bound, hi - 1) + 1)
-    if any(trailing[n].shape != C.diff(n - 2).shape for n in nodes):
+    if any(C.dim(m) - lead[m] != C.dim(m - 2) for n in nodes for m in (n, n - 1)):
         return SBIReport(exact=False, periodicity_ok=False, checked_nodes=(), failures=())
     H = ChainComplex({n: C.labels(n)[: lead[n]] for n in C.degrees()}, h, lo, hi)
     report = exact_sequence_check(
@@ -308,7 +309,7 @@ def _connes_sequence(C: ChainComplex, bound: int) -> SBIReport:
     read = range(lo, min(bound + 1, hi) + 1)  # the degrees of d the sequence reads
     return SBIReport(
         exact=report.exact,
-        periodicity_ok=all(trailing[n] == C.diff(n - 2) for n in read),
+        periodicity_ok=all(C._split(n) == (lead[n], lead[n - 1]) for n in read),
         checked_nodes=report.checked_nodes,
         failures=report.failures,
     )

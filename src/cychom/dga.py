@@ -225,10 +225,6 @@ class DGAMorphism:
                 out[m] = out.get(m, 0) + c * d
         return _clean(out)
 
-    @classmethod
-    def identity(cls, A: DGAlgebra) -> "DGAMorphism":
-        return cls(A, A, {l: {l: 1} for l in A.labels()})
-
 
 def koszul_resolution(m: int) -> DGAlgebra:
     """Exterior algebra on one degree-1 generator t with dt = m.

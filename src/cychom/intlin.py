@@ -61,13 +61,14 @@ every pivot row gives rank 18 instead of 19 in degree 37.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import CompositionNonzero, DimensionMismatch, InvalidModulus
+from .errors import CompositionNonzero, DimensionMismatch, InvalidModulus, OutOfRange
 
 
 Rows = Dict[int, Dict[int, int]]
@@ -157,9 +158,6 @@ class SparseIntMatrix:
 
     def diagonal_entries(self) -> List[int]:
         return [self[k, k] for k in range(min(self.rows, self.cols))]
-
-    def column(self, j: int) -> Dict[int, int]:
-        return {i: row[j] for i, row in self.by_row.items() if j in row}
 
     def columns(self) -> List[Dict[int, int]]:
         cols: List[Dict[int, int]] = [dict() for _ in range(self.cols)]
@@ -305,8 +303,21 @@ class AbelianGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.invariant_factors)
+        parts.extend(f"Z/{printable(d)}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
+
+
+def printable(m: int) -> int:
+    """m, if it has no more decimal digits than sys.get_int_max_str_digits()
+    lets the interpreter print (any m where there is no such limit), else
+    OutOfRange.  m has fewer than limit digits when m < 2^(3 limit) <
+    10^limit, so only a longer m is compared with 10^limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is no limit
+    if limit and m.bit_length() > 3 * limit and abs(m) >= 10 ** limit:
+        raise OutOfRange(
+            f"a group order has more than {limit} decimal digits, more than the interpreter prints"
+        )
+    return m
 
 
 def _nearest(a: int, p: int) -> int:

@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 from .cyclic import hc_relative, reduction_tower, rel_hc_table
 from .dga import reduction_map
 from .errors import CychomError, InvalidParams, OutOfRange, RangeEmpty
-from .intlin import AbelianGroup, is_prime
+from .intlin import AbelianGroup, is_prime, printable
 
 ISO = "ISO"
 SURJECTION = "SURJECTION"
@@ -132,7 +132,8 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
     degrees 0..p-5 off its one induced cyclic map.  Z/p alone (n = 1)
     reads no relative group, so it walks no tower.  A table whose largest
     order, K_{p-4}'s, has more digits than sys.get_int_max_str_digits()
-    allows is refused before any tower (OutOfRange).
+    allows is refused before any tower (OutOfRange): at once where an
+    estimate of its digits is over the limit, else by `printable`.
     """
     if not is_prime(p):
         raise InvalidParams(f"{p} is not prime")
@@ -142,8 +143,9 @@ def k_table(p: int, n: int) -> Dict[int, KTableEntry]:
         raise RangeEmpty(f"range 1 <= i <= p-3 is empty for p = {p}")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 is no limit
     digits = (p - 3) // 2 * n * log10(p)  # of p^{jn}, j = (p-3)/2: < 1.25 times K_{p-4}'s order
-    if limit and (digits > limit + 1 or published_k(p, n, p - 4).order() >= 10 ** limit):
+    if limit and digits > limit + 1:
         raise OutOfRange(f"K_{p - 4} of Z/{p}^{n} has an order of more than {limit} digits")
+    printable(published_k(p, n, p - 4).order())
     tower = reduction_tower(p, n, p - 4) if n >= 2 else ()
     relative = {k: rel_hc_table(F) for k, _, F in tower if F is not None}
     return k_entries(p, n, relative)

@@ -15,8 +15,9 @@ rotation fixed points), which build the package's rings and tensor levels,
 the earlier Morse flow sweep, which builds the package's ChainComplex, the
 Z[x]/(x^n) and Z[x]/(f) builders, which return the package's DGAlgebra,
 and the small builders at the end (two-term and unit complexes, a matrix
-from its (row, col) entries, a DG algebra's own chain complex, the DG
-algebra Z, the composite of two DG algebra maps), which return the
+from its (row, col) entries, a column of a matrix, a DG algebra's own chain
+complex, the DG algebra Z, the composite of two DG algebra maps, the
+identity maps of a complex and of a DG algebra), which return or read the
 package's types.
 """
 
@@ -246,7 +247,7 @@ def tensor_transition_reference(src, tgt):
     entries = {}
     for (spot, gens), col in src.columns.items():
         bumped = (spot[0] + 1,) + spot[1:]
-        for row, v in X.transition(spot[0]).column(gens[0]).items():
+        for row, v in column(X.transition(spot[0]), gens[0]).items():
             entries[(tgt.columns[(bumped, (row,) + gens[1:])], col)] = v
     return _matrix(len(tgt.columns), len(src.columns), entries)
 
@@ -268,7 +269,7 @@ def face_map_reference(M, src, tgt, i):
             new_spot = (a + b,) + spot[1:q]
             pair = gens[q] * M.piece(b).num_generators + gens[0]
             rest = lambda r: (r,) + gens[1:q]
-        for r, v in M.product(a, b).column(pair).items():
+        for r, v in column(M.product(a, b), pair).items():
             key = (tgt.columns[(new_spot, rest(r))], col)
             entries[key] = entries.get(key, 0) + v
     return _matrix(len(tgt.columns), len(src.columns), entries)
@@ -361,7 +362,7 @@ class FullTensorLevel:
                 vecs = [
                     {
                         self.columns[(bumped, gens[:r] + (row,) + gens[r + 1 :])]: v
-                        for row, v in T.column(gens[r]).items()
+                        for row, v in column(T, gens[r]).items()
                     }
                     for r, (bumped, T) in enumerate(images)
                 ]
@@ -388,10 +389,10 @@ def clip_map(full, box):
         spot, vec = tuple(min(i, 0) for i in spot), {gens: 1}
         while sum(spot) < top:
             r = next(r for r, i in enumerate(spot) if i < 0)
-            column = full.factors[r].transition(spot[r]).column
+            T = full.factors[r].transition(spot[r])
             pushed = {}
             for g, v in vec.items():
-                for row, w in column(g[r]).items():
+                for row, w in column(T, g[r]).items():
                     h = g[:r] + (row,) + g[r + 1 :]
                     pushed[h] = pushed.get(h, 0) + v * w
             spot, vec = spot[:r] + (spot[r] + 1,) + spot[r + 1 :], pushed
@@ -607,7 +608,7 @@ def graded(M):
         if i + j < -m:
             return ()  # graded slice below depth is zero
         col = gi * M.piece(j).num_generators + gj
-        return [(((i + j,), (r,)), v) for r, v in M.product(i, j).column(col).items()]
+        return [(((i + j,), (r,)), v) for r, v in column(M.product(i, j), col).items()]
 
     products = {}
     for a in range(-m, 1):
@@ -672,7 +673,7 @@ def fixed_points_check(Y, q, s):
         spot, gens = [lvl] * q, [b] * q
         for r in range(rem):
             # a split free transition column holds exactly one basis element
-            (gens[r],) = Y.transition(spot[r]).column(gens[r])
+            (gens[r],) = column(Y.transition(spot[r]), gens[r])
             spot[r] += 1
         key = (tuple(spot), tuple(gens))
         col = T.columns[key]
@@ -1087,6 +1088,11 @@ def matrix_of_entries(rows, cols, entries):
     return SparseIntMatrix(rows, cols, by_row)
 
 
+def column(M, j):
+    """Column j of a SparseIntMatrix as {row: nonzero value}."""
+    return {i: row[j] for i, row in M.by_row.items() if j in row}
+
+
 def to_dense(M):
     """The rows of a SparseIntMatrix as lists of ints."""
     dense = [[0] * M.cols for _ in range(M.rows)]
@@ -1138,3 +1144,18 @@ def compose(g, f):
         target=g.target,
         action={l: g.apply(f.apply({l: 1})) for l in f.source.labels()},
     )
+
+
+def identity_chain_map(C):
+    """The identity map of a chain complex."""
+    from cychom.complexes import ChainMap
+    from cychom.intlin import SparseIntMatrix
+
+    return ChainMap(C, C, {d: SparseIntMatrix.identity(C.dim(d)) for d in C.degrees()})
+
+
+def identity_morphism(A):
+    """The identity map of a DG algebra."""
+    from cychom.dga import DGAMorphism
+
+    return DGAMorphism(A, A, {l: {l: 1} for l in A.labels()})

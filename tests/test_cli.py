@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -148,6 +149,29 @@ def test_k_groups_refuses_orders_the_interpreter_cannot_print(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
     code, out = run_cli(["k-groups", "--p", "2521", "--n", "1"], capsys)
     assert code == 0 and out.startswith("K_1: Z/2520\n")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter prints integers of any length",
+)
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        # HH_0 = Z/3^99999, of 47,712 decimal digits
+        ["hh", "--ring", "zmod:3^99999", "--max-degree", "1"],
+        # HC_0 and HC_1 print; HC_2 has an order of 2^16000, of 4,817 digits
+        ["hc", "--ring", "zmod:2^8000", "--max-degree", "3"],
+    ],
+    ids=["hh", "hc"],
+)
+def test_tables_refuse_orders_the_interpreter_cannot_print(args, fmt, capsys):
+    assert cli.main([*args, "--format", fmt]) == cli.EXIT_RANGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
 def test_k_groups_structured_provenance(capsys):

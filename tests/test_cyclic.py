@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cychom import complexes, cyclic
+from cychom import cyclic
 from cychom.complexes import ChainMap, homology_groups, induced_on_homology
 from cychom.cyclic import (
     cyclic_bundle,
@@ -22,13 +22,20 @@ from cychom.cyclic import (
     relative_les_check,
     sbi_check,
 )
-from cychom.dga import DGAMorphism, koszul_resolution, load_algebra, reduction_map
+from cychom.dga import koszul_resolution, load_algebra, reduction_map
 from cychom.errors import BoundTooSmall, CompositionNonzero, DimensionMismatch, NotAChainMap
-from cychom.hochschild import cyclic_operator, induced_map
+from cychom.hochschild import (
+    HochschildComplex,
+    critical_complex,
+    cyclic_operator,
+    first_slot_matching,
+    induced_map,
+)
 from cychom.intlin import AbelianGroup, SparseIntMatrix
 
 from oracles import (
     base_ring,
+    identity_morphism,
     koszul_hc_relations,
     matrix_of_entries,
     monic_polynomial,
@@ -129,7 +136,7 @@ def test_bound_errors():
 
 
 def test_relative_of_identity_vanishes():
-    ident = DGAMorphism.identity(koszul_resolution(9))
+    ident = identity_morphism(koszul_resolution(9))
     for i in range(4):
         assert hc_relative(ident, i).is_trivial()
 
@@ -316,36 +323,56 @@ def test_induced_cyclic_map_checks_the_squares_with_B():
 
 def test_leading_rows_carry_the_checks_and_catch_a_broken_leading_block(monkeypatch):
     # degree n of a cyclic total is column 0 over degree n - 2, and a cyclic
-    # map is F_n over its own degree n - 2, so d^2 and the squares are formed
-    # on the leading rows, the trailing ones being degree n - 2's
-    leading = []
-    original = complexes._leading_rows
-
-    def spy(M, j):
-        leading.append(j)
-        return original(M, j)
-
-    monkeypatch.setattr(complexes, "_leading_rows", spy)
+    # map is F_n over its own degree n - 2; d^2 and the squares are formed in
+    # full, so a broken entry is refused in either block
     A = truncated_polynomial(3)
-    cyclic_bundle(A, 6)
-    assert leading
-    leading.clear()
     f = reduction_map(27, 9)
     src, tgt = cyclic_bundle(f.source, 8), cyclic_bundle(f.target, 8)
     F = cyclic_map(induced_map(f, src.hochschild, tgt.hochschild), src, tgt)
-    assert leading
+
+    def broken(r):
+        """F's components with one more in the first entry of F_6's row r."""
+        comps = dict(F.components)
+        rows = {i: dict(row) for i, row in comps[6].by_row.items()}
+        rows[r][min(rows[r])] += 1
+        comps[6] = SparseIntMatrix(comps[6].rows, comps[6].cols, rows)
+        return comps
+
     # a wrong entry in F_6's leading block keeps the block form
-    comps = dict(F.components)
-    rows = {i: dict(row) for i, row in comps[6].by_row.items()}
-    rows[0][min(rows[0])] += 1
-    comps[6] = SparseIntMatrix(comps[6].rows, comps[6].cols, rows)
     with pytest.raises(NotAChainMap):
-        ChainMap(src.total, tgt.total, comps)
+        ChainMap(src.total, tgt.total, broken(0))
+    # and one in its trailing block, F_4 two degrees down, where F_4 is right
+    j, k = tgt.hochschild.total.dim(6), src.hochschild.total.dim(6)
+    r = min(r for r in F.component(6).by_row if r >= j)
+    assert min(F.component(6).by_row[r]) >= k
+    with pytest.raises(NotAChainMap):
+        ChainMap(src.total, tgt.total, broken(r))
     # a wrong sign of B_4, which sits in the leading rows of d_6
     flipped = lambda H, n: cyclic_operator(H, n).scale(-1 if n == 4 else 1)  # noqa: E731
     monkeypatch.setattr(cyclic, "cyclic_operator", flipped)
     with pytest.raises(CompositionNonzero):
         cyclic_bundle(A, 6)
+
+
+def test_constructors_test_no_split():
+    # the split of degree n over degree n - 2 is tested only where it is
+    # read (homology_groups, mapping_cone, the Connes sequence), so building
+    # a complex or a map of complexes leaves every complex's cache empty
+    A = truncated_polynomial(3)
+    ext2 = load_algebra((BENCH_INPUTS / "ext2-a9-b3.alg").read_text())
+    f = reduction_map(27, 9)
+    src, tgt = cyclic_bundle(f.source, 8), cyclic_bundle(f.target, 8)
+    cyclic_map(induced_map(f, src.hochschild, tgt.hochschild), src, tgt)
+    bundle = cyclic_bundle(A, 6)
+    built = [
+        HochschildComplex(A, 6).total,
+        bundle.hochschild.total,
+        bundle.total,
+        critical_complex(first_slot_matching(ext2), 8, cyclic=True),
+        src.total,
+        tgt.total,
+    ]
+    assert all(C._leads == {} for C in built)
 
 
 def test_sbi_sequence_exact():

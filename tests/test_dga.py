@@ -32,7 +32,7 @@ from cychom.errors import InvalidModulus, InvalidParams, NotDivisible, ParseErro
 from cychom.hochschild import HochschildComplex, critical_complex, first_slot_matching
 from cychom.intlin import AbelianGroup
 
-from oracles import base_ring, compose, two_term_complex, underlying_complex
+from oracles import base_ring, compose, identity_morphism, two_term_complex, underlying_complex
 
 
 def test_koszul_resolution_structure():
@@ -140,7 +140,7 @@ def test_morphism_compose_and_identity():
     h = compose(g, f)
     assert h.apply({"t": 1}) == {"t": 4}
     assert h.action == reduction_map(8, 2).action
-    ident = DGAMorphism.identity(koszul_resolution(8))
+    ident = identity_morphism(koszul_resolution(8))
     assert compose(f, ident).action == f.action
 
 
